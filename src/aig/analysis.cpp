@@ -4,11 +4,11 @@
 #include <cassert>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "aig/isop.hpp"
 #include "aig/reconv_cut.hpp"
 #include "aig/simulate.hpp"
+#include "aig/stamped_slots.hpp"
 #include "aig/truth.hpp"
 
 namespace flowgen::aig {
@@ -385,11 +385,91 @@ const ReconvWindow* AnalysisCache::window_if_ready(std::uint32_t root,
   return slot.state.load(std::memory_order_acquire) ? &slot.value : nullptr;
 }
 
+namespace detail {
+
+void scan_one_resub(const TruthTable& target,
+                    std::span<const TruthTable* const> divisors,
+                    std::size_t cap, std::vector<ResubMatch>& out) {
+  // Exact unate pre-filter. target == (a ^ ca) & (b ^ cb) implies
+  // target <= a ^ ca and target <= b ^ cb (and ~target likewise when the
+  // output is complemented), so four containment bits per divisor rule out
+  // most (pair, phases) before the full comparison. Bit (ct << 1 | c) says
+  // (target ^ ct) <= (d ^ c). A divisor with no bit set takes part in no
+  // match, so the pair loop runs over the others only, in the same order.
+  struct Live {
+    std::uint32_t index;
+    std::uint32_t cover;
+  };
+  const std::span<const std::uint64_t> t = target.words();
+  const std::uint64_t tail =
+      target.num_vars() >= 6
+          ? ~0ull
+          : (std::uint64_t{1} << (std::size_t{1} << target.num_vars())) - 1;
+  std::vector<Live> live;
+  for (std::size_t k = 0; k < divisors.size(); ++k) {
+    const std::span<const std::uint64_t> d = divisors[k]->words();
+    std::uint64_t t_nd = 0, t_d = 0, nt_nd = 0, nt_d = 0;
+    for (std::size_t w = 0; w < t.size(); ++w) {
+      const std::uint64_t m = w + 1 == t.size() ? tail : ~0ull;
+      t_nd |= t[w] & ~d[w] & m;
+      t_d |= t[w] & d[w] & m;
+      nt_nd |= ~t[w] & ~d[w] & m;
+      nt_d |= ~t[w] & d[w] & m;
+    }
+    const std::uint32_t cover = (t_nd == 0) | (t_d == 0) << 1 |
+                                (nt_nd == 0) << 2 | (nt_d == 0) << 3;
+    if (cover) live.push_back({static_cast<std::uint32_t>(k), cover});
+  }
+
+  for (std::size_t i = 0; i < live.size() && out.size() < cap; ++i) {
+    const Live a = live[i];
+    const TruthTable& da = *divisors[a.index];
+    for (std::size_t j = i + 1; j < live.size() && out.size() < cap; ++j) {
+      const Live b = live[j];
+      const TruthTable& db = *divisors[b.index];
+      for (unsigned phases = 0; phases < 4; ++phases) {
+        const unsigned c0 = phases & 1;
+        const unsigned c1 = (phases >> 1) & 1;
+        bool out_compl = false;
+        if (((a.cover >> c0) & (b.cover >> c1) & 1) != 0 &&
+            target.matches_and(da, c0 != 0, db, c1 != 0, false)) {
+          out_compl = false;
+        } else if (((a.cover >> (2 + c0)) & (b.cover >> (2 + c1)) & 1) != 0 &&
+                   target.matches_and(da, c0 != 0, db, c1 != 0, true)) {
+          out_compl = true;
+        } else {
+          continue;
+        }
+        out.push_back(ResubMatch{a.index, b.index,
+                                 static_cast<std::uint8_t>(c0),
+                                 static_cast<std::uint8_t>(c1),
+                                 static_cast<std::uint8_t>(out_compl)});
+        if (out.size() >= cap) break;
+      }
+    }
+  }
+}
+
+}  // namespace detail
+
 namespace {
 
-struct Divisor {
-  std::uint32_t node = 0;
-  const TruthTable* tt = nullptr;  ///< stable pointer into the window map
+// Per-thread scratch of compute_resub_plan (see aig/stamped_slots.hpp).
+struct ResubScratch {
+  static constexpr std::uint32_t kNoTable = ~0u;
+  struct Slot {
+    std::uint32_t tt = kNoTable;  ///< index into `tts`
+    bool in_mffc = false;
+  };
+  struct Divisor {
+    std::uint32_t node = 0;
+    std::uint32_t tt = 0;
+  };
+  StampedSlots<Slot> slots;
+  std::vector<TruthTable> tts;  ///< window truth tables, insertion order
+  std::vector<Divisor> divisors;
+  std::vector<const TruthTable*> divisor_tts;
+  std::vector<std::uint32_t> frontier;
 };
 
 /// The pure half of one restructure window: collect divisors over the
@@ -407,42 +487,54 @@ ResubPlan compute_resub_plan(const Aig& g, std::uint32_t root,
   }
   const auto& leaves = win.leaves;
   const auto nv = static_cast<unsigned>(leaves.size());
+  constexpr std::uint32_t kNoTable = ResubScratch::kNoTable;
 
-  const std::vector<std::uint32_t> dying = refs.mffc_nodes(g, root);
-  const std::unordered_set<std::uint32_t> in_mffc(dying.begin(), dying.end());
+  thread_local ResubScratch s;
+  s.slots.reset(g.num_nodes());
+  s.tts.clear();
+  s.divisors.clear();
+  s.frontier.clear();
+  for (std::uint32_t id : refs.mffc_nodes(g, root)) {
+    s.slots.at(id).in_mffc = true;
+  }
+  // Stores `tt` as node `id`'s window table unless it already has one (the
+  // first table stored wins); returns the table's index.
+  auto store = [&](std::uint32_t id, TruthTable tt) {
+    std::uint32_t& slot = s.slots.at(id).tt;
+    if (slot == kNoTable) {
+      slot = static_cast<std::uint32_t>(s.tts.size());
+      s.tts.push_back(std::move(tt));
+    }
+    return slot;
+  };
+  auto table_of = [&](std::uint32_t id) { return s.slots.get(id).tt; };
 
-  std::unordered_map<std::uint32_t, TruthTable> tts;
-  tts.reserve(max_divisors * 2 + nv);
-  std::vector<Divisor> divisors;
-  divisors.reserve(max_divisors);
-  std::vector<std::uint32_t> frontier;
   for (unsigned i = 0; i < nv; ++i) {
-    const auto it = tts.emplace(leaves[i], TruthTable::variable(nv, i));
-    divisors.push_back(Divisor{leaves[i], &it.first->second});
-    frontier.push_back(leaves[i]);
+    s.divisors.push_back(
+        {leaves[i], store(leaves[i], TruthTable::variable(nv, i))});
+    s.frontier.push_back(leaves[i]);
     plan.closure.push_back(leaves[i]);
   }
-  while (!frontier.empty() && divisors.size() < max_divisors) {
-    const std::uint32_t seed = frontier.back();
-    frontier.pop_back();
+  while (!s.frontier.empty() && s.divisors.size() < max_divisors) {
+    const std::uint32_t seed = s.frontier.back();
+    s.frontier.pop_back();
     for (std::uint32_t fi = fanouts.begin(seed); fi < fanouts.end(seed);
          ++fi) {
       const std::uint32_t candidate = fanouts.target(fi);
       if (candidate == root) continue;
-      if (tts.count(candidate) || refs.dead(candidate)) continue;
+      if (table_of(candidate) != kNoTable || refs.dead(candidate)) continue;
       const auto& n = g.node(candidate);
-      const auto it0 = tts.find(lit_node(n.fanin0));
-      const auto it1 = tts.find(lit_node(n.fanin1));
-      if (it0 == tts.end() || it1 == tts.end()) continue;
-      const auto it = tts.emplace(
-          candidate,
-          TruthTable::and_phase(it0->second, lit_is_compl(n.fanin0),
-                                it1->second, lit_is_compl(n.fanin1)));
-      frontier.push_back(candidate);
+      const std::uint32_t t0 = table_of(lit_node(n.fanin0));
+      const std::uint32_t t1 = table_of(lit_node(n.fanin1));
+      if (t0 == kNoTable || t1 == kNoTable) continue;
+      const std::uint32_t t = store(
+          candidate, TruthTable::and_phase(s.tts[t0], lit_is_compl(n.fanin0),
+                                           s.tts[t1], lit_is_compl(n.fanin1)));
+      s.frontier.push_back(candidate);
       plan.closure.push_back(candidate);
-      if (!in_mffc.count(candidate)) {
-        divisors.push_back(Divisor{candidate, &it.first->second});
-        if (divisors.size() >= max_divisors) break;
+      if (!s.slots.get(candidate).in_mffc) {
+        s.divisors.push_back({candidate, t});
+        if (s.divisors.size() >= max_divisors) break;
       }
     }
   }
@@ -451,12 +543,12 @@ ResubPlan compute_resub_plan(const Aig& g, std::uint32_t root,
   // capped before reaching the root's fanins, fall back to exact cone
   // evaluation (still pure); when even that fails the plan is a skip.
   const auto& rn = g.node(root);
-  const auto rt0 = tts.find(lit_node(rn.fanin0));
-  const auto rt1 = tts.find(lit_node(rn.fanin1));
+  const std::uint32_t rt0 = table_of(lit_node(rn.fanin0));
+  const std::uint32_t rt1 = table_of(lit_node(rn.fanin1));
   TruthTable target;
-  if (rt0 != tts.end() && rt1 != tts.end()) {
-    target = TruthTable::and_phase(rt0->second, lit_is_compl(rn.fanin0),
-                                   rt1->second, lit_is_compl(rn.fanin1));
+  if (rt0 != kNoTable && rt1 != kNoTable) {
+    target = TruthTable::and_phase(s.tts[rt0], lit_is_compl(rn.fanin0),
+                                   s.tts[rt1], lit_is_compl(rn.fanin1));
   } else {
     try {
       target = cone_truth(g, make_lit(root, false), leaves);
@@ -466,40 +558,25 @@ ResubPlan compute_resub_plan(const Aig& g, std::uint32_t root,
     }
   }
 
-  for (const Divisor& d : divisors) {
-    if (d.node == root) continue;
+  s.divisor_tts.clear();
+  for (const ResubScratch::Divisor& d : s.divisors) {
+    s.divisor_tts.push_back(&s.tts[d.tt]);
+  }
+  for (std::size_t k = 0; k < s.divisors.size(); ++k) {
+    const std::uint32_t node = s.divisors[k].node;
+    if (node == root) continue;
     if (plan.zeros.size() >= kMaxZeroMatches) break;
-    if (*d.tt == target) {
-      plan.zeros.push_back(ZeroMatch{d.node, 0});
-    } else if (d.tt->equals_compl(target)) {
-      plan.zeros.push_back(ZeroMatch{d.node, 1});
+    if (*s.divisor_tts[k] == target) {
+      plan.zeros.push_back(ZeroMatch{node, 0});
+    } else if (s.divisor_tts[k]->equals_compl(target)) {
+      plan.zeros.push_back(ZeroMatch{node, 1});
     }
   }
 
-  for (std::size_t i = 0;
-       i < divisors.size() && plan.ones.size() < kMaxOneMatches; ++i) {
-    for (std::size_t j = i + 1;
-         j < divisors.size() && plan.ones.size() < kMaxOneMatches; ++j) {
-      for (unsigned phases = 0; phases < 4; ++phases) {
-        bool out_compl = false;
-        if (target.matches_and(*divisors[i].tt, (phases & 1) != 0,
-                               *divisors[j].tt, (phases & 2) != 0, false)) {
-          out_compl = false;
-        } else if (target.matches_and(*divisors[i].tt, (phases & 1) != 0,
-                                      *divisors[j].tt, (phases & 2) != 0,
-                                      true)) {
-          out_compl = true;
-        } else {
-          continue;
-        }
-        plan.ones.push_back(ResubMatch{
-            divisors[i].node, divisors[j].node,
-            static_cast<std::uint8_t>(phases & 1),
-            static_cast<std::uint8_t>((phases >> 1) & 1),
-            static_cast<std::uint8_t>(out_compl)});
-        if (plan.ones.size() >= kMaxOneMatches) break;
-      }
-    }
+  detail::scan_one_resub(target, s.divisor_tts, kMaxOneMatches, plan.ones);
+  for (ResubMatch& m : plan.ones) {
+    m.div0 = s.divisors[m.div0].node;
+    m.div1 = s.divisors[m.div1].node;
   }
   return plan;
 }

@@ -5,8 +5,10 @@
 // invocation: reference counts, fanout adjacency, k-feasible cut sets, and —
 // the actual hot part — per-node *pure* resynthesis analysis (reconvergence
 // windows, window truth tables, resubstitution match scans, ISOP+factoring).
-// Profiling shows the per-node pure work dominates restructure and refactor
-// (>85% of a pass), so an AnalysisCache memoises it per graph:
+// The window kernels keep per-call node state in per-thread stamped slots
+// (aig/stamped_slots.hpp), so that work costs a few milliseconds per pass
+// on alu16 (docs/architecture.md has the per-pass numbers). An
+// AnalysisCache memoises it per graph:
 //
 //  * whole-graph artifacts: pristine RefCounts, CSR fanout adjacency and
 //    CutManager instances, computed lazily and shared read-only,
@@ -35,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -139,6 +142,19 @@ struct FactorPlan {
   bool skip = false;  ///< degenerate window (size, or root among leaves)
   std::shared_ptr<const FactoredForm> form;
 };
+
+namespace detail {
+
+/// The 1-resub pair scan of a resub plan (exposed for its property test).
+/// Appends to `out`, in scan order (pairs i < j ascending, then phases
+/// 0..3, the uncomplemented output first), every match
+/// target == ((d[i] ^ c0) & (d[j] ^ c1)) ^ out_compl until `out` holds
+/// `cap` entries. div0/div1 of each match are indices into `divisors`.
+void scan_one_resub(const TruthTable& target,
+                    std::span<const TruthTable* const> divisors,
+                    std::size_t cap, std::vector<ResubMatch>& out);
+
+}  // namespace detail
 
 /// Monotonic process-wide counters for benchmarking the engine. Reads are
 /// racy-but-monotonic; reset() is for bench harnesses only.

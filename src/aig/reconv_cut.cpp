@@ -1,14 +1,17 @@
 #include "aig/reconv_cut.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace flowgen::aig {
 
 std::vector<std::uint32_t> reconv_cut(const Aig& aig, std::uint32_t root,
                                       unsigned max_leaves) {
+  // The leaf list never exceeds max_leaves + 2 entries, so membership is a
+  // linear scan rather than a hash set.
   std::vector<std::uint32_t> leaves{root};
-  std::unordered_set<std::uint32_t> leaf_set{root};
+  auto is_leaf = [&](std::uint32_t id) {
+    return std::find(leaves.begin(), leaves.end(), id) != leaves.end();
+  };
 
   for (;;) {
     // Pick the expandable leaf with the lowest expansion cost (= number of
@@ -21,8 +24,8 @@ std::vector<std::uint32_t> reconv_cut(const Aig& aig, std::uint32_t root,
       const std::uint32_t f0 = lit_node(aig.node(id).fanin0);
       const std::uint32_t f1 = lit_node(aig.node(id).fanin1);
       int cost = -1;  // the leaf itself disappears
-      if (!leaf_set.count(f0)) ++cost;
-      if (f1 != f0 && !leaf_set.count(f1)) ++cost;
+      if (!is_leaf(f0)) ++cost;
+      if (f1 != f0 && !is_leaf(f1)) ++cost;
       if (cost < best_cost ||
           (cost == best_cost && best_idx < leaves.size() &&
            aig.level(id) > aig.level(leaves[best_idx]))) {
@@ -37,37 +40,13 @@ std::vector<std::uint32_t> reconv_cut(const Aig& aig, std::uint32_t root,
 
     const std::uint32_t id = leaves[best_idx];
     leaves.erase(leaves.begin() + static_cast<std::ptrdiff_t>(best_idx));
-    leaf_set.erase(id);
     for (Lit fanin : {aig.node(id).fanin0, aig.node(id).fanin1}) {
       const std::uint32_t f = lit_node(fanin);
-      if (leaf_set.insert(f).second) leaves.push_back(f);
+      if (!is_leaf(f)) leaves.push_back(f);
     }
   }
   std::sort(leaves.begin(), leaves.end());
   return leaves;
-}
-
-std::vector<std::uint32_t> cone_nodes(
-    const Aig& aig, std::uint32_t root,
-    const std::vector<std::uint32_t>& leaves) {
-  std::unordered_set<std::uint32_t> leaf_set(leaves.begin(), leaves.end());
-  std::unordered_set<std::uint32_t> visited;
-  std::vector<std::uint32_t> order;
-
-  // Iterative post-order DFS; ids are topological, so sorting at the end
-  // yields topological order directly.
-  std::vector<std::uint32_t> stack{root};
-  while (!stack.empty()) {
-    const std::uint32_t id = stack.back();
-    stack.pop_back();
-    if (leaf_set.count(id) || visited.count(id) || !aig.is_and(id)) continue;
-    visited.insert(id);
-    order.push_back(id);
-    stack.push_back(lit_node(aig.node(id).fanin0));
-    stack.push_back(lit_node(aig.node(id).fanin1));
-  }
-  std::sort(order.begin(), order.end());
-  return order;
 }
 
 }  // namespace flowgen::aig

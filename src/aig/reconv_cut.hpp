@@ -15,9 +15,4 @@ namespace flowgen::aig {
 std::vector<std::uint32_t> reconv_cut(const Aig& aig, std::uint32_t root,
                                       unsigned max_leaves);
 
-/// All AND nodes strictly inside the cone of `root` bounded by `leaves`
-/// (excluding the leaves, including the root), in topological order.
-std::vector<std::uint32_t> cone_nodes(const Aig& aig, std::uint32_t root,
-                                      const std::vector<std::uint32_t>& leaves);
-
 }  // namespace flowgen::aig

@@ -2,7 +2,8 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "aig/stamped_slots.hpp"
 
 namespace flowgen::aig {
 
@@ -56,18 +57,27 @@ TruthTable cone_truth(const Aig& aig, Lit root,
   const auto nv = static_cast<unsigned>(leaves.size());
   if (nv > 16) throw std::invalid_argument("cone_truth: cut too large");
 
-  std::unordered_map<std::uint32_t, TruthTable> tt;
-  tt.reserve(leaves.size() * 4);
+  // Node id -> index into `tts`; the first table stored for an id wins.
+  thread_local StampedSlots<std::uint32_t> slot;
+  thread_local std::vector<TruthTable> tts;
+  thread_local std::vector<std::uint32_t> stack;
+  slot.reset(aig.num_nodes());
+  tts.clear();
+  auto store = [&](std::uint32_t id, TruthTable tt) {
+    if (slot.has(id)) return;
+    slot.at(id) = static_cast<std::uint32_t>(tts.size());
+    tts.push_back(std::move(tt));
+  };
   for (unsigned i = 0; i < nv; ++i) {
-    tt.emplace(leaves[i], TruthTable::variable(nv, i));
+    store(leaves[i], TruthTable::variable(nv, i));
   }
-  tt.emplace(0u, TruthTable::constant(nv, false));
+  store(0u, TruthTable::constant(nv, false));
 
   // Recursive evaluation with an explicit stack (cones can be deep).
-  std::vector<std::uint32_t> stack{lit_node(root)};
+  stack.assign(1, lit_node(root));
   while (!stack.empty()) {
     const std::uint32_t id = stack.back();
-    if (tt.count(id)) {
+    if (slot.has(id)) {
       stack.pop_back();
       continue;
     }
@@ -77,18 +87,19 @@ TruthTable cone_truth(const Aig& aig, Lit root,
     const auto& n = aig.node(id);
     const std::uint32_t a = lit_node(n.fanin0);
     const std::uint32_t b = lit_node(n.fanin1);
-    const bool have_a = tt.count(a) > 0;
-    const bool have_b = tt.count(b) > 0;
+    const bool have_a = slot.has(a);
+    const bool have_b = slot.has(b);
     if (have_a && have_b) {
-      tt.emplace(id, TruthTable::and_phase(tt.at(a), lit_is_compl(n.fanin0),
-                                           tt.at(b), lit_is_compl(n.fanin1)));
+      store(id, TruthTable::and_phase(tts[slot.get(a)], lit_is_compl(n.fanin0),
+                                      tts[slot.get(b)],
+                                      lit_is_compl(n.fanin1)));
       stack.pop_back();
     } else {
       if (!have_a) stack.push_back(a);
       if (!have_b) stack.push_back(b);
     }
   }
-  TruthTable result = tt.at(lit_node(root));
+  TruthTable result = tts[slot.get(lit_node(root))];
   if (lit_is_compl(root)) result = ~result;
   return result;
 }

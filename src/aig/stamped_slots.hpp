@@ -1,0 +1,58 @@
+#pragma once
+// Node-indexed scratch slots for the per-node window kernels (resub plans,
+// cone truth tables, reuse/containment walks). Each kernel call needs a
+// small map or set keyed by node id, and a fresh hash container per call
+// costs more than the logic work of restructure and refactor. A StampedSlots
+// instance instead keeps one slot per node and a generation counter: `reset` starts
+// a new call in O(1) by bumping the generation, and a slot whose stamp is
+// not the current generation reads as empty.
+//
+// Instances are meant to be `thread_local` inside one kernel each: kernels
+// nest (a resub plan may fall back to cone_truth), so two kernels never
+// share an instance, and concurrent evaluations never share one either.
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+namespace flowgen::aig {
+
+template <typename T>
+class StampedSlots {
+public:
+  /// Begin a call over a graph of `num_nodes` nodes: every slot reads
+  /// empty afterwards. Grows to the largest graph seen; clears all stamps
+  /// when the generation counter wraps.
+  void reset(std::size_t num_nodes) {
+    if (stamps_.size() < num_nodes) {
+      stamps_.resize(num_nodes, 0);
+      values_.resize(num_nodes);
+    }
+    if (++gen_ == 0) {
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      gen_ = 1;
+    }
+  }
+
+  /// True when slot `id` was written since the last reset.
+  bool has(std::uint32_t id) const { return stamps_[id] == gen_; }
+
+  /// Slot `id`, value-initialised on first touch since the last reset.
+  T& at(std::uint32_t id) {
+    if (stamps_[id] != gen_) {
+      stamps_[id] = gen_;
+      values_[id] = T{};
+    }
+    return values_[id];
+  }
+
+  /// Slot `id`, or T{} when it is empty.
+  T get(std::uint32_t id) const { return has(id) ? values_[id] : T{}; }
+
+private:
+  std::uint32_t gen_ = 0;
+  std::vector<std::uint32_t> stamps_;
+  std::vector<T> values_;
+};
+
+}  // namespace flowgen::aig

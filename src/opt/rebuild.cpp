@@ -1,7 +1,8 @@
 #include "opt/rebuild.hpp"
 
 #include <cassert>
-#include <unordered_set>
+
+#include "aig/stamped_slots.hpp"
 
 namespace flowgen::opt {
 
@@ -28,19 +29,35 @@ Lit resolve(const std::vector<Lit>& repl, Lit l) {
   }
 }
 
+namespace {
+
+// Per-thread scratch of one alias-resolved walk: node marks plus the DFS
+// stack, reused across calls (see aig/stamped_slots.hpp).
+struct WalkScratch {
+  aig::StampedSlots<std::uint8_t> marks;
+  std::vector<std::uint32_t> stack;
+};
+
+constexpr std::uint8_t kVisited = 1;
+constexpr std::uint8_t kInput = 2;
+constexpr std::uint8_t kMffc = 4;
+
+}  // namespace
+
 bool cone_contains(const Aig& g, const std::vector<Lit>& repl, Lit root,
                    std::uint32_t target) {
-  std::vector<std::uint32_t> stack{lit_node(resolve(repl, root))};
-  std::vector<char> visited(g.num_nodes(), 0);
-  while (!stack.empty()) {
-    const std::uint32_t id = stack.back();
-    stack.pop_back();
+  thread_local WalkScratch s;
+  s.marks.reset(g.num_nodes());
+  s.stack.assign(1, lit_node(resolve(repl, root)));
+  while (!s.stack.empty()) {
+    const std::uint32_t id = s.stack.back();
+    s.stack.pop_back();
     if (id == target) return true;
-    if (visited[id]) continue;
-    visited[id] = 1;
+    if (s.marks.has(id)) continue;
+    s.marks.at(id) = kVisited;
     if (!g.is_and(id)) continue;
-    stack.push_back(lit_node(resolve(repl, g.node(id).fanin0)));
-    stack.push_back(lit_node(resolve(repl, g.node(id).fanin1)));
+    s.stack.push_back(lit_node(resolve(repl, g.node(id).fanin0)));
+    s.stack.push_back(lit_node(resolve(repl, g.node(id).fanin1)));
   }
   return false;
 }
@@ -48,19 +65,22 @@ bool cone_contains(const Aig& g, const std::vector<Lit>& repl, Lit root,
 long reuse_cost(const Aig& g, const std::vector<Lit>& repl, Lit root,
                 const std::vector<std::uint32_t>& inputs,
                 const std::vector<std::uint32_t>& mffc) {
-  std::unordered_set<std::uint32_t> input_set(inputs.begin(), inputs.end());
-  std::unordered_set<std::uint32_t> mffc_set(mffc.begin(), mffc.end());
-  std::unordered_set<std::uint32_t> visited;
+  thread_local WalkScratch s;
+  s.marks.reset(g.num_nodes());
+  for (std::uint32_t id : inputs) s.marks.at(id) |= kInput;
+  for (std::uint32_t id : mffc) s.marks.at(id) |= kMffc;
   long cost = 0;
-  std::vector<std::uint32_t> stack{lit_node(resolve(repl, root))};
-  while (!stack.empty()) {
-    const std::uint32_t id = stack.back();
-    stack.pop_back();
-    if (!visited.insert(id).second) continue;
-    if (input_set.count(id) || !g.is_and(id)) continue;
-    if (mffc_set.count(id)) ++cost;
-    stack.push_back(lit_node(resolve(repl, g.node(id).fanin0)));
-    stack.push_back(lit_node(resolve(repl, g.node(id).fanin1)));
+  s.stack.assign(1, lit_node(resolve(repl, root)));
+  while (!s.stack.empty()) {
+    const std::uint32_t id = s.stack.back();
+    s.stack.pop_back();
+    std::uint8_t& m = s.marks.at(id);
+    if (m & kVisited) continue;
+    m |= kVisited;
+    if ((m & kInput) || !g.is_and(id)) continue;
+    if (m & kMffc) ++cost;
+    s.stack.push_back(lit_node(resolve(repl, g.node(id).fanin0)));
+    s.stack.push_back(lit_node(resolve(repl, g.node(id).fanin1)));
   }
   return cost;
 }

@@ -15,6 +15,7 @@
 #include "designs/registry.hpp"
 #include "opt/rebuild.hpp"
 #include "opt/transform.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace flowgen::aig {
@@ -163,6 +164,107 @@ TEST(AnalysisTest, DeriveCarriesEverythingAcrossAnEmptyEdit) {
   EXPECT_EQ(next.graph.fingerprint(), fp);
   EXPECT_EQ(c.resub_plans_computed, 0u);  // everything replayed from carry
   EXPECT_GT(c.resub_plans_carried, 0u);
+}
+
+// Reference for detail::scan_one_resub: the unfiltered pair scan, which
+// tries every (i < j, phases) with a full comparison.
+std::vector<ResubMatch> brute_force_scan(
+    const TruthTable& target, const std::vector<const TruthTable*>& d,
+    std::size_t cap) {
+  std::vector<ResubMatch> out;
+  for (std::size_t i = 0; i < d.size() && out.size() < cap; ++i) {
+    for (std::size_t j = i + 1; j < d.size() && out.size() < cap; ++j) {
+      for (unsigned phases = 0; phases < 4; ++phases) {
+        const bool c0 = (phases & 1) != 0, c1 = (phases & 2) != 0;
+        bool out_compl = false;
+        if (target.matches_and(*d[i], c0, *d[j], c1, false)) {
+          out_compl = false;
+        } else if (target.matches_and(*d[i], c0, *d[j], c1, true)) {
+          out_compl = true;
+        } else {
+          continue;
+        }
+        out.push_back(ResubMatch{static_cast<std::uint32_t>(i),
+                                 static_cast<std::uint32_t>(j), c0, c1,
+                                 out_compl});
+        if (out.size() >= cap) break;
+      }
+    }
+  }
+  return out;
+}
+
+TruthTable random_table(unsigned nv, util::Rng& rng) {
+  TruthTable t(nv);
+  for (std::size_t m = 0; m < t.num_bits(); m += 64) {
+    const std::uint64_t w = rng();
+    for (std::size_t b = 0; b < 64 && m + b < t.num_bits(); ++b) {
+      t.set_bit(m + b, (w >> b) & 1);
+    }
+  }
+  return t;
+}
+
+TEST(AnalysisTest, FilteredResubScanMatchesBruteForce) {
+  constexpr std::size_t kCap = 64;  // the plan's kMaxOneMatches
+  util::Rng rng(2024);
+  std::size_t capped = 0, matched = 0;
+  for (unsigned nv : {2u, 6u, 8u, 16u}) {
+    const int trials = nv == 16 ? 6 : 40;
+    for (int trial = 0; trial < trials; ++trial) {
+      // Divisors as in a window: the leaf projections first, then random
+      // functions; some are copies or complements of earlier ones so that
+      // several pairs (and phases) match one target.
+      const std::size_t num_divisors = 2 + rng.below(63);
+      std::vector<TruthTable> tables;
+      for (unsigned v = 0; v < nv && tables.size() < num_divisors; ++v) {
+        tables.push_back(TruthTable::variable(nv, v));
+      }
+      while (tables.size() < num_divisors) {
+        const std::uint64_t kind = rng.below(4);
+        if (kind == 0 && !tables.empty()) {
+          tables.push_back(tables[rng.below(tables.size())]);
+        } else if (kind == 1 && !tables.empty()) {
+          tables.push_back(~tables[rng.below(tables.size())]);
+        } else {
+          tables.push_back(random_table(nv, rng));
+        }
+      }
+      std::vector<const TruthTable*> divisors;
+      for (const TruthTable& t : tables) divisors.push_back(&t);
+
+      // Target: the AND of a random divisor pair in random phases (so a
+      // match exists), sometimes complemented; every fifth trial a target
+      // unrelated to the divisors.
+      TruthTable target;
+      if (trial % 5 == 4) {
+        target = random_table(nv, rng);
+      } else {
+        const std::size_t a = rng.below(tables.size());
+        const std::size_t b = rng.below(tables.size());
+        target = TruthTable::and_phase(tables[a], rng.below(2) != 0,
+                                       tables[b], rng.below(2) != 0);
+        if (rng.below(2)) target = ~target;
+      }
+
+      const std::vector<ResubMatch> want =
+          brute_force_scan(target, divisors, kCap);
+      std::vector<ResubMatch> got;
+      detail::scan_one_resub(target, divisors, kCap, got);
+      ASSERT_EQ(got.size(), want.size()) << "nv " << nv << " trial " << trial;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(got[k].div0, want[k].div0) << "match " << k;
+        ASSERT_EQ(got[k].div1, want[k].div1) << "match " << k;
+        ASSERT_EQ(got[k].compl0, want[k].compl0) << "match " << k;
+        ASSERT_EQ(got[k].compl1, want[k].compl1) << "match " << k;
+        ASSERT_EQ(got[k].out_compl, want[k].out_compl) << "match " << k;
+      }
+      capped += want.size() == kCap;
+      matched += !want.empty();
+    }
+  }
+  EXPECT_GT(capped, 0u);  // the cap was reached at least once
+  EXPECT_GT(matched, 50u);
 }
 
 TEST(AnalysisTest, MemoryBytesGrowsAsSlotsFill) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "aig/simulate.hpp"
 #include "designs/alu.hpp"
@@ -59,23 +58,6 @@ TEST(ReconvCutTest, RootNotInItsOwnCut) {
     if (!g.is_and(id)) continue;
     const auto leaves = reconv_cut(g, id, 8);
     EXPECT_FALSE(std::binary_search(leaves.begin(), leaves.end(), id));
-  }
-}
-
-TEST(ReconvCutTest, ConeNodesTopologicalAndBounded) {
-  const Aig g = designs::make_alu(8);
-  for (std::uint32_t id = 1; id < g.num_nodes(); id += 37) {
-    if (!g.is_and(id)) continue;
-    const auto leaves = reconv_cut(g, id, 8);
-    const auto cone = cone_nodes(g, id, leaves);
-    EXPECT_TRUE(std::is_sorted(cone.begin(), cone.end()));
-    EXPECT_TRUE(std::binary_search(cone.begin(), cone.end(), id));
-    const std::unordered_set<std::uint32_t> leaf_set(leaves.begin(),
-                                                     leaves.end());
-    for (std::uint32_t n : cone) {
-      EXPECT_FALSE(leaf_set.count(n)) << "leaf inside cone";
-      EXPECT_TRUE(g.is_and(n));
-    }
   }
 }
 

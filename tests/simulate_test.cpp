@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "aig/reconv_cut.hpp"
+#include "designs/alu.hpp"
+
 namespace flowgen::aig {
 namespace {
 
@@ -119,6 +124,54 @@ TEST(SimulateTest, ConeTruthAtLeafIsProjection) {
   const Lit b = g.add_pi();
   const TruthTable tt = cone_truth(g, a, {lit_node(a), lit_node(b)});
   EXPECT_EQ(tt, TruthTable::variable(2, 0));
+}
+
+// cone_truth keeps per-thread scratch slots across calls. Results must not
+// depend on what ran before on the thread: a larger graph, a smaller one, or
+// a call that threw half-way through.
+std::vector<TruthTable> window_truths(const Aig& g) {
+  std::vector<TruthTable> out;
+  for (std::uint32_t id = 1; id < g.num_nodes(); id += 5) {
+    if (!g.is_and(id)) continue;
+    out.push_back(cone_truth(g, make_lit(id, id % 2 != 0),
+                             reconv_cut(g, id, 8)));
+  }
+  return out;
+}
+
+TEST(SimulateTest, ConeTruthScratchReuseMatchesFreshThread) {
+  const Aig large = designs::make_alu(16);
+  const Aig small = designs::make_alu(4);
+  std::vector<TruthTable> large_ref, small_ref;
+  std::thread([&] { large_ref = window_truths(large); }).join();
+  std::thread([&] { small_ref = window_truths(small); }).join();
+  ASSERT_GT(large_ref.size(), small_ref.size());
+
+  EXPECT_EQ(window_truths(large), large_ref);
+  EXPECT_EQ(window_truths(small), small_ref);
+  EXPECT_EQ(window_truths(large), large_ref);
+
+  // Throw after part of the cone has been evaluated: the root's fanin
+  // cone reaches a PI that is not among the leaves.
+  const std::uint32_t root = large.num_nodes() - 1;
+  ASSERT_TRUE(large.is_and(root));
+  EXPECT_THROW(cone_truth(large, make_lit(root, false),
+                          {lit_node(large.node(root).fanin0)}),
+               std::invalid_argument);
+  EXPECT_EQ(window_truths(small), small_ref);
+  EXPECT_EQ(window_truths(large), large_ref);
+
+  std::vector<std::thread> threads;
+  std::vector<int> ok(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      ok[t] = window_truths(t % 2 ? small : large) ==
+                  (t % 2 ? small_ref : large_ref) &&
+              window_truths(large) == large_ref;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(ok, std::vector<int>(4, 1));
 }
 
 }  // namespace
