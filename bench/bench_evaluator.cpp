@@ -1,19 +1,18 @@
 // Throughput benchmark for the prefix-sharing flow-evaluation engine.
-// Labels the same batch of m-repetition flows three ways — per-flow from
-// scratch (prefix cache, mapping dedup and analysis sharing off), engine
-// without analysis sharing, and the full engine — at equal thread count,
-// and reports flows/sec, cache hit rate and speedup as machine-readable
-// JSON (stdout + optional --json file). The paper's dataset-collection
+// Labels the same batch of m-repetition flows two ways — per-flow from
+// scratch (prefix cache and mapping dedup off) and the full engine — at
+// equal thread count, and reports flows/sec, cache hit rate and speedup as
+// machine-readable JSON (stdout + optional --json file). It exits non-zero
+// unless both label every flow identically. The paper's dataset-collection
 // step is exactly this workload.
 //
-// --transforms-json additionally emits per-transform per-pass timings
-// (cold analysis vs warm analysis on the same graph) so the perf
-// trajectory of every pass is tracked PR over PR.
+// --transforms-json additionally emits per-transform pass timings on the
+// design so the perf trajectory of every pass is tracked PR over PR.
 //
 // --telemetry-json prices the telemetry layer itself: the same labeling
 // batch with metrics off (set_enabled(false) — the A/B the registry was
-// designed for) vs on, plus the per-spec cold/warm pass timings read back
-// out of the flowgen_transform_ms histograms rather than separate timers.
+// designed for) vs on, plus the per-spec pass timings read back out of the
+// flowgen_transform_ms histograms rather than separate timers.
 // --overhead-gate PCT makes the bench exit non-zero when the measured
 // overhead exceeds PCT percent — CI's telemetry budget. --trace FILE
 // additionally captures Chrome trace events for the whole run.
@@ -26,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "aig/analysis.hpp"
 #include "core/evaluator.hpp"
 #include "core/flow_space.hpp"
 #include "designs/registry.hpp"
@@ -95,13 +93,11 @@ double median_ms(int reps, Fn&& fn) {
   return samples[samples.size() / 2];
 }
 
-/// Per-transform pass timings on `design`: cold = analysis-cold (a fresh
-/// pass-local AnalysisCache per run; the process-wide factored-form memo
-/// does warm across reps and kinds, deterministically — same order every
-/// run — so columns stay comparable PR over PR, but cold_ms is not
-/// memo-from-scratch cost) vs warm (a shared AnalysisCache filled by the
-/// first run — the state a pass resuming from a cached snapshot sees).
-/// Emits one JSON object.
+/// Per-transform pass timings on `design` (median of `reps` runs). Every
+/// pass computes its own analysis; the process-wide factored-form memo does
+/// warm across reps and kinds, deterministically — same order every run —
+/// so columns stay comparable PR over PR, but cold_ms is not
+/// memo-from-scratch cost. Emits one JSON object.
 std::string bench_transforms(const aig::Aig& design,
                              const std::string& design_name, int reps) {
   std::string json = "{\"design\": \"" + design_name + "\", \"ands\": " +
@@ -109,26 +105,17 @@ std::string bench_transforms(const aig::Aig& design,
                      ", \"transforms\": [\n";
   bool first = true;
   for (opt::TransformKind kind : opt::paper_transform_set()) {
-    const double cold_ms = median_ms(reps, [&] {
-      (void)opt::apply_transform(design, kind);  // pass-local analysis
-    });
-    aig::AnalysisCache warm_cache(design);
-    (void)opt::apply_transform_analyzed(design, kind, &warm_cache, false);
-    const double warm_ms = median_ms(reps, [&] {
-      (void)opt::apply_transform_analyzed(design, kind, &warm_cache, false);
-    });
-    const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0.0;
+    const double cold_ms = median_ms(
+        reps, [&] { (void)opt::apply_transform(design, kind); });
     char line[256];
     std::snprintf(line, sizeof line,
-                  "  {\"transform\": \"%s\", \"cold_ms\": %.3f, "
-                  "\"warm_ms\": %.3f, \"warm_speedup\": %.2f}",
-                  opt::transform_name(kind).c_str(), cold_ms, warm_ms,
-                  speedup);
+                  "  {\"transform\": \"%s\", \"cold_ms\": %.3f}",
+                  opt::transform_name(kind).c_str(), cold_ms);
     if (!first) json += ",\n";
     json += line;
     first = false;
-    std::printf("  %-14s cold %8.3f ms  warm %8.3f ms  (%.1fx)\n",
-                opt::transform_name(kind).c_str(), cold_ms, warm_ms, speedup);
+    std::printf("  %-14s cold %8.3f ms\n", opt::transform_name(kind).c_str(),
+                cold_ms);
   }
   json += "\n]}";
   return json;
@@ -185,9 +172,9 @@ std::string bench_registry(const aig::Aig& design,
 
 /// Prices telemetry: median batch time with metrics disabled vs enabled
 /// (same evaluator config, fresh evaluator each run so cache state is
-/// symmetric), QoR equality across the two, and the per-spec cold/warm
-/// pass timings sourced from the flowgen_transform_ms histograms the
-/// evaluator itself filled — no second set of timers.
+/// symmetric), QoR equality across the two, and the per-spec pass timings
+/// sourced from the flowgen_transform_ms histograms the evaluator itself
+/// filled — no second set of timers.
 std::string bench_telemetry(const aig::Aig& design,
                             const std::string& design_name,
                             const std::vector<core::Flow>& flows,
@@ -249,22 +236,16 @@ std::string bench_telemetry(const aig::Aig& design,
   const std::vector<double> fine_ms = telemetry::exp_buckets(0.005, 2.0, 18);
   for (std::size_t i = 0; i < registry->size(); ++i) {
     const std::string& spec = registry->name(static_cast<opt::StepId>(i));
-    const auto snap_of = [&](const char* analysis) {
-      return telemetry::histogram("flowgen_transform_ms",
-                                  "Per-transform pass wall time (ms)",
-                                  fine_ms,
-                                  {{"spec", spec}, {"analysis", analysis}})
-          .snapshot();
-    };
-    const telemetry::Histogram::Snapshot cold = snap_of("cold");
-    const telemetry::Histogram::Snapshot warm = snap_of("warm");
-    char line[320];
+    const telemetry::Histogram::Snapshot cold =
+        telemetry::histogram("flowgen_transform_ms",
+                             "Per-transform pass wall time (ms)", fine_ms,
+                             {{"spec", spec}, {"analysis", "cold"}})
+            .snapshot();
+    char line[256];
     std::snprintf(line, sizeof line,
                   "  {\"spec\": \"%s\", \"cold_count\": %" PRIu64
-                  ", \"cold_mean_ms\": %.4f, \"warm_count\": %" PRIu64
-                  ", \"warm_mean_ms\": %.4f}%s\n",
-                  spec.c_str(), cold.count, cold.mean(), warm.count,
-                  warm.mean(),
+                  ", \"cold_mean_ms\": %.4f}%s\n",
+                  spec.c_str(), cold.count, cold.mean(),
                   i + 1 < registry->size() ? "," : "");
     json += line;
   }
@@ -310,9 +291,9 @@ int main(int argc, char** argv) try {
               design_name.c_str(), design.num_ands(), m, space.length(),
               num_flows, threads);
 
-  // Per-transform pass trajectory (cold vs warm analysis) — before the
-  // batch runs so the memo state at measurement time is the same fixed
-  // sequence every invocation (see bench_transforms on what "cold" means).
+  // Per-transform pass trajectory — before the batch runs so the memo
+  // state at measurement time is the same fixed sequence every invocation
+  // (see bench_transforms on what "cold" means).
   std::string transforms;
   if (!transforms_json.empty()) {
     std::printf("per-transform pass timings (%s):\n", design_name.c_str());
@@ -326,39 +307,24 @@ int main(int argc, char** argv) try {
   core::EvaluatorConfig naive_cfg;
   naive_cfg.use_prefix_cache = false;
   naive_cfg.dedup_mappings = false;
-  naive_cfg.share_analysis = false;
 
   core::EvaluatorConfig engine_cfg;
   engine_cfg.prefix_cache.byte_budget = budget_mb << 20;
 
-  core::EvaluatorConfig engine_noan_cfg = engine_cfg;
-  engine_noan_cfg.share_analysis = false;
-
   RunResult naive;
   if (!skip_naive) {
     naive = run(design, flows, naive_cfg, threads);
-    std::printf("  naive        : %.2fs  %.1f flows/s\n", naive.seconds,
+    std::printf("  naive : %.2fs  %.1f flows/s\n", naive.seconds,
                 naive.flows_per_sec);
   }
-  RunResult engine_noan;
-  if (!skip_naive) {
-    engine_noan = run(design, flows, engine_noan_cfg, threads);
-    std::printf("  engine (cold): %.2fs  %.1f flows/s\n", engine_noan.seconds,
-                engine_noan.flows_per_sec);
-  }
   const RunResult engine = run(design, flows, engine_cfg, threads);
-  std::printf("  engine (warm): %.2fs  %.1f flows/s\n", engine.seconds,
+  std::printf("  engine: %.2fs  %.1f flows/s\n", engine.seconds,
               engine.flows_per_sec);
 
   bool identical = true;
   if (!skip_naive) {
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      if (naive.qor[i].area_um2 != engine.qor[i].area_um2 ||
-          naive.qor[i].delay_ps != engine.qor[i].delay_ps ||
-          naive.qor[i].num_cells != engine.qor[i].num_cells ||
-          naive.qor[i].num_inverters != engine.qor[i].num_inverters ||
-          engine_noan.qor[i].area_um2 != engine.qor[i].area_um2 ||
-          engine_noan.qor[i].delay_ps != engine.qor[i].delay_ps) {
+      if (naive.qor[i] != engine.qor[i]) {
         identical = false;
         std::printf("  MISMATCH at flow %zu\n", i);
         break;
@@ -368,33 +334,24 @@ int main(int argc, char** argv) try {
 
   const double speedup =
       skip_naive || engine.seconds <= 0 ? 0.0 : naive.seconds / engine.seconds;
-  const double analysis_speedup =
-      skip_naive || engine.seconds <= 0
-          ? 0.0
-          : engine_noan.seconds / engine.seconds;
   const auto& st = engine.stats;
   char json[2048];
   std::snprintf(
       json, sizeof json,
       "{\"design\": \"%s\", \"m\": %u, \"flows\": %zu, \"threads\": %zu,\n"
-      " \"naive_seconds\": %.3f, \"engine_cold_analysis_seconds\": %.3f,"
-      " \"engine_seconds\": %.3f,\n"
+      " \"naive_seconds\": %.3f, \"engine_seconds\": %.3f,\n"
       " \"naive_flows_per_sec\": %.2f, \"engine_flows_per_sec\": %.2f,\n"
-      " \"speedup\": %.2f, \"analysis_speedup\": %.2f,"
-      " \"bit_identical\": %s,\n"
+      " \"speedup\": %.2f, \"bit_identical\": %s,\n"
       " \"prefix_hit_rate\": %.4f, \"prefix_entries\": %zu,"
       " \"prefix_bytes\": %zu, \"prefix_evictions\": %zu,\n"
-      " \"analysis_bytes\": %zu, \"analysis_evictions\": %zu,\n"
       " \"transforms_applied\": %zu, \"transforms_skipped\": %zu,\n"
       " \"mappings\": %zu, \"mappings_deduped\": %zu}",
       design_name.c_str(), m, num_flows, threads, naive.seconds,
-      engine_noan.seconds, engine.seconds, naive.flows_per_sec,
-      engine.flows_per_sec, speedup, analysis_speedup,
+      engine.seconds, naive.flows_per_sec, engine.flows_per_sec, speedup,
       skip_naive ? "null" : (identical ? "true" : "false"),
       st.prefix.hit_rate(), st.prefix.entries, st.prefix.bytes,
-      st.prefix.evictions, st.prefix.analysis_bytes,
-      st.prefix.analysis_evictions, st.transforms_applied,
-      st.transforms_skipped, st.mappings, st.mappings_deduped);
+      st.prefix.evictions, st.transforms_applied, st.transforms_skipped,
+      st.mappings, st.mappings_deduped);
   std::printf("%s\n", json);
 
   const std::string json_path = cli.get("json", "");

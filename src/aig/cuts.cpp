@@ -111,46 +111,4 @@ CutManager::CutManager(const Aig& aig, const CutParams& params)
   }
 }
 
-CutManager::CutManager(const Aig& aig, const CutParams& params,
-                       const CutManager& prev, const CutReuse& reuse)
-    : params_(params), cuts_(aig.num_nodes()) {
-  std::vector<Cut> merged;
-  merged.reserve(params_.max_cuts * 4);
-  Cut candidate;
-  candidate.leaves.reserve(2 * params_.cut_size);
-  for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
-    const std::uint32_t old = reuse.old_of[id];
-    if (!aig.is_and(id) || old == CutReuse::kNone || !reuse.tfi_clean[id] ||
-        old >= prev.cuts_.size()) {
-      enumerate_node(aig, id, merged, candidate);
-      continue;
-    }
-    // Clean cone: remap the previous cut set. Leaves live in the clean
-    // cone, so every one has a (positive) counterpart and the remap
-    // preserves their sorted order; only signatures depend on raw ids.
-    std::vector<Cut>& set = cuts_[id];
-    const std::vector<Cut>& prev_set = prev.cuts_[old];
-    set.resize(prev_set.size());
-    for (std::size_t c = 0; c < prev_set.size(); ++c) {
-      set[c].leaves.resize(prev_set[c].leaves.size());
-      for (std::size_t l = 0; l < prev_set[c].leaves.size(); ++l) {
-        set[c].leaves[l] = lit_node(reuse.old_to_new[prev_set[c].leaves[l]]);
-      }
-      set[c].compute_signature();
-    }
-    ++reused_nodes_;
-  }
-}
-
-std::size_t CutManager::memory_bytes() const {
-  std::size_t bytes = sizeof(CutManager) + cuts_.capacity() * sizeof(cuts_[0]);
-  for (const auto& set : cuts_) {
-    bytes += set.capacity() * sizeof(Cut);
-    for (const Cut& c : set) {
-      bytes += c.leaves.capacity() * sizeof(std::uint32_t);
-    }
-  }
-  return bytes;
-}
-
 }  // namespace flowgen::aig

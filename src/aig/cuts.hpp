@@ -4,7 +4,6 @@
 // fanin cut sets, keeping a bounded number of cuts per node).
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -31,38 +30,10 @@ struct CutParams {
   bool keep_trivial = true; ///< always include the {node} cut
 };
 
-/// Node-granular reuse hints for the incremental CutManager constructor:
-/// how the nodes of the graph being enumerated relate to a previous graph
-/// whose cut sets are being carried across a rebuild.
-struct CutReuse {
-  /// Per new node: its counterpart in the previous graph, or kNone.
-  std::span<const std::uint32_t> old_of;
-  /// Per new node: true when its whole transitive fanin is structurally
-  /// unchanged *and* the old->new id map restricted to that cone preserves
-  /// order — the condition under which remapping the old cut set is bitwise
-  /// identical to re-enumerating it.
-  std::span<const char> tfi_clean;
-  /// Per old node: the literal it became (kLitInvalid when dropped). Only
-  /// consulted for nodes inside clean cones, where it is always a positive
-  /// literal.
-  std::span<const Lit> old_to_new;
-
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-};
-
 /// Cut sets for every node of the graph, indexed by node id.
 class CutManager {
 public:
   CutManager(const Aig& aig, const CutParams& params);
-
-  /// Incremental enumeration across a rebuild: nodes whose transitive fanin
-  /// is untouched copy their cut set from `prev` (leaf ids remapped,
-  /// signatures recomputed); only the damaged transitive fanout is merged
-  /// from scratch. The result is bitwise identical to CutManager(aig,
-  /// params) — dominance, priority order and truncation depend only on leaf
-  /// sets and merge order, both preserved by an order-preserving remap.
-  CutManager(const Aig& aig, const CutParams& params, const CutManager& prev,
-             const CutReuse& reuse);
 
   const std::vector<Cut>& cuts(std::uint32_t node) const {
     return cuts_[node];
@@ -70,19 +41,12 @@ public:
 
   const CutParams& params() const { return params_; }
 
-  /// Nodes whose cut sets were carried by the incremental constructor.
-  std::size_t reused_nodes() const { return reused_nodes_; }
-
-  /// Approximate heap footprint (leaf arrays + spines).
-  std::size_t memory_bytes() const;
-
 private:
   void enumerate_node(const Aig& aig, std::uint32_t id, std::vector<Cut>& merged,
                       Cut& candidate);
 
   CutParams params_;
   std::vector<std::vector<Cut>> cuts_;
-  std::size_t reused_nodes_ = 0;
 };
 
 /// Merge two cuts if the union has at most k leaves; returns false otherwise.

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <numeric>
 
-#include "aig/analysis.hpp"
 #include "core/qor_store.hpp"
 #include "opt/transform.hpp"
 #include "telemetry/metrics.hpp"
@@ -13,59 +12,6 @@
 #include "util/log.hpp"
 
 namespace flowgen::core {
-
-namespace {
-
-/// The process-wide analysis counters live in aig/, not in any evaluator;
-/// export them as a pull-model collector so every scrape sees the current
-/// totals without the evaluator mirroring nine more atomics.
-void register_analysis_collector() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    telemetry::register_collector([] {
-      const aig::AnalysisCounters c = aig::analysis_counters();
-      std::string out;
-      const auto emit = [&out](const char* name, const char* help,
-                               std::size_t v) {
-        out += "# HELP ";
-        out += name;
-        out += ' ';
-        out += help;
-        out += "\n# TYPE ";
-        out += name;
-        out += " counter\n";
-        out += name;
-        out += ' ';
-        out += std::to_string(v);
-        out += '\n';
-      };
-      emit("flowgen_analysis_windows_computed_total",
-           "Resubstitution windows computed from scratch", c.windows_computed);
-      emit("flowgen_analysis_windows_carried_total",
-           "Windows carried across a transform via the damage report",
-           c.windows_carried);
-      emit("flowgen_analysis_resub_plans_computed_total",
-           "Resubstitution plans computed", c.resub_plans_computed);
-      emit("flowgen_analysis_resub_plans_carried_total",
-           "Resubstitution plans reused from a carried analysis",
-           c.resub_plans_carried);
-      emit("flowgen_analysis_factor_plans_computed_total",
-           "Factoring plans computed", c.factor_plans_computed);
-      emit("flowgen_analysis_factor_plans_carried_total",
-           "Factoring plans reused from a carried analysis",
-           c.factor_plans_carried);
-      emit("flowgen_analysis_factor_memo_hits_total",
-           "Factoring expression memo hits", c.factor_memo_hits);
-      emit("flowgen_analysis_cut_nodes_computed_total",
-           "Nodes whose cut sets were computed", c.cut_nodes_computed);
-      emit("flowgen_analysis_cut_nodes_carried_total",
-           "Nodes whose cut sets were carried", c.cut_nodes_carried);
-      return out;
-    });
-  });
-}
-
-}  // namespace
 
 SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
                                        const map::CellLibrary& lib,
@@ -84,11 +30,7 @@ SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
   if (config_.use_prefix_cache) {
     prefix_cache_ = std::make_unique<PrefixFlowCache>(config_.prefix_cache);
   }
-  if (config_.share_analysis) {
-    design_analysis_ = std::make_shared<aig::AnalysisCache>(design_);
-  }
 
-  register_analysis_collector();
   tm_evaluations_ = &telemetry::counter(
       "flowgen_evaluations_total", "Flow-level QoR cache misses evaluated");
   tm_transforms_applied_ = &telemetry::counter(
@@ -101,19 +43,17 @@ SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
   tm_mappings_deduped_ = &telemetry::counter(
       "flowgen_mappings_deduped_total",
       "Mappings served by structural-fingerprint dedup");
-  // Transforms and mapping sit well under a second on bench designs; a
-  // finer grid than the serve-path default resolves the warm/cold split.
+  // Transforms and mapping sit well under a second on bench designs, so
+  // their histograms use a finer grid than the serve-path default.
   const std::vector<double> fine_ms = telemetry::exp_buckets(0.005, 2.0, 18);
   tm_mapping_ms_ = &telemetry::histogram(
       "flowgen_mapping_ms", "Technology mapping latency (ms)", fine_ms);
-  tm_spec_ms_warm_.resize(registry_->size());
-  tm_spec_ms_cold_.resize(registry_->size());
+  // Every pass computes its own analysis, so each spec has one series; it
+  // keeps the analysis="cold" label, which bench/e2e reads.
+  tm_spec_ms_.resize(registry_->size());
   for (std::size_t i = 0; i < registry_->size(); ++i) {
     const std::string& spec = registry_->name(static_cast<opt::StepId>(i));
-    tm_spec_ms_warm_[i] = &telemetry::histogram(
-        "flowgen_transform_ms", "Transform pass latency (ms) by spec",
-        fine_ms, {{"spec", spec}, {"analysis", "warm"}});
-    tm_spec_ms_cold_[i] = &telemetry::histogram(
+    tm_spec_ms_[i] = &telemetry::histogram(
         "flowgen_transform_ms", "Transform pass latency (ms) by spec",
         fine_ms, {{"spec", spec}, {"analysis", "cold"}});
   }
@@ -199,62 +139,32 @@ map::QoR SynthesisEvaluator::evaluate_uncached(StepsView steps) const {
   // cached), then share every intermediate graph with the cache as
   // evaluation produces it. Snapshots are the evaluation's own results
   // moved into shared_ptrs — caching costs no graph copies, only retention.
-  //
-  // Analysis rides along: the first step consumes the design's shared
-  // AnalysisCache (or the snapshot's, on a warm resume), every later step
-  // the cache derived from the previous step's damage report, and each
-  // snapshot is stored together with its analysis so the N flows branching
-  // off a prefix pay for its analysis once.
   std::size_t depth = 0;
-  std::shared_ptr<const aig::Aig> cur;          // null = still at design_
-  std::shared_ptr<aig::AnalysisCache> cur_an;   // analysis of *cur
+  std::shared_ptr<const aig::Aig> cur;  // null = still at design_
   if (prefix_cache_) {
     if (const auto hit = prefix_cache_->longest_prefix(steps); hit.aig) {
       depth = hit.depth;
       cur = hit.aig;
-      cur_an = hit.analysis;
       transforms_skipped_.fetch_add(depth, std::memory_order_relaxed);
       tm_transforms_skipped_->inc(depth);
     }
   }
   span.arg("steps", static_cast<std::uint64_t>(steps.size()));
   span.arg("resumed_at", static_cast<std::uint64_t>(depth));
-  // Deriving pays off through the snapshots that carry it to sibling
-  // flows; when the byte budget has proven too tight to retain attachments
-  // (analysis_retained() collapses), deriving is mostly wasted work and is
-  // throttled to a 1-in-64 probe — enough for the retention sample to
-  // recover once pressure drops, cheap enough to not matter while it
-  // hasn't. A pure performance heuristic: QoR is identical either way
-  // because plans are pure.
-  bool derive_on = config_.share_analysis;
-  if (derive_on && prefix_cache_ && !prefix_cache_->analysis_retained()) {
-    derive_on =
-        derive_probe_.fetch_add(1, std::memory_order_relaxed) % 64 == 0;
-  }
   const bool timed = telemetry::enabled();
   for (std::size_t i = depth; i < steps.size(); ++i) {
-    aig::AnalysisCache* in_analysis =
-        cur ? cur_an.get()
-            : (config_.share_analysis ? design_analysis_.get() : nullptr);
-    // The last graph is mapped, never transformed again, so its analysis
-    // would be dead weight.
-    const bool derive = derive_on && i + 1 < steps.size();
     const std::uint64_t t0 = timed ? telemetry::trace_now_us() : 0;
-    opt::AnalyzedTransform r = registry_->apply_analyzed(
-        cur ? *cur : design_, steps[i], in_analysis, derive);
+    aig::Aig next = registry_->apply(cur ? *cur : design_, steps[i]);
     if (timed) {
-      const double ms =
-          static_cast<double>(telemetry::trace_now_us() - t0) / 1000.0;
-      (in_analysis ? tm_spec_ms_warm_ : tm_spec_ms_cold_)[steps[i]]->observe(
-          ms);
+      tm_spec_ms_[steps[i]]->observe(
+          static_cast<double>(telemetry::trace_now_us() - t0) / 1000.0);
     }
-    cur = std::make_shared<const aig::Aig>(std::move(r.graph));
-    cur_an = std::move(r.analysis);
+    cur = std::make_shared<const aig::Aig>(std::move(next));
     transforms_applied_.fetch_add(1, std::memory_order_relaxed);
     tm_transforms_applied_->inc();
     // The full flow's graph is not a prefix of anything: skip the last step.
     if (prefix_cache_ && i + 1 < steps.size()) {
-      prefix_cache_->insert(steps.subspan(0, i + 1), cur, cur_an);
+      prefix_cache_->insert(steps.subspan(0, i + 1), cur);
     }
   }
   return map_deduped(*cur);

@@ -55,13 +55,6 @@ struct EvaluatorConfig {
   bool use_prefix_cache = true;
   /// Dedup technology mapping by the final graph's structural fingerprint.
   bool dedup_mappings = true;
-  /// Share transform analysis (cut sets, windows, resub/factor plans)
-  /// across flows: the design's own AnalysisCache warms every first step,
-  /// prefix snapshots carry theirs, and each step derives the next graph's
-  /// analysis from the damage report instead of recomputing it. QoR is
-  /// bit-identical on or off; off reproduces the per-pass-from-scratch cost
-  /// model (for benchmarking the engine).
-  bool share_analysis = true;
   /// Shards of the QoR/fingerprint caches (rounded up to a power of two).
   std::size_t qor_shards = 16;
   FlowCacheConfig prefix_cache;
@@ -165,10 +158,6 @@ private:
   aig::Aig design_;
   aig::Fingerprint design_fp_{};
   std::shared_ptr<const opt::TransformRegistry> registry_;
-  /// Warm analysis for design_ itself: every flow's first transform runs
-  /// against it, so windows/plans/cut sets of the raw design are computed
-  /// once per evaluator instead of once per flow.
-  std::shared_ptr<aig::AnalysisCache> design_analysis_;
   const map::CellLibrary& lib_;
   map::MapperParams mapper_params_;
   EvaluatorConfig config_;
@@ -180,18 +169,15 @@ private:
 
   /// Telemetry handles, resolved once at construction so the hot path
   /// never touches the registry map. Per-spec latency histograms are
-  /// indexed by StepId, split warm (analysis carried in) vs cold.
+  /// indexed by StepId.
   telemetry::Counter* tm_evaluations_ = nullptr;
   telemetry::Counter* tm_transforms_applied_ = nullptr;
   telemetry::Counter* tm_transforms_skipped_ = nullptr;
   telemetry::Counter* tm_mappings_ = nullptr;
   telemetry::Counter* tm_mappings_deduped_ = nullptr;
   telemetry::Histogram* tm_mapping_ms_ = nullptr;
-  std::vector<telemetry::Histogram*> tm_spec_ms_warm_;
-  std::vector<telemetry::Histogram*> tm_spec_ms_cold_;
+  std::vector<telemetry::Histogram*> tm_spec_ms_;
 
-  /// Round-robin over analysis-derive probes while retention is down.
-  mutable std::atomic<std::size_t> derive_probe_{0};
   mutable std::atomic<std::size_t> evaluations_{0};
   mutable std::atomic<std::size_t> transforms_applied_{0};
   mutable std::atomic<std::size_t> transforms_skipped_{0};

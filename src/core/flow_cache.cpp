@@ -7,17 +7,15 @@ namespace flowgen::core {
 namespace {
 
 /// Process-wide flow-cache telemetry; several evaluators (several caches)
-/// sum into the same series, which matches the fleet view. Byte gauges
-/// track deltas, so they mirror live occupancy across all instances.
+/// sum into the same series, which matches the fleet view. The byte gauge
+/// tracks deltas, so it mirrors live occupancy across all instances.
 struct CacheMetrics {
   telemetry::Counter& lookups;
   telemetry::Counter& hits;
   telemetry::Counter& steps_saved;
   telemetry::Counter& insertions;
   telemetry::Counter& evictions;
-  telemetry::Counter& analysis_evictions;
   telemetry::Gauge& bytes;
-  telemetry::Gauge& analysis_bytes;
 };
 
 CacheMetrics& cache_metrics() {
@@ -32,12 +30,8 @@ CacheMetrics& cache_metrics() {
                          "Snapshots inserted"),
       telemetry::counter("flowgen_flow_cache_evictions_total",
                          "Snapshots evicted by the byte budget"),
-      telemetry::counter("flowgen_flow_cache_analysis_evictions_total",
-                         "Analysis attachments stripped by the byte budget"),
       telemetry::gauge("flowgen_flow_cache_bytes",
-                       "Live prefix-cache bytes (snapshots + analysis)"),
-      telemetry::gauge("flowgen_flow_cache_analysis_bytes",
-                       "Live analysis-attachment bytes"),
+                       "Live prefix-cache bytes (snapshots)"),
   };
   return m;
 }
@@ -52,41 +46,13 @@ PrefixFlowCache::PrefixFlowCache(FlowCacheConfig config)
   shards_ = std::vector<Shard>(n);
 }
 
-void PrefixFlowCache::Shard::enforce_budget(
-    std::size_t budget, std::atomic<std::size_t>& stripped_counter) {
-  // Analysis artifacts are cheaper to lose than snapshots (a stripped
-  // attachment is recomputed lazily; an evicted snapshot re-runs whole
-  // transform prefixes), so strip every attachment LRU-first before any
-  // snapshot goes.
+void PrefixFlowCache::Shard::enforce_budget(std::size_t budget) {
   CacheMetrics& m = cache_metrics();
-  while (bytes > budget && analysis_bytes > 0) {
-    bool stripped = false;
-    for (auto it = lru.rbegin(); it != lru.rend(); ++it) {
-      if (!it->analysis) continue;
-      bytes -= it->analysis_bytes;
-      analysis_bytes -= it->analysis_bytes;
-      m.bytes.sub(static_cast<double>(it->analysis_bytes));
-      m.analysis_bytes.sub(static_cast<double>(it->analysis_bytes));
-      m.analysis_evictions.inc();
-      it->analysis.reset();
-      it->analysis_bytes = 0;
-      ++analysis_evictions;
-      stripped_counter.fetch_add(1, std::memory_order_relaxed);
-      stripped = true;
-      break;
-    }
-    if (!stripped) break;
-  }
   while (bytes > budget && !lru.empty()) {
     const Entry& victim = lru.back();
-    bytes -= victim.bytes + victim.analysis_bytes;
-    analysis_bytes -= victim.analysis_bytes;
-    m.bytes.sub(static_cast<double>(victim.bytes + victim.analysis_bytes));
-    m.analysis_bytes.sub(static_cast<double>(victim.analysis_bytes));
+    bytes -= victim.bytes;
+    m.bytes.sub(static_cast<double>(victim.bytes));
     m.evictions.inc();
-    if (victim.analysis) {
-      stripped_counter.fetch_add(1, std::memory_order_relaxed);
-    }
     index.erase(victim.key);
     lru.pop_back();
     ++evictions;
@@ -111,30 +77,13 @@ PrefixFlowCache::Hit PrefixFlowCache::longest_prefix(StepsView steps) const {
     steps_saved_.fetch_add(len, std::memory_order_relaxed);
     m.hits.inc();
     m.steps_saved.inc(len);
-    Entry& entry = *it->second;
-    Hit hit{len, entry.aig, entry.analysis};
-    // The attachment grows as evaluations fill it lazily; re-poll so the
-    // budget stays honest, and shed load if it no longer holds. The hit
-    // keeps its shared_ptr either way.
-    if (entry.analysis) {
-      const std::size_t polled = entry.analysis->memory_bytes();
-      const double grown = static_cast<double>(polled) -
-                           static_cast<double>(entry.analysis_bytes);
-      m.bytes.add(grown);
-      m.analysis_bytes.add(grown);
-      shard.bytes += polled - entry.analysis_bytes;
-      shard.analysis_bytes += polled - entry.analysis_bytes;
-      entry.analysis_bytes = polled;
-      shard.enforce_budget(budget_per_shard_, analysis_stripped_);
-    }
-    return hit;
+    return Hit{len, it->second->aig};
   }
   return {};
 }
 
 void PrefixFlowCache::insert(StepsView steps,
-                             std::shared_ptr<const aig::Aig> aig,
-                             std::shared_ptr<aig::AnalysisCache> analysis) {
+                             std::shared_ptr<const aig::Aig> aig) {
   if (!aig || steps.empty() || steps.size() > config_.max_snapshot_depth) {
     return;
   }
@@ -142,29 +91,18 @@ void PrefixFlowCache::insert(StepsView steps,
                             steps.size() * sizeof(opt::StepId) +
                             sizeof(Entry);
   if (bytes > budget_per_shard_) return;  // would evict the whole shard
-  std::size_t analysis_bytes = analysis ? analysis->memory_bytes() : 0;
-  if (bytes + analysis_bytes > budget_per_shard_) {
-    analysis.reset();  // keep the snapshot, drop the oversize attachment
-    analysis_bytes = 0;
-  }
   Shard& shard = shard_for(steps);
   std::lock_guard lock(shard.mutex);
   if (shard.index.contains(steps)) return;  // first snapshot wins
-  shard.lru.push_front(Entry{StepsKey(steps.begin(), steps.end()),
-                             std::move(aig), std::move(analysis), bytes,
-                             analysis_bytes});
+  shard.lru.push_front(
+      Entry{StepsKey(steps.begin(), steps.end()), std::move(aig), bytes});
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
-  shard.bytes += bytes + analysis_bytes;
-  shard.analysis_bytes += analysis_bytes;
+  shard.bytes += bytes;
   CacheMetrics& m = cache_metrics();
   m.insertions.inc();
-  m.bytes.add(static_cast<double>(bytes + analysis_bytes));
-  m.analysis_bytes.add(static_cast<double>(analysis_bytes));
-  if (shard.lru.front().analysis) {
-    analysis_attached_.fetch_add(1, std::memory_order_relaxed);
-  }
+  m.bytes.add(static_cast<double>(bytes));
   ++shard.insertions;
-  shard.enforce_budget(budget_per_shard_, analysis_stripped_);
+  shard.enforce_budget(budget_per_shard_);
 }
 
 FlowCacheStats PrefixFlowCache::stats() const {
@@ -176,9 +114,7 @@ FlowCacheStats PrefixFlowCache::stats() const {
     std::lock_guard lock(shard.mutex);
     s.entries += shard.index.size();
     s.bytes += shard.bytes;
-    s.analysis_bytes += shard.analysis_bytes;
     s.evictions += shard.evictions;
-    s.analysis_evictions += shard.analysis_evictions;
     s.insertions += shard.insertions;
   }
   return s;
@@ -189,11 +125,9 @@ void PrefixFlowCache::clear() {
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mutex);
     m.bytes.sub(static_cast<double>(shard.bytes));
-    m.analysis_bytes.sub(static_cast<double>(shard.analysis_bytes));
     shard.lru.clear();
     shard.index.clear();
     shard.bytes = 0;
-    shard.analysis_bytes = 0;
   }
 }
 

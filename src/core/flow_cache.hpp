@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "aig/analysis.hpp"
 #include "core/flow.hpp"
 
 namespace flowgen::core {
@@ -57,11 +56,6 @@ struct FlowCacheStats {
   std::size_t evictions = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
-  /// Bytes of the total that are attached analysis artifacts.
-  std::size_t analysis_bytes = 0;
-  /// Analysis attachments stripped to honour the budget (snapshots are only
-  /// evicted once no attachment is left to strip).
-  std::size_t analysis_evictions = 0;
   /// Total transform applications saved (sum of hit depths).
   std::size_t steps_saved = 0;
 
@@ -84,49 +78,20 @@ public:
 
   /// Result of longest_prefix: the snapshot of the deepest cached prefix
   /// and how many steps it covers. `aig` is null and `depth` 0 on a miss.
-  /// `analysis`, when non-null, is the snapshot's warm AnalysisCache —
-  /// shared read-only between every evaluation resuming here (its lazy
-  /// fills are internally synchronised; evolving pass state is copied out).
   struct Hit {
     std::size_t depth = 0;
     std::shared_ptr<const aig::Aig> aig;
-    std::shared_ptr<aig::AnalysisCache> analysis;
   };
   /// Deepest cached prefix of `steps` (possibly all of it). Refreshes the
-  /// hit entry's LRU position and re-polls the attachment's byte count
-  /// (analysis caches grow as they fill lazily), evicting if the budget is
-  /// now exceeded. Thread-safe; never throws.
+  /// hit entry's LRU position. Thread-safe; never throws.
   Hit longest_prefix(StepsView steps) const;
 
-  /// Store `aig` (and optionally its AnalysisCache) as the snapshot for the
-  /// exact prefix `steps`. No-op when the prefix is deeper than
-  /// max_snapshot_depth or the snapshot alone is wider than a shard's whole
-  /// budget; an analysis attachment that does not fit is dropped while the
-  /// snapshot is kept. Keeps the first snapshot on duplicate insert (all
-  /// inserts for one key are value-identical by construction). May strip
-  /// analysis attachments and then evict LRU entries to honour the shard
-  /// budget. Thread-safe.
-  void insert(StepsView steps, std::shared_ptr<const aig::Aig> aig,
-              std::shared_ptr<aig::AnalysisCache> analysis = nullptr);
-
-  /// Cheap (lock-free) signal for producers of analysis attachments: false
-  /// while the budget is proving too tight to retain them (>= 90% of the
-  /// sample got stripped), at which point deriving more analysis is mostly
-  /// wasted work. The sample decays (both counters halve once large) and
-  /// the evaluator keeps attaching a small probe fraction while the signal
-  /// is down, so retention recovers when pressure drops. Approximate by
-  /// design — purely a performance heuristic; QoR never depends on it.
-  bool analysis_retained() const {
-    const std::size_t attached =
-        analysis_attached_.load(std::memory_order_relaxed);
-    const std::size_t stripped =
-        analysis_stripped_.load(std::memory_order_relaxed);
-    if (attached > 4096) {  // let old verdicts fade (racy halving is fine)
-      analysis_attached_.store(attached / 2, std::memory_order_relaxed);
-      analysis_stripped_.store(stripped / 2, std::memory_order_relaxed);
-    }
-    return attached < 32 || stripped * 10 < attached * 9;
-  }
+  /// Store `aig` as the snapshot for the exact prefix `steps`. No-op when
+  /// the prefix is deeper than max_snapshot_depth or the snapshot is wider
+  /// than a shard's whole budget. Keeps the first snapshot on duplicate
+  /// insert (all inserts for one key are value-identical by construction).
+  /// May evict LRU entries to honour the shard budget. Thread-safe.
+  void insert(StepsView steps, std::shared_ptr<const aig::Aig> aig);
 
   /// Aggregate counters + current entries/bytes across shards. Thread-safe.
   FlowCacheStats stats() const;
@@ -140,9 +105,7 @@ private:
   struct Entry {
     StepsKey key;
     std::shared_ptr<const aig::Aig> aig;
-    std::shared_ptr<aig::AnalysisCache> analysis;
-    std::size_t bytes = 0;           ///< snapshot + key (excludes analysis)
-    std::size_t analysis_bytes = 0;  ///< attachment, as last polled
+    std::size_t bytes = 0;  ///< snapshot + key
   };
   struct Shard {
     mutable std::mutex mutex;
@@ -151,16 +114,11 @@ private:
                        StepsEqual>
         index;
     std::size_t bytes = 0;
-    std::size_t analysis_bytes = 0;
     std::size_t evictions = 0;
-    std::size_t analysis_evictions = 0;
     std::size_t insertions = 0;
 
-    /// Shed load until `budget` holds: strip analysis attachments LRU-first
-    /// (counting strips into `stripped`), then evict whole entries. Caller
-    /// holds the shard mutex.
-    void enforce_budget(std::size_t budget,
-                        std::atomic<std::size_t>& stripped);
+    /// Evict LRU entries until `budget` holds. Caller holds the shard mutex.
+    void enforce_budget(std::size_t budget);
   };
 
   Shard& shard_for(StepsView key) const {
@@ -174,10 +132,6 @@ private:
   mutable std::atomic<std::size_t> lookups_{0};
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> steps_saved_{0};
-  /// Attachments accepted / attachments lost (stripped or evicted with
-  /// their entry) — the analysis_retained() sample.
-  mutable std::atomic<std::size_t> analysis_attached_{0};
-  mutable std::atomic<std::size_t> analysis_stripped_{0};
 };
 
 }  // namespace flowgen::core

@@ -85,8 +85,7 @@ long reuse_cost(const Aig& g, const std::vector<Lit>& repl, Lit root,
   return cost;
 }
 
-Aig apply_replacements(const Aig& g, const std::vector<Lit>& repl,
-                       aig::RebuildInfo* info) {
+Aig apply_replacements(const Aig& g, const std::vector<Lit>& repl) {
   Aig out;
   out.name = g.name;
   std::vector<Lit> map(g.num_nodes(), aig::kLitInvalid);
@@ -171,12 +170,6 @@ Aig apply_replacements(const Aig& g, const std::vector<Lit>& repl,
     const Lit r = resolve(repl, po);
     assert(map[lit_node(r)] != aig::kLitInvalid);
     out.add_po(map[lit_node(r)] ^ (r & 1u));
-  }
-  if (info) {
-    // Identity flags may be set for unreachable nodes too; consumers pair
-    // them with a valid old_to_new entry before trusting a counterpart.
-    info->old_to_new = std::move(map);
-    info->identity = std::move(identity);
   }
   return out;
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "aig/analysis.hpp"
 
 namespace flowgen::opt {
 
@@ -24,16 +23,12 @@ aig::Lit resolve(const std::vector<aig::Lit>& repl, aig::Lit l);
 /// Rebuild only the PO-reachable logic of `g`, redirecting every edge
 /// through `repl`. PIs are preserved in count and order.
 ///
-/// Emission order is damage-friendly: reachable nodes whose whole
-/// transitive fanin is unreplaced (the *identity sweep*) are emitted first,
-/// in ascending input-id order, then the replaced regions by DFS. The map
-/// restricted to sweep nodes therefore preserves id order, which is what
-/// lets AnalysisCache::derive carry sorted leaf lists across the rebuild
-/// verbatim. When `info` is non-null it receives the old->new literal map
-/// and the identity flags (the pass's damage report).
+/// Emission order numbers every output graph, so it is fixed: reachable
+/// nodes whose whole transitive fanin is unreplaced (the *identity sweep*)
+/// come first, in ascending input-id order, then the replaced regions by
+/// DFS from the POs.
 aig::Aig apply_replacements(const aig::Aig& g,
-                            const std::vector<aig::Lit>& repl,
-                            aig::RebuildInfo* info = nullptr);
+                            const std::vector<aig::Lit>& repl);
 
 /// True if the alias-resolved cone of `root` contains node `target`.
 /// Passes must reject a replacement whose cone contains the node being

@@ -2,11 +2,15 @@
 
 #include "opt/rewrite.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "aig/analysis.hpp"
+#include "aig/reconv_cut.hpp"
 #include "aig/refs.hpp"
+#include "aig/simulate.hpp"
 #include "opt/rebuild.hpp"
 
 namespace flowgen::opt {
@@ -17,21 +21,14 @@ using aig::lit_node;
 using aig::make_lit;
 
 // Pure half (reconvergence window, cone truth table, ISOP + factoring of
-// both polarities) lives in AnalysisCache::factor_plan — memoised per graph
-// and deduplicated across graphs by the process-wide factored-form memo.
-// This function replays the winning factored form against the evolving pass
-// state; decisions are identical with or without a warm cache.
-Aig refactor(const Aig& in, const RefactorParams& params,
-             aig::AnalysisCache* analysis, aig::RebuildInfo* rebuild) {
+// both polarities) is computed on the untouched input graph, with the
+// factoring served from the process-wide factored-form memo. This function
+// replays the winning factored form against the evolving pass state.
+Aig refactor(const Aig& in, const RefactorParams& params) {
   Aig g = in;
   const std::uint32_t num_old = static_cast<std::uint32_t>(g.num_nodes());
 
-  std::unique_ptr<aig::AnalysisCache> local;
-  if (analysis == nullptr) {
-    local = std::make_unique<aig::AnalysisCache>(g);
-    analysis = local.get();
-  }
-  aig::RefCounts refs = analysis->pristine_refs(g);  // evolving copy
+  aig::RefCounts refs = aig::RefCounts::pristine(in);  // evolving copy
   std::vector<Lit> repl = identity_replacements(g.num_nodes());
   auto grow_repl = [&] {
     for (std::size_t id = repl.size(); id < g.num_nodes(); ++id) {
@@ -49,22 +46,30 @@ Aig refactor(const Aig& in, const RefactorParams& params,
     const std::uint32_t mffc = static_cast<std::uint32_t>(mffc_nodes.size());
     if (mffc < min_mffc) continue;
 
-    const aig::FactorPlan& plan =
-        analysis->factor_plan(g, id, params.max_leaves);
-    if (plan.skip) continue;
-    const aig::ReconvWindow& win =
-        analysis->window(g, id, params.max_leaves);
+    // Skip degenerate windows: bad size, the root among its own leaves, or
+    // a cone that does not evaluate over them.
+    const std::vector<std::uint32_t> leaves =
+        aig::reconv_cut(in, id, params.max_leaves);
+    if (aig::degenerate_window(leaves)) continue;
+    if (std::find(leaves.begin(), leaves.end(), id) != leaves.end()) continue;
+    std::shared_ptr<const aig::FactoredForm> form;
+    try {
+      form = aig::factored_form(
+          aig::cone_truth(in, make_lit(id, false), leaves));
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
 
     std::vector<Lit> inputs;
-    inputs.reserve(win.leaves.size());
-    for (std::uint32_t leaf : win.leaves) {
+    inputs.reserve(leaves.size());
+    for (std::uint32_t leaf : leaves) {
       inputs.push_back(resolve(repl, make_lit(leaf, false)));
     }
 
     const std::size_t cp = g.checkpoint();
-    Lit cand = aig::build_factored_form(g, *plan.form, inputs);
+    Lit cand = aig::build_factored_form(g, *form, inputs);
     const long added = static_cast<long>(g.num_nodes() - cp);
-    const long reused = reuse_cost(g, repl, cand, win.leaves, mffc_nodes);
+    const long reused = reuse_cost(g, repl, cand, leaves, mffc_nodes);
     const long gain = static_cast<long>(mffc) - added - reused;
     cand = resolve(repl, cand);
 
@@ -85,7 +90,7 @@ Aig refactor(const Aig& in, const RefactorParams& params,
     refs.ref_cone(g, cand);
   }
 
-  return apply_replacements(g, repl, rebuild);
+  return apply_replacements(g, repl);
 }
 
 }  // namespace flowgen::opt

@@ -5,7 +5,6 @@
 // when the factored implementation is smaller than the MFFC it frees.
 
 #include "aig/aig.hpp"
-#include "aig/analysis.hpp"
 
 namespace flowgen::opt {
 
@@ -15,13 +14,9 @@ struct RefactorParams {
   bool zero_cost = false;    ///< `refactor -z`
 };
 
-/// Large-cut resynthesis. Windows and factored forms are pure per input
-/// graph and served from `analysis` when supplied (filled lazily
-/// otherwise); `rebuild`, when non-null, receives the damage report for
-/// AnalysisCache::derive. Decisions are identical with or without a warm
-/// cache. `refactor` and `refactor -z` share the same plan tables.
-aig::Aig refactor(const aig::Aig& in, const RefactorParams& params = {},
-                  aig::AnalysisCache* analysis = nullptr,
-                  aig::RebuildInfo* rebuild = nullptr);
+/// Large-cut resynthesis. Each root's window and factored form are
+/// computed on the input graph; `refactor` and `refactor -z` differ only in
+/// the acceptance rule.
+aig::Aig refactor(const aig::Aig& in, const RefactorParams& params = {});
 
 }  // namespace flowgen::opt

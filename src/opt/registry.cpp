@@ -288,66 +288,33 @@ TransformSpec spec_from_text(const std::string& text) {
 }
 
 aig::Aig apply_spec(const aig::Aig& in, const TransformSpec& spec) {
-  return apply_spec_analyzed(in, spec, nullptr, false).graph;
-}
-
-AnalyzedTransform apply_spec_analyzed(const aig::Aig& in,
-                                      const TransformSpec& spec,
-                                      aig::AnalysisCache* in_analysis,
-                                      bool derive_output) {
-  AnalyzedTransform result;
-  // Balance rebuilds the whole graph from supergates — no damage report, so
-  // the output starts with an empty (lazily filled) cache.
-  if (spec.base == TransformKind::kBalance) {
-    result.graph = balance(in);
-    if (derive_output) {
-      result.analysis = std::make_shared<aig::AnalysisCache>(result.graph);
-    }
-    return result;
-  }
-
-  // Deriving needs the input's cache to carry from; make a pass-local one
-  // when the caller has none (it still pays for itself within the pass).
-  std::unique_ptr<aig::AnalysisCache> local;
-  if (in_analysis == nullptr && derive_output) {
-    local = std::make_unique<aig::AnalysisCache>(in);
-    in_analysis = local.get();
-  }
-  aig::RebuildInfo rebuild;
-  aig::RebuildInfo* rb = derive_output ? &rebuild : nullptr;
   switch (spec.base) {
+    case TransformKind::kBalance:
+      return balance(in);
     case TransformKind::kRestructure: {
       RestructureParams p;
       p.max_leaves = spec.max_leaves;
       p.max_divisors = spec.max_divisors;
-      result.graph = restructure(in, p, in_analysis, rb);
-      break;
+      return restructure(in, p);
     }
     case TransformKind::kRewrite: {
       RewriteParams p;
       p.cut_size = spec.cut_size;
       p.max_cuts_per_node = spec.max_cuts_per_node;
       p.zero_cost = spec.zero_cost;
-      result.graph = rewrite(in, p, in_analysis, rb);
-      break;
+      return rewrite(in, p);
     }
     case TransformKind::kRefactor: {
       RefactorParams p;
       p.max_leaves = spec.max_leaves;
       p.min_mffc = spec.min_mffc;
       p.zero_cost = spec.zero_cost;
-      result.graph = refactor(in, p, in_analysis, rb);
-      break;
+      return refactor(in, p);
     }
     default:
       throw RegistryError("apply_spec: unnormalised base kind " +
                           std::to_string(static_cast<unsigned>(spec.base)));
   }
-  if (derive_output) {
-    result.analysis =
-        aig::AnalysisCache::derive(in, *in_analysis, rebuild, result.graph);
-  }
-  return result;
 }
 
 TransformRegistry::TransformRegistry(std::vector<TransformSpec> specs) {

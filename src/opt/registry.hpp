@@ -87,15 +87,6 @@ TransformSpec spec_from_text(const std::string& text);
 /// apply_transform* overload dispatches through).
 aig::Aig apply_spec(const aig::Aig& in, const TransformSpec& spec);
 
-/// Spec-level apply with analysis sharing; plans key on the spec's params
-/// (the AnalysisCache tables are per parameter set), so two specs with
-/// different windows never serve each other stale plans. Contract is
-/// identical to apply_transform_analyzed.
-AnalyzedTransform apply_spec_analyzed(const aig::Aig& in,
-                                      const TransformSpec& spec,
-                                      aig::AnalysisCache* in_analysis,
-                                      bool derive_output);
-
 /// An immutable, validated alphabet: specs at ids 0..size()-1. Construction
 /// normalises (empty names -> canonical text, -z base kinds -> zero_cost)
 /// and validates (non-empty, <= 256 specs, unique names, parameter ranges);
@@ -151,11 +142,6 @@ public:
   /// Apply the transform at `id` (throws RegistryError when out of range).
   aig::Aig apply(const aig::Aig& in, StepId id) const {
     return apply_spec(in, spec(id));
-  }
-  AnalyzedTransform apply_analyzed(const aig::Aig& in, StepId id,
-                                   aig::AnalysisCache* in_analysis,
-                                   bool derive_output) const {
-    return apply_spec_analyzed(in, spec(id), in_analysis, derive_output);
   }
   /// Apply a whole packed flow left to right.
   aig::Aig apply_steps(const aig::Aig& in,

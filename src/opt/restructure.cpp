@@ -1,9 +1,9 @@
 #include "opt/restructure.hpp"
 
-#include <memory>
 #include <vector>
 
 #include "aig/analysis.hpp"
+#include "aig/reconv_cut.hpp"
 #include "aig/refs.hpp"
 #include "opt/rebuild.hpp"
 
@@ -16,27 +16,19 @@ using aig::make_lit;
 
 // The pass is split in two: the *pure* half (reconvergence window, divisor
 // truth tables, the scan for every functionally matching 0-/1-resub
-// candidate) lives in AnalysisCache::resub_plan and is memoised per graph;
-// this function replays the recorded candidates against its own evolving
-// state (reference counts, alias table, incremental node cost). Cold and
-// warm invocations therefore make bit-identical decisions — a warm pass
-// just skips recomputing the plans.
-Aig restructure(const Aig& in, const RestructureParams& params,
-                aig::AnalysisCache* analysis, aig::RebuildInfo* rebuild) {
+// candidate) is computed by aig::compute_resub_plan on the untouched input
+// graph; this function replays the recorded candidates against its own
+// evolving state (reference counts, alias table, incremental node cost).
+Aig restructure(const Aig& in, const RestructureParams& params) {
   Aig g = in;  // mutable working copy; old node ids stay untouched
   const std::uint32_t num_old = static_cast<std::uint32_t>(g.num_nodes());
 
-  std::unique_ptr<aig::AnalysisCache> local;
-  if (analysis == nullptr) {
-    local = std::make_unique<aig::AnalysisCache>(g);
-    analysis = local.get();
-  }
-  // Materialise the whole-graph artifacts before the pass appends candidate
-  // nodes to `g` (the analysis contract: pristine artifacts describe the
-  // first num_nodes() nodes).
-  aig::RefCounts refs = analysis->pristine_refs(g);  // evolving copy
-  analysis->fanouts(g);
+  // Plans read the pristine input only: its fanouts, and a pristine copy of
+  // the reference counts for the MFFC split and dead divisors.
+  const aig::Fanouts fanouts = aig::build_fanouts(in);
+  aig::RefCounts refs = aig::RefCounts::pristine(in);  // evolving copy
   aig::RefCounts scratch = refs;  // pristine scratch for plan computation
+  aig::ResubPlan plan;  // vectors reused across roots
 
   std::vector<Lit> repl = identity_replacements(g.num_nodes());
   auto grow_repl = [&] {
@@ -52,9 +44,9 @@ Aig restructure(const Aig& in, const RestructureParams& params,
     const std::uint32_t mffc = refs.mffc_size(g, id);
     if (mffc < 1) continue;
 
-    const aig::ResubPlan& plan = analysis->resub_plan(
-        g, id, params.max_leaves, params.max_divisors, scratch);
-    if (plan.skip || (plan.zeros.empty() && plan.ones.empty())) continue;
+    aig::compute_resub_plan(in, id, aig::reconv_cut(in, id, params.max_leaves),
+                            params.max_divisors, scratch, fanouts, plan);
+    if (plan.zeros.empty() && plan.ones.empty()) continue;
 
     Lit replacement = aig::kLitInvalid;
 
@@ -104,7 +96,7 @@ Aig restructure(const Aig& in, const RestructureParams& params,
     refs.ref_cone(g, replacement);
   }
 
-  return apply_replacements(g, repl, rebuild);
+  return apply_replacements(g, repl);
 }
 
 }  // namespace flowgen::opt

@@ -7,7 +7,6 @@
 // Replacing a node this way frees its whole MFFC.
 
 #include "aig/aig.hpp"
-#include "aig/analysis.hpp"
 
 namespace flowgen::opt {
 
@@ -17,12 +16,7 @@ struct RestructureParams {
 };
 
 /// Windowed resubstitution. Windows, divisor functions and the candidate
-/// scan are pure per input graph and served from `analysis` when supplied
-/// (filled lazily otherwise); `rebuild`, when non-null, receives the damage
-/// report for AnalysisCache::derive. Decisions are identical with or
-/// without a warm cache.
-aig::Aig restructure(const aig::Aig& in, const RestructureParams& params = {},
-                     aig::AnalysisCache* analysis = nullptr,
-                     aig::RebuildInfo* rebuild = nullptr);
+/// scan are computed on the input graph, root by root.
+aig::Aig restructure(const aig::Aig& in, const RestructureParams& params = {});
 
 }  // namespace flowgen::opt

@@ -19,26 +19,17 @@ using aig::lit_node;
 using aig::make_lit;
 using aig::TruthTable;
 
-Aig rewrite(const Aig& in, const RewriteParams& params,
-            aig::AnalysisCache* analysis, aig::RebuildInfo* rebuild) {
+Aig rewrite(const Aig& in, const RewriteParams& params) {
   Aig g = in;  // mutable working copy; old node ids stay untouched
   const std::uint32_t num_old = static_cast<std::uint32_t>(g.num_nodes());
 
-  std::unique_ptr<aig::AnalysisCache> local;
-  if (analysis == nullptr) {
-    local = std::make_unique<aig::AnalysisCache>(g);
-    analysis = local.get();
-  }
-  aig::RefCounts refs = analysis->pristine_refs(g);  // evolving copy
+  aig::RefCounts refs = aig::RefCounts::pristine(in);  // evolving copy
   aig::CutParams cut_params;
   cut_params.cut_size = params.cut_size;
   cut_params.max_cuts = params.max_cuts_per_node;
   cut_params.keep_trivial = false;
-  // Shared read-only: the pass never mutates cut sets, so concurrent warm
-  // passes resuming from the same snapshot reuse one enumeration.
-  const std::shared_ptr<const aig::CutManager> cuts_sp =
-      analysis->cuts(g, cut_params);
-  const aig::CutManager& cuts = *cuts_sp;
+  // Enumerated once on the input graph; the pass never mutates cut sets.
+  const aig::CutManager cuts(in, cut_params);
 
   std::vector<Lit> repl = identity_replacements(g.num_nodes());
   auto grow_repl = [&] {
@@ -118,7 +109,7 @@ Aig rewrite(const Aig& in, const RewriteParams& params,
     refs.ref_cone(g, replacement);
   }
 
-  return apply_replacements(g, repl, rebuild);
+  return apply_replacements(g, repl);
 }
 
 }  // namespace flowgen::opt

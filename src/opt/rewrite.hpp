@@ -9,7 +9,6 @@
 // which perturbs the structure so that later passes find new opportunities.
 
 #include "aig/aig.hpp"
-#include "aig/analysis.hpp"
 
 namespace flowgen::opt {
 
@@ -29,14 +28,9 @@ inline long zero_cost_slack(unsigned mffc) {
   return 1 + static_cast<long>(mffc) / 4;
 }
 
-/// Cut-based rewriting. Cut sets come from `analysis` when supplied
-/// (shared read-only across passes and threads; enumerated lazily
-/// otherwise), cut-function factoring from the process-wide memo;
-/// `rebuild`, when non-null, receives the damage report for
-/// AnalysisCache::derive. Decisions are identical with or without a warm
-/// cache. `rewrite` and `rewrite -z` share the same cut sets.
-aig::Aig rewrite(const aig::Aig& in, const RewriteParams& params = {},
-                 aig::AnalysisCache* analysis = nullptr,
-                 aig::RebuildInfo* rebuild = nullptr);
+/// Cut-based rewriting. Cut sets are enumerated once on the input graph;
+/// cut-function factoring comes from the process-wide memo, which
+/// `rewrite` and `rewrite -z` share with refactor.
+aig::Aig rewrite(const aig::Aig& in, const RewriteParams& params = {});
 
 }  // namespace flowgen::opt

@@ -35,13 +35,6 @@ TransformKind transform_from_name(const std::string& name) {
 }
 
 aig::Aig apply_transform(const aig::Aig& in, TransformKind kind) {
-  return apply_transform_analyzed(in, kind, nullptr, false).graph;
-}
-
-AnalyzedTransform apply_transform_analyzed(const aig::Aig& in,
-                                           TransformKind kind,
-                                           aig::AnalysisCache* in_analysis,
-                                           bool derive_output) {
   // A TransformKind is exactly the paper registry's spec at the same id
   // (the enum values define the paper alphabet order), so the fixed-set API
   // is a thin veneer over spec dispatch.
@@ -49,8 +42,7 @@ AnalyzedTransform apply_transform_analyzed(const aig::Aig& in,
   if (id >= TransformRegistry::paper()->size()) {
     throw std::invalid_argument("unknown transform kind");
   }
-  return apply_spec_analyzed(in, TransformRegistry::paper()->spec(id),
-                             in_analysis, derive_output);
+  return apply_spec(in, TransformRegistry::paper()->spec(id));
 }
 
 aig::Aig apply_flow(const aig::Aig& in, std::span<const TransformKind> flow) {

@@ -8,13 +8,11 @@
 // paper registry's specs.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "aig/analysis.hpp"
 
 namespace flowgen::opt {
 
@@ -41,25 +39,6 @@ TransformKind transform_from_name(const std::string& name);
 
 /// Run one transform. Always returns a compacted, function-preserving graph.
 aig::Aig apply_transform(const aig::Aig& in, TransformKind kind);
-
-/// A transform's output together with the analysis engine's view of it.
-struct AnalyzedTransform {
-  aig::Aig graph;
-  /// AnalysisCache for `graph`: derived incrementally from the input's
-  /// cache through the pass's damage report (replacement-style passes), or
-  /// empty-lazy (balance rebuilds everything). Null unless requested.
-  std::shared_ptr<aig::AnalysisCache> analysis;
-};
-
-/// Run one transform consuming (and lazily filling) `in_analysis`, the
-/// analysis cache of `in`; pass null to run with a pass-local cache. When
-/// `derive_output` is set, the result carries an AnalysisCache for the
-/// output graph with every provably-clean artifact of the input carried
-/// over. QoR is bit-identical to apply_transform in every combination.
-AnalyzedTransform apply_transform_analyzed(const aig::Aig& in,
-                                           TransformKind kind,
-                                           aig::AnalysisCache* in_analysis,
-                                           bool derive_output);
 
 /// Run a whole flow (sequence of transforms) left to right.
 aig::Aig apply_flow(const aig::Aig& in, std::span<const TransformKind> flow);

@@ -160,8 +160,8 @@ Histogram& histogram(const std::string& name, const std::string& help,
                      std::vector<double> bounds, Labels labels = {});
 
 /// Pull-model source: `fn` is called on every scrape and must return
-/// well-formed Prometheus text (its own # HELP/# TYPE lines). Used for
-/// counters owned elsewhere (e.g. aig::analysis_counters()).
+/// well-formed Prometheus text (its own # HELP/# TYPE lines), for
+/// counters owned outside the registry.
 void register_collector(std::function<std::string()> fn);
 
 /// Render every registered metric (+ collector output) as Prometheus

@@ -1,19 +1,15 @@
-// Tests for the incremental analysis engine: whole-graph artifacts match
-// their from-scratch counterparts, per-node plans are pure and shareable,
-// and — the property everything else rests on — artifacts carried across a
-// rebuild by AnalysisCache::derive are bitwise identical to a fresh
-// computation on the new graph.
+// Tests for the per-pass analysis kernels: the pristine reference counts and
+// CSR fanouts passes build for their input graph match their from-scratch
+// counterparts, the factored-form memo is pure and shared, the filtered
+// 1-resub scan matches brute force, and passes sharing one input graph
+// across threads (per-thread scratch, process-wide memo) agree.
 
 #include "aig/analysis.hpp"
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
-#include "aig/cuts.hpp"
 #include "aig/refs.hpp"
 #include "designs/registry.hpp"
-#include "opt/rebuild.hpp"
 #include "opt/transform.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -45,10 +41,9 @@ TEST(AnalysisTest, PristineRefsMatchExactConstructorOnTransformOutputs) {
   }
 }
 
-TEST(AnalysisTest, FanoutViewMatchesAdjacency) {
+TEST(AnalysisTest, FanoutCsrMatchesAdjacency) {
   const Aig g = designs::make_design("alu:6");
-  AnalysisCache cache(g);
-  const FanoutView fan = cache.fanouts(g);
+  const Fanouts fan = build_fanouts(g);
   // Reference: per-node vectors built the way restructure used to.
   std::vector<std::vector<std::uint32_t>> ref(g.num_nodes());
   for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
@@ -72,98 +67,6 @@ TEST(AnalysisTest, FactoredFormMemoIsPureAndShared) {
   EXPECT_GT(a->literals, 0u);
   // Both polarities of XOR cost the same; ties prefer positive.
   EXPECT_FALSE(a->output_compl);
-}
-
-void expect_same_cuts(const CutManager& a, const CutManager& b,
-                      std::size_t num_nodes) {
-  for (std::uint32_t id = 0; id < num_nodes; ++id) {
-    ASSERT_EQ(a.cuts(id).size(), b.cuts(id).size()) << "node " << id;
-    for (std::size_t c = 0; c < a.cuts(id).size(); ++c) {
-      ASSERT_EQ(a.cuts(id)[c].leaves, b.cuts(id)[c].leaves)
-          << "node " << id << " cut " << c;
-      ASSERT_EQ(a.cuts(id)[c].signature, b.cuts(id)[c].signature);
-    }
-  }
-}
-
-// The heart of the damage-region machinery: run real passes back to back
-// and check that everything `derive` carries equals a fresh computation on
-// the pass output — cut sets node for node, and plans via the pass results
-// themselves (warm == cold graphs, pinned here; QoR pinned in
-// warm_analysis_test).
-TEST(AnalysisTest, DerivedCutSetsMatchFreshEnumeration) {
-  CutParams params;
-  params.cut_size = 4;
-  params.max_cuts = 8;
-  params.keep_trivial = false;
-
-  Aig g = designs::make_design("alu:8");
-  auto cache = std::make_shared<AnalysisCache>(g);
-  cache->cuts(g, params);  // materialise so derive has something to carry
-  const std::vector<TransformKind> chain = {
-      TransformKind::kRewrite, TransformKind::kRestructure,
-      TransformKind::kRewriteZ, TransformKind::kRefactor};
-  std::size_t carried_total = 0;
-  for (TransformKind kind : chain) {
-    opt::AnalyzedTransform r =
-        opt::apply_transform_analyzed(g, kind, cache.get(), true);
-    const auto derived = r.analysis->cuts(r.graph, params);
-    const CutManager fresh(r.graph, params);
-    expect_same_cuts(*derived, fresh, r.graph.num_nodes());
-    carried_total += derived->reused_nodes();
-    g = std::move(r.graph);
-    cache = r.analysis;
-  }
-  // The chain converges, so at least one hop must have carried something.
-  EXPECT_GT(carried_total, 0u);
-}
-
-TEST(AnalysisTest, DerivedPlansReproduceFreshPassOutputs) {
-  // Chains mixing every replacement-style pass: at each hop the pass runs
-  // once warm (with the derived cache) and once cold (fresh analysis); the
-  // output graphs must be identical node for node (fingerprint covers
-  // structure, PIs and POs).
-  const std::vector<TransformKind> chain = {
-      TransformKind::kRestructure, TransformKind::kRefactor,
-      TransformKind::kRestructure, TransformKind::kRewrite,
-      TransformKind::kRefactorZ,   TransformKind::kRestructure};
-  Aig g = designs::make_design("alu:8");
-  auto cache = std::make_shared<AnalysisCache>(g);
-  for (TransformKind kind : chain) {
-    opt::AnalyzedTransform warm =
-        opt::apply_transform_analyzed(g, kind, cache.get(), true);
-    const Aig cold = opt::apply_transform(g, kind);
-    ASSERT_EQ(warm.graph.fingerprint(), cold.fingerprint())
-        << "warm/cold divergence at " << opt::transform_name(kind);
-    g = std::move(warm.graph);
-    cache = warm.analysis;
-  }
-}
-
-TEST(AnalysisTest, DeriveCarriesEverythingAcrossAnEmptyEdit) {
-  // Iterate restructure to its fixpoint; once an application leaves the
-  // graph untouched, the whole plan table must carry and the next warm
-  // application must replay without computing a single plan.
-  Aig g = designs::make_design("alu:6");
-  auto cache = std::make_shared<AnalysisCache>(g);
-  Fingerprint fp = g.fingerprint();
-  bool converged = false;
-  for (int i = 0; i < 5 && !converged; ++i) {
-    opt::AnalyzedTransform r = opt::apply_transform_analyzed(
-        g, TransformKind::kRestructure, cache.get(), true);
-    converged = r.graph.fingerprint() == fp;
-    fp = r.graph.fingerprint();
-    g = std::move(r.graph);
-    cache = r.analysis;
-  }
-  ASSERT_TRUE(converged) << "restructure did not reach a fixpoint";
-  reset_analysis_counters();
-  opt::AnalyzedTransform next = opt::apply_transform_analyzed(
-      g, TransformKind::kRestructure, cache.get(), true);
-  const AnalysisCounters c = analysis_counters();
-  EXPECT_EQ(next.graph.fingerprint(), fp);
-  EXPECT_EQ(c.resub_plans_computed, 0u);  // everything replayed from carry
-  EXPECT_GT(c.resub_plans_carried, 0u);
 }
 
 // Reference for detail::scan_one_resub: the unfiltered pair scan, which
@@ -267,35 +170,25 @@ TEST(AnalysisTest, FilteredResubScanMatchesBruteForce) {
   EXPECT_GT(matched, 50u);
 }
 
-TEST(AnalysisTest, MemoryBytesGrowsAsSlotsFill) {
+TEST(AnalysisTest, ConcurrentPassesOnOneInputAreConsistent) {
+  // Four threads run restructure and refactor on one shared input graph.
+  // The passes share per-thread window scratch and the process-wide
+  // factored-form memo, never the graph's mutable state, so every output
+  // must equal a serial run (also exercised under TSan in CI).
   const Aig g = designs::make_design("alu:6");
-  AnalysisCache cache(g);
-  const std::size_t empty = cache.memory_bytes();
-  cache.pristine_refs(g);
-  cache.fanouts(g);
-  const std::size_t with_graph_artifacts = cache.memory_bytes();
-  EXPECT_GT(with_graph_artifacts, empty);
-  opt::apply_transform_analyzed(g, TransformKind::kRestructure, &cache,
-                                false);
-  EXPECT_GT(cache.memory_bytes(), with_graph_artifacts);
-}
-
-TEST(AnalysisTest, ConcurrentLazyFillsAreSafeAndConsistent) {
-  // Several threads run warm passes against one shared cache, as happens
-  // when sibling flows resume from the same snapshot. All outputs must be
-  // identical (also exercised under TSan by the CI determinism job).
-  const Aig g = designs::make_design("alu:6");
-  AnalysisCache cache(g);
+  const Fingerprint restructured =
+      opt::apply_transform(g, TransformKind::kRestructure).fingerprint();
+  const Fingerprint refactored =
+      opt::apply_transform(g, TransformKind::kRefactor).fingerprint();
   util::ThreadPool pool(4);
-  std::vector<Fingerprint> fps(8);
+  std::vector<Fingerprint> fps(16);
   pool.parallel_for(fps.size(), [&](std::size_t i) {
     const TransformKind kind = (i % 2) ? TransformKind::kRestructure
                                        : TransformKind::kRefactor;
-    fps[i] = opt::apply_transform_analyzed(g, kind, &cache, false)
-                 .graph.fingerprint();
+    fps[i] = opt::apply_transform(g, kind).fingerprint();
   });
-  for (std::size_t i = 2; i < fps.size(); ++i) {
-    EXPECT_EQ(fps[i], fps[i - 2]);
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    EXPECT_EQ(fps[i], (i % 2) ? restructured : refactored) << "run " << i;
   }
 }
 

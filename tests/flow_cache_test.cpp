@@ -220,94 +220,6 @@ TEST(FlowCacheTest, BudgetIsPerShardSlice) {
   EXPECT_EQ(cache.stats().insertions, 0u);
 }
 
-std::shared_ptr<aig::AnalysisCache> filled_analysis(
-    const std::shared_ptr<const aig::Aig>& g) {
-  auto cache = std::make_shared<aig::AnalysisCache>(*g);
-  cache->pristine_refs(*g);
-  cache->fanouts(*g);
-  return cache;
-}
-
-TEST(FlowCacheTest, AnalysisAttachmentsAreChargedToTheBudget) {
-  PrefixFlowCache cache;
-  const auto g = snapshot("alu:4");
-  cache.insert(key({0}), g);
-  const std::size_t bare = cache.stats().bytes;
-  cache.insert(key({1}), g, filled_analysis(g));
-  const auto s = cache.stats();
-  EXPECT_GT(s.analysis_bytes, 0u);
-  EXPECT_GE(s.bytes, bare * 2 + s.analysis_bytes);
-  // The hit hands the attachment back.
-  EXPECT_NE(cache.longest_prefix(key({1})).analysis, nullptr);
-  EXPECT_EQ(cache.longest_prefix(key({0})).analysis, nullptr);
-}
-
-TEST(FlowCacheTest, AnalysisIsStrippedBeforeAnySnapshotIsEvicted) {
-  const auto g = snapshot("alu:4");
-  std::size_t per_entry = 0;
-  std::size_t per_analysis = 0;
-  {
-    PrefixFlowCache probe;
-    probe.insert(key({0}), g, filled_analysis(g));
-    per_analysis = probe.stats().analysis_bytes;
-    per_entry = probe.stats().bytes - per_analysis;
-  }
-  ASSERT_GT(per_analysis, 0u);
-  // Budget fits two bare snapshots and one attachment, not both.
-  FlowCacheConfig cfg;
-  cfg.shards = 1;
-  cfg.byte_budget = 2 * per_entry + per_analysis + per_analysis / 2;
-  PrefixFlowCache cache(cfg);
-  cache.insert(key({0}), g, filled_analysis(g));
-  cache.insert(key({1}), g, filled_analysis(g));
-  const auto s = cache.stats();
-  // Both snapshots must survive; attachments were the eviction victims.
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.evictions, 0u);
-  EXPECT_GT(s.analysis_evictions, 0u);
-  EXPECT_LE(s.bytes, cfg.byte_budget);
-  EXPECT_EQ(cache.longest_prefix(key({0})).depth, 1u);
-  EXPECT_EQ(cache.longest_prefix(key({1})).depth, 1u);
-}
-
-TEST(FlowCacheTest, LazyAnalysisGrowthIsRepolledOnHit) {
-  const auto g = snapshot("alu:4");
-  PrefixFlowCache cache;
-  auto analysis = std::make_shared<aig::AnalysisCache>(*g);
-  cache.insert(key({0}), g, analysis);
-  const std::size_t before = cache.stats().analysis_bytes;
-  // The attachment grows after insertion (lazy fill by a later pass)...
-  analysis->pristine_refs(*g);
-  analysis->fanouts(*g);
-  analysis->cuts(*g, aig::CutParams{});
-  // ...and the next hit re-polls it into the accounting.
-  EXPECT_NE(cache.longest_prefix(key({0})).analysis, nullptr);
-  EXPECT_GT(cache.stats().analysis_bytes, before);
-  EXPECT_LE(cache.stats().analysis_bytes, cache.stats().bytes);
-}
-
-TEST(FlowCacheTest, OversizedAnalysisIsDroppedButSnapshotKept) {
-  const auto g = snapshot("alu:4");
-  std::size_t per_entry = 0;
-  std::size_t per_analysis = 0;
-  {
-    PrefixFlowCache probe;
-    probe.insert(key({0}), g, filled_analysis(g));
-    per_analysis = probe.stats().analysis_bytes;
-    per_entry = probe.stats().bytes - per_analysis;
-  }
-  FlowCacheConfig cfg;
-  cfg.shards = 1;
-  // The snapshot fits, snapshot + attachment does not.
-  cfg.byte_budget = per_entry + per_analysis / 2;
-  PrefixFlowCache cache(cfg);
-  cache.insert(key({0}), g, filled_analysis(g));
-  const auto s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.analysis_bytes, 0u);
-  EXPECT_EQ(cache.longest_prefix(key({0})).analysis, nullptr);
-}
-
 TEST(FlowCacheTest, ConcurrentInsertsAndLookupsAreSafe) {
   PrefixFlowCache cache;
   const auto g = snapshot("alu:4");

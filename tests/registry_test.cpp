@@ -191,21 +191,6 @@ TEST(RegistryTest, ParameterizedSpecsPreserveFunctionAndDiffer) {
             registry->apply(g, 2).fingerprint());
 }
 
-TEST(RegistryTest, AnalyzedSpecApplyIsBitIdenticalWarmAndCold) {
-  // Plans key on spec params: a shared AnalysisCache serving both the
-  // paper restructure and the -D 12 variant must replay each with its own
-  // tables (bit-identical to cold application of the same spec).
-  const aig::Aig g = designs::make_design("alu:6");
-  const auto registry = extended_registry();
-  aig::AnalysisCache cache(g);
-  for (StepId id : {StepId{1}, StepId{7}, StepId{1}, StepId{7}}) {
-    const aig::Aig warm =
-        registry->apply_analyzed(g, id, &cache, false).graph;
-    const aig::Aig cold = registry->apply(g, id);
-    EXPECT_EQ(warm.fingerprint(), cold.fingerprint()) << registry->name(id);
-  }
-}
-
 TEST(RegistryTest, FlowSpaceOverExtendedRegistry) {
   const auto registry = extended_registry();
   const core::FlowSpace space(1, registry);
@@ -243,7 +228,6 @@ TEST(RegistryTest, EvaluatorValidatesAndDispatchesExtendedFlows) {
   core::EvaluatorConfig naive = config;
   naive.use_prefix_cache = false;
   naive.dedup_mappings = false;
-  naive.share_analysis = false;
   core::SynthesisEvaluator scratch(designs::make_design("alu:4"),
                                    map::CellLibrary::builtin(), {}, naive);
   const std::vector<map::QoR> raw = scratch.evaluate_many(flows);
