@@ -1,8 +1,11 @@
 // google-benchmark microbenchmarks for the NN substrate: per-batch training
-// and inference cost of the paper's CNN at several filter counts, and the
-// individual layer costs. The paper reports CNN training as only 3-5% of
-// total wall-clock; these numbers let a user reproduce that ratio for any
-// configuration.
+// and inference cost of the paper's CNN at several filter counts (200 is
+// the paper's), and each layer's own forward or backward cost. The
+// classifier's second convolution, which holds most of the CNN's
+// arithmetic, runs at 16 and 200 filters. The CNN is no small share of
+// the loop: on bench/e2e's pipeline_alu8 (16 filters, traced, seed 1,
+// 4-core host) training takes 0.51 s of the 1.15 s spent in its label,
+// train and probe phases (README, "CNN kernels").
 
 #include <benchmark/benchmark.h>
 
@@ -52,7 +55,8 @@ void BM_CnnTrainBatch(benchmark::State& state) {
   }
   state.counters["params"] = static_cast<double>(model.num_parameters());
 }
-BENCHMARK(BM_CnnTrainBatch)->Arg(8)->Arg(16)->Arg(32)
+// 200 filters is the paper's setting.
+BENCHMARK(BM_CnnTrainBatch)->Arg(8)->Arg(16)->Arg(32)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CnnPredict(benchmark::State& state) {
@@ -66,6 +70,8 @@ void BM_CnnPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnPredict)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
 
+// The classifier's first convolution: one channel of one-hot-like input
+// to `filters` channels.
 void BM_Conv2DForward(benchmark::State& state) {
   Rng rng(3);
   Conv2D conv(1, static_cast<std::size_t>(state.range(0)), 6, 12, rng);
@@ -75,6 +81,79 @@ void BM_Conv2DForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2DForward)->Arg(16)->Arg(64)->Arg(200);
+
+// The classifier's second convolution: C_in = C_out filters on the 11x11
+// output of the first pool, 6x12 kernel, batch 5. It holds most of the
+// CNN's arithmetic.
+Tensor conv2_input(std::size_t filters, Rng& rng) {
+  Tensor x({5, 11, 11, filters});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+  return x;
+}
+
+/// A gradient as the 2x2 stride-1 max-pool after `y` hands it back: zero
+/// wherever no pooling window picked the element.
+Tensor pooled_gradient(const Tensor& y, Rng& rng) {
+  MaxPool2D pool(2, 2, 1);
+  Tensor g(pool.forward(y, false).shape());
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = rng.normal();
+  return pool.backward(g);
+}
+
+void BM_Conv2Forward(benchmark::State& state) {
+  Rng rng(5);
+  const auto filters = static_cast<std::size_t>(state.range(0));
+  Conv2D conv(filters, filters, 6, 12, rng);
+  const Tensor x = conv2_input(filters, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x, false));
+  }
+}
+BENCHMARK(BM_Conv2Forward)->Arg(16)->Arg(200)->Unit(benchmark::kMillisecond);
+
+void BM_Conv2Backward(benchmark::State& state) {
+  Rng rng(6);
+  const auto filters = static_cast<std::size_t>(state.range(0));
+  Conv2D conv(filters, filters, 6, 12, rng);
+  const Tensor grad = pooled_gradient(conv.forward(conv2_input(filters, rng),
+                                                   true),
+                                      rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.backward(grad));
+  }
+}
+BENCHMARK(BM_Conv2Backward)->Arg(16)->Arg(200)->Unit(benchmark::kMillisecond);
+
+// The locally connected layer of paper_cnn: 10x10 input of `filters`
+// channels, 3x3 kernel, 16 outputs per position.
+void BM_LocallyConnectedBackward(benchmark::State& state) {
+  Rng rng(7);
+  const auto filters = static_cast<std::size_t>(state.range(0));
+  LocallyConnected2D local(10, 10, filters, 16, 3, 3, rng);
+  Tensor x({5, 10, 10, filters});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+  Tensor grad(local.forward(x, true).shape());
+  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = rng.normal();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(local.backward(grad));
+  }
+}
+BENCHMARK(BM_LocallyConnectedBackward)->Arg(16)->Arg(200)
+    ->Unit(benchmark::kMillisecond);
+
+// The first dense layer of paper_cnn: 8*8*16 flattened features to 48.
+void BM_DenseBackward(benchmark::State& state) {
+  Rng rng(8);
+  Dense dense(8 * 8 * 16, 48, rng);
+  Tensor x({5, 8 * 8 * 16});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+  Tensor grad(dense.forward(x, true).shape());
+  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = rng.normal();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dense.backward(grad));
+  }
+}
+BENCHMARK(BM_DenseBackward);
 
 void BM_OptimizerStep(benchmark::State& state) {
   Rng rng(4);

@@ -40,14 +40,36 @@ Tensor Dense::backward(const Tensor& grad_output) {
   grad_weights_.zero();
   grad_bias_.zero();
   Tensor grad_input({n, in_});
+  const double* __restrict x = cached_input_.data();
+  const double* __restrict w = weights_.data();
+  double* __restrict gw = grad_weights_.data();
+  double* __restrict gb = grad_bias_.data();
+  double* __restrict gi = grad_input.data();
+  constexpr std::size_t kTile = 4;  // weight rows per register tile
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) {
-      const double go = grad_output.at(i, j);
-      grad_bias_[j] += go;
-      for (std::size_t k = 0; k < in_; ++k) {
-        grad_weights_.at(k, j) += cached_input_.at(i, k) * go;
-        grad_input.at(i, k) += weights_.at(k, j) * go;
+    const double* __restrict g = grad_output.data() + i * out_;
+    // grad_weights and grad_bias collect the rows i in ascending order.
+    for (std::size_t j = 0; j < out_; ++j) gb[j] += g[j];
+    for (std::size_t k = 0; k < in_; ++k) {
+      const double v = x[i * in_ + k];
+      for (std::size_t j = 0; j < out_; ++j) gw[k * out_ + j] += v * g[j];
+    }
+    // grad_input[i][k]: one running sum over j ascending, kTile rows of
+    // the weights at a time.
+    std::size_t k = 0;
+    for (; k + kTile <= in_; k += kTile) {
+      double acc[kTile] = {};
+      for (std::size_t j = 0; j < out_; ++j) {
+        for (std::size_t t = 0; t < kTile; ++t) {
+          acc[t] += w[(k + t) * out_ + j] * g[j];
+        }
       }
+      for (std::size_t t = 0; t < kTile; ++t) gi[i * in_ + k + t] = acc[t];
+    }
+    for (; k < in_; ++k) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < out_; ++j) acc += w[k * out_ + j] * g[j];
+      gi[i * in_ + k] = acc;
     }
   }
   return grad_input;

@@ -1,7 +1,29 @@
 #pragma once
-// Dense row-major tensor of doubles, rank <= 4. The NN stack is small (the
-// paper's CNN sees 12x12 one-hot matrices), so clarity and testability win
-// over vectorisation tricks.
+// Dense row-major tensor of doubles, rank <= 4.
+//
+// The order contract of the layer kernels (nn/conv2d.cpp,
+// nn/locally_connected.cpp, nn/layers.cpp): every output element is one
+// running sum that starts at +0 and takes its terms in a fixed order. A
+// kernel may tile, reorder and vectorise across independent elements but
+// never reassociate within one, so its results are bit-identical to plain
+// per-element loops (tests/nn_kernels_test.cpp checks them against such
+// loops with memcmp).
+//   - Conv2D forward: out[b,oy,ox,co] adds x*w over the valid taps
+//     (ky, kx, ci) ascending, then bias[co].
+//   - Conv2D grad_weights[ky,kx,ci,co] and grad_bias[co]: sums over the
+//     output positions (b, oy, ox) ascending.
+//   - Conv2D grad_input[b,iy,ix,ci]: one running sum over (oy, ox)
+//     ascending, then co ascending. A per-position partial sum added once
+//     would round differently.
+//   - LocallyConnected2D: the same orders, with weights per position.
+//   - Dense: grad_weights[k][j] sums over the rows i ascending;
+//     grad_input[i][k] is a running sum over j ascending.
+// A term of exact +-0 times a finite value may be skipped or added: under
+// round-to-nearest a sum that starts at +0 never becomes -0, so adding +-0
+// leaves its bits alone. Out-of-range padding taps count as such zeros.
+// The build targets baseline x86-64 (SSE2, no FMA) without -ffast-math or
+// -ffp-contract, so no two loop shapes can fuse a multiply-add
+// differently.
 
 #include <cassert>
 #include <cstddef>
@@ -56,7 +78,7 @@ public:
   /// Glorot/Xavier uniform initialisation given fan-in/fan-out.
   void glorot_init(util::Rng& rng, std::size_t fan_in, std::size_t fan_out);
 
-  /// Reshape without copying; the total size must match.
+  /// A copy with a new shape; the total size must match.
   Tensor reshaped(std::vector<std::size_t> shape) const;
 
   /// Elementwise in-place helpers used by the optimizers.

@@ -97,10 +97,31 @@ TEST(GradCheckTest, Conv2DKernelLargerThanHalfInput) {
   gradcheck(layer, random_tensor({1, 12, 12, 1}, rng), rng);
 }
 
+TEST(GradCheckTest, Conv2DStride2) {
+  // An odd and an even extent: the output rounds 5 up to 3 rows and 6 to
+  // 3 columns.
+  util::Rng rng(10);
+  Conv2D layer(2, 3, 3, 4, rng, /*stride=*/2);
+  gradcheck(layer, random_tensor({2, 5, 6, 2}, rng), rng);
+}
+
+TEST(GradCheckTest, Conv2DFiveOutputChannels) {
+  // Five channels fill no register tile exactly (4 + 1).
+  util::Rng rng(11);
+  Conv2D layer(3, 5, 3, 4, rng);
+  gradcheck(layer, random_tensor({2, 5, 6, 3}, rng), rng);
+}
+
 TEST(GradCheckTest, LocallyConnected) {
   util::Rng rng(5);
   LocallyConnected2D layer(5, 5, 2, 3, 3, 3, rng);
   gradcheck(layer, random_tensor({2, 5, 5, 2}, rng), rng);
+}
+
+TEST(GradCheckTest, LocallyConnectedFiveOutputChannels) {
+  util::Rng rng(12);
+  LocallyConnected2D layer(5, 6, 3, 5, 2, 3, rng);
+  gradcheck(layer, random_tensor({2, 5, 6, 3}, rng), rng);
 }
 
 TEST(GradCheckTest, MaxPoolInputGrad) {
