@@ -10,12 +10,11 @@
 // them (each loopback worker is a full synthesis process). On a 1-core
 // host the curve is flat and the bench says so in the JSON (host_cores).
 //
-// --stream-bench switches to the v4 streaming A/B: the same batch through
-// the same fleet with per-flow EvalResult streaming on vs the v3
-// whole-shard EvalResponse shape, plus a fault-injection run that SIGKILLs
-// a worker mid-shard to price a requeue under streaming (only the
+// --stream-bench switches to the streaming legs: the same batch through a
+// fresh fleet with per-flow EvalResult streaming, plus a fault-injection
+// run that SIGKILLs a worker mid-shard to price a requeue (only the
 // undelivered suffix reruns). Emits BENCH_stream_<design>.json with the
-// shard latency distribution per mode; any bit mismatch fails the bench.
+// shard latency distribution per leg; any bit mismatch fails the bench.
 
 #include <algorithm>
 #include <chrono>
@@ -76,20 +75,18 @@ struct StreamRun {
   double shard_ms_max = 0.0;
 };
 
-// One A/B leg: a fresh loopback fleet, one timed batch, bit-checked
+// One leg: a fresh loopback fleet, one timed batch, bit-checked
 // against the oracle, with the shard latency distribution pulled from the
 // coordinator's bounded sample window. `kill_mid_shard` prices a requeue:
 // SIGKILL worker 0 after its 10th streamed flow result.
 StreamRun stream_leg(const std::string& mode, const std::string& design_name,
-                     std::size_t workers, bool stream_results,
-                     bool kill_mid_shard,
+                     std::size_t workers, bool kill_mid_shard,
                      const std::vector<core::Flow>& flows,
                      const std::vector<map::QoR>& oracle) {
   service::WorkerOptions options;
   options.design_id = design_name;
   service::LoopbackCluster cluster(workers, options);
   service::CoordinatorConfig config;
-  config.stream_results = stream_results;
   config.shards_per_worker = 8;
   service::EvalCoordinator coordinator(cluster.take_workers(), design_name,
                                        config);
@@ -261,25 +258,17 @@ int run_stream_bench(const util::Cli& cli) {
               static_cast<double>(num_flows) / in_process_seconds);
 
   std::vector<StreamRun> runs;
-  runs.push_back(stream_leg("whole_shard", design_name, workers,
-                            /*stream_results=*/false, /*kill=*/false, flows,
-                            oracle));
-  runs.push_back(stream_leg("streamed", design_name, workers,
-                            /*stream_results=*/true, /*kill=*/false, flows,
-                            oracle));
+  runs.push_back(stream_leg("streamed", design_name, workers, /*kill=*/false,
+                            flows, oracle));
   runs.push_back(stream_leg("streamed_requeue", design_name, workers,
-                            /*stream_results=*/true, /*kill=*/true, flows,
-                            oracle));
+                            /*kill=*/true, flows, oracle));
 
-  const double ratio =
-      runs[0].seconds > 0 ? runs[1].seconds / runs[0].seconds : 0.0;
   std::string json =
       "{\"design\": \"" + design_name + "\", \"m\": " + std::to_string(m) +
       ", \"flows\": " + std::to_string(num_flows) + ", \"workers\": " +
       std::to_string(workers) + ",\n \"host_cores\": " +
       std::to_string(std::thread::hardware_concurrency()) +
       ",\n \"in_process_seconds\": " + std::to_string(in_process_seconds) +
-      ",\n \"stream_vs_whole_shard_ratio\": " + std::to_string(ratio) +
       ",\n \"runs\": [";
   bool all_identical = true;
   for (std::size_t i = 0; i < runs.size(); ++i) {

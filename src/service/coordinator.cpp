@@ -39,7 +39,7 @@ CoordMetrics& coord_metrics() {
       telemetry::counter("flowgen_coordinator_dispatches_total",
                          "Shard requests dispatched (including reruns)"),
       telemetry::counter("flowgen_coordinator_shards_done_total",
-                         "Shards retired (ShardDone/EvalResponse)"),
+                         "Shards retired (ShardDone)"),
       telemetry::counter("flowgen_coordinator_requeued_shards_total",
                          "Requeue shards formed at worker losses"),
       telemetry::counter("flowgen_coordinator_requeued_flows_total",
@@ -1230,7 +1230,6 @@ bool EvalCoordinator::dispatch_to(std::size_t w,
   req.request_id = next_request_id_++;
   req.design = batch->design_fp;
   req.registry = batch->registry_fp;
-  req.flags = config_.stream_results ? kFlagStreamResults : 0;
   req.flows.reserve(shard.indices.size());
   for (const std::size_t i : shard.indices) {
     req.flows.push_back(batch->flows[i].steps);
@@ -1360,34 +1359,6 @@ void EvalCoordinator::handle_frame(std::size_t w, Frame& frame) {
         // the loss path.
         lose_worker(w, "torn stream (count/CRC mismatch)");
         return;
-      }
-      retire_shard(w, pos, now_ms());
-      return;
-    }
-    case MsgType::kEvalResponse: {  // stream_results off: whole-shard answer
-      EvalResponseMsg msg;
-      try {
-        msg = decode_eval_response(frame.payload);
-      } catch (const std::exception&) {
-        lose_worker(w, "undecodable response");
-        return;
-      }
-      const std::size_t pos = find_inflight(msg.request_id);
-      if (pos == worker.inflight.size()) {
-        if (is_stale(msg.request_id)) return;
-        lose_worker(w, "response for unknown request");
-        return;
-      }
-      Inflight& fl = worker.inflight[pos];
-      if (msg.results.size() != fl.received.size()) {
-        lose_worker(w, "response size mismatch");
-        return;
-      }
-      for (std::size_t k = 0; k < msg.results.size(); ++k) {
-        if (fl.received[k]) continue;
-        fl.received[k] = true;
-        ++fl.received_count;
-        apply_result(w, fl, static_cast<std::uint32_t>(k), msg.results[k]);
       }
       retire_shard(w, pos, now_ms());
       return;
@@ -1546,8 +1517,9 @@ std::string EvalCoordinator::fleet_metrics_text() {
   std::vector<std::string> texts;
   {
     std::unique_lock lock(scrape->mu);
-    // Workers answer a scrape inline on their serve loop, so 2s of grace
-    // is generous; a worker lost mid-scrape just misses the page.
+    // An idle worker answers a scrape at once; one evaluating a shard
+    // answers only after it, and one lost mid-scrape never. 2s of grace
+    // bounds the wait, and a late or lost worker just misses the page.
     scrape->cv.wait_for(lock, std::chrono::milliseconds(2000), [&] {
       return scrape->texts.size() >= scrape->expected;
     });

@@ -118,12 +118,6 @@ struct CoordinatorConfig {
   /// Shard granularity: aim for this many shards per worker so requeues
   /// lose little work and stragglers can be load-balanced around.
   std::size_t shards_per_worker = 4;
-  /// v4 per-flow result streaming (EvalResult/ShardDone frames). Off =
-  /// one whole-shard EvalResponse per request, the v3 answer shape — kept
-  /// selectable for A/B benchmarking; the QoR bits are identical either
-  /// way, but without streaming a lost worker requeues whole shards and
-  /// deadlines cannot reset on progress.
-  bool stream_results = true;
   /// > 0: a lost worker whose name parses as an address ("unix:/path",
   /// "tcp:host:port") is re-dialed and re-admitted through the normal
   /// handshake once it answers. This is the *initial* retry delay: each
@@ -167,7 +161,7 @@ struct CoordinatorStats {
   std::size_t active_batches = 0;   ///< batches open right now
   std::size_t queue_depth = 0;      ///< pending shards across open batches
   std::size_t shards = 0;           ///< shards formed across all batches
-  std::size_t shards_done = 0;      ///< shards retired (ShardDone/response)
+  std::size_t shards_done = 0;      ///< shards retired (ShardDone)
   std::size_t requests_sent = 0;    ///< dispatches, including reruns
   std::size_t requeues = 0;         ///< shards re-queued after a loss
   std::size_t workers_lost = 0;     ///< crash/EOF/timeout/error declarations

@@ -302,7 +302,6 @@ FrameConn::Io FrameConn::on_writable() {
     if (n < 0) return Io::kOk;  // socket buffer full — POLLOUT will resume
     frame_metrics().bytes_tx.inc(static_cast<std::uint64_t>(n));
     out_offset_ += static_cast<std::size_t>(n);
-    outbox_bytes_ -= static_cast<std::size_t>(n);
     if (out_offset_ == buf.size()) {
       outbox_.pop_front();
       out_offset_ = 0;
@@ -313,14 +312,9 @@ FrameConn::Io FrameConn::on_writable() {
 
 FrameConn::Io FrameConn::enqueue(MsgType type,
                                  std::span<const std::uint8_t> payload) {
-  return enqueue_bytes(encode_frame(type, payload));
-}
-
-FrameConn::Io FrameConn::enqueue_bytes(std::vector<std::uint8_t> frame_bytes) {
   if (broken_) return Io::kError;
   frame_metrics().frames_tx.inc();
-  outbox_bytes_ += frame_bytes.size();
-  outbox_.push_back(std::move(frame_bytes));
+  outbox_.push_back(encode_frame(type, payload));
   // Opportunistic flush: most frames leave immediately and POLLOUT
   // interest is never registered for them.
   return on_writable();

@@ -1,10 +1,11 @@
 #pragma once
-// The event-loop substrate the v4 serve path runs on: a readiness poller
-// (epoll on Linux, poll(2) elsewhere), a self-wakeup pipe so other threads
-// can interrupt a blocked wait, and FrameConn — a non-blocking socket
-// wrapped in buffered partial read/write state machines that speaks whole
-// wire frames. Both event loops (EvalCoordinator's fleet side and evald's
-// accept/serve side) are built from exactly these three pieces; nothing
+// The event-loop substrate of the coordinator: a readiness poller (epoll
+// on Linux, poll(2) elsewhere), a self-wakeup pipe so other threads can
+// interrupt a blocked wait, and FrameConn — a non-blocking socket wrapped
+// in buffered partial read/write state machines that speaks whole wire
+// frames. Only EvalCoordinator runs an event loop (one thread multiplexing
+// its whole fleet); workers and evald servers serve each connection on its
+// own thread with the blocking serve_frames (service/worker.hpp). Nothing
 // here knows about requests, shards, or evaluators.
 
 #include <cstddef>
@@ -19,7 +20,7 @@ namespace flowgen::service {
 
 /// Level-triggered readiness notification over an arbitrary fd set. One
 /// owner thread; `tag` is an opaque cookie handed back in events (the
-/// loops use indices into their connection tables).
+/// coordinator uses indices into its worker table).
 class Poller {
 public:
   struct Event {
@@ -93,7 +94,6 @@ public:
 
   int fd() const { return sock_.fd(); }
   Socket& socket() { return sock_; }
-  Socket take_socket() { return std::move(sock_); }
 
   /// Read whatever the socket has and append every complete frame to
   /// `frames` (possibly none, possibly several). Never blocks.
@@ -105,11 +105,8 @@ public:
   /// Queue one frame (header + payload, via encode_frame) and opportunistically
   /// flush. Returns kError if the connection is already broken.
   Io enqueue(MsgType type, std::span<const std::uint8_t> payload);
-  /// Queue pre-encoded frame bytes (an encode_frame buffer).
-  Io enqueue_bytes(std::vector<std::uint8_t> frame_bytes);
 
   bool want_write() const { return !outbox_.empty(); }
-  std::size_t outbox_bytes() const { return outbox_bytes_; }
 
 private:
   Io fail();
@@ -119,7 +116,6 @@ private:
   std::size_t in_consumed_ = 0;  ///< parsed prefix of inbuf_
   std::deque<std::vector<std::uint8_t>> outbox_;
   std::size_t out_offset_ = 0;  ///< sent prefix of outbox_.front()
-  std::size_t outbox_bytes_ = 0;
   bool broken_ = false;
 };
 

@@ -118,6 +118,10 @@ void Socket::close() {
   }
 }
 
+void Socket::shutdown() const {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Socket::set_nonblocking(bool on) const {
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags < 0) throw_errno("fcntl(F_GETFL)");

@@ -63,10 +63,14 @@ public:
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
   void close();
+  /// Shut both directions down without closing the fd: the peer sees EOF
+  /// and a recv blocked on this socket in another thread returns. Safe to
+  /// call from any thread while the owner still uses the socket.
+  void shutdown() const;
 
-  /// Flip O_NONBLOCK. The event loops put every socket they own in
-  /// non-blocking mode; send_all/recv_all keep working on such sockets
-  /// (they poll for readiness instead of relying on a blocking fd).
+  /// Flip O_NONBLOCK. The coordinator's event loop puts every socket it
+  /// owns in non-blocking mode; send_all/recv_all keep working on such
+  /// sockets (they poll for readiness instead of relying on a blocking fd).
   void set_nonblocking(bool on) const;
 
   /// Write exactly `len` bytes; throws TransportError on any failure

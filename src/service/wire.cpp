@@ -28,6 +28,18 @@ public:
     u32(static_cast<std::uint32_t>(v >> 32));
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// A design or registry fingerprint: two u64 lanes.
+  void fp(const std::array<std::uint64_t, 2>& f) {
+    u64(f[0]);
+    u64(f[1]);
+  }
+  /// The 32-byte QoR record (qor_record_bytes).
+  void qor(const map::QoR& q) {
+    f64(q.area_um2);
+    f64(q.delay_ps);
+    u64(q.num_cells);
+    u64(q.num_inverters);
+  }
   void str(const std::string& s) {
     if (s.size() > 0xFFFF) throw WireError("string field too long");
     u16(static_cast<std::uint16_t>(s.size()));
@@ -63,6 +75,18 @@ public:
     return lo | (static_cast<std::uint64_t>(u32()) << 32);
   }
   double f64() { return std::bit_cast<double>(u64()); }
+  std::array<std::uint64_t, 2> fp() {
+    const std::uint64_t lo = u64();
+    return {lo, u64()};
+  }
+  map::QoR qor() {
+    map::QoR q;
+    q.area_um2 = f64();
+    q.delay_ps = f64();
+    q.num_cells = static_cast<std::size_t>(u64());
+    q.num_inverters = static_cast<std::size_t>(u64());
+    return q;
+  }
   std::string str() {
     const std::uint16_t len = u16();
     need(len);
@@ -145,8 +169,7 @@ std::vector<std::uint8_t> encode_hello(const HelloMsg& m) {
   Writer w;
   w.u8(m.version);
   w.str(m.design_id);
-  w.u64(m.registry[0]);
-  w.u64(m.registry[1]);
+  w.fp(m.registry);
   return w.take();
 }
 
@@ -154,36 +177,29 @@ std::vector<std::uint8_t> encode_hello_ack(const HelloAckMsg& m) {
   Writer w;
   w.u8(m.version);
   w.str(m.design_id);
-  w.u64(m.fingerprint[0]);
-  w.u64(m.fingerprint[1]);
-  w.u64(m.registry[0]);
-  w.u64(m.registry[1]);
+  w.fp(m.fingerprint);
+  w.fp(m.registry);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_load_design_ack(const aig::Fingerprint& fp) {
   Writer w;
-  w.u64(fp[0]);
-  w.u64(fp[1]);
+  w.fp(fp);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_load_registry_ack(
     const opt::RegistryFingerprint& fp) {
   Writer w;
-  w.u64(fp[0]);
-  w.u64(fp[1]);
+  w.fp(fp);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_eval_request(const EvalRequestMsg& m) {
   Writer w;
   w.u64(m.request_id);
-  w.u64(m.design[0]);
-  w.u64(m.design[1]);
-  w.u64(m.registry[0]);
-  w.u64(m.registry[1]);
-  w.u8(m.flags);
+  w.fp(m.design);
+  w.fp(m.registry);
   w.u32(static_cast<std::uint32_t>(m.flows.size()));
   for (const core::StepsKey& steps : m.flows) {
     if (steps.size() > 0xFFFF) throw WireError("flow too long");
@@ -193,27 +209,11 @@ std::vector<std::uint8_t> encode_eval_request(const EvalRequestMsg& m) {
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_eval_response(const EvalResponseMsg& m) {
-  Writer w;
-  w.u64(m.request_id);
-  w.u32(static_cast<std::uint32_t>(m.results.size()));
-  for (const map::QoR& q : m.results) {
-    w.f64(q.area_um2);
-    w.f64(q.delay_ps);
-    w.u64(q.num_cells);
-    w.u64(q.num_inverters);
-  }
-  return w.take();
-}
-
 std::vector<std::uint8_t> encode_eval_result(const EvalResultMsg& m) {
   Writer w;
   w.u64(m.request_id);
   w.u32(m.index);
-  w.f64(m.result.area_um2);
-  w.f64(m.result.delay_ps);
-  w.u64(m.result.num_cells);
-  w.u64(m.result.num_inverters);
+  w.qor(m.result);
   return w.take();
 }
 
@@ -227,10 +227,7 @@ std::vector<std::uint8_t> encode_shard_done(const ShardDoneMsg& m) {
 
 std::array<std::uint8_t, 32> qor_record_bytes(const map::QoR& q) {
   Writer w;
-  w.f64(q.area_um2);
-  w.f64(q.delay_ps);
-  w.u64(q.num_cells);
-  w.u64(q.num_inverters);
+  w.qor(q);
   const std::vector<std::uint8_t> buf = w.take();
   std::array<std::uint8_t, 32> out{};
   std::memcpy(out.data(), buf.data(), out.size());
@@ -255,8 +252,7 @@ HelloMsg decode_hello(std::span<const std::uint8_t> payload) {
   HelloMsg m;
   m.version = r.u8();
   m.design_id = r.str();
-  m.registry[0] = r.u64();
-  m.registry[1] = r.u64();
+  m.registry = r.fp();
   r.expect_end();
   return m;
 }
@@ -266,10 +262,8 @@ HelloAckMsg decode_hello_ack(std::span<const std::uint8_t> payload) {
   HelloAckMsg m;
   m.version = r.u8();
   m.design_id = r.str();
-  m.fingerprint[0] = r.u64();
-  m.fingerprint[1] = r.u64();
-  m.registry[0] = r.u64();
-  m.registry[1] = r.u64();
+  m.fingerprint = r.fp();
+  m.registry = r.fp();
   r.expect_end();
   return m;
 }
@@ -277,9 +271,7 @@ HelloAckMsg decode_hello_ack(std::span<const std::uint8_t> payload) {
 aig::Fingerprint decode_load_design_ack(
     std::span<const std::uint8_t> payload) {
   Reader r(payload);
-  aig::Fingerprint fp;
-  fp[0] = r.u64();
-  fp[1] = r.u64();
+  const aig::Fingerprint fp = r.fp();
   r.expect_end();
   return fp;
 }
@@ -287,9 +279,7 @@ aig::Fingerprint decode_load_design_ack(
 opt::RegistryFingerprint decode_load_registry_ack(
     std::span<const std::uint8_t> payload) {
   Reader r(payload);
-  opt::RegistryFingerprint fp;
-  fp[0] = r.u64();
-  fp[1] = r.u64();
+  const opt::RegistryFingerprint fp = r.fp();
   r.expect_end();
   return fp;
 }
@@ -298,11 +288,8 @@ EvalRequestMsg decode_eval_request(std::span<const std::uint8_t> payload) {
   Reader r(payload);
   EvalRequestMsg m;
   m.request_id = r.u64();
-  m.design[0] = r.u64();
-  m.design[1] = r.u64();
-  m.registry[0] = r.u64();
-  m.registry[1] = r.u64();
-  m.flags = r.u8();
+  m.design = r.fp();
+  m.registry = r.fp();
   const std::uint32_t count = r.u32();
   if (count > r.remaining() / 2) {  // every flow costs >= 2 length bytes
     throw WireError("flow count exceeds payload");
@@ -317,36 +304,12 @@ EvalRequestMsg decode_eval_request(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-EvalResponseMsg decode_eval_response(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  EvalResponseMsg m;
-  m.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  if (count > r.remaining() / 32) {  // each QoR is exactly 32 bytes
-    throw WireError("result count exceeds payload");
-  }
-  m.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    map::QoR q;
-    q.area_um2 = r.f64();
-    q.delay_ps = r.f64();
-    q.num_cells = static_cast<std::size_t>(r.u64());
-    q.num_inverters = static_cast<std::size_t>(r.u64());
-    m.results.push_back(q);
-  }
-  r.expect_end();
-  return m;
-}
-
 EvalResultMsg decode_eval_result(std::span<const std::uint8_t> payload) {
   Reader r(payload);
   EvalResultMsg m;
   m.request_id = r.u64();
   m.index = r.u32();
-  m.result.area_um2 = r.f64();
-  m.result.delay_ps = r.f64();
-  m.result.num_cells = static_cast<std::size_t>(r.u64());
-  m.result.num_inverters = static_cast<std::size_t>(r.u64());
+  m.result = r.qor();
   r.expect_end();
   return m;
 }
@@ -400,8 +363,7 @@ MetricsTextMsg decode_metrics_text(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> encode_store_subscribe(const StoreSubscribeMsg& m) {
   Writer w;
-  w.u64(m.registry[0]);
-  w.u64(m.registry[1]);
+  w.fp(m.registry);
   return w.take();
 }
 
@@ -409,8 +371,7 @@ StoreSubscribeMsg decode_store_subscribe(
     std::span<const std::uint8_t> payload) {
   Reader r(payload);
   StoreSubscribeMsg m;
-  m.registry[0] = r.u64();
-  m.registry[1] = r.u64();
+  m.registry = r.fp();
   r.expect_end();
   return m;
 }
@@ -418,33 +379,23 @@ StoreSubscribeMsg decode_store_subscribe(
 std::vector<std::uint8_t> encode_store_append(const StoreAppendMsg& m) {
   if (m.steps.size() > 0xFFFF) throw WireError("flow too long");
   Writer w;
-  w.u64(m.registry[0]);
-  w.u64(m.registry[1]);
-  w.u64(m.design[0]);
-  w.u64(m.design[1]);
+  w.fp(m.registry);
+  w.fp(m.design);
   w.u16(static_cast<std::uint16_t>(m.steps.size()));
   for (const opt::StepId s : m.steps) w.u8(s);
-  w.f64(m.qor.area_um2);
-  w.f64(m.qor.delay_ps);
-  w.u64(m.qor.num_cells);
-  w.u64(m.qor.num_inverters);
+  w.qor(m.qor);
   return w.take();
 }
 
 StoreAppendMsg decode_store_append(std::span<const std::uint8_t> payload) {
   Reader r(payload);
   StoreAppendMsg m;
-  m.registry[0] = r.u64();
-  m.registry[1] = r.u64();
-  m.design[0] = r.u64();
-  m.design[1] = r.u64();
+  m.registry = r.fp();
+  m.design = r.fp();
   const std::uint16_t len = r.u16();
   const auto raw = r.bytes(len);
   m.steps.assign(raw.begin(), raw.end());
-  m.qor.area_um2 = r.f64();
-  m.qor.delay_ps = r.f64();
-  m.qor.num_cells = static_cast<std::size_t>(r.u64());
-  m.qor.num_inverters = static_cast<std::size_t>(r.u64());
+  m.qor = r.qor();
   r.expect_end();
   return m;
 }

@@ -12,12 +12,13 @@
 // (opt/registry.hpp) once per connection, Hello/HelloAck carry registry
 // fingerprints, and every EvalRequest names the registry its packed step
 // bytes are ids into — one fleet serves many alphabets the way v2 made it
-// serve many designs. Version 4 makes results *stream*: a request with the
-// kFlagStreamResults flag set is answered by one EvalResult frame per
-// completed flow plus a terminal ShardDone frame carrying the count and a
-// CRC-32 of the emitted QoR records — the coordinator applies (and
-// persists) results as they land, resets liveness deadlines on every
-// frame, and on worker loss requeues only the flows it never received.
+// serve many designs. Version 4 made results *stream*: every flow is
+// answered by its own EvalResult frame, and a terminal ShardDone frame
+// carries the count and a CRC-32 of the emitted QoR records — the
+// coordinator applies (and persists) results as they land, resets liveness
+// deadlines on every frame, and on worker loss requeues only the flows it
+// never received. Version 5 makes streaming the only answer shape: the
+// EvalRequest flags byte and the whole-shard answer frame are gone.
 // docs/protocol.md is the normative description of the format.
 
 #include <array>
@@ -37,8 +38,8 @@ namespace flowgen::service {
 
 /// Bumped on any incompatible frame or payload change. Carried in every
 /// frame header and in Hello/HelloAck; both sides reject mismatches
-/// instead of guessing (v1–v3 peers are refused at the first frame).
-inline constexpr std::uint8_t kProtocolVersion = 4;
+/// instead of guessing (v1–v4 peers are refused at the first frame).
+inline constexpr std::uint8_t kProtocolVersion = 5;
 
 /// "FLOW" — rejects stray connections speaking the wrong protocol.
 inline constexpr std::uint32_t kFrameMagic = 0x464C4F57;
@@ -57,7 +58,7 @@ enum class MsgType : std::uint8_t {
   kHello = 1,          ///< client -> worker: version + registry design id
   kHelloAck = 2,       ///< worker -> client: version + served id + fp
   kEvalRequest = 3,    ///< client -> worker: request id + design fp + flows
-  kEvalResponse = 4,   ///< worker -> client: request id + QoRs
+  // Type 4 was the whole-shard answer (v2-v4); retired in v5, never reused.
   kError = 5,          ///< either direction: request id (0 = none) + message
   kShutdown = 6,       ///< client -> worker: drain and exit
   kPing = 7,           ///< liveness probe: echoes a nonce
@@ -73,11 +74,6 @@ enum class MsgType : std::uint8_t {
   kStoreSubscribe = 17, ///< client -> worker: stream the worker's QoR-store appends
   kStoreAppend = 18,   ///< worker -> client: one freshly stored label record
 };
-
-/// EvalRequest flag bits (v4).
-/// kFlagStreamResults: answer with one EvalResult frame per flow and a
-/// terminal ShardDone instead of a single whole-shard EvalResponse.
-inline constexpr std::uint8_t kFlagStreamResults = 0x01;
 
 /// Malformed frame or payload bytes (bad magic/version/length, truncated
 /// or trailing data, counts exceeding the payload). Distinct from
@@ -108,14 +104,14 @@ void send_frame(Socket& sock, MsgType type,
 std::optional<Frame> recv_frame(Socket& sock, int timeout_ms = -1);
 
 /// Header + payload as one contiguous buffer — exactly the bytes
-/// send_frame writes. The event loops enqueue these on their buffered
-/// non-blocking writers instead of calling send_frame directly.
+/// send_frame writes. The coordinator's event loop enqueues these on its
+/// buffered non-blocking writers instead of calling send_frame directly.
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        std::span<const std::uint8_t> payload);
 
 /// The 32-byte wire record of one QoR (f64 area, f64 delay, u64 cells,
-/// u64 inverters, little-endian) — the unit EvalResponse batches,
-/// EvalResult carries, and ShardDone's CRC-32 chains over.
+/// u64 inverters, little-endian) — the unit EvalResult carries and
+/// ShardDone's CRC-32 chains over.
 std::array<std::uint8_t, 32> qor_record_bytes(const map::QoR& q);
 
 // --------------------------------------------------------------- payloads --
@@ -148,22 +144,13 @@ struct HelloAckMsg {
 
 /// A batch of flows to evaluate against the design named by `design`,
 /// whose packed step bytes are ids into the alphabet named by `registry`.
-/// The worker answers kError if either fingerprint is not loaded. `flags`
-/// (v4) selects the answer shape: kFlagStreamResults set streams one
-/// EvalResult per flow + a ShardDone; clear keeps the v3 whole-shard
-/// EvalResponse.
+/// The worker answers kError if either fingerprint is not loaded, and
+/// otherwise streams one EvalResult per flow and a ShardDone.
 struct EvalRequestMsg {
   std::uint64_t request_id = 0;
   aig::Fingerprint design = kNoDesign;
   opt::RegistryFingerprint registry = opt::paper_registry_fingerprint();
-  std::uint8_t flags = 0;
   std::vector<core::StepsKey> flows;
-};
-
-/// QoRs for one request, in its flow order.
-struct EvalResponseMsg {
-  std::uint64_t request_id = 0;
-  std::vector<map::QoR> results;
 };
 
 /// One streamed flow result (v4): `index` is the flow's position in its
@@ -232,7 +219,6 @@ struct StoreAppendMsg {
 std::vector<std::uint8_t> encode_hello(const HelloMsg& m);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAckMsg& m);
 std::vector<std::uint8_t> encode_eval_request(const EvalRequestMsg& m);
-std::vector<std::uint8_t> encode_eval_response(const EvalResponseMsg& m);
 std::vector<std::uint8_t> encode_eval_result(const EvalResultMsg& m);
 std::vector<std::uint8_t> encode_shard_done(const ShardDoneMsg& m);
 std::vector<std::uint8_t> encode_error(const ErrorMsg& m);
@@ -254,7 +240,6 @@ std::vector<std::uint8_t> encode_store_append(const StoreAppendMsg& m);
 HelloMsg decode_hello(std::span<const std::uint8_t> payload);
 HelloAckMsg decode_hello_ack(std::span<const std::uint8_t> payload);
 EvalRequestMsg decode_eval_request(std::span<const std::uint8_t> payload);
-EvalResponseMsg decode_eval_response(std::span<const std::uint8_t> payload);
 EvalResultMsg decode_eval_result(std::span<const std::uint8_t> payload);
 ShardDoneMsg decode_shard_done(std::span<const std::uint8_t> payload);
 ErrorMsg decode_error(std::span<const std::uint8_t> payload);

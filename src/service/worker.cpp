@@ -7,18 +7,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <exception>
+#include <list>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "aig/reader.hpp"
 #include "aig/serialize.hpp"
 #include "designs/registry.hpp"
-#include "service/reactor.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/crc32.hpp"
@@ -29,26 +28,22 @@ namespace flowgen::service {
 
 namespace {
 
-struct ServeMetrics {
-  telemetry::Counter& loop_iterations;
-  telemetry::Counter& scrapes;
-  telemetry::Gauge& eval_queue_depth;
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m{
-      telemetry::counter("flowgen_serve_loop_iterations_total",
-                         "Serve-loop poll iterations"),
-      telemetry::counter("flowgen_metrics_scrapes_total",
-                         "kGetMetrics scrapes answered"),
-      telemetry::gauge("flowgen_serve_eval_queue_depth",
-                       "EvalRequests submitted but not yet completed"),
-  };
-  return m;
+telemetry::Counter& scrapes_answered() {
+  static telemetry::Counter& c = telemetry::counter(
+      "flowgen_metrics_scrapes_total", "kGetMetrics scrapes answered");
+  return c;
 }
 
 constexpr const char* kBudgetExceededMsg =
     "evaluation exceeded its wall-clock budget (watchdog)";
+
+/// Bound on each wait of a send made off the serving thread (store push,
+/// watchdog): a peer that stops reading costs its connection, never a
+/// wedged store or watchdog.
+constexpr int kSendTimeoutMs = 5000;
+
+/// How often serve_connections re-checks its stop flag between accepts.
+constexpr int kAcceptPollMs = 100;
 
 /// Arms a per-evaluation wall-clock budget (EvalService::eval_budget_ms).
 /// When the evaluation outlives it, `on_expire` fires once from the
@@ -96,29 +91,179 @@ class EvalWatchdog {
   std::thread thread_;
 };
 
+/// The write side of one served connection. The serving thread owns the
+/// socket and its sends wait for the peer like any blocking socket's. Sends
+/// also come from threads that do not own it: store pushes from whichever
+/// thread appends, the watchdog's Error. Those pass a timeout, which bounds
+/// both the wait for the send lock and each wait for buffer space. No send
+/// throws. The first failed send drops the connection: the socket is shut
+/// down, which ends the serving thread's recv (or blocked send), and every
+/// later send is skipped.
+class FrameSender {
+ public:
+  explicit FrameSender(Socket& sock) : sock_(sock) {}
+
+  /// timeout_ms < 0 (the serving thread) waits as long as the peer takes.
+  bool send(MsgType type, std::span<const std::uint8_t> payload,
+            int timeout_ms = -1) {
+    return send_frame(encode_frame(type, payload), timeout_ms);
+  }
+
+  bool send_frame(std::span<const std::uint8_t> frame, int timeout_ms) {
+    std::unique_lock lock(mu_, std::defer_lock);
+    if (timeout_ms < 0) {
+      lock.lock();
+    } else if (!lock.try_lock_for(std::chrono::milliseconds(timeout_ms))) {
+      drop("timed out waiting for the send lock");
+      return false;
+    }
+    if (broken()) return false;
+    try {
+      sock_.send_all(frame.data(), frame.size(), timeout_ms);
+      return true;
+    } catch (const std::exception& e) {
+      drop(e.what());
+      return false;
+    }
+  }
+
+  bool broken() const { return broken_.load(std::memory_order_acquire); }
+
+ private:
+  void drop(const char* why) {
+    if (broken_.exchange(true, std::memory_order_acq_rel)) return;
+    util::log_warn("evald: send failed, dropping connection: ", why);
+    sock_.shutdown();
+  }
+
+  std::timed_mutex mu_;
+  Socket& sock_;
+  std::atomic<bool> broken_{false};
+};
+
+/// Results handed from the threads that compute them to a connection's
+/// serving thread, the only one that sends. Each of `producers` threads
+/// calls run() once; drain() emits the results on the serving thread as
+/// they arrive and, once every producer has returned, hands back the first
+/// error one threw (to rethrow after joining). stopped() tells producers
+/// to skip the rest of their work: one failed, or the client is gone.
+class ResultQueue {
+ public:
+  explicit ResultQueue(std::size_t producers) : producers_left_(producers) {}
+  ResultQueue(const ResultQueue&) = delete;
+  ResultQueue& operator=(const ResultQueue&) = delete;
+  /// Producers hold references to the queue: even when drain() is left by
+  /// an exception, wait for them before the queue goes away.
+  ~ResultQueue() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [this] { return producers_left_ == 0; });
+  }
+
+  void push(std::uint32_t index, const map::QoR& q) {
+    std::lock_guard lock(mu_);
+    ready_.emplace_back(index, q);
+    cv_.notify_one();
+  }
+
+  /// One producer: `produce` pushes results; what it throws stops the rest.
+  void run(const std::function<void()>& produce) {
+    std::exception_ptr error;
+    try {
+      produce();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Notify under the lock: once the last producer is done, drain() may
+    // return and the queue be destroyed.
+    std::lock_guard lock(mu_);
+    if (error && !error_) error_ = error;
+    if (error) stopped_ = true;
+    --producers_left_;
+    cv_.notify_one();
+  }
+
+  bool stopped() const { return stopped_; }
+
+  std::exception_ptr drain(
+      const std::function<bool(std::uint32_t, const map::QoR&)>& emit) {
+    std::vector<std::pair<std::uint32_t, map::QoR>> batch;
+    std::unique_lock lock(mu_);
+    while (producers_left_ > 0 || !ready_.empty()) {
+      cv_.wait(lock,
+               [this] { return !ready_.empty() || producers_left_ == 0; });
+      batch.swap(ready_);
+      lock.unlock();
+      for (const auto& [index, q] : batch) {
+        if (!emit(index, q)) stopped_ = true;  // the client is gone
+      }
+      batch.clear();
+      lock.lock();
+    }
+    return error_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::pair<std::uint32_t, map::QoR>> ready_;
+  std::size_t producers_left_;
+  std::exception_ptr error_;
+  std::atomic<bool> stopped_{false};
+};
+
+/// Evaluate `flows` on `pool`, one task per flow, and emit each result on
+/// this thread as soon as it completes. Tasks start in request order — a
+/// lexicographic run for coordinator shards — so the prefix cache sees
+/// nearly the order a serial pass would. Nothing waits for a group of
+/// flows to finish, so one shard keeps the whole pool busy while every
+/// result still leaves as its own frame; and pool threads never send, so a
+/// client that stops reading holds up only this thread.
+void stream_on_pool(
+    const core::SynthesisEvaluator& evaluator,
+    const std::vector<core::Flow>& flows, util::ThreadPool& pool,
+    const std::function<bool(std::uint32_t, const map::QoR&)>& emit) {
+  ResultQueue queue(flows.size());
+  for (std::uint32_t i = 0; i < flows.size(); ++i) {
+    pool.submit([&queue, &evaluator, &flow = flows[i], i] {
+      queue.run([&] {
+        if (!queue.stopped()) queue.push(i, evaluator.evaluate(flow));
+      });
+    });
+  }
+  if (const std::exception_ptr error = queue.drain(emit)) {
+    std::rethrow_exception(error);
+  }
+}
+
 }  // namespace
 
-bool serve_frames(Socket& sock, const EvalService& service) {
-  // A store subscription pushes kStoreAppend frames from whatever thread
-  // appends to the store (the evaluator pool, during on_eval), racing this
-  // thread's answer frames — so every send on this socket goes through one
-  // mutex. Uncontended when no subscription exists.
-  auto send_mu = std::make_shared<std::mutex>();
-  std::function<void()> unsubscribe;
-  struct Unsubscribe {
-    std::function<void()>* fn;
-    ~Unsubscribe() {
-      // On every exit path: after this, the push closure (which captures
-      // the socket) is guaranteed not running and never called again.
-      if (*fn) (*fn)();
+bool serve_frames(Socket& sock, const EvalService& service,
+                  ServeStats* stats) {
+  ServeStats unshared;  // counts nobody reads when the caller passes none
+  ServeStats& st = stats ? *stats : unshared;
+  st.connections_total.fetch_add(1, std::memory_order_relaxed);
+  st.connections_open.fetch_add(1, std::memory_order_relaxed);
+  auto sender = std::make_shared<FrameSender>(sock);
+  const auto send_error = [&](std::uint64_t request_id,
+                              const std::string& message,
+                              int timeout_ms = -1) {
+    if (sender->send(MsgType::kError, encode_error({request_id, message}),
+                     timeout_ms)) {
+      st.errors.fetch_add(1, std::memory_order_relaxed);
     }
-  } unsubscribe_guard{&unsubscribe};
-  const auto send = [&sock, &send_mu](MsgType type,
-                                      std::span<const std::uint8_t> payload) {
-    std::lock_guard lock(*send_mu);
-    send_frame(sock, type, payload);
   };
-  while (true) {
+  std::function<void()> unsubscribe;
+  struct Cleanup {
+    std::function<void()>& unsubscribe;
+    ServeStats& st;
+    ~Cleanup() {
+      // On every exit path: after this, the push closure (which captures
+      // the sender) is guaranteed not running and never called again.
+      if (unsubscribe) unsubscribe();
+      st.connections_open.fetch_sub(1, std::memory_order_relaxed);
+    }
+  } cleanup{unsubscribe, st};
+  while (!sender->broken()) {
     std::optional<Frame> frame;
     try {
       frame = recv_frame(sock);
@@ -133,13 +278,12 @@ bool serve_frames(Socket& sock, const EvalService& service) {
         case MsgType::kHello: {
           const HelloMsg hello = decode_hello(frame->payload);
           if (hello.version != kProtocolVersion) {
-            send(MsgType::kError,
-                       encode_error({0, "unsupported protocol version " +
-                                            std::to_string(hello.version)}));
+            send_error(0, "unsupported protocol version " +
+                              std::to_string(hello.version));
             break;
           }
-          send(MsgType::kHelloAck,
-                     encode_hello_ack(service.on_hello(hello)));
+          sender->send(MsgType::kHelloAck,
+                       encode_hello_ack(service.on_hello(hello)));
           break;
         }
         case MsgType::kLoadDesign: {
@@ -148,8 +292,7 @@ bool serve_frames(Socket& sock, const EvalService& service) {
           aig::Aig design = aig::decode_binary(frame->payload);
           const aig::Fingerprint fp =
               service.on_load_design(std::move(design), frame->payload);
-          send(MsgType::kLoadDesignAck,
-                     encode_load_design_ack(fp));
+          sender->send(MsgType::kLoadDesignAck, encode_load_design_ack(fp));
           break;
         }
         case MsgType::kLoadRegistry: {
@@ -159,8 +302,8 @@ bool serve_frames(Socket& sock, const EvalService& service) {
               opt::TransformRegistry::decode(frame->payload);
           const opt::RegistryFingerprint fp =
               service.on_load_registry(std::move(registry), frame->payload);
-          send(MsgType::kLoadRegistryAck,
-                     encode_load_registry_ack(fp));
+          sender->send(MsgType::kLoadRegistryAck,
+                       encode_load_registry_ack(fp));
           break;
         }
         case MsgType::kEvalRequest: {
@@ -168,6 +311,9 @@ bool serve_frames(Socket& sock, const EvalService& service) {
           telemetry::Span span("serve", "handle_eval");
           span.arg("request_id", req.request_id);
           span.arg("flows", static_cast<std::uint64_t>(req.flows.size()));
+          st.requests.fetch_add(1, std::memory_order_relaxed);
+          st.flows_received.fetch_add(req.flows.size(),
+                                      std::memory_order_relaxed);
           std::vector<core::Flow> flows;
           flows.reserve(req.flows.size());
           for (core::StepsKey& steps : req.flows) {
@@ -176,87 +322,52 @@ bool serve_frames(Socket& sock, const EvalService& service) {
           // Watchdog: a hung transform answers the request with a typed
           // Error *now* (the client requeues the shard elsewhere) instead
           // of wedging this connection until the client's timeout drops
-          // the whole worker. The expire closure swallows transport errors
-          // — it runs on the watchdog thread, where a throw would
-          // terminate the process.
-          EvalWatchdog watchdog(
-              service.eval_budget_ms, [&send, id = req.request_id] {
-                try {
-                  send(MsgType::kError,
-                       encode_error({id, kBudgetExceededMsg}));
-                } catch (const std::exception&) {
-                }
-              });
-          if ((req.flags & kFlagStreamResults) != 0) {
-            // v4 streamed answer: one EvalResult per flow as it completes,
-            // then ShardDone with the emitted count and a CRC-32 chained
-            // over the 32-byte QoR records in emission order.
-            std::uint32_t count = 0;
-            std::uint32_t crc = 0;
-            const auto emit = [&](std::uint32_t index, const map::QoR& q) {
-              if (!watchdog.expired()) {
-                send(MsgType::kEvalResult,
-                     encode_eval_result({req.request_id, index, q}));
-              }
-              const auto record = qor_record_bytes(q);
-              crc = util::crc32(record, crc);
-              ++count;
-            };
-            try {
-              if (service.on_eval_stream) {
-                service.on_eval_stream(req.design, req.registry,
-                                       std::move(flows), emit);
-              } else {
-                const std::vector<map::QoR> results = service.on_eval(
-                    req.design, req.registry, std::move(flows));
-                for (std::size_t i = 0; i < results.size(); ++i) {
-                  emit(static_cast<std::uint32_t>(i), results[i]);
-                }
-              }
-            } catch (const TransportError&) {
-              throw;  // stream broken mid-emit — the connection is gone
-            } catch (const std::exception& e) {
-              // Evaluator failure: already-emitted results stand (they are
-              // correct and the client applied them); the error closes the
-              // rest of the stream.
-              if (!watchdog.expired()) {
-                send(MsgType::kError,
-                     encode_error({req.request_id, e.what()}));
-              }
-              break;
+          // the whole worker.
+          EvalWatchdog watchdog(service.eval_budget_ms,
+                                [&send_error, id = req.request_id] {
+                                  send_error(id, kBudgetExceededMsg,
+                                             kSendTimeoutMs);
+                                });
+          // One EvalResult per flow as it completes, then ShardDone with
+          // the emitted count and a CRC-32 chained over the 32-byte QoR
+          // records in emission order.
+          std::uint32_t emitted = 0;
+          std::uint32_t crc = 0;
+          const auto emit = [&](std::uint32_t index, const map::QoR& q) {
+            crc = util::crc32(qor_record_bytes(q), crc);
+            ++emitted;
+            if (watchdog.expired()) return true;
+            if (!sender->send(MsgType::kEvalResult,
+                              encode_eval_result({req.request_id, index, q}))) {
+              return false;
             }
-            // Budget blown: the watchdog already answered with an Error;
-            // a trailing ShardDone would be a stale frame.
-            if (watchdog.expired()) break;
-            send(MsgType::kShardDone,
-                       encode_shard_done({req.request_id, count, crc}));
-            break;
-          }
-          EvalResponseMsg resp;
-          resp.request_id = req.request_id;
+            st.results_streamed.fetch_add(1, std::memory_order_relaxed);
+            return true;
+          };
           try {
-            resp.results =
-                service.on_eval(req.design, req.registry, std::move(flows));
+            service.on_eval(req.design, req.registry, std::move(flows), emit);
           } catch (const std::exception& e) {
-            if (!watchdog.expired()) {
-              send(MsgType::kError,
-                   encode_error({req.request_id, e.what()}));
-            }
+            // Evaluator failure: already-emitted results stand (they are
+            // correct and the client applied them); the error closes the
+            // rest of the stream.
+            if (!watchdog.expired()) send_error(req.request_id, e.what());
             break;
           }
+          // Budget blown: the watchdog already answered with an Error;
+          // a trailing ShardDone would be a stale frame.
           if (watchdog.expired()) break;
-          send(MsgType::kEvalResponse,
-                     encode_eval_response(resp));
+          sender->send(MsgType::kShardDone,
+                       encode_shard_done({req.request_id, emitted, crc}));
           break;
         }
         case MsgType::kPing:
-          send(MsgType::kPong, frame->payload);
+          sender->send(MsgType::kPong, frame->payload);
           break;
         case MsgType::kGetMetrics: {
-          serve_metrics().scrapes.inc();
-          send(MsgType::kMetricsText,
-                     encode_metrics_text({decode_u64(frame->payload),
-                                          telemetry::render_prometheus()}));
+          scrapes_answered().inc();
+          sender->send(MsgType::kMetricsText,
+                       encode_metrics_text({decode_u64(frame->payload),
+                                            telemetry::render_prometheus()}));
           break;
         }
         case MsgType::kStoreSubscribe: {
@@ -269,19 +380,17 @@ bool serve_frames(Socket& sock, const EvalService& service) {
               unsubscribe();
               unsubscribe = nullptr;
             }
+            // The push runs under the store's mutex, so a subscriber that
+            // stopped reading must cost a cancelled stream, not wedged
+            // appends — hence the bounded wait.
             unsubscribe = service.on_store_subscribe(
                 sub.registry,
-                [send_mu, &sock](std::vector<std::uint8_t> frame_bytes) {
-                  std::lock_guard lock(*send_mu);
-                  try {
-                    // Bounded wait: the push runs under the store's mutex,
-                    // so a subscriber that stopped reading must cost a
-                    // cancelled stream, not wedged appends.
-                    sock.send_all(frame_bytes.data(), frame_bytes.size(),
-                                  5000);
-                  } catch (const std::exception&) {
-                    return false;  // connection gone — cancel the stream
+                [sender, &st](std::vector<std::uint8_t> frame_bytes) {
+                  if (!sender->send_frame(frame_bytes, kSendTimeoutMs)) {
+                    return false;
                   }
+                  st.store_appends_streamed.fetch_add(
+                      1, std::memory_order_relaxed);
                   return true;
                 });
           }
@@ -290,472 +399,74 @@ bool serve_frames(Socket& sock, const EvalService& service) {
         case MsgType::kShutdown:
           return true;
         default:
-          send(MsgType::kError,
-                     encode_error({0, "unexpected message type"}));
+          send_error(0, "unexpected message type");
           break;
       }
-    } catch (const TransportError& e) {
-      util::log_warn("evald: send failed: ", e.what());
-      return false;
     } catch (const std::exception& e) {
       // Bad payloads / rejected hellos / rejected designs: report and keep
-      // serving. If even the error report fails the connection is gone.
-      try {
-        send(MsgType::kError, encode_error({0, e.what()}));
-      } catch (const std::exception&) {
-        return false;
-      }
+      // serving.
+      send_error(0, e.what());
     }
   }
+  return false;  // a send failed and dropped the connection
 }
-
-namespace {
-
-// --------------------------------------------------------- the serve loop --
-//
-// One reactor thread owns the listener, the wake pipe, and every
-// connection's FrameConn; ServeOptions::eval_threads executor threads run
-// the actual evaluations. Control frames (Hello, LoadDesign, LoadRegistry,
-// Ping, Shutdown) are handled inline on the loop thread — they are cheap —
-// while each EvalRequest becomes an executor task whose result frames
-// (streamed EvalResults + ShardDone, a whole-shard EvalResponse, or an
-// Error) travel back through a mutex-guarded completion queue that wakes
-// the loop via the self-pipe. A slow shard therefore never delays accepts,
-// pings, or another client's frames, and two requests on one connection
-// may evaluate concurrently (their frames interleave; request ids keep
-// them apart — the v4 contract).
-
-class ServeLoop {
-public:
-  ServeLoop(Listener& listener,
-            const std::function<EvalService()>& make_service,
-            const ServeOptions& options)
-      : listener_(listener),
-        make_service_(make_service),
-        stats_(options.stats) {
-    const std::size_t n = std::max<std::size_t>(1, options.eval_threads);
-    executors_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      executors_.emplace_back([this] { executor_main(); });
-    }
-  }
-
-  ~ServeLoop() {
-    // Cancel surviving subscriptions first (run() can exit with live
-    // connections on a hard accept failure): their listeners capture
-    // `this` and must never fire into a destroyed loop.
-    for (auto& [id, conn] : conns_) {
-      if (conn->store_unsubscribe) conn->store_unsubscribe();
-    }
-    {
-      std::lock_guard lock(mu_);
-      executors_stop_ = true;
-    }
-    tasks_cv_.notify_all();
-    for (std::thread& t : executors_) t.join();
-  }
-
-  void run() {
-    poller_.add(listener_.fd(), true, false, kListenerTag);
-    poller_.add(wake_.read_fd(), true, false, kWakeTag);
-    while (!(stop_accepting_ && conns_.empty())) {
-      serve_metrics().loop_iterations.inc();
-      const auto& events = poller_.wait(-1);
-      for (const Poller::Event& ev : events) {
-        if (ev.tag == kWakeTag) {
-          wake_.drain();
-        } else if (ev.tag == kListenerTag) {
-          accept_ready();
-        } else {
-          on_conn_event(ev);
-        }
-      }
-      drain_completions();
-    }
-  }
-
-private:
-  static constexpr std::uint64_t kListenerTag = 0;
-  static constexpr std::uint64_t kWakeTag = 1;
-  static constexpr std::uint64_t kFirstConnId = 2;
-
-  struct Conn {
-    std::uint64_t id = 0;
-    FrameConn frame_conn;
-    std::shared_ptr<EvalService> service;
-    std::size_t evals_pending = 0;
-    /// Executor tasks check this before posting: a dropped connection's
-    /// late results go nowhere instead of to a recycled id.
-    std::shared_ptr<std::atomic<bool>> gone =
-        std::make_shared<std::atomic<bool>>(false);
-    /// Cancels this connection's store subscription (null when none).
-    std::function<void()> store_unsubscribe;
-
-    Conn(std::uint64_t id_, Socket sock, std::shared_ptr<EvalService> svc)
-        : id(id_), frame_conn(std::move(sock)), service(std::move(svc)) {}
-  };
-
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::vector<std::uint8_t> frame_bytes;  ///< empty for task-done marks
-    bool task_done = false;
-  };
-
-  void accept_ready() {
-    while (true) {
-      Socket sock;
-      try {
-        sock = listener_.accept(0);
-      } catch (const AcceptTimeout&) {
-        return;  // drained the backlog
-      }
-      // TransportError propagates: a hard accept failure (fd exhaustion,
-      // dead listener) must surface, not spin.
-      if (stop_accepting_) continue;  // drop latecomers during drain
-      util::log_info("evald: client connected");
-      const std::uint64_t id = next_conn_id_++;
-      auto conn = std::make_unique<Conn>(
-          id, std::move(sock),
-          std::make_shared<EvalService>(make_service_()));
-      poller_.add(conn->frame_conn.fd(), true, false, id);
-      conns_.emplace(id, std::move(conn));
-      if (stats_) {
-        stats_->connections_total.fetch_add(1, std::memory_order_relaxed);
-        stats_->connections_open.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  void on_conn_event(const Poller::Event& ev) {
-    const auto it = conns_.find(ev.tag);
-    if (it == conns_.end()) return;  // raced a drop in this batch of events
-    Conn& conn = *it->second;
-    if (ev.writable) {
-      if (conn.frame_conn.on_writable() == FrameConn::Io::kError) {
-        drop_conn(ev.tag, "write failed");
-        return;
-      }
-    }
-    if (ev.readable || ev.error) {
-      std::vector<Frame> frames;
-      const FrameConn::Io io = conn.frame_conn.on_readable(frames);
-      for (Frame& frame : frames) {
-        if (!handle_frame(conn, frame)) {
-          drop_conn(ev.tag, "shutdown");
-          return;
-        }
-      }
-      if (io == FrameConn::Io::kEof) {
-        util::log_info("evald: client disconnected");
-        drop_conn(ev.tag, nullptr);
-        return;
-      }
-      if (io == FrameConn::Io::kError) {
-        drop_conn(ev.tag, "connection error");
-        return;
-      }
-    }
-    update_interest(conn);
-  }
-
-  /// Returns false when the client requested Shutdown.
-  bool handle_frame(Conn& conn, Frame& frame) {
-    const EvalService& service = *conn.service;
-    try {
-      switch (frame.type) {
-        case MsgType::kHello: {
-          const HelloMsg hello = decode_hello(frame.payload);
-          if (hello.version != kProtocolVersion) {
-            enqueue_error(conn, 0,
-                          "unsupported protocol version " +
-                              std::to_string(hello.version));
-            break;
-          }
-          conn.frame_conn.enqueue(MsgType::kHelloAck,
-                                  encode_hello_ack(service.on_hello(hello)));
-          break;
-        }
-        case MsgType::kLoadDesign: {
-          aig::Aig design = aig::decode_binary(frame.payload);
-          const aig::Fingerprint fp =
-              service.on_load_design(std::move(design), frame.payload);
-          conn.frame_conn.enqueue(MsgType::kLoadDesignAck,
-                                  encode_load_design_ack(fp));
-          break;
-        }
-        case MsgType::kLoadRegistry: {
-          std::shared_ptr<const opt::TransformRegistry> registry =
-              opt::TransformRegistry::decode(frame.payload);
-          const opt::RegistryFingerprint fp =
-              service.on_load_registry(std::move(registry), frame.payload);
-          conn.frame_conn.enqueue(MsgType::kLoadRegistryAck,
-                                  encode_load_registry_ack(fp));
-          break;
-        }
-        case MsgType::kEvalRequest:
-          submit_eval(conn, decode_eval_request(frame.payload));
-          break;
-        case MsgType::kPing:
-          conn.frame_conn.enqueue(MsgType::kPong, frame.payload);
-          break;
-        case MsgType::kGetMetrics:
-          // Scrapes render inline on the loop thread: the page is a few
-          // tens of KB of lock-light reads, far below an accept+handshake.
-          serve_metrics().scrapes.inc();
-          conn.frame_conn.enqueue(
-              MsgType::kMetricsText,
-              encode_metrics_text({decode_u64(frame.payload),
-                                   telemetry::render_prometheus()}));
-          break;
-        case MsgType::kStoreSubscribe: {
-          // Runs on the loop thread; pushes arrive later from appending
-          // threads and travel through the completion queue like streamed
-          // results. No ack, never an Error (see serve_frames).
-          const StoreSubscribeMsg sub = decode_store_subscribe(frame.payload);
-          if (service.on_store_subscribe) {
-            if (conn.store_unsubscribe) {
-              conn.store_unsubscribe();
-              conn.store_unsubscribe = nullptr;
-            }
-            conn.store_unsubscribe = service.on_store_subscribe(
-                sub.registry,
-                [this, gone = conn.gone, conn_id = conn.id](
-                    std::vector<std::uint8_t> frame_bytes) {
-                  if (gone->load(std::memory_order_acquire)) return false;
-                  if (stats_) {
-                    stats_->store_appends_streamed.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                  post(conn_id, std::move(frame_bytes));
-                  return true;
-                });
-          }
-          break;
-        }
-        case MsgType::kShutdown:
-          util::log_info("evald: shutdown requested");
-          stop_accepting_ = true;
-          poller_.del(listener_.fd());
-          return false;
-        default:
-          enqueue_error(conn, 0, "unexpected message type");
-          break;
-      }
-    } catch (const std::exception& e) {
-      // Bad payloads / rejected hellos / rejected designs: report on the
-      // wire and keep the connection.
-      enqueue_error(conn, 0, e.what());
-    }
-    return true;
-  }
-
-  void submit_eval(Conn& conn, EvalRequestMsg req) {
-    if (stats_) {
-      stats_->requests.fetch_add(1, std::memory_order_relaxed);
-      stats_->flows_received.fetch_add(req.flows.size(),
-                                       std::memory_order_relaxed);
-    }
-    ++conn.evals_pending;
-    serve_metrics().eval_queue_depth.add(1.0);
-    auto task = [this, service = conn.service, gone = conn.gone,
-                 conn_id = conn.id, req = std::move(req)]() mutable {
-      run_eval(*service, *gone, conn_id, std::move(req));
-    };
-    {
-      std::lock_guard lock(mu_);
-      tasks_.push_back(std::move(task));
-    }
-    tasks_cv_.notify_one();
-  }
-
-  /// Executor-side: evaluate one request and post its answer frames.
-  void run_eval(const EvalService& service, const std::atomic<bool>& gone,
-                std::uint64_t conn_id, EvalRequestMsg req) {
-    telemetry::Span span("serve", "run_eval");
-    span.arg("request_id", req.request_id);
-    span.arg("flows", static_cast<std::uint64_t>(req.flows.size()));
-    std::vector<core::Flow> flows;
-    flows.reserve(req.flows.size());
-    for (core::StepsKey& steps : req.flows) {
-      flows.push_back(core::Flow{std::move(steps)});
-    }
-    const bool streamed = (req.flags & kFlagStreamResults) != 0;
-    // Watchdog: a hung transform turns into a typed Error frame while the
-    // evaluation is still running — the executor slot stays busy until the
-    // transform returns, but the client requeues immediately instead of
-    // timing the whole worker out. post() is thread-safe, so the expire
-    // closure needs no extra guarding.
-    EvalWatchdog watchdog(
-        service.eval_budget_ms, [this, conn_id, id = req.request_id] {
-          post(conn_id, encode_frame(MsgType::kError,
-                                     encode_error({id, kBudgetExceededMsg})));
-          if (stats_) stats_->errors.fetch_add(1, std::memory_order_relaxed);
-        });
-    try {
-      if (streamed) {
-        std::uint32_t count = 0;
-        std::uint32_t crc = 0;
-        const auto emit = [&](std::uint32_t index, const map::QoR& q) {
-          if (!gone.load(std::memory_order_acquire) && !watchdog.expired()) {
-            post(conn_id,
-                 encode_frame(MsgType::kEvalResult,
-                              encode_eval_result({req.request_id, index, q})));
-            if (stats_) {
-              stats_->results_streamed.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            }
-          }
-          const auto record = qor_record_bytes(q);
-          crc = util::crc32(record, crc);
-          ++count;
-        };
-        if (service.on_eval_stream) {
-          service.on_eval_stream(req.design, req.registry, std::move(flows),
-                                 emit);
-        } else {
-          const std::vector<map::QoR> results =
-              service.on_eval(req.design, req.registry, std::move(flows));
-          for (std::size_t i = 0; i < results.size(); ++i) {
-            emit(static_cast<std::uint32_t>(i), results[i]);
-          }
-        }
-        if (!watchdog.expired()) {
-          post(conn_id,
-               encode_frame(MsgType::kShardDone,
-                            encode_shard_done({req.request_id, count, crc})));
-        }
-      } else {
-        EvalResponseMsg resp;
-        resp.request_id = req.request_id;
-        resp.results =
-            service.on_eval(req.design, req.registry, std::move(flows));
-        if (!watchdog.expired()) {
-          post(conn_id, encode_frame(MsgType::kEvalResponse,
-                                     encode_eval_response(resp)));
-          if (stats_) {
-            stats_->responses.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    } catch (const std::exception& e) {
-      if (!watchdog.expired()) {
-        post(conn_id, encode_frame(MsgType::kError,
-                                   encode_error({req.request_id, e.what()})));
-        if (stats_) stats_->errors.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    post_task_done(conn_id);
-  }
-
-  void post(std::uint64_t conn_id, std::vector<std::uint8_t> frame_bytes) {
-    {
-      std::lock_guard lock(mu_);
-      completions_.push_back(Completion{conn_id, std::move(frame_bytes),
-                                        false});
-    }
-    wake_.notify();
-  }
-
-  void post_task_done(std::uint64_t conn_id) {
-    {
-      std::lock_guard lock(mu_);
-      completions_.push_back(Completion{conn_id, {}, true});
-    }
-    wake_.notify();
-  }
-
-  void drain_completions() {
-    std::deque<Completion> batch;
-    {
-      std::lock_guard lock(mu_);
-      batch.swap(completions_);
-    }
-    for (Completion& c : batch) {
-      // Depth counts submitted-but-unfinished tasks, so the task_done mark
-      // decrements it even when its connection is already gone.
-      if (c.task_done) serve_metrics().eval_queue_depth.sub(1.0);
-      const auto it = conns_.find(c.conn_id);
-      if (it == conns_.end()) continue;  // connection already dropped
-      Conn& conn = *it->second;
-      if (c.task_done) {
-        if (conn.evals_pending > 0) --conn.evals_pending;
-      } else if (conn.frame_conn.enqueue_bytes(std::move(c.frame_bytes)) ==
-                 FrameConn::Io::kError) {
-        drop_conn(c.conn_id, "write failed");
-        continue;
-      }
-      update_interest(conn);
-    }
-  }
-
-  void update_interest(Conn& conn) {
-    poller_.mod(conn.frame_conn.fd(), true, conn.frame_conn.want_write(),
-                conn.id);
-  }
-
-  void drop_conn(std::uint64_t id, const char* why) {
-    const auto it = conns_.find(id);
-    if (it == conns_.end()) return;
-    if (why != nullptr) util::log_info("evald: dropping connection: ", why);
-    it->second->gone->store(true, std::memory_order_release);
-    // Synchronous cancel (mu_ is not held here — the lock order is store
-    // mutex -> mu_, and unsubscribe takes the store mutex): after this no
-    // listener will post() for the dying id.
-    if (it->second->store_unsubscribe) it->second->store_unsubscribe();
-    poller_.del(it->second->frame_conn.fd());
-    conns_.erase(it);
-    if (stats_) {
-      stats_->connections_open.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-
-  void executor_main() {
-    while (true) {
-      std::function<void()> task;
-      {
-        std::unique_lock lock(mu_);
-        tasks_cv_.wait(lock,
-                       [this] { return executors_stop_ || !tasks_.empty(); });
-        if (tasks_.empty()) return;  // stopping and drained
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      }
-      task();
-    }
-  }
-
-  Listener& listener_;
-  const std::function<EvalService()>& make_service_;
-  ServeStats* stats_;
-
-  Poller poller_;
-  WakePipe wake_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-  std::uint64_t next_conn_id_ = kFirstConnId;
-  bool stop_accepting_ = false;
-
-  std::mutex mu_;  ///< guards tasks_, completions_, executors_stop_
-  std::condition_variable tasks_cv_;
-  std::deque<std::function<void()>> tasks_;
-  std::deque<Completion> completions_;
-  bool executors_stop_ = false;
-  std::vector<std::thread> executors_;
-
-  void enqueue_error(Conn& conn, std::uint64_t request_id,
-                     const std::string& message) {
-    conn.frame_conn.enqueue(MsgType::kError,
-                            encode_error({request_id, message}));
-    if (stats_) stats_->errors.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-}  // namespace
 
 void serve_connections(Listener& listener,
                        const std::function<EvalService()>& make_service,
-                       const ServeOptions& options) {
-  ServeLoop loop(listener, make_service, options);
-  loop.run();
+                       ServeStats* stats) {
+  struct Connection {
+    Socket sock;
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::atomic<bool> stop{false};
+  std::list<Connection> connections;  // stable addresses for the threads
+  const auto reap = [&connections](bool all) {
+    connections.remove_if([all](Connection& c) {
+      if (!all && !c.done.load(std::memory_order_acquire)) return false;
+      if (c.thread.joinable()) c.thread.join();
+      return true;
+    });
+  };
+  try {
+    while (true) {
+      reap(false);
+      const bool draining = stop.load(std::memory_order_acquire);
+      if (draining && connections.empty()) break;
+      Socket sock;
+      try {
+        sock = listener.accept(kAcceptPollMs);
+      } catch (const AcceptTimeout&) {
+        continue;  // re-check the stop flag and reap
+      }
+      if (draining) {
+        // After a Shutdown a latecomer (a coordinator re-dialing, say) is
+        // hung up on at once instead of waiting in the backlog unanswered.
+        util::log_info("evald: draining, closing a new connection");
+        continue;
+      }
+      util::log_info("evald: client connected");
+      Connection& c = connections.emplace_back();
+      c.sock = std::move(sock);
+      c.thread = std::thread([&stop, &make_service, stats, &c] {
+        try {
+          if (serve_frames(c.sock, make_service(), stats)) {
+            util::log_info("evald: shutdown requested");
+            stop.store(true, std::memory_order_release);
+          }
+        } catch (const std::exception& e) {
+          util::log_warn("evald: connection failed: ", e.what());
+        }
+        c.done.store(true, std::memory_order_release);
+      });
+    }
+  } catch (...) {
+    // A hard accept failure (fd exhaustion, dead listener) surfaces now:
+    // hang up on the open connections so their threads return promptly.
+    for (Connection& c : connections) c.sock.shutdown();
+    reap(true);
+    throw;
+  }
 }
 
 EvalWorker::EvalWorker(WorkerOptions options) : options_(std::move(options)) {
@@ -970,33 +681,17 @@ EvalService EvalWorker::make_service() {
         return load_registry(std::move(registry));
       };
   service.eval_budget_ms = options_.eval_budget_ms;
-  service.on_eval = [this](const aig::Fingerprint& fp,
-                           const opt::RegistryFingerprint& registry,
-                           std::vector<core::Flow> flows) {
-    // Chaos hooks: "worker.eval.pre" fires once per request,
-    // "worker.eval.flow" is keyed by the hex of a flow's step bytes so a
-    // *specific* flow can be made poisonous (crash/delay/error follows it
-    // to whichever worker it is requeued on). Both compile out under
-    // -DFLOWGEN_FAILPOINTS=OFF and cost one relaxed load when idle.
-    FLOWGEN_FAILPOINT("worker.eval.pre");
-    for (const core::Flow& f : flows) {
-      FLOWGEN_FAILPOINT_KEYED(
-          "worker.eval.flow",
-          util::failpoint::key_hex(f.steps.data(),
-                                   f.steps.size() * sizeof(opt::StepId)));
-    }
-    // Evaluate outside the designs lock: evaluators are thread-safe, so
-    // concurrent connections on the same design share its warm caches.
-    const std::shared_ptr<core::SynthesisEvaluator> evaluator =
-        evaluator_for(fp, registry);
-    return evaluator->evaluate_many(flows, pool_.get());
-  };
-  service.on_eval_stream =
+  service.on_eval =
       [this](const aig::Fingerprint& fp,
              const opt::RegistryFingerprint& registry,
              std::vector<core::Flow> flows,
-             const std::function<void(std::uint32_t, const map::QoR&)>&
+             const std::function<bool(std::uint32_t, const map::QoR&)>&
                  emit) {
+        // Chaos hooks: "worker.eval.pre" fires once per request,
+        // "worker.eval.flow" is keyed by the hex of a flow's step bytes so a
+        // *specific* flow can be made poisonous (crash/delay/error follows
+        // it to whichever worker it is requeued on). Both compile out under
+        // -DFLOWGEN_FAILPOINTS=OFF and cost one relaxed load when idle.
         FLOWGEN_FAILPOINT("worker.eval.pre");
         for (const core::Flow& f : flows) {
           FLOWGEN_FAILPOINT_KEYED(
@@ -1004,26 +699,24 @@ EvalService EvalWorker::make_service() {
               util::failpoint::key_hex(f.steps.data(),
                                        f.steps.size() * sizeof(opt::StepId)));
         }
+        // Evaluate outside the designs lock: evaluators are thread-safe, so
+        // concurrent connections on the same design share its warm caches.
         const std::shared_ptr<core::SynthesisEvaluator> evaluator =
             evaluator_for(fp, registry);
-        // Evaluate in chunks of `threads` flows so the pool stays busy yet
-        // every completed flow leaves as its own EvalResult frame — the
-        // coordinator applies (and persists) it immediately, and a crash
-        // between chunks forfeits at most one chunk. The request arrives
-        // pre-sorted (coordinator shards are lexicographic runs), so
-        // chunking keeps the prefix cache exactly as warm as one big
-        // evaluate_many would.
-        const std::size_t chunk = std::max<std::size_t>(1, options_.threads);
-        std::size_t base = 0;
-        while (base < flows.size()) {
-          const std::size_t n = std::min(chunk, flows.size() - base);
-          const std::span<const core::Flow> slice(flows.data() + base, n);
-          const std::vector<map::QoR> qors =
-              evaluator->evaluate_many(slice, pool_.get());
-          for (std::size_t k = 0; k < n; ++k) {
-            emit(static_cast<std::uint32_t>(base + k), qors[k]);
+        if (pool_) {
+          stream_on_pool(*evaluator, flows, *pool_, emit);
+          return;
+        }
+        // One flow at a time, each result sent as it completes: the
+        // coordinator applies (and persists) it at once. The request
+        // arrives pre-sorted (coordinator shards are lexicographic runs),
+        // so each flow resumes from the prefix its predecessor cached.
+        for (std::size_t i = 0; i < flows.size(); ++i) {
+          // The connection is gone: nobody will read the rest.
+          if (!emit(static_cast<std::uint32_t>(i),
+                    evaluator->evaluate(flows[i]))) {
+            return;
           }
-          base += n;
         }
       };
   service.on_store_subscribe =
@@ -1061,7 +754,7 @@ EvalService EvalWorker::make_service() {
 }
 
 bool EvalWorker::serve(Socket& sock) {
-  return serve_frames(sock, make_service());
+  return serve_frames(sock, make_service(), &serve_stats_);
 }
 
 void apply_worker_rlimits(const WorkerOptions& options) {
@@ -1099,7 +792,6 @@ std::string worker_admin_text(const EvalWorker& worker,
        << "requests " << s.requests.load() << '\n'
        << "flows_received " << s.flows_received.load() << '\n'
        << "results_streamed " << s.results_streamed.load() << '\n'
-       << "responses " << s.responses.load() << '\n'
        << "errors " << s.errors.load() << '\n'
        << "store_appends_streamed " << s.store_appends_streamed.load() << '\n'
        << "designs_loaded " << worker.num_designs() << '\n';
@@ -1164,13 +856,8 @@ std::string worker_admin_text(const EvalWorker& worker,
 }
 
 void EvalWorker::serve_forever(Listener& listener) {
-  ServeOptions options;
-  options.eval_threads = std::max<std::size_t>(1, options_.serve_threads);
-  options.stats = &serve_stats_;
-  const std::function<EvalService()> factory = [this] {
-    return make_service();
-  };
-  serve_connections(listener, factory, options);
+  serve_connections(listener, [this] { return make_service(); },
+                    &serve_stats_);
 }
 
 EvalService make_coordinator_service(EvalCoordinator& coordinator) {
@@ -1217,29 +904,33 @@ EvalService make_coordinator_service(EvalCoordinator& coordinator) {
         }
         return fp;
       };
-  svc.on_eval = [&coordinator](const aig::Fingerprint& fp,
-                               const opt::RegistryFingerprint& registry,
-                               std::vector<core::Flow> flows) {
-    // The fingerprint check and the batch submission are atomic inside the
-    // coordinator — a plain check-then-evaluate would race a concurrent
-    // client's load_design/load_registry.
-    return coordinator.evaluate_many_for(fp, registry, flows);
-  };
-  svc.on_eval_stream =
+  svc.on_eval =
       [&coordinator](const aig::Fingerprint& fp,
                      const opt::RegistryFingerprint& registry,
                      std::vector<core::Flow> flows,
-                     const std::function<void(std::uint32_t, const map::QoR&)>&
+                     const std::function<bool(std::uint32_t, const map::QoR&)>&
                          emit) {
-        // Fleets compose under streaming too: results land from the
-        // coordinator's event loop as its workers stream them, and every
-        // one is forwarded upward immediately (the emit is thread-safe —
-        // it posts to the serve loop's completion queue).
-        coordinator.evaluate_many_for(
-            fp, registry, flows,
-            [&emit](std::size_t index, const map::QoR& q) {
-              emit(static_cast<std::uint32_t>(index), q);
-            });
+        // The fingerprint check and the batch submission are atomic inside
+        // the coordinator — a plain check-then-evaluate would race a
+        // concurrent client's load_design/load_registry. Fleets compose
+        // under streaming: results land on the coordinator's loop thread as
+        // its workers stream them. That thread serves every worker and
+        // every client's batch, so it must never wait on this client's
+        // socket: it only queues each result, and this connection's own
+        // thread forwards the queue while a helper thread runs the batch.
+        ResultQueue queue(1);
+        std::jthread batch([&] {
+          queue.run([&] {
+            coordinator.evaluate_many_for(
+                fp, registry, flows,
+                [&queue](std::size_t index, const map::QoR& q) {
+                  queue.push(static_cast<std::uint32_t>(index), q);
+                });
+          });
+        });
+        const std::exception_ptr error = queue.drain(emit);
+        batch.join();
+        if (error) std::rethrow_exception(error);
       };
   return svc;
 }

@@ -67,25 +67,21 @@ struct EvalService {
       std::span<const std::uint8_t> blob)>
       on_load_registry;
   /// Evaluate a batch against the design with fingerprint `design`, whose
-  /// step bytes are ids into the alphabet with fingerprint `registry`;
-  /// results must keep flow order. Throw (e.g. design or registry not
-  /// loaded) to answer with an Error frame carrying the request id.
-  std::function<std::vector<map::QoR>(const aig::Fingerprint& design,
-                                      const opt::RegistryFingerprint& registry,
-                                      std::vector<core::Flow> flows)>
-      on_eval;
-  /// v4 streamed evaluation: call emit(index, qor) once per flow as results
-  /// complete (index = the flow's position in `flows`; order is free). The
-  /// serve loop turns every emit into an EvalResult frame and closes the
-  /// stream with ShardDone (count + CRC). Throwing mid-stream answers with
-  /// an Error frame; already-emitted results stand and the client requeues
-  /// only the rest. Optional — when unset, streamed requests fall back to
-  /// on_eval and the loop emits the returned batch itself.
+  /// step bytes are ids into the alphabet with fingerprint `registry`: call
+  /// emit(index, qor) once per flow as results complete (index = the flow's
+  /// position in `flows`; order is free). The serve loop turns every emit
+  /// into an EvalResult frame and closes the stream with ShardDone (count +
+  /// CRC). emit must be called on the thread that called on_eval, where it
+  /// waits for the client to read like any blocking send; it never throws,
+  /// returns false once the connection is gone, and the handler may then
+  /// stop early. Throwing (e.g. design or registry not loaded) answers with an
+  /// Error frame carrying the request id; already-emitted results stand and
+  /// the client requeues only the rest.
   std::function<void(
       const aig::Fingerprint& design, const opt::RegistryFingerprint& registry,
       std::vector<core::Flow> flows,
-      const std::function<void(std::uint32_t, const map::QoR&)>& emit)>
-      on_eval_stream;
+      const std::function<bool(std::uint32_t, const map::QoR&)>& emit)>
+      on_eval;
   /// kStoreSubscribe: stream the QoR store's appends for `registry` to this
   /// connection. `push` takes one fully encoded kStoreAppend frame and
   /// returns false when the connection is gone (which cancels the
@@ -109,46 +105,36 @@ struct EvalService {
   int eval_budget_ms = 0;
 };
 
-/// Live counters of one serve loop, readable from any thread while the
-/// loop runs — the data behind `evald --admin`.
+/// Live serve counters, shared by every connection of one worker and
+/// readable from any thread while they are served — the data behind
+/// `evald --admin`.
 struct ServeStats {
   std::atomic<std::size_t> connections_total{0};
   std::atomic<std::size_t> connections_open{0};
   std::atomic<std::size_t> requests{0};         ///< EvalRequests accepted
   std::atomic<std::size_t> flows_received{0};   ///< flows across requests
-  std::atomic<std::size_t> results_streamed{0}; ///< EvalResult frames queued
-  std::atomic<std::size_t> responses{0};        ///< whole-shard responses
-  std::atomic<std::size_t> errors{0};           ///< Error frames queued
+  std::atomic<std::size_t> results_streamed{0}; ///< EvalResult frames sent
+  std::atomic<std::size_t> errors{0};           ///< Error frames sent
   std::atomic<std::size_t> store_appends_streamed{0};  ///< kStoreAppend frames pushed
 };
 
-/// Knobs of the event-driven accept/serve loop.
-struct ServeOptions {
-  /// Executor threads running EvalRequests. The loop itself never
-  /// evaluates: requests queue to this pool and their result frames flow
-  /// back through a completion queue, so slow shards never block accepts,
-  /// pings, or other clients' frames.
-  std::size_t eval_threads = 2;
-  /// Optional live counters (must outlive the loop).
-  ServeStats* stats = nullptr;
-};
-
 /// Serve frames on `sock` until clean EOF (returns false) or a Shutdown
-/// frame (returns true). Handler exceptions are answered with Error frames
-/// and the connection continues; transport failures end it.
-bool serve_frames(Socket& sock, const EvalService& service);
+/// frame (returns true), counting into `stats` when given. Handler
+/// exceptions are answered with Error frames and the connection continues;
+/// transport failures end it. Requests are handled one at a time, in
+/// arrival order, on the calling thread.
+bool serve_frames(Socket& sock, const EvalService& service,
+                  ServeStats* stats = nullptr);
 
-/// Concurrent accept/serve loop — a single-threaded poll/epoll reactor
-/// over non-blocking connections (`make_service` is invoked once per
-/// connection; handlers other than on_eval/on_eval_stream run on the loop
-/// thread, evaluations run on ServeOptions::eval_threads executor threads,
-/// so handlers must be thread-safe — EvalWorker's and
-/// make_coordinator_service's are). Returns once a client sends Shutdown:
-/// the loop stops accepting and keeps serving the remaining connections
-/// until they drain.
+/// Accept loop: one thread per connection, each running serve_frames over
+/// a fresh `make_service()` (handlers shared across connections must be
+/// thread-safe — EvalWorker's and make_coordinator_service's are). Returns
+/// once a client has sent Shutdown and the connections open then have
+/// drained; connections arriving meanwhile are closed at once. A hard
+/// accept failure hangs up on every open connection and rethrows.
 void serve_connections(Listener& listener,
                        const std::function<EvalService()>& make_service,
-                       const ServeOptions& options = {});
+                       ServeStats* stats = nullptr);
 
 /// The evald server mode's protocol glue: a service whose Hello(id)
 /// elaborates + broadcasts registry designs to the fleet, whose LoadDesign
@@ -167,15 +153,12 @@ struct WorkerOptions {
   /// unreadable or malformed file.
   std::string design_file;
   core::EvaluatorConfig evaluator;
-  /// Threads for evaluate_many inside this worker. Loopback clusters keep
-  /// this at 1 (parallelism comes from processes); a big remote worker can
-  /// raise it to use its whole machine per shard. Streamed requests
-  /// evaluate in chunks of this size, so per-flow result frames and pool
-  /// parallelism coexist.
+  /// Threads evaluating each request inside this worker. Loopback clusters
+  /// keep this at 1 (parallelism comes from processes); evald workers
+  /// default to 2 and a big remote worker can raise it to use its whole
+  /// machine per shard. Either way every result streams back as its own
+  /// frame the moment it completes.
   std::size_t threads = 1;
-  /// Executor threads of the accept/serve event loop (serve_forever) —
-  /// how many EvalRequests may evaluate concurrently.
-  std::size_t serve_threads = 2;
   /// Instantiated (design, registry) evaluators kept warm (>= 1) — the
   /// same design under two alphabets counts twice. Loading entry N+1
   /// evicts the least recently evaluated one together with its caches.
@@ -227,12 +210,12 @@ public:
   /// Shutdown, false on EOF.
   bool serve(Socket& sock);
 
-  /// Accept loop for the evald binary: the event-driven serve loop over
-  /// this worker's service, until a client sends Shutdown.
+  /// Accept loop for the evald binary: serve_connections over this
+  /// worker's service, until a client sends Shutdown.
   void serve_forever(Listener& listener);
 
-  /// Live serve-loop counters (valid during serve_forever) — what the
-  /// worker's admin socket reports.
+  /// Live serve counters of every connection this worker has served (via
+  /// serve or serve_forever) — what the worker's admin socket reports.
   const ServeStats& serve_stats() const { return serve_stats_; }
 
   /// Designs currently instantiated (most recently used first).

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -340,6 +341,22 @@ TEST(ChaosServiceTest, TornFrameTransportFailureLosesOnlyUndeliveredFlows) {
   fp::configure("transport.send", "1in8*error(torn frame)");
   EvalCoordinator::Worker fresh = cluster.respawn_worker(0);
   fp::clear_all();
+  // respawn_worker killed the old slot-0 process. Admit the replacement
+  // only once the coordinator has seen that EOF: until then the old
+  // connection is still in rotation and the candidate would be rejected.
+  const auto old_slot_alive = [&coordinator] {
+    for (const WorkerSnapshot& snap : coordinator.worker_snapshots()) {
+      if (snap.name == "loopback-0") return snap.alive;
+    }
+    return false;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (old_slot_alive()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the coordinator never saw the old loopback-0 exit";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   ASSERT_TRUE(coordinator.admit_worker(std::move(fresh)));
 
   BatchReport report;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -285,36 +286,14 @@ TEST(GoldenRegistryTest, NonPaperStoresRoundTripUnderTheirRegistry) {
                core::QorStoreError);
 }
 
-TEST(GoldenRegistryTest, EvalResponsePayloadBytesAreUnchanged) {
-  // The EvalResponse layout survived the v2 -> v3 bump: the golden payload
-  // (captured from the v2 encoder) must be exactly what today's encoder
-  // produces and what today's decoder reads.
-  const std::vector<std::uint8_t> golden =
-      read_file(golden_dir() / "v2_eval_response.bin");
-  service::EvalResponseMsg msg;
-  msg.request_id = 0x0102030405060708ull;
-  msg.results.push_back(map::QoR{14.5, 102.0, 9, 2});
-  msg.results.push_back(map::QoR{21.25, 140.0, 13, 1});
-  EXPECT_EQ(service::encode_eval_response(msg), golden);
-
-  const service::EvalResponseMsg decoded =
-      service::decode_eval_response(golden);
-  EXPECT_EQ(decoded.request_id, msg.request_id);
-  ASSERT_EQ(decoded.results.size(), 2u);
-  EXPECT_EQ(decoded.results[0], msg.results[0]);
-  EXPECT_EQ(decoded.results[1], msg.results[1]);
-}
-
-TEST(GoldenRegistryTest, V4EvalRequestLayoutIsPinned) {
-  // Fresh golden for the v4 request (the v3 layout plus the flags byte
-  // between the registry fingerprint and the flow count): byte-level
-  // layout pinned inline so the next protocol change is a conscious
-  // version bump.
+TEST(GoldenRegistryTest, V5EvalRequestLayoutIsPinned) {
+  // The v5 request: the v3 layout again — v5 dropped the v4 flags byte
+  // that sat between the registry fingerprint and the flow count. Pinned
+  // inline so the next protocol change is a conscious version bump.
   service::EvalRequestMsg msg;
   msg.request_id = 0x0807060504030201ull;
   msg.design = {0x1111111111111111ull, 0x2222222222222222ull};
   msg.registry = {0x3333333333333333ull, 0x4444444444444444ull};
-  msg.flags = service::kFlagStreamResults;
   msg.flows.push_back({0, 2, 5});
   const std::vector<std::uint8_t> expect = {
       0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // request id (LE)
@@ -322,7 +301,6 @@ TEST(GoldenRegistryTest, V4EvalRequestLayoutIsPinned) {
       0x22, 0x22, 0x22, 0x22, 0x22, 0x22, 0x22, 0x22,  // design fp[1]
       0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0x33,  // registry fp[0]
       0x44, 0x44, 0x44, 0x44, 0x44, 0x44, 0x44, 0x44,  // registry fp[1]
-      0x01,                                            // flags: stream
       0x01, 0x00, 0x00, 0x00,                          // 1 flow
       0x03, 0x00,                                      // 3 steps
       0x00, 0x02, 0x05,                                // packed step ids
@@ -330,26 +308,41 @@ TEST(GoldenRegistryTest, V4EvalRequestLayoutIsPinned) {
   EXPECT_EQ(service::encode_eval_request(msg), expect);
   const service::EvalRequestMsg decoded =
       service::decode_eval_request(expect);
+  EXPECT_EQ(decoded.request_id, msg.request_id);
+  EXPECT_EQ(decoded.design, msg.design);
   EXPECT_EQ(decoded.registry, msg.registry);
-  EXPECT_EQ(decoded.flags, service::kFlagStreamResults);
   EXPECT_EQ(decoded.flows, msg.flows);
+
+  // A v4 peer is refused at its first frame: the header's version byte
+  // is checked on every frame, so a v4 request never reaches the decoder.
+  std::vector<std::uint8_t> v4_frame =
+      service::encode_frame(service::MsgType::kEvalRequest, expect);
+  ASSERT_EQ(v4_frame[4], service::kProtocolVersion);
+  v4_frame[4] = 4;
+  auto [tx, rx] = service::socket_pair();
+  tx.send_all(v4_frame.data(), v4_frame.size());
+  EXPECT_THROW(service::recv_frame(rx, 1000), service::WireError);
 }
 
 TEST(GoldenRegistryTest, V4StreamFramePayloadsArePinned) {
   // EvalResult and ShardDone are new in v4; pin their byte layouts the
-  // same way. The QoR record inside EvalResult is the same 32-byte shape
-  // EvalResponse batches (and qor_record_bytes returns).
+  // same way. The QoR record inside EvalResult is the 32-byte shape the
+  // v2 wire already carried, spelled out byte for byte.
   service::EvalResultMsg res;
   res.request_id = 0x0102030405060708ull;
   res.index = 7;
   res.result = map::QoR{14.5, 102.0, 9, 2};
-  std::vector<std::uint8_t> expect = {
+  const std::vector<std::uint8_t> expect = {
       0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // request id (LE)
       0x07, 0x00, 0x00, 0x00,                          // index
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2d, 0x40,  // area 14.5 (f64)
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x59, 0x40,  // delay 102.0 (f64)
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // cells 9
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // inverters 2
   };
-  const auto record = service::qor_record_bytes(res.result);
-  expect.insert(expect.end(), record.begin(), record.end());
   EXPECT_EQ(service::encode_eval_result(res), expect);
+  const auto record = service::qor_record_bytes(res.result);
+  EXPECT_TRUE(std::equal(record.begin(), record.end(), expect.begin() + 12));
   const service::EvalResultMsg back = service::decode_eval_result(expect);
   EXPECT_EQ(back.request_id, res.request_id);
   EXPECT_EQ(back.index, res.index);

@@ -5,9 +5,18 @@
 // bit-identical to in-process evaluation.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <memory>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "aig/serialize.hpp"
@@ -127,20 +136,6 @@ TEST(WireTest, HelloAckAndLoadDesignAckRoundTrip) {
   EXPECT_EQ(decode_load_design_ack(encode_load_design_ack(fp)), fp);
 }
 
-TEST(WireTest, EvalResponseRoundTripsExactDoubles) {
-  EvalResponseMsg msg;
-  msg.request_id = 7;
-  msg.results.push_back(map::QoR{123.456789012345, 9876.5432109876, 42, 7});
-  msg.results.push_back(map::QoR{0.0, -1.5, 0, 0});
-
-  const auto decoded = decode_eval_response(encode_eval_response(msg));
-  EXPECT_EQ(decoded.request_id, 7u);
-  ASSERT_EQ(decoded.results.size(), 2u);
-  // Doubles cross the wire as bit patterns, not text: exact equality.
-  EXPECT_EQ(decoded.results[0], msg.results[0]);
-  EXPECT_EQ(decoded.results[1], msg.results[1]);
-}
-
 TEST(WireTest, HelloAndErrorRoundTrip) {
   const HelloMsg hello = decode_hello(encode_hello({3, "alu16"}));
   EXPECT_EQ(hello.version, 3);
@@ -166,26 +161,16 @@ TEST(WireTest, DecodersRejectTruncatedAndTrailingBytes) {
 TEST(WireTest, DecodersRejectCountsExceedingPayload) {
   // A corrupt count field must fail validation, not turn into a
   // multi-gigabyte reserve().
-  EvalResponseMsg msg;
-  msg.request_id = 1;
-  msg.results.push_back(map::QoR{});
-  auto bytes = encode_eval_response(msg);
-  bytes[8] = 0xFF;  // count (little-endian u32 after the u64 request id)
-  bytes[9] = 0xFF;
-  bytes[10] = 0xFF;
-  bytes[11] = 0xFF;
-  EXPECT_THROW(decode_eval_response(bytes), WireError);
-
   EvalRequestMsg req_msg;
   req_msg.request_id = 1;
   req_msg.flows.push_back({0});  // balance
   auto req = encode_eval_request(req_msg);
   // count: little-endian u32 after u64 request id + the two 16-byte
-  // fingerprints (design, registry) + the v4 flags byte
+  // fingerprints (design, registry)
+  req[40] = 0xFF;
   req[41] = 0xFF;
   req[42] = 0xFF;
   req[43] = 0xFF;
-  req[44] = 0xFF;
   EXPECT_THROW(decode_eval_request(req), WireError);
 }
 
@@ -576,6 +561,359 @@ TEST(ServiceTest, TwoSimultaneousClientsOnOneFleet) {
   b.reset();
   // A Shutdown frame stops the accept loop; the server thread then joins
   // cleanly and the fleet is told to exit.
+  Socket stop = connect_to(Address::parse("unix:" + path), 5000);
+  send_frame(stop, MsgType::kShutdown, {});
+  server.join();
+  coordinator.shutdown_workers();
+}
+
+// ------------------------------------------------------ the serve loop --
+
+/// `key`'s value in a worker admin "stats" reply; -1 when absent.
+long stat_value(const std::string& reply, const std::string& key) {
+  std::istringstream in(reply);
+  std::string name;
+  long value = 0;
+  while (in >> name >> value) {
+    if (name == key) return value;
+  }
+  return -1;
+}
+
+TEST(ServiceTest, ThreadServedWorkerCountsItsBatchInAdminStats) {
+  // serve_frames keeps the worker's admin counters, so a worker served
+  // from a plain thread (the way loopback workers are served) reports
+  // exactly the requests, flows and streamed results of its batch.
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  EvalWorker worker(options);
+  auto [coordinator_end, worker_end] = socket_pair();
+  std::thread server([&worker, sock = std::move(worker_end)]() mutable {
+    worker.serve(sock);
+  });
+  std::vector<EvalCoordinator::Worker> workers;
+  workers.push_back(
+      EvalCoordinator::Worker{std::move(coordinator_end), "thread"});
+  EvalCoordinator coordinator(std::move(workers), "alu:4");
+  const auto flows = sample_flows(12);
+  core::SynthesisEvaluator local(designs::make_design("alu:4"));
+  expect_bit_identical(coordinator.evaluate_many(flows),
+                       local.evaluate_many(flows));
+  const std::size_t requests = coordinator.stats().requests_sent;
+  coordinator.shutdown_workers();
+  server.join();
+
+  const std::string stats = worker_admin_text(worker, "stats");
+  EXPECT_EQ(stat_value(stats, "connections_total"), 1) << stats;
+  EXPECT_EQ(stat_value(stats, "connections_open"), 0) << stats;
+  EXPECT_EQ(stat_value(stats, "requests"), static_cast<long>(requests))
+      << stats;
+  EXPECT_EQ(stat_value(stats, "flows_received"),
+            static_cast<long>(flows.size()))
+      << stats;
+  EXPECT_EQ(stat_value(stats, "results_streamed"),
+            static_cast<long>(flows.size()))
+      << stats;
+  EXPECT_EQ(stat_value(stats, "errors"), 0) << stats;
+}
+
+TEST(ServiceTest, PooledWorkerStreamsEachResultOnceAndRoutesErrors) {
+  // A worker with a thread pool evaluates a shard's flows concurrently but
+  // still answers with one EvalResult per flow, then ShardDone; a flow the
+  // evaluator rejects ends the stream with an Error for that request, and
+  // the connection keeps serving.
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  options.threads = 3;
+  EvalWorker worker(options);
+  auto [client, server_sock] = socket_pair();
+  std::thread server([&worker, sock = std::move(server_sock)]() mutable {
+    worker.serve(sock);
+  });
+  send_frame(client, MsgType::kHello, encode_hello({}));
+  const auto ack = recv_frame(client, 10000);
+  ASSERT_TRUE(ack && ack->type == MsgType::kHelloAck);
+  const aig::Fingerprint fp = decode_hello_ack(ack->payload).fingerprint;
+
+  const auto flows = sample_flows(20, 2, 6);
+  core::SynthesisEvaluator local(designs::make_design("alu:4"));
+  const std::vector<map::QoR> expected = local.evaluate_many(flows);
+  EvalRequestMsg req;
+  req.request_id = 1;
+  req.design = fp;
+  for (const Flow& f : flows) req.flows.push_back(f.steps);
+  send_frame(client, MsgType::kEvalRequest, encode_eval_request(req));
+  std::vector<bool> seen(flows.size(), false);
+  while (true) {
+    const auto frame = recv_frame(client, 30000);
+    ASSERT_TRUE(frame);
+    if (frame->type == MsgType::kShardDone) {
+      const ShardDoneMsg done = decode_shard_done(frame->payload);
+      EXPECT_EQ(done.request_id, 1u);
+      EXPECT_EQ(done.count, flows.size());
+      break;
+    }
+    ASSERT_EQ(frame->type, MsgType::kEvalResult);
+    const EvalResultMsg r = decode_eval_result(frame->payload);
+    ASSERT_LT(r.index, flows.size());
+    EXPECT_FALSE(seen[r.index]) << "index " << r.index << " twice";
+    seen[r.index] = true;
+    EXPECT_EQ(r.result, expected[r.index]);
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+            static_cast<long>(flows.size()));
+
+  req.request_id = 2;
+  req.flows.push_back({250});  // no such step in the paper alphabet
+  send_frame(client, MsgType::kEvalRequest, encode_eval_request(req));
+  while (true) {
+    const auto frame = recv_frame(client, 30000);
+    ASSERT_TRUE(frame);
+    ASSERT_NE(frame->type, MsgType::kShardDone);
+    if (frame->type == MsgType::kError) {
+      EXPECT_EQ(decode_error(frame->payload).request_id, 2u);
+      break;
+    }
+    const EvalResultMsg r = decode_eval_result(frame->payload);
+    ASSERT_LT(r.index, flows.size());
+    EXPECT_EQ(r.result, expected[r.index]);
+  }
+
+  send_frame(client, MsgType::kPing, encode_u64(3));
+  const auto pong = recv_frame(client, 10000);
+  ASSERT_TRUE(pong && pong->type == MsgType::kPong);
+  send_frame(client, MsgType::kShutdown, {});
+  server.join();
+}
+
+TEST(ServiceTest, ServeForeverDrainsOpenConnectionsAfterShutdown) {
+  // A Shutdown on one connection stops the accept loop, but a client that
+  // is already connected keeps being served until it hangs up: its batch
+  // still completes bit-identically, and only then does serve_forever
+  // return.
+  const std::string path = ::testing::TempDir() + "flowgen_drain_" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  Listener listener = Listener::bind(Address::parse("unix:" + path));
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  EvalWorker worker(options);
+  std::atomic<bool> returned{false};
+  std::thread server([&] {
+    worker.serve_forever(listener);
+    returned.store(true);
+  });
+
+  Socket a = connect_to(Address::parse("unix:" + path), 5000);
+  auto b = RemoteEvaluator::connect({"unix:" + path}, "alu:4");
+  send_frame(a, MsgType::kShutdown, {});
+  // A's connection closes once its Shutdown is handled.
+  EXPECT_EQ(recv_frame(a, 10000), std::nullopt);
+  // A latecomer is hung up on at once, not left unanswered in the backlog.
+  Socket late = connect_to(Address::parse("unix:" + path), 5000);
+  EXPECT_EQ(recv_frame(late, 10000), std::nullopt);
+
+  const auto flows = sample_flows(12);
+  core::SynthesisEvaluator local(designs::make_design("alu:4"));
+  expect_bit_identical(b->evaluate_many(flows), local.evaluate_many(flows));
+  EXPECT_FALSE(returned.load()) << "returned with a client still connected";
+
+  b.reset();  // hang up: the last open connection drains
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(returned.load()) << "serve_forever outlived its last client";
+  server.join();
+}
+
+TEST(ServiceTest, ServeForeverHangsUpOnClientsWhenAcceptFails) {
+  // A dead listener is a hard accept failure: serve_forever rethrows it at
+  // once and hangs up on the connected client, instead of waiting for
+  // that client to leave.
+  const std::string path = ::testing::TempDir() + "flowgen_deadlisten_" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  Listener listener = Listener::bind(Address::parse("unix:" + path));
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  EvalWorker worker(options);
+  std::atomic<bool> threw{false};
+  std::thread server([&] {
+    try {
+      worker.serve_forever(listener);
+    } catch (const TransportError&) {
+      threw.store(true);
+    }
+  });
+
+  Socket client = connect_to(Address::parse("unix:" + path), 5000);
+  send_frame(client, MsgType::kPing, encode_u64(1));
+  const auto pong = recv_frame(client, 10000);  // the client is being served
+  ASSERT_TRUE(pong && pong->type == MsgType::kPong);
+  ::shutdown(listener.fd(), SHUT_RDWR);  // accept now fails for good
+  EXPECT_EQ(recv_frame(client, 10000), std::nullopt);
+  server.join();
+  EXPECT_TRUE(threw.load());
+}
+
+/// `n` alu:4 EvalWorkers in this process, each serving one end of a socket
+/// pair on its own thread: a fleet that TSan can follow, unlike forked
+/// loopback workers. Declare it before the coordinator that takes its
+/// ends, so the coordinator hangs up first and the threads can be joined.
+class ThreadFleet {
+ public:
+  explicit ThreadFleet(std::size_t n) {
+    WorkerOptions options;
+    options.design_id = "alu:4";
+    for (std::size_t i = 0; i < n; ++i) {
+      auto [coordinator_end, worker_end] = socket_pair();
+      EvalWorker& worker =
+          *workers_.emplace_back(std::make_unique<EvalWorker>(options));
+      threads_.emplace_back(
+          [&worker, sock = std::move(worker_end)]() mutable {
+            worker.serve(sock);
+          });
+      ends_.push_back(EvalCoordinator::Worker{std::move(coordinator_end),
+                                              "thread-" + std::to_string(i)});
+    }
+  }
+  ThreadFleet(const ThreadFleet&) = delete;
+  ThreadFleet& operator=(const ThreadFleet&) = delete;
+  ~ThreadFleet() {
+    for (std::thread& t : threads_) t.join();
+  }
+
+  std::vector<EvalCoordinator::Worker> take_workers() {
+    return std::move(ends_);
+  }
+
+ private:
+  std::vector<std::unique_ptr<EvalWorker>> workers_;
+  std::vector<std::thread> threads_;
+  std::vector<EvalCoordinator::Worker> ends_;
+};
+
+/// Hello for alu:4 on a raw client socket; returns the acked fingerprint.
+aig::Fingerprint raw_hello(Socket& sock) {
+  HelloMsg hello;
+  hello.design_id = "alu:4";
+  send_frame(sock, MsgType::kHello, encode_hello(hello));
+  const auto ack = recv_frame(sock, 10000);
+  if (!ack || ack->type != MsgType::kHelloAck) {
+    throw std::runtime_error("no HelloAck");
+  }
+  return decode_hello_ack(ack->payload).fingerprint;
+}
+
+TEST(ServiceTest, ServerKeepsServingWhileAClientStopsReading) {
+  // The evald --mode server setup. Results reach the server on its
+  // coordinator's loop thread, which serves every worker and every client,
+  // so a client that stops reading must hold up none of them. One client
+  // asks for far more results than its socket buffer holds and reads
+  // nothing: a second client's batch still finishes promptly (well inside
+  // the 5 s a bounded send would wait), and the stalled client, once it
+  // reads again, gets its whole answer — nothing dropped its connection.
+  ThreadFleet fleet(2);
+  EvalCoordinator coordinator(fleet.take_workers(), "alu:4");
+  const std::string path = ::testing::TempDir() + "flowgen_stall_" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  Listener listener = Listener::bind(Address::parse("unix:" + path));
+  std::thread server([&] {
+    serve_connections(listener,
+                      [&] { return make_coordinator_service(coordinator); });
+  });
+  const auto flows = sample_flows(8, 2, 5);
+  core::SynthesisEvaluator local(designs::make_design("alu:4"));
+  const std::vector<map::QoR> expected = local.evaluate_many(flows);
+
+  // About 2000 EvalResult frames: a unix socket buffers a few hundred.
+  constexpr std::uint32_t kStalledResults = 2000;
+  Socket stalled = connect_to(Address::parse("unix:" + path), 5000);
+  EvalRequestMsg req;
+  req.request_id = 7;
+  req.design = raw_hello(stalled);
+  for (std::uint32_t i = 0; i < kStalledResults; ++i) {
+    req.flows.push_back(flows[i % flows.size()].steps);
+  }
+  send_frame(stalled, MsgType::kEvalRequest, encode_eval_request(req));
+
+  auto b = RemoteEvaluator::connect({"unix:" + path}, "alu:4");
+  auto batch = std::async(std::launch::async,
+                          [&] { return b->evaluate_many(flows); });
+  const bool prompt = batch.wait_for(std::chrono::seconds(4)) ==
+                      std::future_status::ready;
+  EXPECT_TRUE(prompt) << "a stalled client held up another client's batch";
+
+  // Read the stalled stream to its end (which also frees a server that
+  // waits on it, so the test finishes either way).
+  std::vector<bool> seen(kStalledResults, false);
+  std::uint32_t results = 0;
+  std::optional<ShardDoneMsg> done;
+  while (!done) {
+    const auto frame = recv_frame(stalled, 30000);
+    ASSERT_TRUE(frame) << "stalled client dropped after " << results
+                       << " results";
+    if (frame->type == MsgType::kShardDone) {
+      done = decode_shard_done(frame->payload);
+      break;
+    }
+    ASSERT_EQ(frame->type, MsgType::kEvalResult);
+    const EvalResultMsg r = decode_eval_result(frame->payload);
+    ASSERT_LT(r.index, kStalledResults);
+    EXPECT_FALSE(seen[r.index]) << "index " << r.index << " twice";
+    seen[r.index] = true;
+    ASSERT_EQ(r.result, expected[r.index % flows.size()]);
+    ++results;
+  }
+  EXPECT_EQ(results, kStalledResults);
+  EXPECT_EQ(done->count, kStalledResults);
+  expect_bit_identical(batch.get(), expected);
+  b.reset();
+  stalled.close();
+
+  Socket stop = connect_to(Address::parse("unix:" + path), 5000);
+  send_frame(stop, MsgType::kShutdown, {});
+  server.join();
+  coordinator.shutdown_workers();
+}
+
+TEST(ServiceTest, ServerSurvivesClientHangingUpMidStream) {
+  // The evald --mode server setup. A client that hangs up after its first
+  // streamed result costs only its own connection: the server's later
+  // sends to it fail on that connection's thread and drop it, another
+  // client's batch stays bit-identical, and a Shutdown still stops the
+  // server.
+  ThreadFleet fleet(2);
+  EvalCoordinator coordinator(fleet.take_workers(), "alu:4");
+  const std::string path = ::testing::TempDir() + "flowgen_hangup_" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  Listener listener = Listener::bind(Address::parse("unix:" + path));
+  std::thread server([&] {
+    serve_connections(listener,
+                      [&] { return make_coordinator_service(coordinator); });
+  });
+
+  {
+    Socket quitter = connect_to(Address::parse("unix:" + path), 5000);
+    EvalRequestMsg req;
+    req.request_id = 1;
+    req.design = raw_hello(quitter);
+    for (const Flow& f : sample_flows(40, 2, 3)) req.flows.push_back(f.steps);
+    send_frame(quitter, MsgType::kEvalRequest, encode_eval_request(req));
+    const auto first = recv_frame(quitter, 30000);
+    ASSERT_TRUE(first && first->type == MsgType::kEvalResult);
+  }  // hang up mid-stream
+
+  auto b = RemoteEvaluator::connect({"unix:" + path}, "alu:4");
+  const auto flows = sample_flows(24, 2, 4);
+  core::SynthesisEvaluator local(designs::make_design("alu:4"));
+  expect_bit_identical(b->evaluate_many(flows), local.evaluate_many(flows));
+  b.reset();
+
   Socket stop = connect_to(Address::parse("unix:" + path), 5000);
   send_frame(stop, MsgType::kShutdown, {});
   server.join();

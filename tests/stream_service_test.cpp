@@ -1,7 +1,7 @@
-// Tests for the v4 event-driven serve path: non-blocking transport under
+// Tests for the streaming fleet: non-blocking transport under
 // pathological socket buffers, per-flow result streaming (bit-identical to
-// in-process evaluation, with and without streaming, paper and extended
-// alphabets), partial-progress requeue when a worker dies mid-shard,
+// in-process evaluation under paper and extended alphabets),
+// partial-progress requeue when a worker dies mid-shard,
 // deadlines that bound silence instead of shard duration, mid-run worker
 // re-admission (explicit and via auto-reconnect), fair interleaving of
 // concurrent client batches, and the admin introspection socket.
@@ -172,40 +172,26 @@ TEST(AdminTest, LineProtocolRoundTripsAndReportsHandlerErrors) {
 
 // ------------------------------------------------------------- streaming --
 
-TEST(StreamServiceTest, StreamedAndWholeShardBatchesAreBitIdentical) {
+TEST(StreamServiceTest, StreamedBatchIsBitIdenticalWithPerFlowCallbacks) {
   SKIP_UNDER_TSAN();
   const auto flows = sample_flows(60);
   core::SynthesisEvaluator local(designs::make_design("alu:4"));
   const auto expected = local.evaluate_many(flows);
 
+  // Every flow arrives as its own EvalResult frame and the per-flow
+  // callback sees each one.
   WorkerOptions options;
   options.design_id = "alu:4";
-  {
-    // v4 streamed answers (the default): every flow arrives as its own
-    // EvalResult frame and the per-flow callback sees each one.
-    LoopbackCluster cluster(2, options);
-    EvalCoordinator coordinator(cluster.take_workers(), "alu:4");
-    std::size_t callbacks = 0;
-    const auto qor = coordinator.evaluate_many(
-        flows, [&callbacks](std::size_t, const map::QoR&) { ++callbacks; });
-    expect_bit_identical(qor, expected);
-    EXPECT_EQ(callbacks, flows.size());
-    EXPECT_EQ(coordinator.stats().flows_streamed, flows.size());
-    coordinator.shutdown_workers();
-  }
-  {
-    // stream_results=false: the v3 whole-shard EvalResponse shape, kept
-    // selectable for A/B benchmarking — the QoR bits must not depend on
-    // the answer shape.
-    LoopbackCluster cluster(2, options);
-    CoordinatorConfig config;
-    config.stream_results = false;
-    EvalCoordinator coordinator(cluster.take_workers(), "alu:4", config);
-    expect_bit_identical(coordinator.evaluate_many(flows), expected);
-    EXPECT_EQ(coordinator.stats().flows_streamed, 0u);
-    EXPECT_GE(coordinator.stats().shards_done, 1u);
-    coordinator.shutdown_workers();
-  }
+  LoopbackCluster cluster(2, options);
+  EvalCoordinator coordinator(cluster.take_workers(), "alu:4");
+  std::size_t callbacks = 0;
+  const auto qor = coordinator.evaluate_many(
+      flows, [&callbacks](std::size_t, const map::QoR&) { ++callbacks; });
+  expect_bit_identical(qor, expected);
+  EXPECT_EQ(callbacks, flows.size());
+  EXPECT_EQ(coordinator.stats().flows_streamed, flows.size());
+  EXPECT_GE(coordinator.stats().shards_done, 1u);
+  coordinator.shutdown_workers();
 }
 
 std::shared_ptr<const opt::TransformRegistry> extended_registry() {

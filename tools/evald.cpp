@@ -6,11 +6,15 @@
 //             (LoadDesign shipping a serialized netlist); transform
 //             alphabets arrive via protocol v3 LoadRegistry; a small LRU
 //             keeps several instantiated (design, alphabet) pairs warm.
-//             Serving is the v4 event loop: one reactor thread multiplexes
-//             every connection, --serve-threads executors evaluate:
+//             Every connection is served on its own thread, one request
+//             at a time; a pool of --threads (default 2) evaluates each
+//             shard and every result streams back as it completes.
+//             --threads is the worker's whole evaluation parallelism: it
+//             replaces --serve-threads, which until protocol v5 also ran
+//             two shards of a connection at once:
 //               evald --mode worker --listen unix:/tmp/w0.sock
 //                     [--design alu16] [--design-file adder.blif]
-//                     [--threads 4] [--serve-threads 2] [--max-designs 4]
+//                     [--threads 2] [--max-designs 4]
 //                     [--store /var/lib/flowgen/qor]
 //                     [--admin unix:/tmp/w0.admin]
 //                     [--eval-budget-ms 0] [--rlimit-as-mb 0]
@@ -29,7 +33,6 @@
 //                     [--breaker-failures 5] [--breaker-window-ms 60000]
 //                     [--breaker-cooldown-ms 5000]
 //                     [--quarantine-after 3] [--isolate-after 2]
-//                     [--no-stream]
 //   loopback  Fork N local workers, push a random batch through them, and
 //             print throughput — the zero-setup smoke test:
 //               evald --mode loopback --design alu16 --workers 4 --flows 200
@@ -110,12 +113,10 @@ int run_worker(const util::Cli& cli) {
   service::WorkerOptions options;
   options.design_id = cli.get("design", "");
   options.design_file = cli.get("design-file", "");
-  options.threads = static_cast<std::size_t>(cli.get_int("threads", 1));
+  options.threads = static_cast<std::size_t>(cli.get_int("threads", 2));
   options.max_designs =
       static_cast<std::size_t>(cli.get_int("max-designs", 4));
   options.qor_store_dir = cli.get("store", "");
-  options.serve_threads =
-      static_cast<std::size_t>(cli.get_int("serve-threads", 2));
   options.eval_budget_ms =
       static_cast<int>(cli.get_int("eval-budget-ms", 0));
   options.rlimit_as_mb =
@@ -167,7 +168,6 @@ int run_server(const util::Cli& cli) {
       "quarantine-after", static_cast<long>(config.quarantine_after)));
   config.isolate_after = static_cast<std::size_t>(
       cli.get_int("isolate-after", static_cast<long>(config.isolate_after)));
-  config.stream_results = !cli.get_bool("no-stream", false);
   // No --design/--design-file starts the fleet deferred: the first client
   // Hello(id), LoadDesign or LoadRegistry decides what it serves. A
   // --design-file fleet ships the loaded netlist to every worker.
@@ -194,17 +194,13 @@ int run_server(const util::Cli& cli) {
                                       : design,
                  " fleet=", coordinator->num_workers_alive(),
                  " listening on ", listener.address().to_string());
-  // Concurrent clients: one reactor thread multiplexes every connection
-  // (the Hello(id)-elaborates-and-broadcasts glue lives in
+  // Concurrent clients: one thread per connection (the
+  // Hello(id)-elaborates-and-broadcasts glue lives in
   // make_coordinator_service); the coordinator interleaves their batches
   // fairly across the fleet.
-  service::ServeOptions serve_options;
-  serve_options.eval_threads =
-      static_cast<std::size_t>(cli.get_int("serve-threads", 2));
-  service::serve_connections(
-      listener,
-      [&] { return service::make_coordinator_service(*coordinator); },
-      serve_options);
+  service::serve_connections(listener, [&] {
+    return service::make_coordinator_service(*coordinator);
+  });
   coordinator->shutdown_workers();
   return 0;
 }
