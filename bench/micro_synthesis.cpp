@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the synthesis substrate: per-pass
-// transform cost, cut enumeration, technology mapping and full-flow
-// evaluation. These are the per-iteration costs behind the "collecting the
+// transform cost, cut enumeration, technology mapping, full-flow
+// evaluation and the batch order evaluation schedules by. These are the per-iteration costs behind the "collecting the
 // training dataset takes most of the runtime" observation in the paper.
 
 #include <benchmark/benchmark.h>
@@ -87,5 +87,27 @@ void BM_FullFlowEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullFlowEvaluation)->Unit(benchmark::kMillisecond);
+
+void BM_LexicographicOrder(benchmark::State& state) {
+  // The batch order every evaluation path sorts by, on the recall
+  // workloads' shape: unique m = 2 flows of the paper alphabet (the alu16
+  // batches, 12 steps each). The end-to-end trace cannot separate this
+  // layer from evaluate_many.
+  static std::map<std::size_t, std::vector<core::Flow>> batches;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto it = batches.find(n);
+  if (it == batches.end()) {
+    util::Rng rng(1);
+    it = batches.emplace(n, core::FlowSpace(2).sample_unique(n, rng)).first;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::lexicographic_order(it->second));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LexicographicOrder)
+    ->Arg(1000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

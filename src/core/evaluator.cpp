@@ -1,9 +1,7 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <mutex>
-#include <numeric>
 
 #include "core/qor_store.hpp"
 #include "opt/transform.hpp"
@@ -59,32 +57,34 @@ SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
   }
 }
 
-map::QoR SynthesisEvaluator::evaluate(const Flow& flow) const {
+std::optional<map::QoR> SynthesisEvaluator::lookup(const Flow& flow) const {
   const StepsView steps(flow.steps);
   // Alphabet guard before any cache or dispatch sees the bytes: a stray id
   // (hand-built flow, hostile wire peer) is a typed RegistryError here, not
   // undefined dispatch three layers down.
   registry_->validate_steps(steps);
-  QorShard& shard = shard_for_flow(steps);
   {
+    QorShard& shard = shard_for_flow(steps);
     std::lock_guard lock(shard.mutex);
     if (const auto it = shard.by_flow.find(steps);
         it != shard.by_flow.end()) {
       return it->second;
     }
   }
-  // Labels load lazily: the store answers a cache miss before any
-  // synthesis runs, so attaching a 10^6-record store costs nothing up
-  // front and a rerun of a fully labeled batch performs zero evaluations.
-  if (store_) {
-    if (const auto stored = store_->lookup(design_fp_, steps)) {
-      warm_qor(steps, *stored);
-      return *stored;
-    }
-  }
+  // Labels load lazily and stay in the store: attaching a 10^6-record
+  // store costs nothing up front, a rerun of a fully labeled batch
+  // performs zero evaluations, and the memo never holds a second copy.
+  if (store_) return store_->lookup(design_fp_, steps);
+  return std::nullopt;
+}
+
+map::QoR SynthesisEvaluator::evaluate(const Flow& flow) const {
+  if (const auto known = lookup(flow)) return *known;
+  const StepsView steps(flow.steps);
   const map::QoR qor = evaluate_uncached(steps);
   bool first = false;
   {
+    QorShard& shard = shard_for_flow(steps);
     std::lock_guard lock(shard.mutex);
     if (shard.by_flow.emplace(StepsKey(steps.begin(), steps.end()), qor)
             .second) {
@@ -110,17 +110,11 @@ map::QoR SynthesisEvaluator::evaluate(const Flow& flow) const {
   return qor;
 }
 
-void SynthesisEvaluator::warm_qor(StepsView steps, const map::QoR& qor) const {
-  QorShard& shard = shard_for_flow(steps);
-  std::lock_guard lock(shard.mutex);
-  shard.by_flow.emplace(StepsKey(steps.begin(), steps.end()), qor);
-}
-
 void SynthesisEvaluator::attach_store(std::shared_ptr<QorStore> store) {
   if (store && store->registry_fingerprint() != registry_->fingerprint()) {
-    // A store keyed by a different alphabet would warm this evaluator with
-    // labels whose step bytes mean different transforms — silently wrong
-    // QoR. Typed error instead.
+    // A store keyed by a different alphabet would answer this evaluator
+    // with labels whose step bytes mean different transforms — silently
+    // wrong QoR. Typed error instead.
     throw opt::RegistryError(
         "attach_store: QorStore registry fingerprint " +
         opt::registry_fingerprint_hex(store->registry_fingerprint()) +
@@ -128,8 +122,6 @@ void SynthesisEvaluator::attach_store(std::shared_ptr<QorStore> store) {
         opt::registry_fingerprint_hex(registry_->fingerprint()));
   }
   store_ = std::move(store);
-  // No eager pre-warm: evaluate() consults the store on each cache miss,
-  // so attach stays O(1) no matter how many records the store holds.
 }
 
 map::QoR SynthesisEvaluator::evaluate_uncached(StepsView steps) const {
@@ -216,11 +208,7 @@ std::vector<map::QoR> SynthesisEvaluator::evaluate_many(
   std::vector<map::QoR> out(flows.size());
   // Lexicographic step order puts flows sharing a prefix back to back, so
   // each one resumes from the snapshot its predecessor just wrote.
-  std::vector<std::size_t> order(flows.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return flows[a].steps < flows[b].steps;
-  });
+  const std::vector<std::size_t> order = lexicographic_order(flows);
   if (pool == nullptr || pool->size() <= 1 || flows.size() <= 1) {
     for (const std::size_t idx : order) out[idx] = evaluate(flows[idx]);
     return out;

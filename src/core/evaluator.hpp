@@ -21,6 +21,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -94,24 +95,25 @@ public:
     return registry_;
   }
 
-  /// Seed the QoR cache with a known-correct result for `steps` (e.g. a
-  /// QorStore record). Does not count as an evaluation; a later evaluate()
-  /// of the same flow is a pure cache hit. First result wins on duplicate
-  /// keys. Thread-safe.
-  void warm_qor(StepsView steps, const map::QoR& qor) const;
-
-  /// Attach a persistent label store: stored records answer evaluate()
-  /// lazily (a cache miss consults the store before synthesizing — attach
-  /// is O(1) even at 10^6+ records, and only the flows actually requested
-  /// warm the cache), and every genuinely fresh result is appended to the
-  /// store as it completes. Throws opt::RegistryError when the store's
-  /// registry fingerprint differs from this evaluator's — labels keyed by
-  /// another alphabet must never warm these caches. Call before evaluation
+  /// Attach a persistent label store: stored records answer lookup() and
+  /// evaluate() straight from the store (a memo miss consults it before
+  /// synthesizing; attach is O(1) even at 10^6+ records, and a hit is not
+  /// copied into the memo, so the store stays the only copy of its labels),
+  /// and every genuinely fresh result is appended to the store as it
+  /// completes. Throws opt::RegistryError when the store's registry
+  /// fingerprint differs from this evaluator's — labels keyed by another
+  /// alphabet must never answer for this one. Call before evaluation
   /// starts; not thread-safe against concurrent evaluate().
   void attach_store(std::shared_ptr<QorStore> store);
 
-  /// Synthesize (transform sequence) + map + report QoR. Thread-safe;
-  /// results are cached by packed flow key.
+  /// The label `flow` already has, without synthesizing: the memo of
+  /// results this evaluator computed, then the attached store; nullopt when
+  /// neither holds one. Validates the flow like evaluate(). Thread-safe.
+  std::optional<map::QoR> lookup(const Flow& flow) const;
+
+  /// lookup(), and on a miss synthesize (transform sequence) + map +
+  /// report QoR, memoised by packed flow key and appended to the store.
+  /// Thread-safe.
   map::QoR evaluate(const Flow& flow) const override;
 
   /// Evaluate a batch, optionally across a thread pool. The batch is
@@ -124,6 +126,7 @@ public:
   /// QoR of the unsynthesized design (empty flow).
   map::QoR baseline() const override;
 
+  /// Results memoised by evaluate() (store hits are not among them).
   std::size_t cache_size() const;
   /// Total number of flow evaluations that missed the QoR cache.
   std::size_t evaluations() const {

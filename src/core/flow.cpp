@@ -1,5 +1,10 @@
 #include "core/flow.hpp"
 
+#include <compare>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
+
 namespace flowgen::core {
 
 namespace {
@@ -10,6 +15,34 @@ char step_char(opt::StepId id) {
   throw opt::RegistryError("Flow::key: step id " +
                            std::to_string(unsigned{id}) +
                            " has no single-character form (>= 36)");
+}
+
+/// lexicographic_order's sort key: the flow's first 12 step bytes,
+/// big-endian in `head` and `tail` so integer order is byte order, zero
+/// past the flow's end. Where two keys differ, their flows compare the same
+/// way: the first differing byte is either a real step on both sides or a
+/// padding zero where one flow ended, which makes that flow a prefix of the
+/// other and so the smaller. Equal keys fall back to the whole step
+/// vectors, then the index.
+struct OrderKey {
+  std::uint64_t head = 0;
+  std::uint32_t tail = 0;
+  std::uint32_t index = 0;
+};
+static_assert(sizeof(OrderKey) == 16);
+
+constexpr std::size_t kKeySteps = 12;
+
+OrderKey order_key(const StepsKey& steps, std::size_t index) {
+  std::uint8_t bytes[kKeySteps] = {};
+  std::copy_n(steps.begin(), std::min(steps.size(), kKeySteps), bytes);
+  OrderKey key;
+  for (std::size_t i = 0; i < 8; ++i) key.head = (key.head << 8) | bytes[i];
+  for (std::size_t i = 8; i < kKeySteps; ++i) {
+    key.tail = (key.tail << 8) | bytes[i];
+  }
+  key.index = static_cast<std::uint32_t>(index);
+  return key;
 }
 
 }  // namespace
@@ -68,6 +101,32 @@ Flow Flow::from_key(const std::string& key,
     f.steps.push_back(id);
   }
   return f;
+}
+
+std::vector<std::size_t> lexicographic_order(std::span<const Flow> flows) {
+  std::vector<std::size_t> all(flows.size());
+  std::iota(all.begin(), all.end(), 0);
+  return lexicographic_order(flows, std::move(all));
+}
+
+std::vector<std::size_t> lexicographic_order(
+    std::span<const Flow> flows, std::vector<std::size_t> indices) {
+  if (flows.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("lexicographic_order: 2^32 flows or more");
+  }
+  std::vector<OrderKey> keys(indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    keys[i] = order_key(flows[indices[i]].steps, indices[i]);
+  }
+  std::sort(keys.begin(), keys.end(),
+            [flows](const OrderKey& a, const OrderKey& b) {
+              if (a.head != b.head) return a.head < b.head;
+              if (a.tail != b.tail) return a.tail < b.tail;
+              const auto steps = flows[a.index].steps <=> flows[b.index].steps;
+              return steps != 0 ? steps < 0 : a.index < b.index;
+            });
+  for (std::size_t i = 0; i < keys.size(); ++i) indices[i] = keys[i].index;
+  return indices;
 }
 
 }  // namespace flowgen::core

@@ -94,4 +94,19 @@ struct FlowHash {
   }
 };
 
+/// The batch order every evaluation path schedules by: the indices of
+/// `flows` sorted by step sequence (lexicographic, a prefix before its
+/// extensions), equal flows in index order — exactly the permutation
+/// std::stable_sort gives with `a.steps < b.steps`. Flows sharing a prefix
+/// end up back to back, so each resumes from its predecessor's snapshot.
+/// Sorts transient 16-byte keys (the first 12 step bytes, zero-padded, and
+/// the index) and reads whole step vectors only when two keys tie, so a
+/// 10^6-flow batch never chases a pointer per comparison. Throws
+/// std::length_error for a batch of 2^32 flows or more.
+std::vector<std::size_t> lexicographic_order(std::span<const Flow> flows);
+/// The same order restricted to `indices` (distinct indices into `flows`,
+/// in any order): the subsequence of lexicographic_order(flows) they form.
+std::vector<std::size_t> lexicographic_order(std::span<const Flow> flows,
+                                             std::vector<std::size_t> indices);
+
 }  // namespace flowgen::core

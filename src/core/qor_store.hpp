@@ -167,7 +167,8 @@ public:
   void unsubscribe(std::uint64_t token);
 
   /// Invoke `fn(steps, qor)` for every stored record of `design` (order
-  /// unspecified). Used to pre-warm evaluator QoR caches at startup.
+  /// unspecified). Evaluators do not call this: they look flows up one at
+  /// a time and never copy the store into memory.
   void for_design(const aig::Fingerprint& design,
                   const std::function<void(StepsView, const map::QoR&)>& fn)
       const;

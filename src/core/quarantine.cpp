@@ -102,6 +102,9 @@ void QuarantineList::load_locked() {
 bool QuarantineList::contains(const aig::Fingerprint& design,
                               StepsView steps) const {
   std::lock_guard lock(mu_);
+  // The coordinator asks for every flow of every batch, and the list is
+  // almost always empty: answer that before building a heap key.
+  if (entries_.empty()) return false;
   return entries_.find(Key{design, StepsKey(steps.begin(), steps.end())}) !=
          entries_.end();
 }

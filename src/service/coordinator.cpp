@@ -528,9 +528,7 @@ std::vector<map::QoR> EvalCoordinator::evaluate_many_impl(
 
   // Prefix-affinity order: identical to the in-process engine's batch
   // schedule, so a shard is a run of sibling flows.
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return flows[a].steps < flows[b].steps;
-  });
+  order = core::lexicographic_order(flows, std::move(order));
   const std::size_t alive = std::max<std::size_t>(1, num_workers_alive());
   const std::size_t num_shards =
       std::min(order.size(), alive * config_.shards_per_worker);

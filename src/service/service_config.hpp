@@ -24,8 +24,9 @@ struct EvalServiceConfig {
   std::string design_id;
   /// Persistent labeled-QoR store directory (see core/qor_store.hpp and
   /// docs/qor-store.md). Empty = labels die with the process. Set, every
-  /// (design, flow) QoR survives restarts: in-process runs pre-warm the
-  /// evaluator cache from it, distributed runs answer stored flows without
+  /// (design, flow) QoR survives restarts: in-process runs look each flow
+  /// up in it before synthesizing (stored labels are not copied into the
+  /// evaluator's memo), distributed runs answer stored flows without
   /// touching the fleet, and several coordinators may share the directory.
   std::string qor_store_dir;
 

@@ -10,6 +10,36 @@ namespace {
 // Frame header layout (12 bytes, little-endian):
 //   u32 magic, u8 version, u8 type, u16 reserved, u32 payload_len
 constexpr std::size_t kHeaderBytes = 12;
+// EvalResult payload: u64 request id, u32 index, the 32-byte QoR record.
+constexpr std::size_t kEvalResultBytes = 8 + 4 + 32;
+
+// Little-endian stores into bytes the caller has already sized: the fixed
+// layouts (frame header, QoR record, EvalResult) are written in place by
+// these, with no buffer of their own.
+void put_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+void put_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+void put_header(std::uint8_t* p, MsgType type, std::uint32_t payload_len) {
+  put_u32(p, kFrameMagic);
+  p[4] = kProtocolVersion;
+  p[5] = static_cast<std::uint8_t>(type);
+  p[6] = p[7] = 0;  // reserved
+  put_u32(p + 8, payload_len);
+}
+void put_qor(std::uint8_t* p, const map::QoR& q) {
+  put_u64(p, std::bit_cast<std::uint64_t>(q.area_um2));
+  put_u64(p + 8, std::bit_cast<std::uint64_t>(q.delay_ps));
+  put_u64(p + 16, q.num_cells);
+  put_u64(p + 24, q.num_inverters);
+}
+void put_eval_result(std::uint8_t* p, const EvalResultMsg& m) {
+  put_u64(p, m.request_id);
+  put_u32(p + 8, m.index);
+  put_qor(p + 12, m.result);
+}
 
 class Writer {
 public:
@@ -27,7 +57,6 @@ public:
     u32(static_cast<std::uint32_t>(v));
     u32(static_cast<std::uint32_t>(v >> 32));
   }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   /// A design or registry fingerprint: two u64 lanes.
   void fp(const std::array<std::uint64_t, 2>& f) {
     u64(f[0]);
@@ -35,10 +64,9 @@ public:
   }
   /// The 32-byte QoR record (qor_record_bytes).
   void qor(const map::QoR& q) {
-    f64(q.area_um2);
-    f64(q.delay_ps);
-    u64(q.num_cells);
-    u64(q.num_inverters);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + 32);
+    put_qor(buf_.data() + at, q);
   }
   void str(const std::string& s) {
     if (s.size() > 0xFFFF) throw WireError("string field too long");
@@ -119,18 +147,32 @@ private:
 
 }  // namespace
 
+void append_frame(std::vector<std::uint8_t>& out, MsgType type,
+                  std::span<const std::uint8_t> payload) {
+  if (payload.size() > kMaxPayloadBytes) throw WireError("payload too large");
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderBytes + payload.size());
+  put_header(out.data() + at, type, static_cast<std::uint32_t>(payload.size()));
+  if (!payload.empty()) {
+    std::memcpy(out.data() + at + kHeaderBytes, payload.data(),
+                payload.size());
+  }
+}
+
+std::span<const std::uint8_t, 32> append_eval_result_frame(
+    std::vector<std::uint8_t>& out, const EvalResultMsg& m) {
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderBytes + kEvalResultBytes);
+  std::uint8_t* frame = out.data() + at;
+  put_header(frame, MsgType::kEvalResult, kEvalResultBytes);
+  put_eval_result(frame + kHeaderBytes, m);
+  return std::span<const std::uint8_t, 32>(frame + kHeaderBytes + 12, 32);
+}
+
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxPayloadBytes) throw WireError("payload too large");
-  Writer frame;
-  frame.reserve(kHeaderBytes + payload.size());
-  frame.u32(kFrameMagic);
-  frame.u8(kProtocolVersion);
-  frame.u8(static_cast<std::uint8_t>(type));
-  frame.u16(0);
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::uint8_t> buf = frame.take();  // keeps the reservation
-  buf.insert(buf.end(), payload.begin(), payload.end());
+  std::vector<std::uint8_t> buf;
+  append_frame(buf, type, payload);
   return buf;
 }
 
@@ -210,11 +252,9 @@ std::vector<std::uint8_t> encode_eval_request(const EvalRequestMsg& m) {
 }
 
 std::vector<std::uint8_t> encode_eval_result(const EvalResultMsg& m) {
-  Writer w;
-  w.u64(m.request_id);
-  w.u32(m.index);
-  w.qor(m.result);
-  return w.take();
+  std::vector<std::uint8_t> out(kEvalResultBytes);
+  put_eval_result(out.data(), m);
+  return out;
 }
 
 std::vector<std::uint8_t> encode_shard_done(const ShardDoneMsg& m) {
@@ -226,11 +266,8 @@ std::vector<std::uint8_t> encode_shard_done(const ShardDoneMsg& m) {
 }
 
 std::array<std::uint8_t, 32> qor_record_bytes(const map::QoR& q) {
-  Writer w;
-  w.qor(q);
-  const std::vector<std::uint8_t> buf = w.take();
-  std::array<std::uint8_t, 32> out{};
-  std::memcpy(out.data(), buf.data(), out.size());
+  std::array<std::uint8_t, 32> out;
+  put_qor(out.data(), q);
   return out;
 }
 

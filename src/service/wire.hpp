@@ -109,6 +109,11 @@ std::optional<Frame> recv_frame(Socket& sock, int timeout_ms = -1);
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        std::span<const std::uint8_t> payload);
 
+/// encode_frame's bytes appended to `out` instead of returned in a buffer
+/// of their own (the worker queues its outgoing frames this way).
+void append_frame(std::vector<std::uint8_t>& out, MsgType type,
+                  std::span<const std::uint8_t> payload);
+
 /// The 32-byte wire record of one QoR (f64 area, f64 delay, u64 cells,
 /// u64 inverters, little-endian) — the unit EvalResult carries and
 /// ShardDone's CRC-32 chains over.
@@ -235,6 +240,14 @@ std::vector<std::uint8_t> encode_load_registry_ack(
 std::vector<std::uint8_t> encode_metrics_text(const MetricsTextMsg& m);
 std::vector<std::uint8_t> encode_store_subscribe(const StoreSubscribeMsg& m);
 std::vector<std::uint8_t> encode_store_append(const StoreAppendMsg& m);
+
+/// One whole EvalResult frame for `m` appended to `out`, byte-identical to
+/// encode_frame(kEvalResult, encode_eval_result(m)) but written in place:
+/// nothing is allocated once `out` has the capacity. Returns the frame's
+/// 32-byte QoR record inside `out` (valid until `out` next changes), for
+/// ShardDone's CRC.
+std::span<const std::uint8_t, 32> append_eval_result_frame(
+    std::vector<std::uint8_t>& out, const EvalResultMsg& m);
 
 /// Decoders throw WireError on truncated or trailing bytes.
 HelloMsg decode_hello(std::span<const std::uint8_t> payload);

@@ -91,35 +91,87 @@ class EvalWatchdog {
   std::thread thread_;
 };
 
-/// The write side of one served connection. The serving thread owns the
-/// socket and its sends wait for the peer like any blocking socket's. Sends
-/// also come from threads that do not own it: store pushes from whichever
-/// thread appends, the watchdog's Error. Those pass a timeout, which bounds
-/// both the wait for the send lock and each wait for buffer space. No send
-/// throws. The first failed send drops the connection: the socket is shut
-/// down, which ends the serving thread's recv (or blocked send), and every
-/// later send is skipped.
+/// A served connection sends its queued frames once this many bytes are
+/// queued: a shard of store hits leaves in writes of this size instead of
+/// one write per result.
+constexpr std::size_t kBurstBytes = 64 * 1024;
+
+/// The write side of one served connection: a queue of whole frames and the
+/// sends that empty it. The serving thread owns the socket. It queues each
+/// EvalResult in place (queue_result) and sends the queue once kBurstBytes
+/// are queued, in the same send as any other frame it answers, and
+/// (flush) before it waits on anything, so no result waits behind a read
+/// or a synthesis. Its sends wait for the peer like any blocking socket's.
+/// Sends also come from threads that do not own it: store pushes from
+/// whichever thread appends, the watchdog's Error. Those pass a timeout,
+/// which bounds both the wait for the send lock and each wait for buffer
+/// space, and their frame leaves behind whatever is queued, so frames keep
+/// their order. No send throws. The first failed send drops the
+/// connection: the socket is shut down, which ends the serving thread's
+/// recv (or blocked send), and every later send is skipped.
 class FrameSender {
  public:
-  explicit FrameSender(Socket& sock) : sock_(sock) {}
-
-  /// timeout_ms < 0 (the serving thread) waits as long as the peer takes.
-  bool send(MsgType type, std::span<const std::uint8_t> payload,
-            int timeout_ms = -1) {
-    return send_frame(encode_frame(type, payload), timeout_ms);
+  explicit FrameSender(Socket& sock) : sock_(sock) {
+    queued_.reserve(2 * kBurstBytes);  // a burst and the frame that ends it
   }
 
+  /// Queue one EvalResult frame, chaining its QoR record onto `crc`
+  /// (ShardDone's CRC) straight from the queued bytes. False once the
+  /// connection is dropped.
+  bool queue_result(const EvalResultMsg& result, std::uint32_t& crc) {
+    std::unique_lock lock = lock_for(-1);
+    if (!lock) return false;
+    crc = util::crc32(append_eval_result_frame(queued_, result), crc);
+    return queued_.size() < kBurstBytes || send_queued(-1);
+  }
+
+  /// Send what is queued. False once the connection is dropped.
+  bool flush() {
+    std::unique_lock lock = lock_for(-1);
+    if (!lock) return false;
+    return queued_.empty() || send_queued(-1);
+  }
+
+  /// Send what is queued and then one frame, in one send. timeout_ms < 0
+  /// (the serving thread) waits as long as the peer takes.
+  bool send(MsgType type, std::span<const std::uint8_t> payload,
+            int timeout_ms = -1) {
+    std::unique_lock lock = lock_for(timeout_ms);
+    if (!lock) return false;
+    append_frame(queued_, type, payload);
+    return send_queued(timeout_ms);
+  }
+
+  /// send() for a frame already encoded (header included).
   bool send_frame(std::span<const std::uint8_t> frame, int timeout_ms) {
+    std::unique_lock lock = lock_for(timeout_ms);
+    if (!lock) return false;
+    queued_.insert(queued_.end(), frame.begin(), frame.end());
+    return send_queued(timeout_ms);
+  }
+
+  bool broken() const { return broken_.load(std::memory_order_acquire); }
+
+ private:
+  /// The send lock, waiting at most timeout_ms for it (< 0: as long as it
+  /// takes). Returned unlocked when the connection is, or is now, dropped.
+  std::unique_lock<std::timed_mutex> lock_for(int timeout_ms) {
     std::unique_lock lock(mu_, std::defer_lock);
     if (timeout_ms < 0) {
       lock.lock();
     } else if (!lock.try_lock_for(std::chrono::milliseconds(timeout_ms))) {
       drop("timed out waiting for the send lock");
-      return false;
+      return lock;
     }
-    if (broken()) return false;
+    if (broken()) lock.unlock();
+    return lock;
+  }
+
+  /// Send the whole queue and empty it; requires mu_.
+  bool send_queued(int timeout_ms) {
     try {
-      sock_.send_all(frame.data(), frame.size(), timeout_ms);
+      sock_.send_all(queued_.data(), queued_.size(), timeout_ms);
+      queued_.clear();
       return true;
     } catch (const std::exception& e) {
       drop(e.what());
@@ -127,9 +179,6 @@ class FrameSender {
     }
   }
 
-  bool broken() const { return broken_.load(std::memory_order_acquire); }
-
- private:
   void drop(const char* why) {
     if (broken_.exchange(true, std::memory_order_acq_rel)) return;
     util::log_warn("evald: send failed, dropping connection: ", why);
@@ -138,6 +187,7 @@ class FrameSender {
 
   std::timed_mutex mu_;
   Socket& sock_;
+  std::vector<std::uint8_t> queued_;  ///< whole frames not yet sent
   std::atomic<bool> broken_{false};
 };
 
@@ -184,13 +234,21 @@ class ResultQueue {
 
   bool stopped() const { return stopped_; }
 
+  /// `flush` runs before every wait for a producer, so what `emit` queued
+  /// never waits behind one.
   std::exception_ptr drain(
-      const std::function<bool(std::uint32_t, const map::QoR&)>& emit) {
+      const std::function<bool(std::uint32_t, const map::QoR&)>& emit,
+      const std::function<bool()>& flush) {
     std::vector<std::pair<std::uint32_t, map::QoR>> batch;
     std::unique_lock lock(mu_);
     while (producers_left_ > 0 || !ready_.empty()) {
-      cv_.wait(lock,
-               [this] { return !ready_.empty() || producers_left_ == 0; });
+      if (ready_.empty()) {
+        lock.unlock();
+        if (!flush()) stopped_ = true;  // the client is gone
+        lock.lock();
+        cv_.wait(lock,
+                 [this] { return !ready_.empty() || producers_left_ == 0; });
+      }
       batch.swap(ready_);
       lock.unlock();
       for (const auto& [index, q] : batch) {
@@ -216,12 +274,14 @@ class ResultQueue {
 /// lexicographic run for coordinator shards — so the prefix cache sees
 /// nearly the order a serial pass would. Nothing waits for a group of
 /// flows to finish, so one shard keeps the whole pool busy while every
-/// result still leaves as its own frame; and pool threads never send, so a
-/// client that stops reading holds up only this thread.
+/// result still leaves as its own frame, sent before this thread next
+/// waits for the pool; and pool threads never send, so a client that stops
+/// reading holds up only this thread.
 void stream_on_pool(
     const core::SynthesisEvaluator& evaluator,
     const std::vector<core::Flow>& flows, util::ThreadPool& pool,
-    const std::function<bool(std::uint32_t, const map::QoR&)>& emit) {
+    const std::function<bool(std::uint32_t, const map::QoR&)>& emit,
+    const std::function<bool()>& flush) {
   ResultQueue queue(flows.size());
   for (std::uint32_t i = 0; i < flows.size(); ++i) {
     pool.submit([&queue, &evaluator, &flow = flows[i], i] {
@@ -230,7 +290,7 @@ void stream_on_pool(
       });
     });
   }
-  if (const std::exception_ptr error = queue.drain(emit)) {
+  if (const std::exception_ptr error = queue.drain(emit, flush)) {
     std::rethrow_exception(error);
   }
 }
@@ -263,7 +323,8 @@ bool serve_frames(Socket& sock, const EvalService& service,
       st.connections_open.fetch_sub(1, std::memory_order_relaxed);
     }
   } cleanup{unsubscribe, st};
-  while (!sender->broken()) {
+  // Nothing queued may wait behind the next read.
+  while (sender->flush()) {
     std::optional<Frame> frame;
     try {
       frame = recv_frame(sock);
@@ -330,22 +391,23 @@ bool serve_frames(Socket& sock, const EvalService& service,
                                 });
           // One EvalResult per flow as it completes, then ShardDone with
           // the emitted count and a CRC-32 chained over the 32-byte QoR
-          // records in emission order.
+          // records in emission order. Results are queued and leave in
+          // bursts (FrameSender); the ShardDone carries the last of them.
           std::uint32_t emitted = 0;
           std::uint32_t crc = 0;
           const auto emit = [&](std::uint32_t index, const map::QoR& q) {
-            crc = util::crc32(qor_record_bytes(q), crc);
             ++emitted;
             if (watchdog.expired()) return true;
-            if (!sender->send(MsgType::kEvalResult,
-                              encode_eval_result({req.request_id, index, q}))) {
+            if (!sender->queue_result({req.request_id, index, q}, crc)) {
               return false;
             }
             st.results_streamed.fetch_add(1, std::memory_order_relaxed);
             return true;
           };
+          const auto flush = [&] { return sender->flush(); };
           try {
-            service.on_eval(req.design, req.registry, std::move(flows), emit);
+            service.on_eval(req.design, req.registry, std::move(flows), emit,
+                            flush);
           } catch (const std::exception& e) {
             // Evaluator failure: already-emitted results stand (they are
             // correct and the client applied them); the error closes the
@@ -685,8 +747,8 @@ EvalService EvalWorker::make_service() {
       [this](const aig::Fingerprint& fp,
              const opt::RegistryFingerprint& registry,
              std::vector<core::Flow> flows,
-             const std::function<bool(std::uint32_t, const map::QoR&)>&
-                 emit) {
+             const std::function<bool(std::uint32_t, const map::QoR&)>& emit,
+             const std::function<bool()>& flush) {
         // Chaos hooks: "worker.eval.pre" fires once per request,
         // "worker.eval.flow" is keyed by the hex of a flow's step bytes so a
         // *specific* flow can be made poisonous (crash/delay/error follows
@@ -704,19 +766,26 @@ EvalService EvalWorker::make_service() {
         const std::shared_ptr<core::SynthesisEvaluator> evaluator =
             evaluator_for(fp, registry);
         if (pool_) {
-          stream_on_pool(*evaluator, flows, *pool_, emit);
+          stream_on_pool(*evaluator, flows, *pool_, emit, flush);
           return;
         }
-        // One flow at a time, each result sent as it completes: the
-        // coordinator applies (and persists) it at once. The request
+        // One flow at a time, each result emitted as it completes: the
+        // coordinator applies (and persists) it as it lands. The request
         // arrives pre-sorted (coordinator shards are lexicographic runs),
         // so each flow resumes from the prefix its predecessor cached.
         for (std::size_t i = 0; i < flows.size(); ++i) {
-          // The connection is gone: nobody will read the rest.
-          if (!emit(static_cast<std::uint32_t>(i),
-                    evaluator->evaluate(flows[i]))) {
-            return;
+          // A label the memo or the store already holds joins the queued
+          // burst; a synthesis first sends the queue, so no result waits
+          // behind it. (evaluate() repeats the lookup: noise next to the
+          // synthesis it then runs.)
+          std::optional<map::QoR> qor = evaluator->lookup(flows[i]);
+          // A false flush or emit: the connection is gone, nobody will
+          // read the rest.
+          if (!qor) {
+            if (!flush()) return;
+            qor = evaluator->evaluate(flows[i]);
           }
+          if (!emit(static_cast<std::uint32_t>(i), *qor)) return;
         }
       };
   service.on_store_subscribe =
@@ -909,7 +978,8 @@ EvalService make_coordinator_service(EvalCoordinator& coordinator) {
                      const opt::RegistryFingerprint& registry,
                      std::vector<core::Flow> flows,
                      const std::function<bool(std::uint32_t, const map::QoR&)>&
-                         emit) {
+                         emit,
+                     const std::function<bool()>& flush) {
         // The fingerprint check and the batch submission are atomic inside
         // the coordinator — a plain check-then-evaluate would race a
         // concurrent client's load_design/load_registry. Fleets compose
@@ -928,7 +998,7 @@ EvalService make_coordinator_service(EvalCoordinator& coordinator) {
                 });
           });
         });
-        const std::exception_ptr error = queue.drain(emit);
+        const std::exception_ptr error = queue.drain(emit, flush);
         batch.join();
         if (error) std::rethrow_exception(error);
       };

@@ -69,18 +69,25 @@ struct EvalService {
   /// Evaluate a batch against the design with fingerprint `design`, whose
   /// step bytes are ids into the alphabet with fingerprint `registry`: call
   /// emit(index, qor) once per flow as results complete (index = the flow's
-  /// position in `flows`; order is free). The serve loop turns every emit
-  /// into an EvalResult frame and closes the stream with ShardDone (count +
-  /// CRC). emit must be called on the thread that called on_eval, where it
-  /// waits for the client to read like any blocking send; it never throws,
-  /// returns false once the connection is gone, and the handler may then
-  /// stop early. Throwing (e.g. design or registry not loaded) answers with an
-  /// Error frame carrying the request id; already-emitted results stand and
-  /// the client requeues only the rest.
+  /// position in `flows`; order is free). emit queues the flow's
+  /// EvalResult frame; the serve loop sends the queue once 64 KiB are
+  /// queued, with the ShardDone (count + CRC) that closes the stream, and
+  /// whenever the handler calls flush(). The handler must call flush()
+  /// before it waits on anything — a synthesis (a flow that lookup()
+  /// misses), another thread's result — so no result waits behind one.
+  /// emit and flush must be called on the thread that called on_eval,
+  /// where a send waits for the client to read like any blocking send. They
+  /// never throw and return false once the connection is gone, which is
+  /// noticed at the next send (still before the next synthesis starts);
+  /// the handler may then stop early. Throwing (e.g. design or registry not
+  /// loaded) answers with an Error frame carrying the request id, sent
+  /// behind the results already emitted; those stand and the client
+  /// requeues only the rest.
   std::function<void(
       const aig::Fingerprint& design, const opt::RegistryFingerprint& registry,
       std::vector<core::Flow> flows,
-      const std::function<bool(std::uint32_t, const map::QoR&)>& emit)>
+      const std::function<bool(std::uint32_t, const map::QoR&)>& emit,
+      const std::function<bool()>& flush)>
       on_eval;
   /// kStoreSubscribe: stream the QoR store's appends for `registry` to this
   /// connection. `push` takes one fully encoded kStoreAppend frame and
@@ -113,7 +120,7 @@ struct ServeStats {
   std::atomic<std::size_t> connections_open{0};
   std::atomic<std::size_t> requests{0};         ///< EvalRequests accepted
   std::atomic<std::size_t> flows_received{0};   ///< flows across requests
-  std::atomic<std::size_t> results_streamed{0}; ///< EvalResult frames sent
+  std::atomic<std::size_t> results_streamed{0}; ///< EvalResult frames queued
   std::atomic<std::size_t> errors{0};           ///< Error frames sent
   std::atomic<std::size_t> store_appends_streamed{0};  ///< kStoreAppend frames pushed
 };
@@ -164,9 +171,10 @@ struct WorkerOptions {
   /// evicts the least recently evaluated one together with its caches.
   std::size_t max_designs = 4;
   /// Optional persistent QoR store directory: every instantiated design
-  /// pre-warms its QoR cache from the store and appends new labels to it,
-  /// so worker restarts (and sibling workers sharing the directory) never
-  /// re-evaluate a (design, flow) pair.
+  /// answers from the store's labels (looked up per flow, never copied into
+  /// the evaluator's memo) and appends new labels to it, so worker restarts
+  /// (and sibling workers sharing the directory) never re-evaluate a
+  /// (design, flow) pair.
   std::string qor_store_dir;
   /// Per-evaluation wall-clock budget (see EvalService::eval_budget_ms);
   /// 0 disables the watchdog.

@@ -1,8 +1,12 @@
 #include "core/evaluator.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "core/flow_space.hpp"
+#include "core/qor_store.hpp"
 #include "designs/registry.hpp"
 
 namespace flowgen::core {
@@ -171,6 +175,54 @@ TEST(EvaluatorEngineTest, ConcurrentSharedCacheIsDeterministic) {
   const auto expected = reference.evaluate_many(flows, nullptr);
   expect_identical(expected, first);
   expect_identical(expected, second);
+}
+
+// --- store-backed lookup ------------------------------------------------
+
+TEST(EvaluatorStoreTest, StoredFlowIsAnsweredFromTheStoreAlone) {
+  const std::string dir = ::testing::TempDir() + "flowgen_eval_lookup_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const aig::Aig g = designs::make_design("alu:4");
+  const auto flows = sample_flows(2, 12);
+  // No synthesis gives this label, so returning it proves the store
+  // answered.
+  const map::QoR stored{1.5, 2.5, 3, 4};
+  {
+    QorStore writer(QorStoreConfig{dir, "writer", false, nullptr, {}});
+    ASSERT_TRUE(writer.append(g.fingerprint(), flows[0].steps, stored));
+  }
+  SynthesisEvaluator ev(g);
+  ev.attach_store(std::make_shared<QorStore>(
+      QorStoreConfig{dir, "reader", false, nullptr, {}}));
+
+  EXPECT_EQ(ev.lookup(flows[0]), stored);
+  EXPECT_EQ(ev.evaluate(flows[0]), stored);
+  EXPECT_EQ(ev.evaluations(), 0u);
+  EXPECT_EQ(ev.cache_size(), 0u);  // the store stays the only copy
+
+  // An unlabeled flow: lookup answers nullopt without evaluating it, and
+  // once evaluate() labels it, lookup finds the memo.
+  EXPECT_EQ(ev.lookup(flows[1]), std::nullopt);
+  EXPECT_EQ(ev.evaluations(), 0u);
+  EXPECT_EQ(ev.cache_size(), 0u);
+  const map::QoR fresh = ev.evaluate(flows[1]);
+  EXPECT_EQ(ev.evaluations(), 1u);
+  EXPECT_EQ(ev.cache_size(), 1u);
+  EXPECT_EQ(ev.lookup(flows[1]), fresh);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EvaluatorStoreTest, LookupWithoutAStoreReadsTheMemoAndValidates) {
+  SynthesisEvaluator ev(designs::make_design("alu:4"));
+  const auto flows = sample_flows(1, 13);
+  EXPECT_EQ(ev.lookup(flows[0]), std::nullopt);
+  EXPECT_EQ(ev.evaluations(), 0u);
+  const map::QoR qor = ev.evaluate(flows[0]);
+  EXPECT_EQ(ev.lookup(flows[0]), qor);
+  Flow stray;
+  stray.steps = {250};  // no such step in the paper alphabet
+  EXPECT_THROW(ev.lookup(stray), opt::RegistryError);
 }
 
 TEST(EvaluatorTest, QorStringFormat) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "opt/registry.hpp"
+#include "util/rng.hpp"
 
 namespace flowgen::core {
 namespace {
@@ -108,6 +111,80 @@ TEST(FlowTest, HashDistinguishesOrders) {
   set.insert(f2);
   set.insert(f1);
   EXPECT_EQ(set.size(), 2u);
+}
+
+/// The order lexicographic_order must reproduce, spelled the slow way.
+std::vector<std::size_t> stable_order(const std::vector<Flow>& flows) {
+  std::vector<std::size_t> order(flows.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return flows[a].steps < flows[b].steps;
+                   });
+  return order;
+}
+
+/// A batch that stresses every part of the packed key: lengths 0-40 (both
+/// sides of its 12 step bytes), step ids 0-255 and from a two-letter
+/// alphabet (so 12-byte keys tie), exact duplicates, and prefixes and
+/// extensions of earlier flows (so a real 0 step meets a padding zero).
+std::vector<Flow> tricky_batch(util::Rng& rng, std::size_t n) {
+  std::vector<Flow> flows;
+  const auto random_steps = [&](std::size_t len, unsigned alphabet) {
+    StepsKey steps(len);
+    for (auto& s : steps) s = static_cast<opt::StepId>(rng.below(alphabet));
+    return steps;
+  };
+  while (flows.size() < n) {
+    const std::uint64_t kind = flows.empty() ? 0 : rng.below(5);
+    Flow f;
+    if (kind == 0) {
+      f.steps = random_steps(rng.below(41), 256);
+    } else if (kind == 1) {
+      f.steps = random_steps(rng.below(41), 2);
+    } else {
+      f = flows[rng.below(flows.size())];
+      if (kind == 3) {
+        f.steps.resize(rng.below(f.steps.size() + 1));
+      } else if (kind == 4) {
+        const StepsKey tail = random_steps(1 + rng.below(20), 2);
+        f.steps.insert(f.steps.end(), tail.begin(), tail.end());
+      }  // kind 2: an exact duplicate
+    }
+    flows.push_back(std::move(f));
+  }
+  return flows;
+}
+
+TEST(FlowOrderTest, LexicographicOrderEqualsStableSort) {
+  EXPECT_TRUE(lexicographic_order(std::vector<Flow>{}).empty());
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    const std::vector<Flow> flows = tricky_batch(rng, 1 + rng.below(600));
+    EXPECT_EQ(lexicographic_order(flows), stable_order(flows))
+        << "seed " << seed;
+  }
+}
+
+TEST(FlowOrderTest, SubsetOrderIsTheFullOrderRestricted) {
+  util::Rng rng(99);
+  const std::vector<Flow> flows = tricky_batch(rng, 500);
+  std::vector<std::size_t> subset;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (rng.chance(0.4)) subset.push_back(i);
+  }
+  rng.shuffle(subset);
+  const std::vector<bool> member = [&] {
+    std::vector<bool> m(flows.size(), false);
+    for (const std::size_t i : subset) m[i] = true;
+    return m;
+  }();
+  std::vector<std::size_t> expected;
+  for (const std::size_t i : stable_order(flows)) {
+    if (member[i]) expected.push_back(i);
+  }
+  EXPECT_EQ(lexicographic_order(flows, subset), expected);
+  EXPECT_TRUE(lexicographic_order(flows, {}).empty());
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "service/loopback.hpp"
 #include "service/remote_evaluator.hpp"
 #include "service/wire.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 // Fork-based tests are skipped under ThreadSanitizer: TSan's runtime does
@@ -615,6 +616,119 @@ TEST(ServiceTest, ThreadServedWorkerCountsItsBatchInAdminStats) {
             static_cast<long>(flows.size()))
       << stats;
   EXPECT_EQ(stat_value(stats, "errors"), 0) << stats;
+}
+
+/// A store directory holding `labels[i]` for `flows[i]` of `design`.
+void write_labels(const std::string& dir, const aig::Aig& design,
+                  const std::vector<Flow>& flows,
+                  const std::vector<map::QoR>& labels) {
+  std::filesystem::remove_all(dir);
+  core::QorStore store(core::QorStoreConfig{dir, "seed", false, nullptr, {}});
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    store.append(design.fingerprint(), flows[i].steps, labels[i]);
+  }
+}
+
+/// A label no synthesis produces, so finding it proves the store answered.
+map::QoR stored_label(std::size_t i) {
+  return {1.0 + static_cast<double>(i), 2.0, i, 7};
+}
+
+TEST(ServiceTest, StoredResultLeavesBeforeTheNextSynthesisStarts) {
+  // The shard [stored flow, unstored flow]: the stored flow's EvalResult
+  // is queued, and the worker sends the queue before it synthesizes the
+  // second flow. So once that first result is read, nothing more is on
+  // the socket while the synthesis runs; a worker that held results back
+  // for a timer or a full burst would deliver both frames together.
+  const std::string dir = ::testing::TempDir() + "flowgen_burst_order_" +
+                          std::to_string(::getpid());
+  const aig::Aig design = designs::make_design("alu16");
+  const auto flows = sample_flows(2, 4, 21);  // 24 steps: a long synthesis
+  write_labels(dir, design, {flows[0]}, {stored_label(0)});
+  WorkerOptions options;
+  options.design_id = "alu16";
+  options.qor_store_dir = dir;
+  EvalWorker worker(options);
+  auto [client, server_sock] = socket_pair();
+  std::thread server([&worker, sock = std::move(server_sock)]() mutable {
+    worker.serve(sock);
+  });
+  HelloMsg hello;
+  hello.design_id = "alu16";
+  send_frame(client, MsgType::kHello, encode_hello(hello));
+  const auto ack = recv_frame(client, 30000);
+  ASSERT_TRUE(ack && ack->type == MsgType::kHelloAck);
+
+  EvalRequestMsg req;
+  req.request_id = 5;
+  req.design = decode_hello_ack(ack->payload).fingerprint;
+  for (const Flow& f : flows) req.flows.push_back(f.steps);
+  send_frame(client, MsgType::kEvalRequest, encode_eval_request(req));
+  const auto first = recv_frame(client, 30000);
+  ASSERT_TRUE(first && first->type == MsgType::kEvalResult);
+  EXPECT_FALSE(client.wait_readable(0))
+      << "the stored result waited for the synthesis behind it";
+  const EvalResultMsg stored = decode_eval_result(first->payload);
+  EXPECT_EQ(stored.index, 0u);
+  EXPECT_EQ(stored.result, stored_label(0));
+
+  const auto second = recv_frame(client, 120000);
+  ASSERT_TRUE(second && second->type == MsgType::kEvalResult);
+  const EvalResultMsg fresh = decode_eval_result(second->payload);
+  EXPECT_EQ(fresh.index, 1u);
+  const auto done = recv_frame(client, 30000);
+  ASSERT_TRUE(done && done->type == MsgType::kShardDone);
+  const ShardDoneMsg shard = decode_shard_done(done->payload);
+  EXPECT_EQ(shard.count, 2u);
+  EXPECT_EQ(shard.crc32,
+            util::crc32(qor_record_bytes(fresh.result),
+                        util::crc32(qor_record_bytes(stored.result))));
+  send_frame(client, MsgType::kShutdown, {});
+  server.join();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceTest, ShardOfStoredFlowsStreamsIntactInBursts) {
+  // 2000 stored flows in one shard: about 110 KB of EvalResult frames,
+  // which leave in 64 KiB sends. The coordinator must still see every
+  // result once, with ShardDone's count and CRC matching (no requeue, no
+  // lost worker), and the worker's stats must count every frame.
+  const std::string dir = ::testing::TempDir() + "flowgen_burst_shard_" +
+                          std::to_string(::getpid());
+  const aig::Aig design = designs::make_design("alu:4");
+  const auto flows = sample_flows(2000, 2, 22);
+  std::vector<map::QoR> labels;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    labels.push_back(stored_label(i));
+  }
+  write_labels(dir, design, flows, labels);
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  options.qor_store_dir = dir;
+  EvalWorker worker(options);
+  auto [coordinator_end, worker_end] = socket_pair();
+  std::thread server([&worker, sock = std::move(worker_end)]() mutable {
+    worker.serve(sock);
+  });
+  std::vector<EvalCoordinator::Worker> workers;
+  workers.push_back(
+      EvalCoordinator::Worker{std::move(coordinator_end), "thread"});
+  CoordinatorConfig config;
+  config.shards_per_worker = 1;
+  EvalCoordinator coordinator(std::move(workers), "alu:4", config);
+  expect_bit_identical(coordinator.evaluate_many(flows), labels);
+  const CoordinatorStats cs = coordinator.stats();
+  EXPECT_EQ(cs.shards, 1u);
+  EXPECT_EQ(cs.flows_streamed, flows.size());
+  EXPECT_EQ(cs.requeues, 0u);
+  EXPECT_EQ(cs.workers_lost, 0u);
+  coordinator.shutdown_workers();
+  server.join();
+  const std::string stats = worker_admin_text(worker, "stats");
+  EXPECT_EQ(stat_value(stats, "results_streamed"),
+            static_cast<long>(flows.size()))
+      << stats;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceTest, PooledWorkerStreamsEachResultOnceAndRoutesErrors) {

@@ -39,8 +39,9 @@
 //               evald --mode loopback --design-file adder.blif --workers 4
 //
 // --store points at a persistent labeled-QoR directory (docs/qor-store.md):
-// workers pre-warm their caches from it and append fresh labels; a server
-// answers stored flows without bothering its fleet.
+// workers look each flow up in it before synthesizing (a stored label is
+// answered from the store, not copied into memory) and append fresh
+// labels; a server answers stored flows without bothering its fleet.
 //
 // --admin opens the line-oriented introspection socket (tools/evalctl is
 // the matching client): queue depths, per-worker inflight/latency, requeue
