@@ -5,7 +5,8 @@
 #   2. the message-type table in docs/protocol.md matches the MsgType enum
 #      in src/service/wire.hpp, name for name and value for value (new
 #      MsgType entries — LoadRegistry etc. — fail the gate until the table
-#      documents them),
+#      documents them), and the enum reuses no number that the doc's
+#      "Retired type numbers:" line lists,
 #   3. the protocol version in the doc title matches kProtocolVersion,
 #   4. the paper registry fingerprint quoted in docs/protocol.md matches
 #      the value pinned in tests/registry_test.cpp,
@@ -51,6 +52,15 @@ if [ "$enum_pairs" != "$doc_pairs" ]; then
     | sed 's/^</  wire.hpp: /; s/^>/  protocol.md: /' | grep -v '^---' || true
   fail=1
 fi
+retired=$(grep -m1 '^Retired type numbers:' docs/protocol.md \
+  | grep -oE '[0-9]+' || true)
+for n in $retired; do
+  if echo "$enum_pairs" | grep -qE "^${n} "; then
+    echo "check_docs: MsgType reuses retired type number ${n}" \
+         "(docs/protocol.md, \"Retired type numbers\")"
+    fail=1
+  fi
+done
 
 # --------------------------------------------- 3. protocol version match --
 code_version=$(grep -oE 'kProtocolVersion = [0-9]+' src/service/wire.hpp \

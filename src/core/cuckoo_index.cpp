@@ -229,20 +229,6 @@ std::optional<map::QoR> CuckooIndex::find(const aig::Fingerprint& design,
   return std::nullopt;
 }
 
-void CuckooIndex::for_design(
-    const aig::Fingerprint& design,
-    const std::function<void(StepsView, const map::QoR&)>& fn) const {
-  std::size_t pos = 0;
-  while (pos < arena_.size()) {
-    const std::uint8_t* e = arena_.data() + pos;
-    const std::uint16_t n = load_u16(e + 16);
-    if (load_u64(e) == design[0] && load_u64(e + 8) == design[1]) {
-      fn(StepsView(e + kStepsOffset, n), qor_at(e));
-    }
-    pos += kEntryFixedBytes + n;
-  }
-}
-
 void CuckooIndex::for_each(
     const std::function<void(const aig::Fingerprint&, StepsView,
                              const map::QoR&)>& fn) const {

@@ -62,11 +62,6 @@ public:
   std::optional<map::QoR> find(const aig::Fingerprint& design,
                                StepsView steps) const;
 
-  /// Invoke `fn` for every entry of `design`, in arena (insertion) order.
-  void for_design(
-      const aig::Fingerprint& design,
-      const std::function<void(StepsView, const map::QoR&)>& fn) const;
-
   /// Invoke `fn` for every entry, in arena (insertion) order.
   void for_each(const std::function<void(const aig::Fingerprint&, StepsView,
                                          const map::QoR&)>& fn) const;

@@ -32,7 +32,6 @@ struct StoreMetrics {
   telemetry::Counter& records_loaded;
   telemetry::Histogram& load_ms;
   telemetry::Counter& segment_records_loaded;
-  telemetry::Counter& ingests;
   telemetry::Counter& compactions;
   telemetry::Histogram& compact_ms;
 };
@@ -52,8 +51,6 @@ StoreMetrics& store_metrics() {
                            telemetry::default_ms_buckets()),
       telemetry::counter("flowgen_qor_store_segment_records_loaded_total",
                          "Label records bulk-loaded from .qorseg segments"),
-      telemetry::counter("flowgen_qor_store_ingests_total",
-                         "Label records adopted from peers (kStoreAppend)"),
       telemetry::counter("flowgen_qor_store_compactions_total",
                          "Compaction passes committed"),
       telemetry::histogram("flowgen_qor_store_compact_ms",
@@ -729,8 +726,14 @@ std::optional<map::QoR> QorStore::lookup(const aig::Fingerprint& design,
   return hit;
 }
 
-bool QorStore::append_locked(const aig::Fingerprint& design, StepsView steps,
-                             const map::QoR& qor) {
+bool QorStore::append(const aig::Fingerprint& design, StepsView steps,
+                      const map::QoR& qor) {
+  // Chaos runs inject disk-full / I/O errors here; callers must treat a
+  // failed append as "label not persisted", never "label wrong".
+  FLOWGEN_FAILPOINT("store.append");
+  if (steps.size() > 0xFFFF) throw QorStoreError("flow too long for record");
+  registry_->validate_steps(steps);  // no undefined step byte ever persists
+  std::lock_guard lock(mutex_);
   if (find_locked(design, steps)) return false;
 
   std::vector<std::uint8_t> payload;
@@ -773,63 +776,9 @@ bool QorStore::append_locked(const aig::Fingerprint& design, StepsView steps,
   }
   if (config_.fsync_each_append) ::fsync(fd_);
   index_.insert(design, steps, qor);
-  return true;
-}
-
-void QorStore::notify_listeners_locked(const aig::Fingerprint& design,
-                                       StepsView steps,
-                                       const map::QoR& qor) {
-  for (std::size_t i = 0; i < listeners_.size();) {
-    if (listeners_[i].second(design, steps, qor)) {
-      ++i;
-    } else {
-      listeners_.erase(listeners_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-    }
-  }
-}
-
-bool QorStore::append(const aig::Fingerprint& design, StepsView steps,
-                      const map::QoR& qor) {
-  // Chaos runs inject disk-full / I/O errors here; callers must treat a
-  // failed append as "label not persisted", never "label wrong".
-  FLOWGEN_FAILPOINT("store.append");
-  if (steps.size() > 0xFFFF) throw QorStoreError("flow too long for record");
-  registry_->validate_steps(steps);  // no undefined step byte ever persists
-  std::lock_guard lock(mutex_);
-  if (!append_locked(design, steps, qor)) return false;
   ++stats_.appends;
   store_metrics().appends.inc();
-  notify_listeners_locked(design, steps, qor);
   return true;
-}
-
-bool QorStore::ingest(const aig::Fingerprint& design, StepsView steps,
-                      const map::QoR& qor) {
-  if (steps.size() > 0xFFFF) throw QorStoreError("flow too long for record");
-  registry_->validate_steps(steps);
-  std::lock_guard lock(mutex_);
-  if (!append_locked(design, steps, qor)) return false;
-  ++stats_.ingests;
-  store_metrics().ingests.inc();
-  return true;
-}
-
-std::uint64_t QorStore::subscribe(Listener listener) {
-  std::lock_guard lock(mutex_);
-  const std::uint64_t token = next_listener_token_++;
-  listeners_.emplace_back(token, std::move(listener));
-  return token;
-}
-
-void QorStore::unsubscribe(std::uint64_t token) {
-  std::lock_guard lock(mutex_);
-  for (std::size_t i = 0; i < listeners_.size(); ++i) {
-    if (listeners_[i].first == token) {
-      listeners_.erase(listeners_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
 }
 
 QorStore::CompactionResult QorStore::compact() {
@@ -1070,33 +1019,6 @@ QorStore::CompactionResult QorStore::compact() {
   result.epoch = new_epoch;
   result.records = record_count;
   return result;
-}
-
-void QorStore::for_design(
-    const aig::Fingerprint& design,
-    const std::function<void(StepsView, const map::QoR&)>& fn) const {
-  std::lock_guard lock(mutex_);
-  index_.for_design(design, fn);
-  // Segment entries of one design are a contiguous sorted run; find its
-  // start with the empty flow (the minimal key for the design) and walk.
-  for (const Segment& s : segments_) {
-    std::size_t lo = 0;
-    std::size_t hi = s.offsets.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      const std::uint8_t* e = s.data() + s.offsets[mid];
-      if (compare_entry(e, design, StepsView{}) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    for (std::size_t i = lo; i < s.offsets.size(); ++i) {
-      const std::uint8_t* e = s.data() + s.offsets[i];
-      if (get_u64(e) != design[0] || get_u64(e + 8) != design[1]) break;
-      fn(StepsView(e + 18, get_u16(e + 16)), decode_entry_qor(e));
-    }
-  }
 }
 
 std::size_t QorStore::size() const {

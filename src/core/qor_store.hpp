@@ -25,8 +25,7 @@
 //
 // Thread-safety: all public methods are safe to call concurrently; one
 // mutex serialises index and file access (appends are rare and small next
-// to the synthesis work that produces them). Subscription listeners run
-// under that mutex — see subscribe().
+// to the synthesis work that produces them).
 
 #include <cstdint>
 #include <functional>
@@ -95,7 +94,6 @@ struct QorStoreStats {
   std::size_t segment_records_loaded = 0;  ///< records bulk-loaded from them
   std::size_t log_truncations = 0;  ///< own-log torn tails healed
   std::size_t compactions = 0;      ///< compact() passes that committed
-  std::size_t ingests = 0;          ///< records adopted via ingest()
 };
 
 class QorStore {
@@ -108,13 +106,6 @@ public:
     std::size_t records = 0;      ///< records in the segment written
     std::size_t logs_folded = 0;  ///< .qorlog files folded/watermarked
   };
-
-  /// A subscription listener: called once per record appended by *this
-  /// process* (append(), not ingest()), under the store mutex. Return
-  /// false to cancel the subscription. Listeners must not call back into
-  /// the store and should only hand the record off (encode + enqueue).
-  using Listener = std::function<bool(
-      const aig::Fingerprint&, StepsView, const map::QoR&)>;
 
   /// Open (creating if needed) the store at `config.dir`: read the
   /// MANIFEST when present, attach its segments, then scan every
@@ -136,19 +127,10 @@ public:
                                  StepsView steps) const;
 
   /// Record one label: appended to this writer's log (one write syscall,
-  /// CRC-stamped), indexed, and announced to subscribers. Returns false
-  /// without writing when the key is already present — evaluation is
-  /// pure, so a duplicate carries no new information. Throws QorStoreError
-  /// if the write fails.
+  /// CRC-stamped) and indexed. Returns false without writing when the key
+  /// is already present — evaluation is pure, so a duplicate carries no
+  /// new information. Throws QorStoreError if the write fails.
   bool append(const aig::Fingerprint& design, StepsView steps,
-              const map::QoR& qor);
-
-  /// Adopt one label received from a peer (kStoreAppend): persisted to
-  /// this writer's log and indexed like append(), but *not* announced to
-  /// subscribers — only locally-produced records propagate, so a ring of
-  /// subscribed stores cannot echo records forever. Returns false when the
-  /// key is already present.
-  bool ingest(const aig::Fingerprint& design, StepsView steps,
               const map::QoR& qor);
 
   /// Fold every log (and any previous segment) into one fresh sorted
@@ -159,19 +141,6 @@ public:
   /// records appended since attach (the pre-fold rescan), so a compaction
   /// doubles as a sibling sync.
   CompactionResult compact();
-
-  /// Register a listener for future append()s. The returned token cancels
-  /// it via unsubscribe(); after unsubscribe() returns, the listener is
-  /// guaranteed not to be running and never called again.
-  std::uint64_t subscribe(Listener listener);
-  void unsubscribe(std::uint64_t token);
-
-  /// Invoke `fn(steps, qor)` for every stored record of `design` (order
-  /// unspecified). Evaluators do not call this: they look flows up one at
-  /// a time and never copy the store into memory.
-  void for_design(const aig::Fingerprint& design,
-                  const std::function<void(StepsView, const map::QoR&)>& fn)
-      const;
 
   /// Total records held (segment-resident + indexed, deduplicated).
   std::size_t size() const;
@@ -257,11 +226,7 @@ private:
   std::size_t segment_records_locked() const;
   /// Parse `<dir>/MANIFEST`; nullopt when absent, throws when corrupt.
   std::optional<Manifest> read_manifest() const;
-  bool append_locked(const aig::Fingerprint& design, StepsView steps,
-                     const map::QoR& qor);
   void write_fresh_header_locked();
-  void notify_listeners_locked(const aig::Fingerprint& design,
-                               StepsView steps, const map::QoR& qor);
   /// Compaction sync points are failpoints first ("store.compact" keyed by
   /// the point name, so `store.compact=crash@key=manifest_tmp` kills the
   /// process at that instant) with the legacy in-process hook kept for
@@ -279,8 +244,6 @@ private:
   CuckooIndex index_;        ///< log-resident records (disjoint from segments)
   std::vector<Segment> segments_;  ///< compacted records, searched in order
   std::uint64_t epoch_ = 0;
-  std::vector<std::pair<std::uint64_t, Listener>> listeners_;
-  std::uint64_t next_listener_token_ = 1;
   mutable QorStoreStats stats_;  ///< lookups/hits tick under the mutex
 };
 

@@ -151,7 +151,6 @@ EvalCoordinator::EvalCoordinator(std::vector<Worker> workers,
     WorkerSnapshot snap;
     snap.name = state.name;
     if (qualify(state, w.sock, config_.request_timeout_ms)) {
-      send_store_subscribe_raw(w.sock, state.name, config_.request_timeout_ms);
       state.conn = std::make_unique<FrameConn>(std::move(w.sock));
       state.alive = true;
       snap.alive = true;
@@ -392,7 +391,6 @@ bool EvalCoordinator::admit_worker(Worker worker) {
           schedule_retry(w, now_ms());
           return;
         }
-        send_store_subscribe_raw(worker.sock, workers_[w].name, timeout);
         activate_worker(w, std::move(worker.sock));
         admitted = true;
       },
@@ -660,9 +658,6 @@ void EvalCoordinator::load_registry_on_loop(
     // and the evaluate-time guard turns any mismatch into a typed error.
     open_store_for_registry_locked();
   }
-  // Already on the loop thread here (load_registry runs via run_command):
-  // re-point every worker's label stream at the new alphabet's store.
-  broadcast_store_subscribe();
 }
 
 void EvalCoordinator::shutdown_workers() {
@@ -691,40 +686,28 @@ void EvalCoordinator::shutdown_workers() {
 }
 
 void EvalCoordinator::attach_store(std::shared_ptr<core::QorStore> store) {
-  {
-    std::lock_guard lock(mu_);
-    if (store && store->registry_fingerprint() != registry_->fingerprint()) {
-      // Store records are (design fp, packed steps) — under a different
-      // alphabet the same bytes mean different flows. Loud and typed.
-      throw opt::RegistryError(
-          "attach_store: QorStore registry fingerprint " +
-          opt::registry_fingerprint_hex(store->registry_fingerprint()) +
-          " does not match the fleet's " +
-          opt::registry_fingerprint_hex(registry_->fingerprint()));
-    }
-    store_root_.clear();  // explicit store wins over directory mode
-    store_ = std::move(store);
-    // Quarantine verdicts live next to the labels they gate: file-backed
-    // when a store directory exists, memory-only otherwise.
-    quarantine_ = store_
-                      ? std::make_shared<core::QuarantineList>(store_->dir())
-                      : std::make_shared<core::QuarantineList>();
+  std::lock_guard lock(mu_);
+  if (store && store->registry_fingerprint() != registry_->fingerprint()) {
+    // Store records are (design fp, packed steps) — under a different
+    // alphabet the same bytes mean different flows. Loud and typed.
+    throw opt::RegistryError(
+        "attach_store: QorStore registry fingerprint " +
+        opt::registry_fingerprint_hex(store->registry_fingerprint()) +
+        " does not match the fleet's " +
+        opt::registry_fingerprint_hex(registry_->fingerprint()));
   }
-  // Workers start streaming their locally-produced labels into the new
-  // store. There is no unsubscribe frame: after a detach (null store) the
-  // pushes keep arriving and handle_frame drops them as stale.
-  run_command([this] { broadcast_store_subscribe(); },
-              /*requires_idle=*/false);
+  store_root_.clear();  // explicit store wins over directory mode
+  store_ = std::move(store);
+  // Quarantine verdicts live next to the labels they gate: file-backed
+  // when a store directory exists, memory-only otherwise.
+  quarantine_ = store_ ? std::make_shared<core::QuarantineList>(store_->dir())
+                       : std::make_shared<core::QuarantineList>();
 }
 
 void EvalCoordinator::attach_store_dir(std::string root) {
-  {
-    std::lock_guard lock(mu_);
-    store_root_ = std::move(root);
-    open_store_for_registry_locked();
-  }
-  run_command([this] { broadcast_store_subscribe(); },
-              /*requires_idle=*/false);
+  std::lock_guard lock(mu_);
+  store_root_ = std::move(root);
+  open_store_for_registry_locked();
 }
 
 void EvalCoordinator::open_store_for_registry_locked() {
@@ -738,53 +721,6 @@ void EvalCoordinator::open_store_for_registry_locked() {
   config.registry = registry_;
   store_ = std::make_shared<core::QorStore>(std::move(config));
   quarantine_ = std::make_shared<core::QuarantineList>(store_->dir());
-}
-
-void EvalCoordinator::send_store_subscribe_raw(Socket& sock,
-                                               const std::string& name,
-                                               int timeout_ms) {
-  std::shared_ptr<core::QorStore> store;
-  {
-    std::lock_guard lock(mu_);
-    store = store_;
-  }
-  if (!store) return;  // nothing to stream into; attach re-subscribes later
-  StoreSubscribeMsg sub;
-  sub.registry = store->registry_fingerprint();
-  try {
-    send_frame(sock, MsgType::kStoreSubscribe, encode_store_subscribe(sub),
-               timeout_ms);
-    std::lock_guard lock(mu_);
-    ++stats_.store_subscribes;
-  } catch (const std::exception& e) {
-    util::log_warn("coordinator: worker ", name,
-                   " store subscribe failed: ", e.what());
-  }
-}
-
-void EvalCoordinator::broadcast_store_subscribe() {
-  std::shared_ptr<core::QorStore> store;
-  {
-    std::lock_guard lock(mu_);
-    store = store_;
-  }
-  if (!store) return;
-  StoreSubscribeMsg sub;
-  sub.registry = store->registry_fingerprint();
-  const std::vector<std::uint8_t> payload = encode_store_subscribe(sub);
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    WorkerState& worker = workers_[w];
-    if (!worker.alive) continue;
-    if (worker.conn->enqueue(MsgType::kStoreSubscribe, payload) ==
-        FrameConn::Io::kError) {
-      lose_worker(w, "send failed");
-      continue;
-    }
-    poller_.mod(worker.conn->fd(), /*want_read=*/true,
-                worker.conn->want_write(), w);
-    std::lock_guard lock(mu_);
-    ++stats_.store_subscribes;
-  }
 }
 
 // ----------------------------------------------------------------- getters --
@@ -872,8 +808,6 @@ std::string EvalCoordinator::admin_text(const std::string& command) const {
     os << "workers_readmitted " << s.workers_readmitted << '\n';
     os << "store_hits " << s.store_hits << '\n';
     os << "store_appends " << s.store_appends << '\n';
-    os << "store_ingests " << s.store_ingests << '\n';
-    os << "store_subscribes " << s.store_subscribes << '\n';
     os << "store_errors " << s.store_errors << '\n';
     os << "eval_errors " << s.eval_errors << '\n';
     os << "flows_quarantined " << s.flows_quarantined << '\n';
@@ -899,7 +833,6 @@ std::string EvalCoordinator::admin_text(const std::string& command) const {
     os << "log_records_loaded " << st.records_loaded << '\n';
     os << "log_truncations " << st.log_truncations << '\n';
     os << "appends " << st.appends << '\n';
-    os << "ingests " << st.ingests << '\n';
     os << "compactions " << st.compactions << '\n';
     os << "index_buckets " << ix.buckets << '\n';
     os << "index_stash_entries " << ix.stash_entries << '\n';
@@ -1439,36 +1372,6 @@ void EvalCoordinator::handle_frame(std::size_t w, Frame& frame) {
       });
       return;
     }
-    case MsgType::kStoreAppend: {
-      // A sibling label streamed by a subscribed worker: adopt it into the
-      // attached store via ingest() (persisted + indexed but never
-      // re-announced, so coordinator⇄worker rings cannot echo records).
-      StoreAppendMsg msg;
-      try {
-        msg = decode_store_append(frame.payload);
-      } catch (const std::exception&) {
-        lose_worker(w, "undecodable store append");
-        return;
-      }
-      std::shared_ptr<core::QorStore> store;
-      {
-        std::lock_guard lock(mu_);
-        store = store_;
-      }
-      // A push racing a detach or an alphabet switch is stale, not
-      // hostile: drop it, keep the worker.
-      if (!store || store->registry_fingerprint() != msg.registry) return;
-      try {
-        const bool fresh =
-            store->ingest(msg.design, core::StepsView(msg.steps), msg.qor);
-        std::lock_guard lock(mu_);
-        if (fresh) ++stats_.store_ingests;
-      } catch (const std::exception& e) {
-        util::log_warn("coordinator: sibling label from ", worker.name,
-                       " not ingested: ", e.what());
-      }
-      return;
-    }
     case MsgType::kPong:
       return;  // stray liveness echo; harmless
     default:
@@ -1834,10 +1737,7 @@ void EvalCoordinator::try_reconnects(std::int64_t now) {
       Socket sock = connect_to(Address::parse(worker.name),
                                std::clamp(config_.reconnect_ms, 100, 2000));
       const int timeout = std::min(config_.request_timeout_ms, 5000);
-      if (qualify(worker, sock, timeout)) {
-        send_store_subscribe_raw(sock, worker.name, timeout);
-        activate_worker(w, std::move(sock));
-      }
+      if (qualify(worker, sock, timeout)) activate_worker(w, std::move(sock));
     } catch (const std::exception&) {
       // Still down; the retry clock is already re-armed.
     }

@@ -172,8 +172,6 @@ struct CoordinatorStats {
   std::size_t flows_requeued = 0;   ///< flows a loss did send back
   std::size_t store_hits = 0;       ///< flows answered from the QorStore
   std::size_t store_appends = 0;    ///< fresh labels persisted to the store
-  std::size_t store_ingests = 0;    ///< sibling labels adopted (StoreAppend)
-  std::size_t store_subscribes = 0; ///< StoreSubscribe frames sent to workers
   std::size_t store_errors = 0;     ///< appends that failed (label kept)
   std::size_t eval_errors = 0;      ///< typed worker errors (shard requeued)
   std::size_t flows_quarantined = 0; ///< flows convicted and quarantined
@@ -542,18 +540,6 @@ private:
 
   std::size_t num_alive_loop() const;
   void open_store_for_registry_locked();
-  /// Fire-and-forget kStoreSubscribe on a freshly qualified socket when a
-  /// store is attached: the worker streams every label it produces locally
-  /// back as kStoreAppend frames (ingested here, never re-announced, so
-  /// subscription rings cannot echo). Blocking send, no ack; a failure
-  /// only logs — streaming is an optimisation, not part of the handshake
-  /// contract. Used right after every successful qualify().
-  void send_store_subscribe_raw(Socket& sock, const std::string& name,
-                                int timeout_ms);
-  /// Loop thread: (re-)subscribe every live worker to the current store's
-  /// alphabet. Called when attach_store/attach_store_dir/load_registry
-  /// change what the coordinator persists to.
-  void broadcast_store_subscribe();
 
   /// Guards: identity (design/registry/store), stats_, snapshots_,
   /// submissions_/commands_, batch finished/failed flags, observers,

@@ -398,43 +398,4 @@ MetricsTextMsg decode_metrics_text(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-std::vector<std::uint8_t> encode_store_subscribe(const StoreSubscribeMsg& m) {
-  Writer w;
-  w.fp(m.registry);
-  return w.take();
-}
-
-StoreSubscribeMsg decode_store_subscribe(
-    std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  StoreSubscribeMsg m;
-  m.registry = r.fp();
-  r.expect_end();
-  return m;
-}
-
-std::vector<std::uint8_t> encode_store_append(const StoreAppendMsg& m) {
-  if (m.steps.size() > 0xFFFF) throw WireError("flow too long");
-  Writer w;
-  w.fp(m.registry);
-  w.fp(m.design);
-  w.u16(static_cast<std::uint16_t>(m.steps.size()));
-  for (const opt::StepId s : m.steps) w.u8(s);
-  w.qor(m.qor);
-  return w.take();
-}
-
-StoreAppendMsg decode_store_append(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  StoreAppendMsg m;
-  m.registry = r.fp();
-  m.design = r.fp();
-  const std::uint16_t len = r.u16();
-  const auto raw = r.bytes(len);
-  m.steps.assign(raw.begin(), raw.end());
-  m.qor = r.qor();
-  r.expect_end();
-  return m;
-}
-
 }  // namespace flowgen::service

@@ -19,6 +19,8 @@
 // deadlines on every frame, and on worker loss requeues only the flows it
 // never received. Version 5 makes streaming the only answer shape: the
 // EvalRequest flags byte and the whole-shard answer frame are gone.
+// Version 6 retires the live store-streaming frames (types 17 and 18):
+// coordinators that share a store directory share labels through it.
 // docs/protocol.md is the normative description of the format.
 
 #include <array>
@@ -38,8 +40,8 @@ namespace flowgen::service {
 
 /// Bumped on any incompatible frame or payload change. Carried in every
 /// frame header and in Hello/HelloAck; both sides reject mismatches
-/// instead of guessing (v1–v4 peers are refused at the first frame).
-inline constexpr std::uint8_t kProtocolVersion = 5;
+/// instead of guessing (v1–v5 peers are refused at the first frame).
+inline constexpr std::uint8_t kProtocolVersion = 6;
 
 /// "FLOW" — rejects stray connections speaking the wrong protocol.
 inline constexpr std::uint32_t kFrameMagic = 0x464C4F57;
@@ -71,8 +73,8 @@ enum class MsgType : std::uint8_t {
   kShardDone = 14,     ///< worker -> client: stream terminator, count + CRC (v4)
   kGetMetrics = 15,    ///< client -> worker: scrape request, echoes a nonce
   kMetricsText = 16,   ///< worker -> client: nonce + Prometheus text
-  kStoreSubscribe = 17, ///< client -> worker: stream the worker's QoR-store appends
-  kStoreAppend = 18,   ///< worker -> client: one freshly stored label record
+  // Types 17 and 18 streamed QoR-store appends (post-v4); retired in v6,
+  // never reused.
 };
 
 /// Malformed frame or payload bytes (bad magic/version/length, truncated
@@ -195,30 +197,6 @@ struct MetricsTextMsg {
   std::string text;
 };
 
-/// Ask the worker to stream every label its QoR store appends from now on
-/// (kStoreAppend frames, no terminator, no acks) for as long as the
-/// connection lives. `registry` names the alphabet the subscriber is
-/// collecting labels for; a worker whose store is keyed differently — or
-/// that has no store at all — silently ignores the request rather than
-/// erroring, so subscribing is always safe to attempt. Added after v4
-/// shipped without a version bump, like kGetMetrics: old workers answer
-/// with kError, which subscribers treat as "no live stream".
-struct StoreSubscribeMsg {
-  opt::RegistryFingerprint registry = opt::paper_registry_fingerprint();
-};
-
-/// One label record pushed under a store subscription: the alphabet and
-/// design it is keyed by, the packed flow, and the 32-byte QoR record
-/// (same layout qor_record_bytes emits). Receivers ingest — persist +
-/// index without re-announcing — so two mutually subscribed peers cannot
-/// echo a record forever.
-struct StoreAppendMsg {
-  opt::RegistryFingerprint registry = opt::paper_registry_fingerprint();
-  aig::Fingerprint design = kNoDesign;
-  core::StepsKey steps;
-  map::QoR qor;
-};
-
 // Encoders are pure (no I/O); they throw WireError only on unencodable
 // values (strings > 64 KiB, flows > 64Ki steps).
 std::vector<std::uint8_t> encode_hello(const HelloMsg& m);
@@ -238,8 +216,6 @@ std::vector<std::uint8_t> encode_load_registry_ack(
 /// MetricsText: u64 nonce + the Prometheus page (rest of the payload; the
 /// page routinely exceeds the 64 KiB string cap, so it is not length-prefixed).
 std::vector<std::uint8_t> encode_metrics_text(const MetricsTextMsg& m);
-std::vector<std::uint8_t> encode_store_subscribe(const StoreSubscribeMsg& m);
-std::vector<std::uint8_t> encode_store_append(const StoreAppendMsg& m);
 
 /// One whole EvalResult frame for `m` appended to `out`, byte-identical to
 /// encode_frame(kEvalResult, encode_eval_result(m)) but written in place:
@@ -261,7 +237,5 @@ aig::Fingerprint decode_load_design_ack(std::span<const std::uint8_t> payload);
 opt::RegistryFingerprint decode_load_registry_ack(
     std::span<const std::uint8_t> payload);
 MetricsTextMsg decode_metrics_text(std::span<const std::uint8_t> payload);
-StoreSubscribeMsg decode_store_subscribe(std::span<const std::uint8_t> payload);
-StoreAppendMsg decode_store_append(std::span<const std::uint8_t> payload);
 
 }  // namespace flowgen::service

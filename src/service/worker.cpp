@@ -37,9 +37,9 @@ telemetry::Counter& scrapes_answered() {
 constexpr const char* kBudgetExceededMsg =
     "evaluation exceeded its wall-clock budget (watchdog)";
 
-/// Bound on each wait of a send made off the serving thread (store push,
-/// watchdog): a peer that stops reading costs its connection, never a
-/// wedged store or watchdog.
+/// Bound on each wait of the watchdog's send, the one made off the serving
+/// thread: a peer that stops reading costs its connection, never a wedged
+/// watchdog.
 constexpr int kSendTimeoutMs = 5000;
 
 /// How often serve_connections re-checks its stop flag between accepts.
@@ -102,11 +102,10 @@ constexpr std::size_t kBurstBytes = 64 * 1024;
 /// are queued, in the same send as any other frame it answers, and
 /// (flush) before it waits on anything, so no result waits behind a read
 /// or a synthesis. Its sends wait for the peer like any blocking socket's.
-/// Sends also come from threads that do not own it: store pushes from
-/// whichever thread appends, the watchdog's Error. Those pass a timeout,
-/// which bounds both the wait for the send lock and each wait for buffer
-/// space, and their frame leaves behind whatever is queued, so frames keep
-/// their order. No send throws. The first failed send drops the
+/// One send comes from another thread: the watchdog's Error. It passes a
+/// timeout, which bounds both the wait for the send lock and each wait for
+/// buffer space, and its frame leaves behind whatever is queued, so frames
+/// keep their order. No send throws. The first failed send drops the
 /// connection: the socket is shut down, which ends the serving thread's
 /// recv (or blocked send), and every later send is skipped.
 class FrameSender {
@@ -139,14 +138,6 @@ class FrameSender {
     std::unique_lock lock = lock_for(timeout_ms);
     if (!lock) return false;
     append_frame(queued_, type, payload);
-    return send_queued(timeout_ms);
-  }
-
-  /// send() for a frame already encoded (header included).
-  bool send_frame(std::span<const std::uint8_t> frame, int timeout_ms) {
-    std::unique_lock lock = lock_for(timeout_ms);
-    if (!lock) return false;
-    queued_.insert(queued_.end(), frame.begin(), frame.end());
     return send_queued(timeout_ms);
   }
 
@@ -303,28 +294,21 @@ bool serve_frames(Socket& sock, const EvalService& service,
   ServeStats& st = stats ? *stats : unshared;
   st.connections_total.fetch_add(1, std::memory_order_relaxed);
   st.connections_open.fetch_add(1, std::memory_order_relaxed);
-  auto sender = std::make_shared<FrameSender>(sock);
+  struct Cleanup {
+    ServeStats& st;
+    ~Cleanup() { st.connections_open.fetch_sub(1, std::memory_order_relaxed); }
+  } cleanup{st};
+  FrameSender sender(sock);
   const auto send_error = [&](std::uint64_t request_id,
                               const std::string& message,
                               int timeout_ms = -1) {
-    if (sender->send(MsgType::kError, encode_error({request_id, message}),
-                     timeout_ms)) {
+    if (sender.send(MsgType::kError, encode_error({request_id, message}),
+                    timeout_ms)) {
       st.errors.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  std::function<void()> unsubscribe;
-  struct Cleanup {
-    std::function<void()>& unsubscribe;
-    ServeStats& st;
-    ~Cleanup() {
-      // On every exit path: after this, the push closure (which captures
-      // the sender) is guaranteed not running and never called again.
-      if (unsubscribe) unsubscribe();
-      st.connections_open.fetch_sub(1, std::memory_order_relaxed);
-    }
-  } cleanup{unsubscribe, st};
   // Nothing queued may wait behind the next read.
-  while (sender->flush()) {
+  while (sender.flush()) {
     std::optional<Frame> frame;
     try {
       frame = recv_frame(sock);
@@ -343,8 +327,8 @@ bool serve_frames(Socket& sock, const EvalService& service,
                               std::to_string(hello.version));
             break;
           }
-          sender->send(MsgType::kHelloAck,
-                       encode_hello_ack(service.on_hello(hello)));
+          sender.send(MsgType::kHelloAck,
+                      encode_hello_ack(service.on_hello(hello)));
           break;
         }
         case MsgType::kLoadDesign: {
@@ -353,7 +337,7 @@ bool serve_frames(Socket& sock, const EvalService& service,
           aig::Aig design = aig::decode_binary(frame->payload);
           const aig::Fingerprint fp =
               service.on_load_design(std::move(design), frame->payload);
-          sender->send(MsgType::kLoadDesignAck, encode_load_design_ack(fp));
+          sender.send(MsgType::kLoadDesignAck, encode_load_design_ack(fp));
           break;
         }
         case MsgType::kLoadRegistry: {
@@ -363,8 +347,8 @@ bool serve_frames(Socket& sock, const EvalService& service,
               opt::TransformRegistry::decode(frame->payload);
           const opt::RegistryFingerprint fp =
               service.on_load_registry(std::move(registry), frame->payload);
-          sender->send(MsgType::kLoadRegistryAck,
-                       encode_load_registry_ack(fp));
+          sender.send(MsgType::kLoadRegistryAck,
+                      encode_load_registry_ack(fp));
           break;
         }
         case MsgType::kEvalRequest: {
@@ -398,13 +382,13 @@ bool serve_frames(Socket& sock, const EvalService& service,
           const auto emit = [&](std::uint32_t index, const map::QoR& q) {
             ++emitted;
             if (watchdog.expired()) return true;
-            if (!sender->queue_result({req.request_id, index, q}, crc)) {
+            if (!sender.queue_result({req.request_id, index, q}, crc)) {
               return false;
             }
             st.results_streamed.fetch_add(1, std::memory_order_relaxed);
             return true;
           };
-          const auto flush = [&] { return sender->flush(); };
+          const auto flush = [&] { return sender.flush(); };
           try {
             service.on_eval(req.design, req.registry, std::move(flows), emit,
                             flush);
@@ -418,44 +402,18 @@ bool serve_frames(Socket& sock, const EvalService& service,
           // Budget blown: the watchdog already answered with an Error;
           // a trailing ShardDone would be a stale frame.
           if (watchdog.expired()) break;
-          sender->send(MsgType::kShardDone,
-                       encode_shard_done({req.request_id, emitted, crc}));
+          sender.send(MsgType::kShardDone,
+                      encode_shard_done({req.request_id, emitted, crc}));
           break;
         }
         case MsgType::kPing:
-          sender->send(MsgType::kPong, frame->payload);
+          sender.send(MsgType::kPong, frame->payload);
           break;
         case MsgType::kGetMetrics: {
           scrapes_answered().inc();
-          sender->send(MsgType::kMetricsText,
-                       encode_metrics_text({decode_u64(frame->payload),
-                                            telemetry::render_prometheus()}));
-          break;
-        }
-        case MsgType::kStoreSubscribe: {
-          // No ack and never an Error: a subscriber treats silence as "no
-          // live stream" and keeps working off its own store. A repeat
-          // subscribe (the client switched alphabets) replaces the old one.
-          const StoreSubscribeMsg sub = decode_store_subscribe(frame->payload);
-          if (service.on_store_subscribe) {
-            if (unsubscribe) {
-              unsubscribe();
-              unsubscribe = nullptr;
-            }
-            // The push runs under the store's mutex, so a subscriber that
-            // stopped reading must cost a cancelled stream, not wedged
-            // appends — hence the bounded wait.
-            unsubscribe = service.on_store_subscribe(
-                sub.registry,
-                [sender, &st](std::vector<std::uint8_t> frame_bytes) {
-                  if (!sender->send_frame(frame_bytes, kSendTimeoutMs)) {
-                    return false;
-                  }
-                  st.store_appends_streamed.fetch_add(
-                      1, std::memory_order_relaxed);
-                  return true;
-                });
-          }
+          sender.send(MsgType::kMetricsText,
+                      encode_metrics_text({decode_u64(frame->payload),
+                                           telemetry::render_prometheus()}));
           break;
         }
         case MsgType::kShutdown:
@@ -788,37 +746,6 @@ EvalService EvalWorker::make_service() {
           if (!emit(static_cast<std::uint32_t>(i), *qor)) return;
         }
       };
-  service.on_store_subscribe =
-      [this](const opt::RegistryFingerprint& fp,
-             std::function<bool(std::vector<std::uint8_t>)> push)
-      -> std::function<void()> {
-    std::shared_ptr<core::QorStore> store;
-    try {
-      std::lock_guard lock(mutex_);
-      if (const auto registry = find_registry_locked(fp)) {
-        store = store_locked(registry);
-      }
-    } catch (const std::exception& e) {
-      util::log_warn("evald worker: store subscription refused: ", e.what());
-    }
-    // Unknown alphabet, no store configured, or an unusable store
-    // directory: the subscription is a silent no-op, never an error — the
-    // subscriber just keeps working without a live stream.
-    if (!store) return [] {};
-    const std::uint64_t token = store->subscribe(
-        [fp, push = std::move(push)](const aig::Fingerprint& design,
-                                     core::StepsView steps,
-                                     const map::QoR& qor) {
-          StoreAppendMsg msg;
-          msg.registry = fp;
-          msg.design = design;
-          msg.steps.assign(steps.begin(), steps.end());
-          msg.qor = qor;
-          return push(
-              encode_frame(MsgType::kStoreAppend, encode_store_append(msg)));
-        });
-    return [store, token] { store->unsubscribe(token); };
-  };
   return service;
 }
 
@@ -862,7 +789,6 @@ std::string worker_admin_text(const EvalWorker& worker,
        << "flows_received " << s.flows_received.load() << '\n'
        << "results_streamed " << s.results_streamed.load() << '\n'
        << "errors " << s.errors.load() << '\n'
-       << "store_appends_streamed " << s.store_appends_streamed.load() << '\n'
        << "designs_loaded " << worker.num_designs() << '\n';
     return os.str();
   }
@@ -875,7 +801,7 @@ std::string worker_admin_text(const EvalWorker& worker,
       os << "registry "
          << opt::registry_fingerprint_hex(store->registry_fingerprint())
          << " records " << store->size() << " epoch " << store->epoch()
-         << " appends " << st.appends << " ingests " << st.ingests
+         << " appends " << st.appends
          << " compactions " << st.compactions << '\n';
     }
     return os.str();

@@ -89,19 +89,6 @@ struct EvalService {
       const std::function<bool(std::uint32_t, const map::QoR&)>& emit,
       const std::function<bool()>& flush)>
       on_eval;
-  /// kStoreSubscribe: stream the QoR store's appends for `registry` to this
-  /// connection. `push` takes one fully encoded kStoreAppend frame and
-  /// returns false when the connection is gone (which cancels the
-  /// subscription); it may be called from any thread that appends to the
-  /// store. Return an unsubscribe closure — never null; return a no-op when
-  /// there is no store for that alphabet (subscribing is always safe to
-  /// attempt and never answered with an Error frame). Optional — unset
-  /// means this service has no store to stream from and the request is
-  /// silently ignored.
-  std::function<std::function<void()>(
-      const opt::RegistryFingerprint& registry,
-      std::function<bool(std::vector<std::uint8_t>)> push)>
-      on_store_subscribe;
   /// Per-evaluation wall-clock budget in ms (0 = unlimited). When a shard
   /// evaluation outlives it, a watchdog answers the request with a typed
   /// Error frame *immediately* — the client requeues the shard elsewhere
@@ -122,7 +109,6 @@ struct ServeStats {
   std::atomic<std::size_t> flows_received{0};   ///< flows across requests
   std::atomic<std::size_t> results_streamed{0}; ///< EvalResult frames queued
   std::atomic<std::size_t> errors{0};           ///< Error frames sent
-  std::atomic<std::size_t> store_appends_streamed{0};  ///< kStoreAppend frames pushed
 };
 
 /// Serve frames on `sock` until clean EOF (returns false) or a Shutdown

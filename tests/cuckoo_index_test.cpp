@@ -154,35 +154,6 @@ TEST(CuckooIndexTest, StashOverflowTriggersGrowNotLoss) {
   EXPECT_EQ(index.stats().entries, keys.size());
 }
 
-TEST(CuckooIndexTest, ForDesignWalksOnlyThatDesign) {
-  CuckooIndex index;
-  const aig::Fingerprint a{1, 2};
-  const aig::Fingerprint b{3, 4};
-  map::QoR qa;
-  qa.area_um2 = 1.0;
-  map::QoR qb;
-  qb.area_um2 = 2.0;
-  const core::StepsKey s1{0, 1, 2};
-  const core::StepsKey s2{2, 1};
-  ASSERT_TRUE(index.insert(a, core::StepsView(s1), qa));
-  ASSERT_TRUE(index.insert(b, core::StepsView(s1), qb));
-  ASSERT_TRUE(index.insert(a, core::StepsView(s2), qa));
-
-  std::size_t seen_a = 0;
-  index.for_design(a, [&](core::StepsView steps, const map::QoR& q) {
-    ++seen_a;
-    EXPECT_EQ(q, qa);
-    EXPECT_TRUE(core::StepsKey(steps.begin(), steps.end()) == s1 ||
-                core::StepsKey(steps.begin(), steps.end()) == s2);
-  });
-  EXPECT_EQ(seen_a, 2u);
-
-  std::size_t seen_all = 0;
-  index.for_each([&](const aig::Fingerprint&, core::StepsView,
-                     const map::QoR&) { ++seen_all; });
-  EXPECT_EQ(seen_all, 3u);
-}
-
 TEST(CuckooIndexTest, ReserveBulkLoadAvoidsMidLoadRebuilds) {
   CuckooIndex index;
   index.reserve(100000, 60);

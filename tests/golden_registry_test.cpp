@@ -286,10 +286,11 @@ TEST(GoldenRegistryTest, NonPaperStoresRoundTripUnderTheirRegistry) {
                core::QorStoreError);
 }
 
-TEST(GoldenRegistryTest, V5EvalRequestLayoutIsPinned) {
-  // The v5 request: the v3 layout again — v5 dropped the v4 flags byte
-  // that sat between the registry fingerprint and the flow count. Pinned
-  // inline so the next protocol change is a conscious version bump.
+TEST(GoldenRegistryTest, V6EvalRequestLayoutIsPinned) {
+  // The v6 request: the v3 layout again — v5 dropped the v4 flags byte
+  // that sat between the registry fingerprint and the flow count, and v6
+  // only retired message types. Pinned inline so the next protocol change
+  // is a conscious version bump.
   service::EvalRequestMsg msg;
   msg.request_id = 0x0807060504030201ull;
   msg.design = {0x1111111111111111ull, 0x2222222222222222ull};
@@ -313,14 +314,14 @@ TEST(GoldenRegistryTest, V5EvalRequestLayoutIsPinned) {
   EXPECT_EQ(decoded.registry, msg.registry);
   EXPECT_EQ(decoded.flows, msg.flows);
 
-  // A v4 peer is refused at its first frame: the header's version byte
-  // is checked on every frame, so a v4 request never reaches the decoder.
-  std::vector<std::uint8_t> v4_frame =
+  // A v5 peer is refused at its first frame: the header's version byte
+  // is checked on every frame, so a v5 request never reaches the decoder.
+  std::vector<std::uint8_t> v5_frame =
       service::encode_frame(service::MsgType::kEvalRequest, expect);
-  ASSERT_EQ(v4_frame[4], service::kProtocolVersion);
-  v4_frame[4] = 4;
+  ASSERT_EQ(v5_frame[4], service::kProtocolVersion);
+  v5_frame[4] = 5;
   auto [tx, rx] = service::socket_pair();
-  tx.send_all(v4_frame.data(), v4_frame.size());
+  tx.send_all(v5_frame.data(), v5_frame.size());
   EXPECT_THROW(service::recv_frame(rx, 1000), service::WireError);
 }
 

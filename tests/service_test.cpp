@@ -731,6 +731,45 @@ TEST(ServiceTest, ShardOfStoredFlowsStreamsIntactInBursts) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServiceTest, RetiredMessageTypesAreAnsweredWithErrorAndServingContinues) {
+  // Type 4 (the whole-shard answer, retired in v5) and types 17 and 18
+  // (live store streaming, retired in v6) are never reused, so a worker
+  // treats them like any unknown number: an Error tied to no request, and
+  // the connection keeps serving. Each is sent with the 16-byte payload a
+  // v5 StoreSubscribe carried, so a worker that still knew type 17 would
+  // answer it with silence instead.
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  EvalWorker worker(options);
+  auto [client, server_sock] = socket_pair();
+  std::thread server([&worker, sock = std::move(server_sock)]() mutable {
+    worker.serve(sock);
+  });
+  const std::vector<std::uint8_t> payload =
+      encode_load_registry_ack(opt::paper_registry_fingerprint());
+  const int retired[] = {4, 17, 18};
+  for (const int type : retired) {
+    send_frame(client, static_cast<MsgType>(type), payload);
+    send_frame(client, MsgType::kPing, encode_u64(type));
+  }
+  send_frame(client, MsgType::kShutdown, {});
+  server.join();  // the six small answers wait in the socket buffer
+  for (const int type : retired) {
+    SCOPED_TRACE("type " + std::to_string(type));
+    const auto reply = recv_frame(client, 10000);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kError);
+    const ErrorMsg err = decode_error(reply->payload);
+    EXPECT_EQ(err.request_id, 0u);
+    EXPECT_EQ(err.message, "unexpected message type");
+    const auto pong = recv_frame(client, 10000);
+    ASSERT_TRUE(pong.has_value());
+    ASSERT_EQ(pong->type, MsgType::kPong);
+    EXPECT_EQ(decode_u64(pong->payload), static_cast<std::uint64_t>(type));
+  }
+  EXPECT_EQ(recv_frame(client, 10000), std::nullopt);
+}
+
 TEST(ServiceTest, PooledWorkerStreamsEachResultOnceAndRoutesErrors) {
   // A worker with a thread pool evaluates a shard's flows concurrently but
   // still answers with one EvalResult per flow, then ShardDone; a flow the
@@ -1228,6 +1267,44 @@ TEST(ServiceTest, CoordinatorStoreShortCircuitsSecondRun) {
   EXPECT_EQ(remote->stats().store_hits, flows.size());
   EXPECT_EQ(remote->stats().requests_sent, 0u);
   EXPECT_EQ(remote->stats().shards, 0u);
+}
+
+TEST(ServiceTest, SiblingCoordinatorsShareLabelsAtCompaction) {
+  // Two coordinators, each with a one-worker fleet of its own, share a
+  // store directory. B attaches before A labels anything, so A's labels
+  // land in a sibling log that B has not read. B's compaction rescans that
+  // log under its lock and folds it in; B then answers A's batch from its
+  // store without sending a single request.
+  const std::string dir = ::testing::TempDir() + "flowgen_sibling_store_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ThreadFleet fleet_a(1);
+  ThreadFleet fleet_b(1);
+  EvalCoordinator a(fleet_a.take_workers(), "alu:4");
+  EvalCoordinator b(fleet_b.take_workers(), "alu:4");
+  a.attach_store(std::make_shared<core::QorStore>(
+      core::QorStoreConfig{dir, "coord-a", false, nullptr, {}}));
+  auto store_b = std::make_shared<core::QorStore>(
+      core::QorStoreConfig{dir, "coord-b", false, nullptr, {}});
+  b.attach_store(store_b);
+
+  const auto flows = sample_flows(40);
+  const auto qor_a = a.evaluate_many(flows);
+  EXPECT_EQ(a.stats().store_appends, flows.size());
+  const aig::Fingerprint fp = designs::make_design("alu:4").fingerprint();
+  EXPECT_FALSE(
+      store_b->lookup(fp, core::StepsView(flows[0].steps)).has_value())
+      << "B saw A's label before it compacted";
+
+  const std::string compacted = b.compact_store_text();
+  EXPECT_EQ(compacted.rfind("compacted", 0), 0u) << compacted;
+  const auto qor_b = b.evaluate_many(flows);
+  EXPECT_EQ(b.stats().requests_sent, 0u);
+  EXPECT_EQ(b.stats().store_hits, flows.size());
+  expect_bit_identical(qor_b, qor_a);
+  a.shutdown_workers();
+  b.shutdown_workers();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

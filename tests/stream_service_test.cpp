@@ -587,101 +587,5 @@ TEST(StreamServiceTest, FleetMetricsScrapeMergesWorkerPages) {
   coordinator.shutdown_workers();
 }
 
-// -------------------------------------------------------- store streaming --
-
-TEST(StreamServiceTest, SiblingCoordinatorsShareLabelsMidRunViaStoreStreaming) {
-  SKIP_UNDER_TSAN();
-  // Two coordinators share one label set *live*: both subscribe
-  // (kStoreSubscribe) to the same worker, whose store appends stream back
-  // as kStoreAppend frames. Labels coordinator A pays for reach B's store
-  // mid-run — B then serves the same batch from its cache with zero
-  // dispatches, bit-identical. Before streaming, siblings only synced at
-  // attach time.
-  const std::string dir = ::testing::TempDir() + "flowgen_sibling_store_" +
-                          std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  const std::string path = ::testing::TempDir() + "flowgen_sibling_" +
-                           std::to_string(::getpid()) + ".sock";
-  ::unlink(path.c_str());
-  Listener listener = Listener::bind(Address::parse("unix:" + path));
-  WorkerOptions options;
-  options.design_id = "alu:4";
-  options.qor_store_dir = dir;
-  EvalWorker worker(options);
-  std::thread worker_thread([&worker, &listener] {
-    try {
-      worker.serve_forever(listener);
-    } catch (const std::exception&) {
-    }
-  });
-
-  const auto make_coordinator = [&path] {
-    std::vector<EvalCoordinator::Worker> workers =
-        connect_workers({"unix:" + path});
-    EXPECT_EQ(workers.size(), 1u);
-    return std::make_unique<EvalCoordinator>(std::move(workers), "alu:4");
-  };
-  auto a = make_coordinator();
-  auto b = make_coordinator();
-  auto store_a = std::make_shared<core::QorStore>(
-      core::QorStoreConfig{dir, "coord-a", false, nullptr, {}});
-  auto store_b = std::make_shared<core::QorStore>(
-      core::QorStoreConfig{dir, "coord-b", false, nullptr, {}});
-  a->attach_store(store_a);
-  b->attach_store(store_b);
-  EXPECT_GE(a->stats().store_subscribes, 1u);
-  EXPECT_GE(b->stats().store_subscribes, 1u);
-
-  // Fence B's subscription: frames on one connection are handled in
-  // order, so once this one-flow batch (length 1, disjoint from the
-  // 12-step m=2 samples below by construction) answers, the subscribe
-  // that preceded it is active on the worker.
-  const std::vector<Flow> fence = {Flow::from_key("0")};
-  b->evaluate_many(fence);
-
-  const auto flows = sample_flows(40);
-  const auto qor_a = a->evaluate_many(flows);
-  // Each label reaches store_a either through A's own append or — when the
-  // worker's stream wins the race — through ingest; both count fresh only.
-  EXPECT_GE(a->stats().store_appends + a->stats().store_ingests, 1u);
-
-  // The worker's appends stream to B live; wait until B's store holds
-  // every label A paid for. B never dispatched these flows, so the only
-  // way they can be in store_b is the kStoreAppend path.
-  const aig::Fingerprint fp = designs::make_design("alu:4").fingerprint();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (;;) {
-    std::size_t have = 0;
-    for (const Flow& f : flows) {
-      if (store_b->lookup(fp, core::StepsView(f.steps)).has_value()) ++have;
-    }
-    if (have == flows.size()) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "only " << have << "/" << flows.size() << " labels streamed to B";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  // ≥1 not == flows.size(): the counter for the last label may still be a
-  // loop-thread instruction away when the lookup above succeeds.
-  EXPECT_GE(b->stats().store_ingests, 1u);
-
-  // B answers the identical batch without sending a single frame.
-  const CoordinatorStats before = b->stats();
-  const auto qor_b = b->evaluate_many(flows);
-  const CoordinatorStats after = b->stats();
-  EXPECT_EQ(after.requests_sent, before.requests_sent)
-      << "B re-dispatched flows its store already held";
-  EXPECT_GE(after.store_hits - before.store_hits, flows.size());
-  expect_bit_identical(qor_b, qor_a);
-
-  core::SynthesisEvaluator local(designs::make_design("alu:4"));
-  expect_bit_identical(qor_a, local.evaluate_many(flows));
-
-  a->shutdown_workers();  // stops the worker accepting new connections
-  b.reset();              // serve_forever drains once the last conn closes
-  a.reset();
-  worker_thread.join();
-}
-
 }  // namespace
 }  // namespace flowgen::service

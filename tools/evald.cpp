@@ -9,9 +9,7 @@
 //             Every connection is served on its own thread, one request
 //             at a time; a pool of --threads (default 2) evaluates each
 //             shard and every result streams back as it completes.
-//             --threads is the worker's whole evaluation parallelism: it
-//             replaces --serve-threads, which until protocol v5 also ran
-//             two shards of a connection at once:
+//             --threads is the worker's whole evaluation parallelism:
 //               evald --mode worker --listen unix:/tmp/w0.sock
 //                     [--design alu16] [--design-file adder.blif]
 //                     [--threads 2] [--max-designs 4]
@@ -41,7 +39,9 @@
 // --store points at a persistent labeled-QoR directory (docs/qor-store.md):
 // workers look each flow up in it before synthesizing (a stored label is
 // answered from the store, not copied into memory) and append fresh
-// labels; a server answers stored flows without bothering its fleet.
+// labels; a server answers stored flows without bothering its fleet. A
+// server and workers given the same directory share labels at attach and
+// at every compaction (the admin "compact" command).
 //
 // --admin opens the line-oriented introspection socket (tools/evalctl is
 // the matching client): queue depths, per-worker inflight/latency, requeue
