@@ -1,9 +1,18 @@
-// google-benchmark microbenchmarks for the synthesis substrate: per-pass
-// transform cost, cut enumeration, technology mapping, full-flow
-// evaluation and the batch order evaluation schedules by. These are the per-iteration costs behind the "collecting the
-// training dataset takes most of the runtime" observation in the paper.
+// google-benchmark microbenchmarks for the synthesis substrate: graph
+// copies, per-pass transform cost, cut enumeration, technology mapping,
+// full-flow evaluation and the batch order evaluation schedules by. These
+// are the per-iteration costs behind the "collecting the training dataset
+// takes most of the runtime" observation in the paper.
+//
+// This binary replaces the global operator new with a counting one, so
+// the transform and mapping benchmarks also report `allocs`, the heap
+// allocations of one iteration.
 
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "aig/cuts.hpp"
 #include "core/evaluator.hpp"
@@ -14,7 +23,41 @@
 
 namespace {
 
+std::atomic<std::uint64_t> g_allocs{0};
+
+}  // namespace
+
+// All out of line: inlined into a caller, GCC pairs the malloc() or free()
+// inside with the caller's new or delete and warns (-Wmismatched-new-delete)
+// about a correct pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
 using namespace flowgen;
+
+/// Heap allocations per iteration since `start` (a g_allocs reading taken
+/// before the timing loop).
+benchmark::Counter allocs_per_iteration(std::uint64_t start) {
+  return benchmark::Counter(
+      static_cast<double>(g_allocs.load(std::memory_order_relaxed) - start),
+      benchmark::Counter::kAvgIterations);
+}
 
 const aig::Aig& cached_design(const std::string& name) {
   static std::map<std::string, aig::Aig> cache;
@@ -34,13 +77,31 @@ void BM_DesignElaboration(benchmark::State& state,
 BENCHMARK_CAPTURE(BM_DesignElaboration, alu16, std::string("alu16"));
 BENCHMARK_CAPTURE(BM_DesignElaboration, mont8, std::string("mont:8"));
 
+void BM_AigCopy(benchmark::State& state, const std::string& name) {
+  // The copy every replacement pass starts from (`Aig g = in;`).
+  const aig::Aig& g = cached_design(name);
+  for (auto _ : state) {
+    aig::Aig copy = g;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["and_nodes"] = static_cast<double>(g.num_ands());
+  state.counters["bytes_per_and"] =
+      static_cast<double>(g.memory_bytes()) / static_cast<double>(g.num_ands());
+}
+BENCHMARK_CAPTURE(BM_AigCopy, alu16, std::string("alu16"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AigCopy, mont64, std::string("mont64"))
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_Transform(benchmark::State& state, const std::string& design,
                   const std::string& transform) {
   const aig::Aig& g = cached_design(design);
   const opt::TransformKind kind = opt::transform_from_name(transform);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(opt::apply_transform(g, kind));
   }
+  state.counters["allocs"] = allocs_per_iteration(allocs);
   state.counters["and_nodes"] = static_cast<double>(g.num_ands());
 }
 BENCHMARK_CAPTURE(BM_Transform, alu16_balance, std::string("alu16"),
@@ -68,9 +129,11 @@ BENCHMARK(BM_CutEnumeration)->Arg(4)->Arg(5)->Arg(6);
 void BM_TechnologyMapping(benchmark::State& state,
                           const std::string& design) {
   const aig::Aig& g = cached_design(design);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(map::evaluate_qor(g));
   }
+  state.counters["allocs"] = allocs_per_iteration(allocs);
 }
 BENCHMARK_CAPTURE(BM_TechnologyMapping, alu16, std::string("alu16"));
 BENCHMARK_CAPTURE(BM_TechnologyMapping, mont8, std::string("mont:8"));

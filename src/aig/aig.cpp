@@ -34,9 +34,13 @@ Lit Aig::land(Lit a, Lit b) {
   if (a == lit_not(b)) return kLitFalse;
   if (a > b) std::swap(a, b);
 
-  const std::uint64_t key = strash_key(a, b);
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return make_lit(it->second, false);
+  if (strash_.empty()) strash_grow();
+  std::size_t slot = strash_slot(a, b);
+  if (strash_[slot] != 0) return make_lit(strash_[slot], false);
+  // A miss inserts: keep the load at most 1/2 afterwards.
+  if (2 * (num_ands() + 1) > strash_.size()) {
+    strash_grow();
+    slot = strash_slot(a, b);
   }
   const auto id = static_cast<std::uint32_t>(nodes_.size());
   Node n;
@@ -44,8 +48,51 @@ Lit Aig::land(Lit a, Lit b) {
   n.fanin1 = b;
   n.level = std::max(nodes_[lit_node(a)].level, nodes_[lit_node(b)].level) + 1;
   nodes_.push_back(n);
-  strash_.emplace(key, id);
+  strash_[slot] = id;
   return make_lit(id, false);
+}
+
+std::size_t Aig::strash_slot(Lit a, Lit b) const {
+  const std::size_t mask = strash_.size() - 1;
+  for (std::size_t i = strash_home(a, b, mask);; i = (i + 1) & mask) {
+    const std::uint32_t id = strash_[i];
+    if (id == 0) return i;
+    const Node& n = nodes_[id];
+    if (n.fanin0 == a && n.fanin1 == b) return i;
+  }
+}
+
+void Aig::strash_grow() {
+  std::vector<std::uint32_t> old;
+  old.swap(strash_);
+  strash_.assign(std::max<std::size_t>(16, 2 * old.size()), 0);
+  const std::size_t mask = strash_.size() - 1;
+  for (std::uint32_t id : old) {
+    if (id == 0) continue;
+    const Node& n = nodes_[id];
+    std::size_t i = strash_home(n.fanin0, n.fanin1, mask);
+    while (strash_[i] != 0) i = (i + 1) & mask;
+    strash_[i] = id;
+  }
+}
+
+void Aig::strash_erase(std::uint32_t id) {
+  const Node& n = nodes_[id];
+  std::size_t hole = strash_slot(n.fanin0, n.fanin1);
+  assert(strash_[hole] == id);
+  // Backward shift: walk the run after the hole and pull back every entry
+  // whose home slot does not lie cyclically in (hole, j], so no probe
+  // chain ever crosses an empty slot.
+  const std::size_t mask = strash_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; strash_[j] != 0; j = (j + 1) & mask) {
+    const Node& m = nodes_[strash_[j]];
+    const std::size_t home = strash_home(m.fanin0, m.fanin1, mask);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      strash_[hole] = strash_[j];
+      hole = j;
+    }
+  }
+  strash_[hole] = 0;
 }
 
 Lit Aig::lor(Lit a, Lit b) { return lit_not(land(lit_not(a), lit_not(b))); }
@@ -71,7 +118,7 @@ Lit Aig::lmaj(Lit a, Lit b, Lit c) {
 namespace {
 
 template <typename Combine>
-Lit reduce_chain(std::vector<Lit>& ops, Lit identity, Combine&& combine) {
+Lit reduce_chain(std::span<const Lit> ops, Lit identity, Combine&& combine) {
   // Left-fold into a linear chain. This is deliberately NOT balanced: it is
   // how naive elaboration (and classic factored-form construction) builds
   // n-ary gates, leaving depth minimisation to the `balance` transform —
@@ -87,17 +134,17 @@ Lit reduce_chain(std::vector<Lit>& ops, Lit identity, Combine&& combine) {
 
 }  // namespace
 
-Lit Aig::land_n(std::vector<Lit> ops) {
+Lit Aig::land_n(std::span<const Lit> ops) {
   return reduce_chain(ops, kLitTrue,
                       [this](Lit a, Lit b) { return land(a, b); });
 }
 
-Lit Aig::lor_n(std::vector<Lit> ops) {
+Lit Aig::lor_n(std::span<const Lit> ops) {
   return reduce_chain(ops, kLitFalse,
                       [this](Lit a, Lit b) { return lor(a, b); });
 }
 
-Lit Aig::lxor_n(std::vector<Lit> ops) {
+Lit Aig::lxor_n(std::span<const Lit> ops) {
   return reduce_chain(ops, kLitFalse,
                       [this](Lit a, Lit b) { return lxor(a, b); });
 }
@@ -121,9 +168,12 @@ std::vector<std::uint32_t> Aig::topo_order() const {
 
 void Aig::rollback(std::size_t checkpoint) {
   assert(checkpoint >= pis_.size() + 1);
+  // Oldest first: a later node of the same probe run may sit behind each
+  // hole, and the backward shift pulls it forward before its own turn.
   for (std::size_t id = checkpoint; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
-    strash_.erase(strash_key(n.fanin0, n.fanin1));
+    if (is_and(static_cast<std::uint32_t>(id))) {
+      strash_erase(static_cast<std::uint32_t>(id));
+    }
   }
   nodes_.resize(checkpoint);
 }
@@ -166,6 +216,23 @@ Aig Aig::cleanup() const {
 
 std::string Aig::check() const {
   std::ostringstream err;
+  // The table first: it must hold exactly the AND nodes, each once, within
+  // its load bound, before per-node lookups may probe it.
+  std::size_t entries = 0;
+  for (std::uint32_t id : strash_) {
+    if (id == 0) continue;
+    ++entries;
+    if (id >= nodes_.size() || !is_and(id)) {
+      err << "strash slot holds non-AND node " << id << "\n";
+    }
+  }
+  if (entries != num_ands()) err << "strash entry count != AND count\n";
+  if ((strash_.size() & (strash_.size() - 1)) != 0 ||
+      2 * entries > strash_.size()) {
+    err << "strash capacity not a power of two or load above 1/2\n";
+  }
+  if (!err.str().empty()) return err.str();
+
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
     if (!is_and(id)) continue;
     const Node& n = nodes_[id];
@@ -181,8 +248,8 @@ std::string Aig::check() const {
     if (lit_node(n.fanin0) == 0 || lit_node(n.fanin1) == 0) {
       err << "node " << id << ": constant fanin\n";
     }
-    const auto it = strash_.find(strash_key(n.fanin0, n.fanin1));
-    if (it == strash_.end() || it->second != id) {
+    // Reachable from its home slot, so no deletion broke its probe chain.
+    if (strash_[strash_slot(n.fanin0, n.fanin1)] != id) {
       err << "node " << id << ": missing/duplicate strash entry\n";
     }
     const std::uint32_t expect =
@@ -198,15 +265,10 @@ std::string Aig::check() const {
 }
 
 std::size_t Aig::memory_bytes() const {
-  // Buckets + one heap node per element is the libstdc++ unordered_map
-  // shape; close enough for budget accounting.
-  const std::size_t strash_bytes =
-      strash_.bucket_count() * sizeof(void*) +
-      strash_.size() * (sizeof(std::pair<std::uint64_t, std::uint32_t>) +
-                        2 * sizeof(void*));
   return sizeof(Aig) + nodes_.capacity() * sizeof(Node) +
          pis_.capacity() * sizeof(std::uint32_t) +
-         pos_.capacity() * sizeof(Lit) + strash_bytes;
+         pos_.capacity() * sizeof(Lit) +
+         strash_.capacity() * sizeof(std::uint32_t);
 }
 
 Fingerprint Aig::fingerprint() const {

@@ -4,11 +4,25 @@
 // heart of ABC. Nodes are 2-input ANDs; inversion lives on edges
 // (complemented literals); structural hashing keeps the graph canonical
 // (no duplicate ANDs, no trivial ANDs).
+//
+// The structural hash is a flat open-addressing table of node ids, so a
+// graph is a few plain arrays (nodes, PIs, POs, table) and a copy
+// allocates nothing per node. Its invariants:
+//   * slot value 0 means empty; node 0 is the constant, never a key;
+//   * every AND node's id sits in exactly one slot; the key (fanin0,
+//     fanin1) is read back from the node array, not stored twice;
+//   * the capacity is a power of two and the load is at most 1/2, so a
+//     probe always meets an empty slot;
+//   * probing is linear, and rollback deletes by backward shift, so every
+//     remaining entry stays reachable from its home slot without
+//     tombstones.
+// The table never decides a node id: ids, creation order and every land()
+// result are those of any other correct structural hash.
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace flowgen::aig {
@@ -74,9 +88,9 @@ public:
   /// AND / OR / XOR over an operand list, built as a linear chain (empty
   /// list = identity). Chains are the naive-elaboration shape; run the
   /// `balance` transform to minimise their depth.
-  Lit land_n(std::vector<Lit> ops);
-  Lit lor_n(std::vector<Lit> ops);
-  Lit lxor_n(std::vector<Lit> ops);
+  Lit land_n(std::span<const Lit> ops);
+  Lit lor_n(std::span<const Lit> ops);
+  Lit lxor_n(std::span<const Lit> ops);
 
   /// Register a primary output driven by `l`; returns its index.
   std::size_t add_po(Lit l);
@@ -129,8 +143,9 @@ public:
   /// no trivial nodes); returns an error string, empty when healthy.
   std::string check() const;
 
-  /// Approximate heap footprint of this graph (nodes, PI/PO lists and the
-  /// structural-hash table). Used by byte-budgeted caches of AIG snapshots.
+  /// Heap footprint of this graph: the node, PI and PO arrays and the
+  /// structural-hash table, by capacity. Used by byte-budgeted caches of
+  /// AIG snapshots.
   std::size_t memory_bytes() const;
 
   /// 128-bit structural fingerprint: equal graphs (same nodes, fanins, PIs
@@ -140,14 +155,24 @@ public:
   Fingerprint fingerprint() const;
 
 private:
-  static std::uint64_t strash_key(Lit a, Lit b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
+  /// Home slot of the key (a, b) in a table of `mask + 1` slots.
+  static std::size_t strash_home(Lit a, Lit b, std::size_t mask) {
+    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
+           mask;
   }
+  /// Slot holding the AND of (a, b), a < b, or the empty slot where it
+  /// would go. The table must not be empty.
+  std::size_t strash_slot(Lit a, Lit b) const;
+  /// Double the table (at least 16 slots) and reinsert every AND node.
+  void strash_grow();
+  /// Remove AND node `id` from the table (backward-shift deletion).
+  void strash_erase(std::uint32_t id);
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> pis_;
   std::vector<Lit> pos_;
-  std::unordered_map<std::uint64_t, std::uint32_t> strash_;
+  std::vector<std::uint32_t> strash_;  ///< node ids; 0 = empty slot
 };
 
 }  // namespace flowgen::aig

@@ -51,22 +51,17 @@ FactorMemoShard* factor_memo() {
 
 std::shared_ptr<const FactoredForm> compute_factored(const TruthTable& tt) {
   auto form = std::make_shared<FactoredForm>();
-  if (tt.is_const0()) {
-    form->expr.kind = FactorExpr::Kind::kConst0;
-  } else if (tt.is_const1()) {
-    form->expr.kind = FactorExpr::Kind::kConst1;
+  // Mirrors build_from_truth: factor both polarities, fewer literals wins,
+  // ties prefer the positive polarity. A constant factors to a constant
+  // node in both polarities (zero literals), so it keeps the positive one.
+  FactorExpr pos = factor_sop(isop(tt));
+  FactorExpr neg = factor_sop(isop(~tt));
+  if (pos.num_literals() <= neg.num_literals()) {
+    form->expr = std::move(pos);
+    form->output_compl = false;
   } else {
-    // Mirrors build_from_truth: factor both polarities, fewer literals
-    // wins, ties prefer the positive polarity.
-    FactorExpr pos = factor_sop(isop(tt));
-    FactorExpr neg = factor_sop(isop(~tt));
-    if (pos.num_literals() <= neg.num_literals()) {
-      form->expr = std::move(pos);
-      form->output_compl = false;
-    } else {
-      form->expr = std::move(neg);
-      form->output_compl = true;
-    }
+    form->expr = std::move(neg);
+    form->output_compl = true;
   }
   form->literals = form->expr.num_literals();
   return form;
@@ -95,7 +90,7 @@ std::shared_ptr<const FactoredForm> factored_form(const TruthTable& tt) {
 }
 
 Lit build_factored_form(Aig& aig, const FactoredForm& form,
-                        const std::vector<Lit>& inputs) {
+                        std::span<const Lit> inputs) {
   const Lit l = build_factored(aig, form.expr, inputs);
   return form.output_compl ? lit_not(l) : l;
 }
@@ -144,7 +139,8 @@ void scan_one_resub(const TruthTable& target,
       target.num_vars() >= 6
           ? ~0ull
           : (std::uint64_t{1} << (std::size_t{1} << target.num_vars())) - 1;
-  std::vector<Live> live;
+  thread_local std::vector<Live> live;  // reused across calls
+  live.clear();
   for (std::size_t k = 0; k < divisors.size(); ++k) {
     const std::span<const std::uint64_t> d = divisors[k]->words();
     std::uint64_t t_nd = 0, t_d = 0, nt_nd = 0, nt_d = 0;
@@ -209,12 +205,13 @@ struct ResubScratch {
   std::vector<Divisor> divisors;
   std::vector<const TruthTable*> divisor_tts;
   std::vector<std::uint32_t> frontier;
+  std::vector<std::uint32_t> mffc;
 };
 
 }  // namespace
 
 void compute_resub_plan(const Aig& g, std::uint32_t root,
-                        const std::vector<std::uint32_t>& leaves,
+                        std::span<const std::uint32_t> leaves,
                         unsigned max_divisors, RefCounts& refs,
                         const Fanouts& fanouts, ResubPlan& plan) {
   plan.zeros.clear();
@@ -228,9 +225,8 @@ void compute_resub_plan(const Aig& g, std::uint32_t root,
   s.tts.clear();
   s.divisors.clear();
   s.frontier.clear();
-  for (std::uint32_t id : refs.mffc_nodes(g, root)) {
-    s.slots.at(id).in_mffc = true;
-  }
+  refs.mffc_nodes(g, root, s.mffc);
+  for (std::uint32_t id : s.mffc) s.slots.at(id).in_mffc = true;
   // Stores `tt` as node `id`'s window table unless it already has one (the
   // first table stored wins); returns the table's index.
   auto store = [&](std::uint32_t id, TruthTable tt) {

@@ -42,7 +42,7 @@ Fanouts build_fanouts(const Aig& g);
 
 /// True when a reconvergence window cannot be analysed: fewer than 2 or
 /// more than 16 leaves (window truth tables have at most 16 inputs).
-inline bool degenerate_window(const std::vector<std::uint32_t>& leaves) {
+inline bool degenerate_window(std::span<const std::uint32_t> leaves) {
   return leaves.size() < 2 || leaves.size() > 16;
 }
 
@@ -79,7 +79,7 @@ struct ResubPlan {
 /// The plan is left empty when the window is degenerate or the target
 /// function cannot be computed over it. `plan`'s vectors are reused.
 void compute_resub_plan(const Aig& g, std::uint32_t root,
-                        const std::vector<std::uint32_t>& leaves,
+                        std::span<const std::uint32_t> leaves,
                         unsigned max_divisors, RefCounts& refs,
                         const Fanouts& fanouts, ResubPlan& plan);
 
@@ -99,7 +99,7 @@ std::shared_ptr<const FactoredForm> factored_form(const TruthTable& tt);
 
 /// Build a FactoredForm over `inputs` (inputs[i] drives variable i).
 Lit build_factored_form(Aig& aig, const FactoredForm& form,
-                        const std::vector<Lit>& inputs);
+                        std::span<const Lit> inputs);
 
 namespace detail {
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace flowgen::aig {
 
@@ -26,41 +28,42 @@ bool merge_cuts(const Cut& a, const Cut& b, unsigned k, Cut& out) {
   if (static_cast<unsigned>(std::popcount(a.signature | b.signature)) > k) {
     return false;
   }
+  // Sorted union, refused as soon as it would exceed k leaves.
   out.leaves.clear();
-  out.leaves.reserve(a.leaves.size() + b.leaves.size());
+  const auto& la = a.leaves;
+  const auto& lb = b.leaves;
   std::size_t i = 0, j = 0;
-  while (i < a.leaves.size() && j < b.leaves.size()) {
-    if (out.leaves.size() > k) return false;
-    if (a.leaves[i] == b.leaves[j]) {
-      out.leaves.push_back(a.leaves[i]);
+  while (i < la.size() || j < lb.size()) {
+    std::uint32_t next;
+    if (j == lb.size() || (i < la.size() && la[i] < lb[j])) {
+      next = la[i++];
+    } else if (i == la.size() || lb[j] < la[i]) {
+      next = lb[j++];
+    } else {
+      next = la[i];
       ++i;
       ++j;
-    } else if (a.leaves[i] < b.leaves[j]) {
-      out.leaves.push_back(a.leaves[i++]);
-    } else {
-      out.leaves.push_back(b.leaves[j++]);
     }
+    if (out.leaves.size() == k) return false;
+    out.leaves.push_back(next);
   }
-  while (i < a.leaves.size()) out.leaves.push_back(a.leaves[i++]);
-  while (j < b.leaves.size()) out.leaves.push_back(b.leaves[j++]);
-  if (out.leaves.size() > k) return false;
   out.compute_signature();
   return true;
 }
 
 void CutManager::enumerate_node(const Aig& aig, std::uint32_t id,
                                 std::vector<Cut>& merged, Cut& candidate) {
-  std::vector<Cut>& set = cuts_[id];
+  Cut trivial;
+  trivial.leaves.push_back(id);
+  trivial.compute_signature();
   if (!aig.is_and(id)) {
-    Cut trivial;
-    trivial.leaves = {id};
-    trivial.compute_signature();
-    set.push_back(std::move(trivial));
+    cuts_.push_back(trivial);
     return;
   }
+  // The fanin sets are read while `merged` fills; cuts_ grows only after.
   const auto& n = aig.node(id);
-  const auto& set_a = cuts_[lit_node(n.fanin0)];
-  const auto& set_b = cuts_[lit_node(n.fanin1)];
+  const std::span<const Cut> set_a = cuts(lit_node(n.fanin0));
+  const std::span<const Cut> set_b = cuts(lit_node(n.fanin1));
 
   merged.clear();
   for (const Cut& ca : set_a) {
@@ -82,32 +85,39 @@ void CutManager::enumerate_node(const Aig& aig, std::uint32_t id,
     }
   }
   // Priority: fewer leaves first (cheaper to match / rewrite), stable
-  // beyond that. Keep a bounded number.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Cut& a, const Cut& b) {
-                     return a.leaves.size() < b.leaves.size();
-                   });
-  if (merged.size() > params_.max_cuts) merged.resize(params_.max_cuts);
-  set.reserve(merged.size() + (params_.keep_trivial ? 1 : 0));
-  for (Cut& c : merged) set.push_back(std::move(c));
-  if (params_.keep_trivial) {
-    Cut trivial;
-    trivial.leaves = {id};
-    trivial.compute_signature();
-    set.push_back(std::move(trivial));
+  // beyond that. Keep a bounded number. An insertion sort: the set is
+  // small, and std::stable_sort would allocate a buffer per node.
+  for (std::size_t i = 1; i < merged.size(); ++i) {
+    const Cut c = merged[i];
+    std::size_t j = i;
+    for (; j > 0 && merged[j - 1].leaves.size() > c.leaves.size(); --j) {
+      merged[j] = merged[j - 1];
+    }
+    merged[j] = c;
   }
+  if (merged.size() > params_.max_cuts) merged.resize(params_.max_cuts);
+  cuts_.insert(cuts_.end(), merged.begin(), merged.end());
+  if (params_.keep_trivial) cuts_.push_back(trivial);
 }
 
 CutManager::CutManager(const Aig& aig, const CutParams& params)
-    : params_(params), cuts_(aig.num_nodes()) {
-  // Scratch buffers live across the node loop: `merged`'s spine and the
-  // candidate's leaf array are reused instead of reallocated per node.
+    : params_(params) {
+  if (params_.cut_size > Cut::kMaxLeaves) {
+    throw std::invalid_argument("CutManager: cut_size " +
+                                std::to_string(params_.cut_size) +
+                                " exceeds " +
+                                std::to_string(Cut::kMaxLeaves));
+  }
+  // Scratch buffers live across the node loop: `merged` is reused instead
+  // of reallocated per node.
   std::vector<Cut> merged;
   merged.reserve(params_.max_cuts * 4);
   Cut candidate;
-  candidate.leaves.reserve(2 * params_.cut_size);
+  offsets_.reserve(aig.num_nodes() + 1);
+  offsets_.push_back(0);
   for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
     enumerate_node(aig, id, merged, candidate);
+    offsets_.push_back(static_cast<std::uint32_t>(cuts_.size()));
   }
 }
 

@@ -9,58 +9,44 @@
 namespace flowgen::aig {
 
 std::size_t FactorExpr::num_literals() const {
-  switch (kind) {
-    case Kind::kConst0:
-    case Kind::kConst1:
-      return 0;
-    case Kind::kLiteral:
-      return 1;
-    case Kind::kAnd:
-    case Kind::kOr: {
-      std::size_t n = 0;
-      for (const auto& c : children) n += c.num_literals();
-      return n;
-    }
-  }
-  return 0;
+  std::size_t n = 0;
+  for (const Node& node : nodes) n += node.kind == Kind::kLiteral;
+  return n;
 }
 
 namespace {
 
-FactorExpr make_literal(unsigned var, bool negated) {
-  FactorExpr e;
-  e.kind = FactorExpr::Kind::kLiteral;
-  e.var = var;
-  e.negated = negated;
-  return e;
+using Node = FactorExpr::Node;
+using Kind = FactorExpr::Kind;
+
+Node literal_node(unsigned var, bool negated) {
+  return Node{Kind::kLiteral, negated, static_cast<std::uint8_t>(var), 0};
 }
 
-FactorExpr make_op(FactorExpr::Kind kind, std::vector<FactorExpr> children) {
-  if (children.size() == 1) return std::move(children.front());
-  FactorExpr e;
-  e.kind = kind;
-  e.children = std::move(children);
-  return e;
+Node op_node(Kind kind, std::size_t arity) {
+  return Node{kind, false, 0, static_cast<std::uint32_t>(arity)};
 }
 
 /// AND-expression for a single cube.
-FactorExpr cube_expr(const Cube& cube) {
-  std::vector<FactorExpr> lits;
+void cube_expr(const Cube& cube, std::vector<Node>& out) {
+  std::size_t lits = 0;
   for (unsigned v = 0; v < 32; ++v) {
-    if (cube.pos & (1u << v)) lits.push_back(make_literal(v, false));
-    if (cube.neg & (1u << v)) lits.push_back(make_literal(v, true));
+    if (cube.pos & (1u << v)) {
+      out.push_back(literal_node(v, false));
+      ++lits;
+    }
+    if (cube.neg & (1u << v)) {
+      out.push_back(literal_node(v, true));
+      ++lits;
+    }
   }
-  if (lits.empty()) {
-    FactorExpr e;
-    e.kind = FactorExpr::Kind::kConst1;
-    return e;
-  }
-  return make_op(FactorExpr::Kind::kAnd, std::move(lits));
+  if (lits == 0) out.push_back(Node{Kind::kConst1, false, 0, 0});
+  if (lits >= 2) out.push_back(op_node(Kind::kAnd, lits));
 }
 
 /// Most frequent literal among cubes with >= 2 literals; returns false when
 /// no literal occurs in two or more cubes (nothing left to factor).
-bool best_literal(const Sop& sop, unsigned& var, bool& negated) {
+bool best_literal(std::span<const Cube> sop, unsigned& var, bool& negated) {
   std::array<unsigned, 32> pos_count{};
   std::array<unsigned, 32> neg_count{};
   for (const Cube& c : sop) {
@@ -89,91 +75,121 @@ bool best_literal(const Sop& sop, unsigned& var, bool& negated) {
   return found;
 }
 
-}  // namespace
-
-FactorExpr factor_sop(const Sop& sop) {
-  if (sop.empty()) {
-    FactorExpr e;
-    e.kind = FactorExpr::Kind::kConst0;
-    return e;
+/// Quick-factor cubes[begin, end) into `out`. The cube lists of the
+/// recursion (quotients and remainders) are pushed onto `cubes` above its
+/// current top and popped on return, so the ranges are indices: a push
+/// may move the array.
+void factor_rec(Sop& cubes, std::size_t begin, std::size_t end,
+                std::vector<Node>& out) {
+  if (begin == end) {
+    out.push_back(Node{Kind::kConst0, false, 0, 0});
+    return;
   }
-  if (sop.size() == 1) return cube_expr(sop.front());
+  if (end - begin == 1) {
+    cube_expr(cubes[begin], out);
+    return;
+  }
   // Tautology cube swallows everything.
-  for (const Cube& c : sop) {
-    if (c.pos == 0 && c.neg == 0) {
-      FactorExpr e;
-      e.kind = FactorExpr::Kind::kConst1;
-      return e;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (cubes[i].pos == 0 && cubes[i].neg == 0) {
+      out.push_back(Node{Kind::kConst1, false, 0, 0});
+      return;
     }
   }
 
   unsigned var = 0;
   bool negated = false;
-  if (!best_literal(sop, var, negated)) {
+  if (!best_literal({cubes.data() + begin, end - begin}, var, negated)) {
     // No shared literal: plain OR of cube ANDs.
-    std::vector<FactorExpr> terms;
-    terms.reserve(sop.size());
-    for (const Cube& c : sop) terms.push_back(cube_expr(c));
-    return make_op(FactorExpr::Kind::kOr, std::move(terms));
+    for (std::size_t i = begin; i < end; ++i) cube_expr(cubes[i], out);
+    out.push_back(op_node(Kind::kOr, end - begin));
+    return;
   }
 
+  // Quotient cubes (the literal divided out), then the remainder, each in
+  // input order.
   const std::uint32_t bit = 1u << var;
-  Sop quotient, remainder;
-  for (const Cube& c : sop) {
-    const bool has = negated ? (c.neg & bit) : (c.pos & bit);
-    if (has && c.num_literals() >= 2) {
-      Cube q = c;
-      (negated ? q.neg : q.pos) &= ~bit;
-      quotient.push_back(q);
-    } else {
-      remainder.push_back(c);
-    }
+  auto divisible = [&](const Cube& c) {
+    return (negated ? (c.neg & bit) : (c.pos & bit)) && c.num_literals() >= 2;
+  };
+  const std::size_t top = cubes.size();
+  for (std::size_t i = begin; i < end; ++i) {
+    Cube q = cubes[i];
+    if (!divisible(q)) continue;
+    (negated ? q.neg : q.pos) &= ~bit;
+    cubes.push_back(q);
   }
-  assert(quotient.size() >= 2);
+  const std::size_t quotient_end = cubes.size();
+  for (std::size_t i = begin; i < end; ++i) {
+    const Cube c = cubes[i];
+    if (!divisible(c)) cubes.push_back(c);
+  }
+  const std::size_t remainder_end = cubes.size();
+  assert(quotient_end - top >= 2);
 
   // F = literal * factor(quotient) + factor(remainder)
-  std::vector<FactorExpr> product;
-  product.push_back(make_literal(var, negated));
-  product.push_back(factor_sop(quotient));
-  FactorExpr left = make_op(FactorExpr::Kind::kAnd, std::move(product));
-  if (remainder.empty()) return left;
+  out.push_back(literal_node(var, negated));
+  factor_rec(cubes, top, quotient_end, out);
+  out.push_back(op_node(Kind::kAnd, 2));
+  if (remainder_end > quotient_end) {
+    factor_rec(cubes, quotient_end, remainder_end, out);
+    out.push_back(op_node(Kind::kOr, 2));
+  }
+  cubes.resize(top);
+}
 
-  std::vector<FactorExpr> sum;
-  sum.push_back(std::move(left));
-  sum.push_back(factor_sop(remainder));
-  return make_op(FactorExpr::Kind::kOr, std::move(sum));
+}  // namespace
+
+FactorExpr factor_sop(const Sop& sop) {
+  FactorExpr e;
+  // Factoring never adds literals, and every operator has at least two
+  // operands, so the expression has at most 2 * literals + 1 nodes.
+  e.nodes.reserve(2 * sop_literals(sop) + 1);
+  thread_local Sop cubes;  // the recursion's cube stack, reused
+  cubes.assign(sop.begin(), sop.end());
+  factor_rec(cubes, 0, cubes.size(), e.nodes);
+  return e;
 }
 
 Lit build_factored(Aig& aig, const FactorExpr& expr,
-                   const std::vector<Lit>& inputs) {
-  switch (expr.kind) {
-    case FactorExpr::Kind::kConst0:
-      return kLitFalse;
-    case FactorExpr::Kind::kConst1:
-      return kLitTrue;
-    case FactorExpr::Kind::kLiteral: {
-      assert(expr.var < inputs.size());
-      const Lit l = inputs[expr.var];
-      return expr.negated ? lit_not(l) : l;
-    }
-    case FactorExpr::Kind::kAnd:
-    case FactorExpr::Kind::kOr: {
-      std::vector<Lit> ops;
-      ops.reserve(expr.children.size());
-      for (const auto& c : expr.children) {
-        ops.push_back(build_factored(aig, c, inputs));
+                   std::span<const Lit> inputs) {
+  if (expr.nodes.empty()) return kLitFalse;
+  // Postfix evaluation: operands are built left to right before the
+  // operator folds them, the land() order of a recursive build.
+  thread_local std::vector<Lit> stack;  // reused across calls
+  stack.clear();
+  for (const Node& n : expr.nodes) {
+    switch (n.kind) {
+      case Kind::kConst0:
+        stack.push_back(kLitFalse);
+        break;
+      case Kind::kConst1:
+        stack.push_back(kLitTrue);
+        break;
+      case Kind::kLiteral:
+        assert(n.var < inputs.size());
+        stack.push_back(inputs[n.var] ^ static_cast<Lit>(n.negated));
+        break;
+      case Kind::kAnd:
+      case Kind::kOr: {
+        const std::size_t first = stack.size() - n.arity;
+        const std::span<const Lit> ops(stack.data() + first, n.arity);
+        const Lit l =
+            n.kind == Kind::kAnd ? aig.land_n(ops) : aig.lor_n(ops);
+        stack.resize(first);
+        stack.push_back(l);
+        break;
       }
-      return expr.kind == FactorExpr::Kind::kAnd ? aig.land_n(std::move(ops))
-                                                 : aig.lor_n(std::move(ops));
     }
   }
-  return kLitFalse;
+  assert(stack.size() == 1);
+  return stack.back();
 }
 
 namespace {
 
 Lit build_shannon_rec(
-    Aig& aig, const TruthTable& tt, const std::vector<Lit>& inputs,
+    Aig& aig, const TruthTable& tt, std::span<const Lit> inputs,
     unsigned top_var,
     std::map<TruthTable, Lit>& memo) {
   if (tt.is_const0()) return kLitFalse;
@@ -203,14 +219,14 @@ Lit build_shannon_rec(
 }  // namespace
 
 Lit build_shannon(Aig& aig, const TruthTable& tt,
-                  const std::vector<Lit>& inputs) {
+                  std::span<const Lit> inputs) {
   assert(inputs.size() >= tt.num_vars());
   std::map<TruthTable, Lit> memo;
   return build_shannon_rec(aig, tt, inputs, tt.num_vars(), memo);
 }
 
 Lit build_from_truth(Aig& aig, const TruthTable& tt,
-                     const std::vector<Lit>& inputs) {
+                     std::span<const Lit> inputs) {
   assert(inputs.size() >= tt.num_vars());
   if (tt.is_const0()) return kLitFalse;
   if (tt.is_const1()) return kLitTrue;

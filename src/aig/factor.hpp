@@ -4,6 +4,8 @@
 // by the design generators to elaborate truth-table logic (AES S-box).
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -12,14 +14,23 @@
 
 namespace flowgen::aig {
 
-/// Factored-form expression tree.
+/// Factored-form expression tree, stored flat in one array in postfix
+/// order: every operator follows the subtrees of its operands, and the
+/// root comes last.
 struct FactorExpr {
-  enum class Kind { kConst0, kConst1, kLiteral, kAnd, kOr };
-  Kind kind = Kind::kConst0;
-  unsigned var = 0;      ///< valid for kLiteral
-  bool negated = false;  ///< valid for kLiteral
-  std::vector<FactorExpr> children;  ///< valid for kAnd / kOr
+  enum class Kind : std::uint8_t { kConst0, kConst1, kLiteral, kAnd, kOr };
+  struct Node {
+    Kind kind = Kind::kConst0;
+    bool negated = false;     ///< valid for kLiteral
+    std::uint8_t var = 0;     ///< valid for kLiteral
+    std::uint32_t arity = 0;  ///< valid for kAnd / kOr: operand count
+  };
+  std::vector<Node> nodes;  ///< postfix; empty reads as kConst0
 
+  /// Kind of the root.
+  Kind kind() const {
+    return nodes.empty() ? Kind::kConst0 : nodes.back().kind;
+  }
   /// Literal count of the factored form (the standard cost measure).
   std::size_t num_literals() const;
 };
@@ -28,14 +39,16 @@ struct FactorExpr {
 FactorExpr factor_sop(const Sop& sop);
 
 /// Construct the expression in `aig` with cut leaves mapped to `inputs`
-/// (inputs[i] drives variable i). Returns the root literal.
+/// (inputs[i] drives variable i). Returns the root literal. Children are
+/// built left to right and folded by land_n/lor_n, so the land() sequence
+/// (and with it every node id) is fixed by the expression alone.
 Lit build_factored(Aig& aig, const FactorExpr& expr,
-                   const std::vector<Lit>& inputs);
+                   std::span<const Lit> inputs);
 
 /// Full resynthesis helper: ISOP + factoring of both polarities of `tt`,
 /// picking the polarity with fewer literals, built over `inputs`.
 Lit build_from_truth(Aig& aig, const TruthTable& tt,
-                     const std::vector<Lit>& inputs);
+                     std::span<const Lit> inputs);
 
 /// Naive Shannon (mux-tree) elaboration of `tt` over `inputs`, with
 /// structural sharing of identical cofactors. This mirrors how an RTL
@@ -43,6 +56,6 @@ Lit build_from_truth(Aig& aig, const TruthTable& tt,
 /// is exactly what a synthesis flow is supposed to clean up. Design
 /// generators use it so that flows have real optimization headroom.
 Lit build_shannon(Aig& aig, const TruthTable& tt,
-                  const std::vector<Lit>& inputs);
+                  std::span<const Lit> inputs);
 
 }  // namespace flowgen::aig

@@ -11,11 +11,6 @@ unsigned Cube::num_literals() const {
 
 namespace {
 
-struct IsopResult {
-  Sop cubes;
-  TruthTable cover;
-};
-
 // Bit masks of the elementary functions x_0..x_5 within one 64-bit word
 // (same layout as truth.cpp).
 constexpr std::uint64_t kWordVarMask[6] = {
@@ -94,37 +89,30 @@ std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
   return (mask & pos_cover) | (~mask & neg_cover) | both_cover;
 }
 
-/// Entry to the word kernel from multi-word bounds. Callable whenever the
-/// bounds are independent of x_6.. (every word equals word 0), which the
-/// recursion guarantees once num_top_vars <= 6 — so even 16-var refactor
-/// cones spend the bulk of their recursion tree in here.
-IsopResult isop_word(const TruthTable& lower, const TruthTable& upper,
-                     unsigned num_top_vars) {
+/// Minato-Morreale: append an irredundant SOP S with L <= S <= U to `out`
+/// and return the function S actually covers. `num_top_vars` limits the
+/// variables that may still appear in cubes at this recursion depth. Like
+/// the word kernel, each side's cubes are appended contiguously and the
+/// split literal is OR-ed into its range afterwards, the order in which a
+/// concatenation of the sides' results would list them.
+TruthTable isop_rec(const TruthTable& lower, const TruthTable& upper,
+                    unsigned num_top_vars, Sop& out) {
   const unsigned n = lower.num_vars();
-  const std::uint64_t full =
-      n >= 6 ? ~0ull : (std::uint64_t{1} << (std::size_t{1} << n)) - 1;
-  IsopResult out;
-  const std::uint64_t cover = isop_word_rec(
-      lower.low_word(), upper.low_word(), full, num_top_vars, out.cubes);
-  out.cover = TruthTable::broadcast(n, cover);
-  return out;
-}
-
-/// Minato-Morreale: compute an irredundant SOP S with L <= S <= U, together
-/// with the function S actually covers. `num_top_vars` limits the variables
-/// that may still appear in cubes at this recursion depth.
-IsopResult isop_rec(const TruthTable& lower, const TruthTable& upper,
-                    unsigned num_top_vars) {
   if (num_top_vars <= 6) {
-    // All live variables fit one word: switch to the allocation-free
-    // single-uint64 kernel (identical recursion, identical cube order).
-    return isop_word(lower, upper, num_top_vars);
+    // All live variables fit one word: the bounds are independent of x_6..
+    // (every word equals word 0), so switch to the allocation-free
+    // single-uint64 kernel — even 16-var refactor cones spend the bulk of
+    // their recursion tree in there.
+    const std::uint64_t full =
+        n >= 6 ? ~0ull : (std::uint64_t{1} << (std::size_t{1} << n)) - 1;
+    const std::uint64_t cover = isop_word_rec(
+        lower.low_word(), upper.low_word(), full, num_top_vars, out);
+    return TruthTable::broadcast(n, cover);
   }
-  if (lower.is_const0()) {
-    return {Sop{}, TruthTable::constant(lower.num_vars(), false)};
-  }
+  if (lower.is_const0()) return TruthTable::constant(n, false);
   if (upper.is_const1()) {
-    return {Sop{Cube{}}, TruthTable::constant(lower.num_vars(), true)};
+    out.push_back(Cube{});
+    return TruthTable::constant(n, true);
   }
 
   // Pick the highest variable either bound still depends on.
@@ -146,38 +134,39 @@ IsopResult isop_rec(const TruthTable& lower, const TruthTable& upper,
   const TruthTable u1 = upper.cofactor1(var);
 
   // Minterms of each cofactor that can only be covered on that side.
-  IsopResult neg_side = isop_rec(TruthTable::and_compl(l0, u1), u0, var);
-  IsopResult pos_side = isop_rec(TruthTable::and_compl(l1, u0), u1, var);
+  const std::size_t neg_begin = out.size();
+  const TruthTable neg_cover =
+      isop_rec(TruthTable::and_compl(l0, u1), u0, var, out);
+  const std::size_t pos_begin = out.size();
+  const TruthTable pos_cover =
+      isop_rec(TruthTable::and_compl(l1, u0), u1, var, out);
+  const std::size_t both_begin = out.size();
+  for (std::size_t i = neg_begin; i < pos_begin; ++i) {
+    out[i].neg |= (1u << var);
+  }
+  for (std::size_t i = pos_begin; i < both_begin; ++i) {
+    out[i].pos |= (1u << var);
+  }
 
   // What remains must be covered by cubes independent of `var`.
-  TruthTable rest = TruthTable::and_compl(l0, neg_side.cover);
-  rest |= TruthTable::and_compl(l1, pos_side.cover);
-  IsopResult both = isop_rec(rest, u0 & u1, var);
+  TruthTable rest = TruthTable::and_compl(l0, neg_cover);
+  rest |= TruthTable::and_compl(l1, pos_cover);
+  const TruthTable both_cover = isop_rec(rest, u0 & u1, var, out);
 
-  IsopResult out;
-  out.cubes.reserve(neg_side.cubes.size() + pos_side.cubes.size() +
-                    both.cubes.size());
-  for (Cube c : neg_side.cubes) {
-    c.neg |= (1u << var);
-    out.cubes.push_back(c);
-  }
-  for (Cube c : pos_side.cubes) {
-    c.pos |= (1u << var);
-    out.cubes.push_back(c);
-  }
-  for (const Cube& c : both.cubes) out.cubes.push_back(c);
-
-  out.cover = TruthTable::mux_var(var, pos_side.cover, neg_side.cover);
-  out.cover |= both.cover;
-  return out;
+  TruthTable cover = TruthTable::mux_var(var, pos_cover, neg_cover);
+  cover |= both_cover;
+  return cover;
 }
 
 }  // namespace
 
 Sop isop(const TruthTable& tt) {
-  IsopResult r = isop_rec(tt, tt, tt.num_vars());
-  assert(r.cover == tt && "ISOP must cover the function exactly");
-  return std::move(r.cubes);
+  thread_local Sop cubes;  // grown once per thread, copied out exactly
+  cubes.clear();
+  [[maybe_unused]] const TruthTable cover =
+      isop_rec(tt, tt, tt.num_vars(), cubes);
+  assert(cover == tt && "ISOP must cover the function exactly");
+  return Sop(cubes.begin(), cubes.end());
 }
 
 TruthTable sop_to_truth(const Sop& sop, unsigned num_vars) {

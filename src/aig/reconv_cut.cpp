@@ -1,14 +1,19 @@
 #include "aig/reconv_cut.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace flowgen::aig {
 
-std::vector<std::uint32_t> reconv_cut(const Aig& aig, std::uint32_t root,
-                                      unsigned max_leaves) {
-  // The leaf list never exceeds max_leaves + 2 entries, so membership is a
-  // linear scan rather than a hash set.
-  std::vector<std::uint32_t> leaves{root};
+WindowLeaves reconv_cut(const Aig& aig, std::uint32_t root,
+                        unsigned max_leaves) {
+  if (max_leaves > kMaxWindowLeaves) {
+    throw std::invalid_argument("reconv_cut: max_leaves above 16");
+  }
+  // An expansion that adds a leaf runs only while the list stays within
+  // max_leaves, so the list fits inline and membership is a linear scan
+  // rather than a hash set.
+  WindowLeaves leaves{root};
   auto is_leaf = [&](std::uint32_t id) {
     return std::find(leaves.begin(), leaves.end(), id) != leaves.end();
   };
@@ -39,7 +44,7 @@ std::vector<std::uint32_t> reconv_cut(const Aig& aig, std::uint32_t root,
     if (projected > static_cast<long>(max_leaves) && best_cost > 0) break;
 
     const std::uint32_t id = leaves[best_idx];
-    leaves.erase(leaves.begin() + static_cast<std::ptrdiff_t>(best_idx));
+    leaves.erase_at(best_idx);
     for (Lit fanin : {aig.node(id).fanin0, aig.node(id).fanin1}) {
       const std::uint32_t f = lit_node(fanin);
       if (!is_leaf(f)) leaves.push_back(f);

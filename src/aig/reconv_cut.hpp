@@ -4,15 +4,23 @@
 // leaf whose fanins add the fewest new leaves, up to a leaf limit.
 
 #include <cstdint>
-#include <vector>
 
 #include "aig/aig.hpp"
+#include "aig/inline_vec.hpp"
 
 namespace flowgen::aig {
 
+/// Widest window: window truth tables have at most 16 inputs, and the
+/// registry caps restructure's and refactor's max_leaves at 16.
+constexpr unsigned kMaxWindowLeaves = 16;
+
+/// Leaves of one window, inline.
+using WindowLeaves = InlineVec<std::uint32_t, kMaxWindowLeaves>;
+
 /// Returns the sorted leaf node ids of a reconvergence-driven cut of `root`
-/// with at most `max_leaves` leaves.
-std::vector<std::uint32_t> reconv_cut(const Aig& aig, std::uint32_t root,
-                                      unsigned max_leaves);
+/// with at most `max_leaves` leaves. Throws std::invalid_argument when
+/// max_leaves > kMaxWindowLeaves.
+WindowLeaves reconv_cut(const Aig& aig, std::uint32_t root,
+                        unsigned max_leaves);
 
 }  // namespace flowgen::aig

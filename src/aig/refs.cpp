@@ -94,12 +94,11 @@ std::uint32_t RefCounts::mffc_size(const Aig& aig, std::uint32_t node) {
   return size;
 }
 
-std::vector<std::uint32_t> RefCounts::mffc_nodes(const Aig& aig,
-                                                 std::uint32_t node) {
-  std::vector<std::uint32_t> dying;
-  deref_mffc(aig, node, &dying);
+void RefCounts::mffc_nodes(const Aig& aig, std::uint32_t node,
+                           std::vector<std::uint32_t>& out) {
+  out.clear();
+  deref_mffc(aig, node, &out);
   ref_mffc(aig, node);
-  return dying;
 }
 
 }  // namespace flowgen::aig

@@ -56,9 +56,10 @@ public:
   /// MFFC size without lasting mutation (deref + reref).
   std::uint32_t mffc_size(const Aig& aig, std::uint32_t node);
 
-  /// Node ids inside the MFFC of `node` (including `node`); no lasting
-  /// mutation.
-  std::vector<std::uint32_t> mffc_nodes(const Aig& aig, std::uint32_t node);
+  /// Replace `out` with the node ids inside the MFFC of `node` (including
+  /// `node`); no lasting mutation. `out` is the caller's reused buffer.
+  void mffc_nodes(const Aig& aig, std::uint32_t node,
+                  std::vector<std::uint32_t>& out);
 
 private:
   RefCounts() = default;  ///< for pristine()'s fast path

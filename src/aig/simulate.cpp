@@ -53,7 +53,7 @@ bool random_equivalent(const Aig& a, const Aig& b, util::Rng& rng,
 }
 
 TruthTable cone_truth(const Aig& aig, Lit root,
-                      const std::vector<std::uint32_t>& leaves) {
+                      std::span<const std::uint32_t> leaves) {
   const auto nv = static_cast<unsigned>(leaves.size());
   if (nv > 16) throw std::invalid_argument("cone_truth: cut too large");
 

@@ -4,6 +4,7 @@
 // (b) to compute exact truth tables of cut cones.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -41,6 +42,6 @@ bool random_equivalent(const Aig& a, const Aig& b, util::Rng& rng,
 /// over the leaves (i.e. `leaves` is a cut of `root`). num_vars =
 /// leaves.size() <= 16.
 TruthTable cone_truth(const Aig& aig, Lit root,
-                      const std::vector<std::uint32_t>& leaves);
+                      std::span<const std::uint32_t> leaves);
 
 }  // namespace flowgen::aig

@@ -60,10 +60,10 @@ std::vector<Cell> builtin_cells() {
 }
 
 /// Truth table restricted to its essential variables, plus the positions of
-/// those variables in the original function.
+/// those variables in the original function (truth tables have at most 16).
 struct SupportInfo {
   TruthTable tt;
-  std::vector<unsigned> vars;
+  aig::InlineVec<unsigned, 16> vars;
 };
 
 SupportInfo compress_support(const TruthTable& tt) {
@@ -121,7 +121,9 @@ void CellLibrary::build_index() {
           // Cell pin i reads cut leaf perm[i], through an inverter if the
           // flip bit for pin i is set.
           m.leaf_flip_mask = 0;
-          m.pin_to_leaf.assign(perm.begin(), perm.end());
+          for (unsigned leaf : perm) {
+            m.pin_to_leaf.push_back(static_cast<std::uint8_t>(leaf));
+          }
           for (unsigned i = 0; i < nv; ++i) {
             if ((flip >> i) & 1) m.leaf_flip_mask |= (1u << perm[i]);
           }

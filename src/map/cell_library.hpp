@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "aig/inline_vec.hpp"
 #include "aig/truth.hpp"
 
 namespace flowgen::map {
@@ -38,8 +39,9 @@ struct Match {
                                      ///< delay is added per-leaf at map time)
   /// Pin binding: cell pin i reads cut leaf pin_to_leaf[i] (after support
   /// compression, leaf indices refer to the cut's leaf order). Recorded so
-  /// the mapped netlist can be replayed/verified gate by gate.
-  std::vector<std::uint8_t> pin_to_leaf;
+  /// the mapped netlist can be replayed/verified gate by gate. Cells have
+  /// at most 4 inputs.
+  aig::InlineVec<std::uint8_t, 4> pin_to_leaf;
 };
 
 class CellLibrary {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -30,9 +30,12 @@ struct Candidate {
   Match match;
 };
 
+/// Per-node mapping state. A node's candidates are the slice
+/// [first, first + count) of one array shared by all nodes.
 struct NodeState {
-  std::vector<Candidate> candidates;
-  int choice = -1;  ///< index into candidates
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+  int choice = -1;  ///< index into the node's candidates
   double arrival = 0.0;
   double area_flow = 0.0;
   double required = kInf;
@@ -76,6 +79,14 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
   const aig::RefCounts refs(aig);
 
   std::vector<NodeState> state(aig.num_nodes());
+  std::vector<Candidate> all_candidates;
+  auto candidates = [&](const NodeState& ns) {
+    return std::span<const Candidate>(all_candidates.data() + ns.first,
+                                      ns.count);
+  };
+  auto chosen = [&](const NodeState& ns) -> const Candidate& {
+    return all_candidates[ns.first + static_cast<std::uint32_t>(ns.choice)];
+  };
 
   // ---- candidate generation + delay-oriented selection (topo order) ------
   for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
@@ -85,24 +96,26 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
       continue;
     }
     NodeState& ns = state[id];
+    ns.first = static_cast<std::uint32_t>(all_candidates.size());
     for (const Cut& cut : cuts.cuts(id)) {
       if (cut.leaves.size() == 1 && cut.leaves[0] == id) continue;  // trivial
       const TruthTable tt =
           aig::cone_truth(aig, make_lit(id, false), cut.leaves);
       const std::optional<Match> match = lib.best_match(tt);
       if (!match) continue;
-      ns.candidates.push_back(Candidate{&cut, *match});
+      all_candidates.push_back(Candidate{&cut, *match});
     }
-    if (ns.candidates.empty()) {
+    ns.count = static_cast<std::uint32_t>(all_candidates.size()) - ns.first;
+    if (ns.count == 0) {
       throw std::runtime_error("map_aig: unmatchable node " +
                                std::to_string(id));
     }
     double best_arr = kInf;
     double best_flow = kInf;
-    for (std::size_t c = 0; c < ns.candidates.size(); ++c) {
-      const double arr = candidate_arrival(state, ns.candidates[c], lib);
-      const double flow =
-          candidate_area_flow(state, ns.candidates[c], refs, id, lib);
+    const std::span<const Candidate> cands = candidates(ns);
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      const double arr = candidate_arrival(state, cands[c], lib);
+      const double flow = candidate_area_flow(state, cands[c], refs, id, lib);
       if (arr < best_arr - 1e-9 ||
           (std::abs(arr - best_arr) <= 1e-9 && flow < best_flow)) {
         best_arr = arr;
@@ -115,9 +128,10 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
   }
 
   // ---- cover extraction helper -------------------------------------------
+  std::vector<std::uint32_t> stack;
   auto extract_cover = [&](std::vector<char>& visible) {
     std::fill(visible.begin(), visible.end(), 0);
-    std::vector<std::uint32_t> stack;
+    stack.clear();
     for (Lit po : aig.pos()) {
       if (aig.is_and(lit_node(po))) stack.push_back(lit_node(po));
     }
@@ -126,8 +140,7 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
       stack.pop_back();
       if (visible[id]) continue;
       visible[id] = 1;
-      const Candidate& cand =
-          state[id].candidates[static_cast<std::size_t>(state[id].choice)];
+      const Candidate& cand = chosen(state[id]);
       for (std::uint32_t leaf : cand.cut->leaves) {
         if (aig.is_and(leaf) && !visible[leaf]) stack.push_back(leaf);
       }
@@ -162,11 +175,11 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
       double best_flow = kInf;
       double best_arr = kInf;
       int best = ns.choice;
-      for (std::size_t c = 0; c < ns.candidates.size(); ++c) {
-        const double arr = candidate_arrival(state, ns.candidates[c], lib);
+      const std::span<const Candidate> cands = candidates(ns);
+      for (std::size_t c = 0; c < cands.size(); ++c) {
+        const double arr = candidate_arrival(state, cands[c], lib);
         if (arr > ns.required + 1e-9) continue;
-        const double flow =
-            candidate_area_flow(state, ns.candidates[c], refs, id, lib);
+        const double flow = candidate_area_flow(state, cands[c], refs, id, lib);
         if (flow < best_flow - 1e-12 ||
             (std::abs(flow - best_flow) <= 1e-12 && arr < best_arr)) {
           best_flow = flow;
@@ -175,10 +188,8 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
         }
       }
       ns.choice = best;
-      ns.arrival = candidate_arrival(
-          state, ns.candidates[static_cast<std::size_t>(best)], lib);
-      const Candidate& cand =
-          ns.candidates[static_cast<std::size_t>(best)];
+      const Candidate& cand = chosen(ns);
+      ns.arrival = candidate_arrival(state, cand, lib);
       for (std::size_t i = 0; i < cand.cut->leaves.size(); ++i) {
         const std::uint32_t leaf = cand.cut->leaves[i];
         if (!aig.is_and(leaf)) continue;
@@ -195,18 +206,26 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
     for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
       if (!visible[id] || !aig.is_and(id)) continue;
       NodeState& ns = state[id];
-      ns.arrival = candidate_arrival(
-          state, ns.candidates[static_cast<std::size_t>(ns.choice)], lib);
+      ns.arrival = candidate_arrival(state, chosen(ns), lib);
     }
   }
 
   // ---- final accounting ----------------------------------------------------
   MappingResult result;
-  std::set<std::uint32_t> inverted_signals;  // signals needing an inverter
+  result.cover.reserve(static_cast<std::size_t>(
+      std::count(visible.begin(), visible.end(), 1)));
+  // Signals needing an inverter, each counted once.
+  std::vector<char> inverted(aig.num_nodes(), 0);
+  std::size_t num_inverted = 0;
+  auto invert = [&](std::uint32_t signal) {
+    if (!inverted[signal]) {
+      inverted[signal] = 1;
+      ++num_inverted;
+    }
+  };
   for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
     if (!visible[id]) continue;
-    const Candidate& cand =
-        state[id].candidates[static_cast<std::size_t>(state[id].choice)];
+    const Candidate& cand = chosen(state[id]);
     CoverEntry entry;
     entry.node = id;
     entry.cut = *cand.cut;
@@ -223,16 +242,14 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
       ++result.qor.num_inverters;
     }
     for (std::size_t i = 0; i < cand.cut->leaves.size(); ++i) {
-      if ((cand.match.leaf_flip_mask >> i) & 1) {
-        inverted_signals.insert(cand.cut->leaves[i]);
-      }
+      if ((cand.match.leaf_flip_mask >> i) & 1) invert(cand.cut->leaves[i]);
     }
   }
   double delay = 0.0;
   for (Lit po : aig.pos()) {
     double arr = state[lit_node(po)].arrival;
     if (lit_is_compl(po) && lit_node(po) != 0) {
-      inverted_signals.insert(lit_node(po));
+      invert(lit_node(po));
       arr += lib.inverter_delay();
     }
     delay = std::max(delay, arr);
@@ -240,8 +257,8 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
   // Polarity inverters are shared per signal: one inverter serves all
   // complemented fanouts of a node.
   result.qor.area_um2 +=
-      static_cast<double>(inverted_signals.size()) * lib.inverter_area();
-  result.qor.num_inverters += inverted_signals.size();
+      static_cast<double>(num_inverted) * lib.inverter_area();
+  result.qor.num_inverters += num_inverted;
   result.qor.delay_ps = delay;
   return result;
 }

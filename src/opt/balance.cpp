@@ -1,7 +1,7 @@
 #include "opt/balance.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <vector>
 
 namespace flowgen::opt {
@@ -20,6 +20,11 @@ namespace {
 /// ~(a & b) = ~a | ~b, expanded through complemented single-fanout AND
 /// literals). Each supergate is rebuilt pairing the two shallowest operands
 /// first, which minimises tree depth.
+///
+/// Every supergate on the recursion path keeps its operands in one shared
+/// stack (`stack_`), innermost last, so no supergate allocates: its region
+/// holds the collected old operands, then their built literals, then the
+/// min-heap that pairs them.
 class Balancer {
 public:
   explicit Balancer(const Aig& in) : in_(in) {
@@ -46,17 +51,23 @@ private:
   }
 
   /// Collect the operand literals of the supergate rooted at literal
-  /// `root` in the given phase. For the AND phase operands are AND-ed; for
-  /// the OR phase (root complemented) the *complements* of the collected
-  /// fanins are OR-ed.
-  void collect(Lit edge, bool or_phase, std::vector<Lit>& leaves) {
+  /// `root` in the given phase onto the stack. For the AND phase operands
+  /// are AND-ed; for the OR phase (root complemented) the *complements* of
+  /// the collected fanins are OR-ed.
+  void collect(Lit edge, bool or_phase) {
     if (expandable(edge, or_phase)) {
       const auto& n = in_.node(lit_node(edge));
-      collect(or_phase ? lit_not(n.fanin0) : n.fanin0, or_phase, leaves);
-      collect(or_phase ? lit_not(n.fanin1) : n.fanin1, or_phase, leaves);
+      collect(or_phase ? lit_not(n.fanin0) : n.fanin0, or_phase);
+      collect(or_phase ? lit_not(n.fanin1) : n.fanin1, or_phase);
     } else {
-      leaves.push_back(edge);
+      stack_.push_back(edge);
     }
+  }
+
+  /// Heap entry: level in the high half, literal in the low half, so the
+  /// integer order is the (level, literal) order.
+  std::uint64_t entry(Lit l) const {
+    return (std::uint64_t{out_.node(lit_node(l)).level} << 32) | l;
   }
 
   Lit build(Lit old) {
@@ -69,49 +80,56 @@ private:
     std::vector<Lit>& memo = or_phase ? map_or_ : map_and_;
     if (memo[id] != aig::kLitInvalid) return memo[id];
 
-    // Operand list in the *old* graph.
-    std::vector<Lit> old_leaves;
+    // Operand list in the *old* graph: stack_[base, end).
+    const std::size_t base = stack_.size();
     const auto& n = in_.node(id);
     if (or_phase) {
-      collect(lit_not(n.fanin0), true, old_leaves);
-      collect(lit_not(n.fanin1), true, old_leaves);
+      collect(lit_not(n.fanin0), true);
+      collect(lit_not(n.fanin1), true);
     } else {
-      collect(n.fanin0, false, old_leaves);
-      collect(n.fanin1, false, old_leaves);
+      collect(n.fanin0, false);
+      collect(n.fanin1, false);
     }
 
     // Simplify the operand multiset.
-    std::sort(old_leaves.begin(), old_leaves.end());
-    old_leaves.erase(std::unique(old_leaves.begin(), old_leaves.end()),
-                     old_leaves.end());
+    std::sort(stack_.begin() + base, stack_.end());
+    stack_.erase(std::unique(stack_.begin() + base, stack_.end()),
+                 stack_.end());
     bool annihilates = false;
-    for (std::size_t i = 0; i + 1 < old_leaves.size(); ++i) {
-      if (old_leaves[i] == lit_not(old_leaves[i + 1])) {
+    for (std::size_t i = base; i + 1 < stack_.size(); ++i) {
+      if (stack_[i] == lit_not(stack_[i + 1])) {
         annihilates = true;  // x & ~x = 0  /  x | ~x = 1
         break;
       }
     }
     if (annihilates) {
+      stack_.resize(base);
       memo[id] = or_phase ? aig::kLitTrue : aig::kLitFalse;
       return memo[id];
     }
 
-    // Build operands recursively, then combine two shallowest first.
-    using Entry = std::pair<std::uint32_t, Lit>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    for (Lit leaf : old_leaves) {
-      const Lit built = build(leaf);
-      heap.emplace(out_.node(lit_node(built)).level, built);
+    // Build operands recursively in order (each build leaves the stack as
+    // it found it), then combine two shallowest first. With distinct
+    // (level, literal) entries the pop order is fixed, whatever the heap.
+    for (std::size_t i = base; i < stack_.size(); ++i) {
+      const Lit built = build(static_cast<Lit>(stack_[i]));
+      stack_[i] = entry(built);
     }
-    while (heap.size() > 1) {
-      const Lit a = heap.top().second;
-      heap.pop();
-      const Lit b = heap.top().second;
-      heap.pop();
+    const auto heap_begin = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+    std::make_heap(heap_begin, stack_.end(), std::greater<>{});
+    while (stack_.size() - base > 1) {
+      std::pop_heap(heap_begin, stack_.end(), std::greater<>{});
+      const Lit a = static_cast<Lit>(stack_.back());
+      stack_.pop_back();
+      std::pop_heap(heap_begin, stack_.end(), std::greater<>{});
+      const Lit b = static_cast<Lit>(stack_.back());
+      stack_.pop_back();
       const Lit c = or_phase ? out_.lor(a, b) : out_.land(a, b);
-      heap.emplace(out_.node(lit_node(c)).level, c);
+      stack_.push_back(entry(c));
+      std::push_heap(heap_begin, stack_.end(), std::greater<>{});
     }
-    memo[id] = heap.top().second;
+    memo[id] = static_cast<Lit>(stack_[base]);
+    stack_.resize(base);
     return memo[id];
   }
 
@@ -119,6 +137,7 @@ private:
 
   const Aig& in_;
   Aig out_;
+  std::vector<std::uint64_t> stack_;  ///< operand regions, see class comment
   std::vector<Lit> pi_lookup_;
   std::vector<Lit> map_and_;
   std::vector<Lit> map_or_;

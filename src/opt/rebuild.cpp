@@ -63,8 +63,8 @@ bool cone_contains(const Aig& g, const std::vector<Lit>& repl, Lit root,
 }
 
 long reuse_cost(const Aig& g, const std::vector<Lit>& repl, Lit root,
-                const std::vector<std::uint32_t>& inputs,
-                const std::vector<std::uint32_t>& mffc) {
+                std::span<const std::uint32_t> inputs,
+                std::span<const std::uint32_t> mffc) {
   thread_local WalkScratch s;
   s.marks.reset(g.num_nodes());
   for (std::uint32_t id : inputs) s.marks.at(id) |= kInput;

@@ -6,6 +6,7 @@
 // resolving aliases, which drops every node the pass made unreachable.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -42,7 +43,7 @@ bool cone_contains(const aig::Aig& g, const std::vector<aig::Lit>& repl,
 /// look free during tentative construction, but they survive the
 /// replacement, so they must be charged against the MFFC gain.
 long reuse_cost(const aig::Aig& g, const std::vector<aig::Lit>& repl,
-                aig::Lit root, const std::vector<std::uint32_t>& inputs,
-                const std::vector<std::uint32_t>& mffc);
+                aig::Lit root, std::span<const std::uint32_t> inputs,
+                std::span<const std::uint32_t> mffc);
 
 }  // namespace flowgen::opt

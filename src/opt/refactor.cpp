@@ -37,18 +37,19 @@ Aig refactor(const Aig& in, const RefactorParams& params) {
   };
 
   const unsigned min_mffc = params.zero_cost ? 1 : params.min_mffc;
+  std::vector<std::uint32_t> mffc_nodes;  // reused across roots
 
   for (std::uint32_t id = 1 + static_cast<std::uint32_t>(g.num_pis());
        id < num_old; ++id) {
     if (!g.is_and(id) || refs.dead(id) || refs.terminal(id)) continue;
 
-    const std::vector<std::uint32_t> mffc_nodes = refs.mffc_nodes(g, id);
+    refs.mffc_nodes(g, id, mffc_nodes);
     const std::uint32_t mffc = static_cast<std::uint32_t>(mffc_nodes.size());
     if (mffc < min_mffc) continue;
 
     // Skip degenerate windows: bad size, the root among its own leaves, or
     // a cone that does not evaluate over them.
-    const std::vector<std::uint32_t> leaves =
+    const aig::WindowLeaves leaves =
         aig::reconv_cut(in, id, params.max_leaves);
     if (aig::degenerate_window(leaves)) continue;
     if (std::find(leaves.begin(), leaves.end(), id) != leaves.end()) continue;
@@ -60,8 +61,7 @@ Aig refactor(const Aig& in, const RefactorParams& params) {
       continue;
     }
 
-    std::vector<Lit> inputs;
-    inputs.reserve(leaves.size());
+    aig::InlineVec<Lit, aig::kMaxWindowLeaves> inputs;
     for (std::uint32_t leaf : leaves) {
       inputs.push_back(resolve(repl, make_lit(leaf, false)));
     }

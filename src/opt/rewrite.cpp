@@ -38,11 +38,14 @@ Aig rewrite(const Aig& in, const RewriteParams& params) {
     }
   };
 
+  std::vector<std::uint32_t> mffc_nodes;  // reused across roots
+  aig::InlineVec<Lit, Cut::kMaxLeaves> inputs;
+
   for (std::uint32_t id = 1 + static_cast<std::uint32_t>(g.num_pis());
        id < num_old; ++id) {
     if (!g.is_and(id) || refs.dead(id) || refs.terminal(id)) continue;
 
-    const std::vector<std::uint32_t> mffc_nodes = refs.mffc_nodes(g, id);
+    refs.mffc_nodes(g, id, mffc_nodes);
     const std::uint32_t mffc = static_cast<std::uint32_t>(mffc_nodes.size());
 
     long best_gain = params.zero_cost ? -zero_cost_slack(mffc) - 1 : 0;
@@ -60,8 +63,7 @@ Aig rewrite(const Aig& in, const RewriteParams& params) {
           aig::factored_form(tt);
       // Tentatively construct the resynthesized cone to measure its true
       // incremental cost (strash hits are free), then roll back.
-      std::vector<Lit> inputs;
-      inputs.reserve(cut.leaves.size());
+      inputs.clear();
       for (std::uint32_t leaf : cut.leaves) {
         inputs.push_back(resolve(repl, make_lit(leaf, false)));
       }
@@ -85,8 +87,7 @@ Aig rewrite(const Aig& in, const RewriteParams& params) {
         best_cut != nullptr && (best_gain > 0 || params.zero_cost);
     if (!accept) continue;
 
-    std::vector<Lit> inputs;
-    inputs.reserve(best_cut->leaves.size());
+    inputs.clear();
     for (std::uint32_t leaf : best_cut->leaves) {
       inputs.push_back(resolve(repl, make_lit(leaf, false)));
     }

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "aig/simulate.hpp"
+#include "util/rng.hpp"
 
 namespace flowgen::aig {
 namespace {
@@ -97,6 +103,151 @@ TEST(AigTest, RollbackRemovesNodesAndStrashEntries) {
   EXPECT_EQ(g.check(), "");
 }
 
+// The flat structural hash against a std::map reference: random land()
+// calls that mix hits, misses and trivial cases, checkpoint/rollback of
+// random depth across every table growth up to 50k ANDs, and copies that
+// must diverge from their source. A rollback that empties a slot without
+// the backward shift strands entries behind the hole, which the per-pair
+// lookups and check() below both catch. Some rounds double the graph,
+// forcing a table growth, and roll it all back, so rollbacks also span
+// growths.
+TEST(AigTest, StrashAgreesWithAReferenceMapUnderRandomRollback) {
+  util::Rng rng(20261017);
+  Aig g;
+  g.add_pis(64);
+  using Pair = std::pair<Lit, Lit>;
+  std::map<Pair, std::uint32_t> ref;  // normalised fanins -> node id
+  std::vector<std::size_t> checkpoints;
+  std::vector<Pair> rolled_back;  // pairs removed by the last rollback
+
+  auto random_lit = [&](const Aig& a) {
+    const auto id = static_cast<std::uint32_t>(rng.below(a.num_nodes()));
+    return make_lit(id, rng.chance(0.5));
+  };
+  // One land() on `a`, checked against `r`; new nodes join `r`.
+  auto land_checked = [&](Aig& a, std::map<Pair, std::uint32_t>& r, Lit x,
+                          Lit y) {
+    const std::size_t before = a.num_nodes();
+    const Lit got = a.land(x, y);
+    const Lit lo = std::min(x, y);
+    const Lit hi = std::max(x, y);
+    if (lit_node(lo) == 0 || lo == hi || lo == lit_not(hi)) return;
+    const auto it = r.find({lo, hi});
+    if (it != r.end()) {
+      ASSERT_EQ(got, make_lit(it->second, false));
+      ASSERT_EQ(a.num_nodes(), before);
+    } else {
+      ASSERT_EQ(got, make_lit(static_cast<std::uint32_t>(before), false));
+      r.emplace(Pair{lo, hi}, static_cast<std::uint32_t>(before));
+    }
+  };
+  // Every live pair must land on its own node without growing the graph.
+  auto expect_agrees = [&](Aig& a, const std::map<Pair, std::uint32_t>& r) {
+    ASSERT_EQ(a.check(), "");
+    ASSERT_EQ(a.num_ands(), r.size());
+    const std::size_t before = a.num_nodes();
+    for (const auto& [pair, id] : r) {
+      ASSERT_EQ(a.land(pair.second, pair.first), make_lit(id, false));
+    }
+    ASSERT_EQ(a.num_nodes(), before);
+  };
+
+  std::size_t rounds = 0;
+  while (g.num_ands() < 50000) {
+    ++rounds;
+    checkpoints.push_back(g.checkpoint());
+    const bool doubling = rng.chance(0.05);
+    const std::size_t steps =
+        doubling ? 2 * g.num_ands() + 64
+                 : static_cast<std::size_t>(rng.range(1, 3000));
+    for (std::size_t i = 0; i < steps; ++i) {
+      if (g.num_ands() > 0 && rng.chance(0.3)) {
+        // A hit: re-land a live AND's fanins, operands swapped or not.
+        const auto id = static_cast<std::uint32_t>(
+            g.num_nodes() - 1 - rng.below(g.num_ands()));
+        const Lit f0 = g.node(id).fanin0;
+        const Lit f1 = g.node(id).fanin1;
+        if (rng.chance(0.5)) {
+          land_checked(g, ref, f0, f1);
+        } else {
+          land_checked(g, ref, f1, f0);
+        }
+      } else {
+        land_checked(g, ref, random_lit(g), random_lit(g));
+      }
+      if (HasFatalFailure()) return;
+    }
+
+    rolled_back.clear();
+    if (doubling || (checkpoints.size() > 1 && rng.chance(0.25))) {
+      // Roll back a doubling round whole, else the last 1-3 rounds.
+      const std::size_t depth =
+          doubling ? 1
+                   : 1 + rng.below(std::min<std::size_t>(3, checkpoints.size()));
+      const std::size_t cp = checkpoints[checkpoints.size() - depth];
+      checkpoints.resize(checkpoints.size() - depth);
+      for (auto it = ref.begin(); it != ref.end();) {
+        if (it->second < cp) {
+          ++it;
+          continue;
+        }
+        if (lit_node(it->first.second) < cp) rolled_back.push_back(it->first);
+        it = ref.erase(it);
+      }
+      g.rollback(cp);
+    }
+    expect_agrees(g, ref);
+    if (HasFatalFailure()) return;
+
+    // A rolled-back pair whose fanins survived is created afresh, with the
+    // next id.
+    for (std::size_t i = 0; i < rolled_back.size() && i < 8; ++i) {
+      const Pair p = rolled_back[rng.below(rolled_back.size())];
+      if (ref.count(p)) continue;
+      const std::size_t next = g.num_nodes();
+      ASSERT_EQ(g.land(p.first, p.second),
+                make_lit(static_cast<std::uint32_t>(next), false));
+      ref.emplace(p, static_cast<std::uint32_t>(next));
+    }
+
+    if (rounds % 8 == 0) {
+      // A copy grows and rolls back on its own; the source keeps its
+      // nodes, table and fingerprint.
+      const Fingerprint fp = g.fingerprint();
+      const std::size_t nodes = g.num_nodes();
+      Aig copy = g;
+      auto copy_ref = ref;
+      const std::size_t copy_cp = copy.checkpoint();
+      for (int i = 0; i < 300; ++i) {
+        land_checked(copy, copy_ref, random_lit(copy), random_lit(copy));
+        if (HasFatalFailure()) return;
+      }
+      const std::size_t mid = copy_cp + (copy.num_nodes() - copy_cp) / 2;
+      for (auto it = copy_ref.begin(); it != copy_ref.end();) {
+        it = it->second >= mid ? copy_ref.erase(it) : std::next(it);
+      }
+      copy.rollback(mid);
+      expect_agrees(copy, copy_ref);
+      if (HasFatalFailure()) return;
+      EXPECT_EQ(g.num_nodes(), nodes);
+      EXPECT_EQ(g.fingerprint(), fp);
+      // A pair only the copy holds is new to the source.
+      for (const auto& [pair, id] : copy_ref) {
+        if (id < nodes || lit_node(pair.second) >= nodes) continue;
+        const std::size_t cp = g.checkpoint();
+        EXPECT_EQ(g.land(pair.first, pair.second),
+                  make_lit(static_cast<std::uint32_t>(nodes), false));
+        g.rollback(cp);
+        break;
+      }
+      expect_agrees(g, ref);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GE(g.num_ands(), 50000u);
+  EXPECT_GT(rounds, 20u);
+}
+
 TEST(AigTest, CleanupDropsDeadNodes) {
   Aig g;
   const Lit a = g.add_pi();
@@ -132,7 +283,7 @@ TEST(AigTest, NaryOpsBuildLinearChains) {
   EXPECT_EQ(g.land_n({}), kLitTrue);
   EXPECT_EQ(g.lor_n({}), kLitFalse);
   EXPECT_EQ(g.lxor_n({}), kLitFalse);
-  EXPECT_EQ(g.land_n({pis[0]}), pis[0]);
+  EXPECT_EQ(g.land_n(std::vector<Lit>{pis[0]}), pis[0]);
 }
 
 TEST(AigTest, MajIsFunctionallySymmetric) {

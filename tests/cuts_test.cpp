@@ -11,17 +11,21 @@
 namespace flowgen::aig {
 namespace {
 
-Cut make_cut(std::vector<std::uint32_t> leaves) {
+Cut make_cut(const std::vector<std::uint32_t>& leaves) {
   Cut c;
-  c.leaves = std::move(leaves);
+  for (std::uint32_t id : leaves) c.leaves.push_back(id);
   c.compute_signature();
   return c;
+}
+
+std::vector<std::uint32_t> leaves_of(const Cut& c) {
+  return {c.leaves.begin(), c.leaves.end()};
 }
 
 TEST(CutsTest, MergeWithinLimit) {
   Cut out;
   EXPECT_TRUE(merge_cuts(make_cut({1, 3}), make_cut({3, 5}), 4, out));
-  EXPECT_EQ(out.leaves, (std::vector<std::uint32_t>{1, 3, 5}));
+  EXPECT_EQ(leaves_of(out), (std::vector<std::uint32_t>{1, 3, 5}));
 }
 
 TEST(CutsTest, MergeRejectsOversize) {
@@ -53,7 +57,7 @@ TEST(CutsTest, QuickRejectBoundIsSafeUnderAliasing) {
   EXPECT_EQ(std::popcount(a.signature), 1);
   Cut out;
   ASSERT_TRUE(merge_cuts(a, make_cut({2, 66}), 4, out));
-  EXPECT_EQ(out.leaves, (std::vector<std::uint32_t>{1, 2, 65, 66}));
+  EXPECT_EQ(leaves_of(out), (std::vector<std::uint32_t>{1, 2, 65, 66}));
 }
 
 TEST(CutsTest, QuickRejectFiresOnDisjointSignatures) {
@@ -83,13 +87,14 @@ TEST(CutsTest, EveryNodeHasTrivialOrRealCuts) {
   p.cut_size = 4;
   CutManager cm(g, p);
   EXPECT_EQ(cm.cuts(lit_node(a)).size(), 1u);  // PI: trivial only
-  const auto& cuts_y = cm.cuts(lit_node(y));
+  const auto cuts_y = cm.cuts(lit_node(y));
   EXPECT_GE(cuts_y.size(), 2u);
   // The base cut {x, c} and the expanded {a, b, c} must both be present.
   bool found_base = false, found_leaves = false;
   for (const Cut& cut : cuts_y) {
-    if (cut.leaves == std::vector<std::uint32_t>{lit_node(x), lit_node(c)} ||
-        cut.leaves == std::vector<std::uint32_t>{lit_node(c), lit_node(x)}) {
+    const std::vector<std::uint32_t> leaves = leaves_of(cut);
+    if (leaves == std::vector<std::uint32_t>{lit_node(x), lit_node(c)} ||
+        leaves == std::vector<std::uint32_t>{lit_node(c), lit_node(x)}) {
       found_base = true;
     }
     if (cut.leaves.size() == 3) found_leaves = true;
@@ -138,7 +143,7 @@ TEST(CutsTest, NoDominatedCutsKept) {
   CutManager cm(g, p);
   for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
     if (!g.is_and(id)) continue;
-    const auto& cuts = cm.cuts(id);
+    const auto cuts = cm.cuts(id);
     for (std::size_t i = 0; i < cuts.size(); ++i) {
       for (std::size_t j = 0; j < cuts.size(); ++j) {
         if (i == j) continue;

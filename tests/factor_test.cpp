@@ -41,9 +41,9 @@ TEST(FactorTest, LiteralCounts) {
 }
 
 TEST(FactorTest, ConstantExpressions) {
-  EXPECT_EQ(factor_sop({}).kind, FactorExpr::Kind::kConst0);
+  EXPECT_EQ(factor_sop({}).kind(), FactorExpr::Kind::kConst0);
   const FactorExpr one = factor_sop({Cube{}});
-  EXPECT_EQ(one.kind, FactorExpr::Kind::kConst1);
+  EXPECT_EQ(one.kind(), FactorExpr::Kind::kConst1);
 }
 
 TEST(FactorTest, FactoredFormPreservesFunction) {

@@ -68,6 +68,68 @@ TEST(GoldenRegistryTest, PackedFlowKeysAreUnchanged) {
             "refactor -z");
 }
 
+TEST(GoldenRegistryTest, DesignAndPassFingerprintsArePinned) {
+  // Literal structural fingerprints of every registry design, of alu16
+  // after one pass of each paper transform, and alu16's QoR under four
+  // m = 2 flows. Node ids, creation order and every land() result feed
+  // these, so any change to structural hashing, the window kernels or the
+  // mapper that reorders node creation or moves a label fails here, at
+  // alu16 scale, not only in the end-to-end benchmark's digests.
+  struct Pin {
+    const char* name;
+    aig::Fingerprint fp;
+  };
+  const Pin designs_pinned[] = {
+      {"alu16", {0x58d6ce02a59220dcull, 0xed752f49b11e889dull}},
+      {"alu64", {0x20d5cb3b7082b6d4ull, 0x81c54f627e6be74dull}},
+      {"mont16", {0x84f667bdd087395aull, 0x55aefd8a9dafa36eull}},
+      {"mont64", {0xb6e8c6fa47aee73aull, 0x411694cd5da903a0ull}},
+      {"spn16", {0x7f771e6bcb259cc3ull, 0x57544a8929454574ull}},
+      {"spn32", {0xc616514356892abbull, 0x9bc75099339671f6ull}},
+      {"aes32", {0xcacf49871773d247ull, 0x245b0331653549e2ull}},
+      {"aes128", {0x2e7b2bd733ab7355ull, 0xad80f58b1c834cb0ull}},
+  };
+  ASSERT_EQ(designs::known_designs().size(), std::size(designs_pinned));
+  for (const Pin& pin : designs_pinned) {
+    EXPECT_EQ(designs::make_design(pin.name).fingerprint(), pin.fp)
+        << pin.name;
+  }
+
+  const Pin passes_pinned[] = {
+      {"balance", {0x8fff083d1d9120d1ull, 0xcae93d19b69db6bdull}},
+      {"restructure", {0x1d560cb30bd84b17ull, 0x7f2a113f6dd3b1e1ull}},
+      {"rewrite", {0x296f1ccfcf7a73a2ull, 0x584cb2850324dd1cull}},
+      {"refactor", {0xcb8d169257ac57c1ull, 0x0fa7eaeb307fb9acull}},
+      {"rewrite -z", {0xb65909c9bae9527eull, 0xeb4c836fc32d3716ull}},
+      {"refactor -z", {0x13b0e8a845c87746ull, 0x7c5388a74076301dull}},
+  };
+  const aig::Aig alu16 = designs::make_design("alu16");
+  const auto& specs = opt::TransformRegistry::paper()->specs();
+  ASSERT_EQ(specs.size(), std::size(passes_pinned));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_EQ(opt::spec_text(specs[i]), passes_pinned[i].name);
+    EXPECT_EQ(opt::apply_spec(alu16, specs[i]).fingerprint(),
+              passes_pinned[i].fp)
+        << passes_pinned[i].name;
+  }
+
+  struct QorPin {
+    const char* key;
+    map::QoR qor;
+  };
+  const QorPin qor_pinned[] = {
+      {"012345012345", {0x1.6fced916872bdp+7, 0x1.008p+9, 647, 202}},
+      {"543210543210", {0x1.6db851eb85206p+7, 0x1.e4p+8, 669, 190}},
+      {"001122334455", {0x1.6204189374bcap+7, 0x1.eep+8, 588, 204}},
+      {"240513315042", {0x1.6ef851eb8520bp+7, 0x1.efp+8, 672, 165}},
+  };
+  core::SynthesisEvaluator evaluator(alu16);
+  for (const QorPin& pin : qor_pinned) {
+    EXPECT_EQ(evaluator.evaluate(core::Flow::from_key(pin.key)), pin.qor)
+        << pin.key;
+  }
+}
+
 TEST(GoldenRegistryTest, V2StoreFileLoadsAndYieldsIdenticalQor) {
   // Copy the golden v1-format log into a scratch store directory and load
   // it with the registry-era QorStore (paper registry, the default).

@@ -23,7 +23,8 @@ TEST(ReconvCutTest, SmallChain) {
   std::vector<std::uint32_t> expected;
   for (Lit p : pis) expected.push_back(lit_node(p));
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(leaves, expected);
+  EXPECT_EQ(std::vector<std::uint32_t>(leaves.begin(), leaves.end()),
+            expected);
 }
 
 TEST(ReconvCutTest, RespectsLeafLimit) {

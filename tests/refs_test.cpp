@@ -87,7 +87,8 @@ TEST(RefsTest, MffcNodesListsDyingCone) {
   const Lit y = g.land(x, pis[2]);
   g.add_po(y);
   RefCounts refs(g);
-  const auto dying = refs.mffc_nodes(g, lit_node(y));
+  std::vector<std::uint32_t> dying;
+  refs.mffc_nodes(g, lit_node(y), dying);
   EXPECT_EQ(dying.size(), 2u);
 }
 

@@ -99,7 +99,8 @@ WalkResults window_walks(const Aig& g) {
   for (std::uint32_t id = 1; id < g.num_nodes(); id += 3) {
     if (!g.is_and(id)) continue;
     const auto leaves = aig::reconv_cut(g, id, 8);
-    const auto mffc = refs.mffc_nodes(g, id);
+    std::vector<std::uint32_t> mffc;
+    refs.mffc_nodes(g, id, mffc);
     const Lit root = aig::make_lit(id, false);
     out.costs.push_back(reuse_cost(g, repl, root, leaves, mffc));
     out.contains.push_back(cone_contains(g, repl, root, leaves.front()));
@@ -132,9 +133,11 @@ TEST(RestructureTest, WalkScratchReuseMatchesFreshThread) {
 
   const std::uint32_t root = large.num_nodes() - 1;
   ASSERT_TRUE(large.is_and(root));
-  EXPECT_THROW(aig::cone_truth(large, aig::make_lit(root, false),
-                               {aig::lit_node(large.node(root).fanin0)}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      aig::cone_truth(large, aig::make_lit(root, false),
+                      std::vector<std::uint32_t>{
+                          aig::lit_node(large.node(root).fanin0)}),
+      std::invalid_argument);
   EXPECT_EQ(window_walks(small), small_ref);
   EXPECT_EQ(window_walks(large), large_ref);
 

@@ -90,8 +90,8 @@ TEST(SimulateTest, ConeTruthOfMux) {
   const Lit e = g.add_pi();
   const Lit m = g.lmux(s, t, e);
   // leaves ordered (s, t, e) -> vars (0, 1, 2): f = s ? t : e
-  const TruthTable tt =
-      cone_truth(g, m, {lit_node(s), lit_node(t), lit_node(e)});
+  const TruthTable tt = cone_truth(
+      g, m, std::vector<std::uint32_t>{lit_node(s), lit_node(t), lit_node(e)});
   for (std::size_t i = 0; i < 8; ++i) {
     const bool sv = i & 1, tv = (i >> 1) & 1, ev = (i >> 2) & 1;
     EXPECT_EQ(tt.bit(i), sv ? tv : ev) << i;
@@ -103,8 +103,8 @@ TEST(SimulateTest, ConeTruthComplementedRoot) {
   const Lit a = g.add_pi();
   const Lit b = g.add_pi();
   const Lit x = g.land(a, b);
-  const TruthTable tt =
-      cone_truth(g, lit_not(x), {lit_node(a), lit_node(b)});
+  const TruthTable tt = cone_truth(
+      g, lit_not(x), std::vector<std::uint32_t>{lit_node(a), lit_node(b)});
   EXPECT_EQ(tt.low_word() & 0xF, 0x7u);  // NAND
 }
 
@@ -115,14 +115,16 @@ TEST(SimulateTest, ConeTruthRejectsNonCut) {
   const Lit c = g.add_pi();
   const Lit x = g.land(g.land(a, b), c);
   // {a} alone is not a cut of x.
-  EXPECT_THROW(cone_truth(g, x, {lit_node(a)}), std::invalid_argument);
+  EXPECT_THROW(cone_truth(g, x, std::vector<std::uint32_t>{lit_node(a)}),
+               std::invalid_argument);
 }
 
 TEST(SimulateTest, ConeTruthAtLeafIsProjection) {
   Aig g;
   const Lit a = g.add_pi();
   const Lit b = g.add_pi();
-  const TruthTable tt = cone_truth(g, a, {lit_node(a), lit_node(b)});
+  const TruthTable tt = cone_truth(
+      g, a, std::vector<std::uint32_t>{lit_node(a), lit_node(b)});
   EXPECT_EQ(tt, TruthTable::variable(2, 0));
 }
 
@@ -155,9 +157,10 @@ TEST(SimulateTest, ConeTruthScratchReuseMatchesFreshThread) {
   // cone reaches a PI that is not among the leaves.
   const std::uint32_t root = large.num_nodes() - 1;
   ASSERT_TRUE(large.is_and(root));
-  EXPECT_THROW(cone_truth(large, make_lit(root, false),
-                          {lit_node(large.node(root).fanin0)}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      cone_truth(large, make_lit(root, false),
+                 std::vector<std::uint32_t>{lit_node(large.node(root).fanin0)}),
+      std::invalid_argument);
   EXPECT_EQ(window_truths(small), small_ref);
   EXPECT_EQ(window_truths(large), large_ref);
 
