@@ -1,10 +1,12 @@
-// Throughput benchmark for the prefix-sharing flow-evaluation engine.
-// Labels the same batch of m-repetition flows two ways — per-flow from
-// scratch (prefix cache and mapping dedup off) and the full engine — at
-// equal thread count, and reports flows/sec, cache hit rate and speedup as
-// machine-readable JSON (stdout + optional --json file). It exits non-zero
-// unless both label every flow identically. The paper's dataset-collection
-// step is exactly this workload.
+// Throughput benchmark for the flow-evaluation engine. Labels the same
+// batch of m-repetition flows two ways at equal thread count — a naive
+// replay (each flow's steps applied to the design from scratch and mapped
+// on its own, no evaluator involved) and the engine, which resumes each
+// flow of the sorted batch from its predecessor's graphs — and reports
+// flows/sec, passes skipped and speedup as machine-readable JSON (stdout +
+// optional --json file). It exits non-zero unless both label every flow
+// identically, so the replay is the engine's independent oracle. The
+// paper's dataset-collection step is exactly this workload.
 //
 // --transforms-json additionally emits per-transform pass timings on the
 // design so the perf trajectory of every pass is tracked PR over PR.
@@ -59,7 +61,7 @@ struct RunResult {
 std::string bench_registry(const aig::Aig& design,
                            const std::string& design_name, unsigned m,
                            std::size_t num_flows, std::size_t threads,
-                           std::uint64_t seed, std::size_t budget_mb);
+                           std::uint64_t seed);
 
 RunResult run(const aig::Aig& design, const std::vector<core::Flow>& flows,
               const core::EvaluatorConfig& config, std::size_t threads) {
@@ -73,6 +75,30 @@ RunResult run(const aig::Aig& design, const std::vector<core::Flow>& flows,
   r.flows_per_sec =
       r.seconds > 0 ? static_cast<double>(flows.size()) / r.seconds : 0.0;
   r.stats = evaluator.stats();
+  return r;
+}
+
+/// The naive leg: every flow replayed from the design and mapped on its
+/// own (registry apply_steps + evaluate_qor), one task per flow over a
+/// pool of the same size.
+RunResult replay(const aig::Aig& design, const std::vector<core::Flow>& flows,
+                 std::size_t threads) {
+  const opt::TransformRegistry& registry = *opt::TransformRegistry::paper();
+  util::ThreadPool pool(threads);
+  RunResult r;
+  r.qor.resize(flows.size());
+  const auto one = [&](std::size_t i) {
+    r.qor[i] = map::evaluate_qor(registry.apply_steps(design, flows[i].steps));
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  if (threads > 1) {
+    pool.parallel_for(flows.size(), one);
+  } else {
+    for (std::size_t i = 0; i < flows.size(); ++i) one(i);
+  }
+  r.seconds = seconds_since(t0);
+  r.flows_per_sec =
+      r.seconds > 0 ? static_cast<double>(flows.size()) / r.seconds : 0.0;
   return r;
 }
 
@@ -124,7 +150,7 @@ std::string bench_transforms(const aig::Aig& design,
 std::string bench_registry(const aig::Aig& design,
                            const std::string& design_name, unsigned m,
                            std::size_t num_flows, std::size_t threads,
-                           std::uint64_t seed, std::size_t budget_mb) {
+                           std::uint64_t seed) {
   std::vector<opt::TransformSpec> specs =
       opt::TransformRegistry::paper()->specs();
   specs.push_back(opt::spec_from_text("rewrite -K 3"));
@@ -139,17 +165,18 @@ std::string bench_registry(const aig::Aig& design,
 
   core::EvaluatorConfig config;
   config.registry = registry;
-  config.prefix_cache.byte_budget = budget_mb << 20;
   const RunResult engine = run(design, flows, config, threads);
 
   std::printf("extended registry (%zu specs, m=%u, L=%u):\n",
               registry->size(), m, space.length());
   std::printf("  space %s flows (paper: %s)  engine %.2fs  %.1f flows/s  "
-              "hit rate %.3f\n",
+              "skipped %zu of %zu passes\n",
               core::u128_to_string(space.size()).c_str(),
               core::u128_to_string(paper_space.size()).c_str(),
               engine.seconds, engine.flows_per_sec,
-              engine.stats.prefix.hit_rate());
+              engine.stats.transforms_skipped,
+              engine.stats.transforms_applied +
+                  engine.stats.transforms_skipped);
 
   char json[1024];
   std::snprintf(
@@ -159,14 +186,13 @@ std::string bench_registry(const aig::Aig& design,
       " \"flow_length\": %u, \"space_size\": \"%s\","
       " \"paper_space_size\": \"%s\",\n"
       " \"engine_seconds\": %.3f, \"engine_flows_per_sec\": %.2f,\n"
-      " \"prefix_hit_rate\": %.4f, \"transforms_applied\": %zu,"
-      " \"transforms_skipped\": %zu}",
+      " \"transforms_applied\": %zu, \"transforms_skipped\": %zu}",
       design_name.c_str(), m, num_flows, threads, registry->size(),
       opt::registry_fingerprint_hex(registry->fingerprint()).c_str(),
       space.length(), core::u128_to_string(space.size()).c_str(),
       core::u128_to_string(paper_space.size()).c_str(), engine.seconds,
-      engine.flows_per_sec, engine.stats.prefix.hit_rate(),
-      engine.stats.transforms_applied, engine.stats.transforms_skipped);
+      engine.flows_per_sec, engine.stats.transforms_applied,
+      engine.stats.transforms_skipped);
   return json;
 }
 
@@ -264,8 +290,6 @@ int main(int argc, char** argv) try {
   const std::size_t threads =
       static_cast<std::size_t>(cli.get_int("threads", 1));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const std::size_t budget_mb =
-      static_cast<std::size_t>(cli.get_int("budget-mb", 256));
   const bool skip_naive = cli.get_bool("skip-naive", false);
   const std::string transforms_json = cli.get("transforms-json", "");
   const std::string registry_json = cli.get("registry-json", "");
@@ -304,16 +328,11 @@ int main(int argc, char** argv) try {
     }
   }
 
-  core::EvaluatorConfig naive_cfg;
-  naive_cfg.use_prefix_cache = false;
-  naive_cfg.dedup_mappings = false;
-
-  core::EvaluatorConfig engine_cfg;
-  engine_cfg.prefix_cache.byte_budget = budget_mb << 20;
+  const core::EvaluatorConfig engine_cfg{};
 
   RunResult naive;
   if (!skip_naive) {
-    naive = run(design, flows, naive_cfg, threads);
+    naive = replay(design, flows, threads);
     std::printf("  naive : %.2fs  %.1f flows/s\n", naive.seconds,
                 naive.flows_per_sec);
   }
@@ -342,16 +361,12 @@ int main(int argc, char** argv) try {
       " \"naive_seconds\": %.3f, \"engine_seconds\": %.3f,\n"
       " \"naive_flows_per_sec\": %.2f, \"engine_flows_per_sec\": %.2f,\n"
       " \"speedup\": %.2f, \"bit_identical\": %s,\n"
-      " \"prefix_hit_rate\": %.4f, \"prefix_entries\": %zu,"
-      " \"prefix_bytes\": %zu, \"prefix_evictions\": %zu,\n"
       " \"transforms_applied\": %zu, \"transforms_skipped\": %zu,\n"
-      " \"mappings\": %zu, \"mappings_deduped\": %zu}",
+      " \"mappings\": %zu}",
       design_name.c_str(), m, num_flows, threads, naive.seconds,
       engine.seconds, naive.flows_per_sec, engine.flows_per_sec, speedup,
       skip_naive ? "null" : (identical ? "true" : "false"),
-      st.prefix.hit_rate(), st.prefix.entries, st.prefix.bytes,
-      st.prefix.evictions, st.transforms_applied, st.transforms_skipped,
-      st.mappings, st.mappings_deduped);
+      st.transforms_applied, st.transforms_skipped, st.mappings);
   std::printf("%s\n", json);
 
   const std::string json_path = cli.get("json", "");
@@ -388,7 +403,7 @@ int main(int argc, char** argv) try {
   // Extended-registry scenario run (BENCH_registry_<design>.json).
   if (!registry_json.empty()) {
     const std::string registry_report = bench_registry(
-        design, design_name, m, num_flows, threads, seed, budget_mb);
+        design, design_name, m, num_flows, threads, seed);
     std::printf("%s\n", registry_report.c_str());
     if (std::FILE* f = std::fopen(registry_json.c_str(), "w")) {
       std::fprintf(f, "%s\n", registry_report.c_str());

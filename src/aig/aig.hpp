@@ -144,8 +144,7 @@ public:
   std::string check() const;
 
   /// Heap footprint of this graph: the node, PI and PO arrays and the
-  /// structural-hash table, by capacity. Used by byte-budgeted caches of
-  /// AIG snapshots.
+  /// structural-hash table, by capacity: what keeping this graph costs.
   std::size_t memory_bytes() const;
 
   /// 128-bit structural fingerprint: equal graphs (same nodes, fanins, PIs

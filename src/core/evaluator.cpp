@@ -20,27 +20,16 @@ SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
       registry_(config.registry ? config.registry
                                 : opt::TransformRegistry::paper()),
       lib_(lib),
-      mapper_params_(mapper_params),
-      config_(config) {
-  const std::size_t n = round_up_shards(config_.qor_shards);
-  shard_mask_ = n - 1;
-  shards_ = std::vector<QorShard>(n);
-  if (config_.use_prefix_cache) {
-    prefix_cache_ = std::make_unique<PrefixFlowCache>(config_.prefix_cache);
-  }
-
+      mapper_params_(mapper_params) {
   tm_evaluations_ = &telemetry::counter(
       "flowgen_evaluations_total", "Flow-level QoR cache misses evaluated");
   tm_transforms_applied_ = &telemetry::counter(
       "flowgen_transforms_applied_total", "Transform passes actually run");
   tm_transforms_skipped_ = &telemetry::counter(
       "flowgen_transforms_skipped_total",
-      "Transform passes saved by prefix snapshots");
+      "Transform passes saved by trail resume");
   tm_mappings_ = &telemetry::counter("flowgen_mappings_total",
                                      "Technology mappings actually run");
-  tm_mappings_deduped_ = &telemetry::counter(
-      "flowgen_mappings_deduped_total",
-      "Mappings served by structural-fingerprint dedup");
   // Transforms and mapping sit well under a second on bench designs, so
   // their histograms use a finer grid than the serve-path default.
   const std::vector<double> fine_ms = telemetry::exp_buckets(0.005, 2.0, 18);
@@ -79,9 +68,14 @@ std::optional<map::QoR> SynthesisEvaluator::lookup(const Flow& flow) const {
 }
 
 map::QoR SynthesisEvaluator::evaluate(const Flow& flow) const {
+  Trail trail;
+  return evaluate(flow, trail);
+}
+
+map::QoR SynthesisEvaluator::evaluate(const Flow& flow, Trail& trail) const {
   if (const auto known = lookup(flow)) return *known;
   const StepsView steps(flow.steps);
-  const map::QoR qor = evaluate_uncached(steps);
+  const map::QoR qor = synthesize(steps, trail);
   bool first = false;
   {
     QorShard& shard = shard_for_flow(steps);
@@ -124,81 +118,60 @@ void SynthesisEvaluator::attach_store(std::shared_ptr<QorStore> store) {
   store_ = std::move(store);
 }
 
-map::QoR SynthesisEvaluator::evaluate_uncached(StepsView steps) const {
-  if (steps.empty()) return map_deduped(design_);
+map::QoR SynthesisEvaluator::synthesize(StepsView steps, Trail& trail) const {
+  if (steps.empty()) return map_graph(design_);
+  if (trail.design_ != design_fp_ ||
+      trail.registry_ != registry_->fingerprint()) {
+    // The same step bytes mean other graphs here: never resume from them.
+    trail.steps_.clear();
+    trail.graphs_.clear();
+    trail.design_ = design_fp_;
+    trail.registry_ = registry_->fingerprint();
+  }
   telemetry::Span span("eval", "evaluate_flow");
-  // Resume from the deepest cached prefix (design_ itself when nothing is
-  // cached), then share every intermediate graph with the cache as
-  // evaluation produces it. Snapshots are the evaluation's own results
-  // moved into shared_ptrs — caching costs no graph copies, only retention.
-  std::size_t depth = 0;
-  std::shared_ptr<const aig::Aig> cur;  // null = still at design_
-  if (prefix_cache_) {
-    if (const auto hit = prefix_cache_->longest_prefix(steps); hit.aig) {
-      depth = hit.depth;
-      cur = hit.aig;
-      transforms_skipped_.fetch_add(depth, std::memory_order_relaxed);
-      tm_transforms_skipped_->inc(depth);
-    }
+  // Resume after the longest prefix shared with the trail's flow (possibly
+  // all of `steps`), drop the trail's diverging suffix, and record every
+  // graph this flow adds, so the next flow of a sorted run resumes here.
+  const std::size_t depth = static_cast<std::size_t>(
+      std::mismatch(steps.begin(), steps.end(), trail.steps_.begin(),
+                    trail.steps_.end())
+          .first -
+      steps.begin());
+  trail.steps_.resize(depth);
+  trail.graphs_.resize(depth);
+  if (depth > 0) {
+    transforms_skipped_.fetch_add(depth, std::memory_order_relaxed);
+    tm_transforms_skipped_->inc(depth);
   }
   span.arg("steps", static_cast<std::uint64_t>(steps.size()));
   span.arg("resumed_at", static_cast<std::uint64_t>(depth));
   const bool timed = telemetry::enabled();
   for (std::size_t i = depth; i < steps.size(); ++i) {
     const std::uint64_t t0 = timed ? telemetry::trace_now_us() : 0;
-    aig::Aig next = registry_->apply(cur ? *cur : design_, steps[i]);
+    aig::Aig next =
+        registry_->apply(i == 0 ? design_ : trail.graphs_.back(), steps[i]);
     if (timed) {
       tm_spec_ms_[steps[i]]->observe(
           static_cast<double>(telemetry::trace_now_us() - t0) / 1000.0);
     }
-    cur = std::make_shared<const aig::Aig>(std::move(next));
+    trail.steps_.push_back(steps[i]);
+    trail.graphs_.push_back(std::move(next));
     transforms_applied_.fetch_add(1, std::memory_order_relaxed);
     tm_transforms_applied_->inc();
-    // The full flow's graph is not a prefix of anything: skip the last step.
-    if (prefix_cache_ && i + 1 < steps.size()) {
-      prefix_cache_->insert(steps.subspan(0, i + 1), cur);
-    }
   }
-  return map_deduped(*cur);
+  return map_graph(trail.graphs_.back());
 }
 
-map::QoR SynthesisEvaluator::map_deduped(const aig::Aig& g) const {
-  const bool timed = telemetry::enabled();
-  if (!config_.dedup_mappings) {
-    mappings_.fetch_add(1, std::memory_order_relaxed);
-    tm_mappings_->inc();
-    telemetry::Span span("eval", "map");
-    const std::uint64_t t0 = timed ? telemetry::trace_now_us() : 0;
-    const map::QoR qor = map::evaluate_qor(g, lib_, mapper_params_);
-    if (timed) {
-      tm_mapping_ms_->observe(
-          static_cast<double>(telemetry::trace_now_us() - t0) / 1000.0);
-    }
-    return qor;
-  }
-  const Fingerprint fp = g.fingerprint();
-  QorShard& shard = shard_for_fp(fp);
-  {
-    std::lock_guard lock(shard.mutex);
-    if (const auto it = shard.by_fingerprint.find(fp);
-        it != shard.by_fingerprint.end()) {
-      mappings_deduped_.fetch_add(1, std::memory_order_relaxed);
-      tm_mappings_deduped_->inc();
-      return it->second;
-    }
-  }
+map::QoR SynthesisEvaluator::map_graph(const aig::Aig& g) const {
+  mappings_.fetch_add(1, std::memory_order_relaxed);
+  tm_mappings_->inc();
   telemetry::Span span("eval", "map");
+  const bool timed = telemetry::enabled();
   const std::uint64_t t0 = timed ? telemetry::trace_now_us() : 0;
   const map::QoR qor = map::evaluate_qor(g, lib_, mapper_params_);
   if (timed) {
     tm_mapping_ms_->observe(
         static_cast<double>(telemetry::trace_now_us() - t0) / 1000.0);
-  }
-  mappings_.fetch_add(1, std::memory_order_relaxed);
-  tm_mappings_->inc();
-  {
-    std::lock_guard lock(shard.mutex);
-    shard.by_fingerprint.emplace(fp, qor);
   }
   return qor;
 }
@@ -207,22 +180,24 @@ std::vector<map::QoR> SynthesisEvaluator::evaluate_many(
     std::span<const Flow> flows, util::ThreadPool* pool) const {
   std::vector<map::QoR> out(flows.size());
   // Lexicographic step order puts flows sharing a prefix back to back, so
-  // each one resumes from the snapshot its predecessor just wrote.
+  // each one resumes from the graphs its predecessor left on the trail.
   const std::vector<std::size_t> order = lexicographic_order(flows);
   if (pool == nullptr || pool->size() <= 1 || flows.size() <= 1) {
-    for (const std::size_t idx : order) out[idx] = evaluate(flows[idx]);
+    Trail trail;
+    for (const std::size_t idx : order) out[idx] = evaluate(flows[idx], trail);
     return out;
   }
-  // Contiguous groups of the sorted order keep prefix locality within one
-  // worker; a few groups per worker give the dynamic scheduler slack for
-  // uneven flow runtimes.
+  // Contiguous groups of the sorted order, one trail each, keep prefix
+  // locality within one thread; a few groups per thread give the dynamic
+  // scheduler slack for uneven flow runtimes.
   const std::size_t groups =
       std::min(flows.size(), pool->size() * 4);
   pool->parallel_for(groups, [&](std::size_t gi) {
     const std::size_t begin = gi * order.size() / groups;
     const std::size_t end = (gi + 1) * order.size() / groups;
+    Trail trail;
     for (std::size_t i = begin; i < end; ++i) {
-      out[order[i]] = evaluate(flows[order[i]]);
+      out[order[i]] = evaluate(flows[order[i]], trail);
     }
   });
   return out;
@@ -245,8 +220,6 @@ EvaluatorStats SynthesisEvaluator::stats() const {
   s.transforms_applied = transforms_applied_.load(std::memory_order_relaxed);
   s.transforms_skipped = transforms_skipped_.load(std::memory_order_relaxed);
   s.mappings = mappings_.load(std::memory_order_relaxed);
-  s.mappings_deduped = mappings_deduped_.load(std::memory_order_relaxed);
-  if (prefix_cache_) s.prefix = prefix_cache_->stats();
   return s;
 }
 

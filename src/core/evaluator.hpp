@@ -2,20 +2,19 @@
 // Component (1) of the framework (Figure 2): apply a synthesis flow to the
 // design and collect its QoR after technology mapping. This is by far the
 // dominant runtime of the whole pipeline (as in the paper, where dataset
-// collection is ~95% of wall-clock), so evaluation is a real engine here:
+// collection is ~95% of wall-clock), so evaluation reuses work twice:
 //
 //  * QoR results are memoised in a sharded map keyed by the packed step
 //    sequence (no string keys, no global lock on the hot path),
-//  * synthesis resumes from the deepest prefix snapshot in a byte-budgeted
-//    PrefixFlowCache instead of re-running the whole flow,
-//  * technology mapping is deduplicated by structural fingerprint — flows
-//    that converge to the same graph map once,
-//  * evaluate_many sorts the batch lexicographically so sibling flows hit
-//    warm prefixes, and schedules contiguous groups across the thread pool.
+//  * synthesis resumes from a Trail: the graphs of the flow last
+//    synthesized through it. Every batch is evaluated in lexicographic
+//    order, where the longest prefix a flow shares with any earlier flow is
+//    the one it shares with the flow just before it, so one trail per
+//    sorted run skips every pass a cache of all prefixes would.
 //
-// All three layers are exact: a prefix snapshot *is* the AIG of that prefix
-// and mapping is a pure function of the graph, so cached, serial and
-// parallel evaluation return bit-identical QoR.
+// Both are exact: a trail graph *is* the AIG of that prefix and mapping is
+// a pure function of the graph, so resumed, serial and parallel evaluation
+// return bit-identical QoR.
 
 #include <array>
 #include <atomic>
@@ -28,7 +27,6 @@
 
 #include "aig/aig.hpp"
 #include "core/flow.hpp"
-#include "core/flow_cache.hpp"
 #include "core/flow_evaluator.hpp"
 #include "map/cell_library.hpp"
 #include "map/mapper.hpp"
@@ -51,41 +49,44 @@ struct EvaluatorConfig {
   /// opt::RegistryError), and an attached QorStore must carry the same
   /// registry fingerprint.
   std::shared_ptr<const opt::TransformRegistry> registry;
-  /// Resume synthesis from cached prefix snapshots. Off = every cache-missing
-  /// flow is synthesized from scratch (the pre-engine behaviour).
-  bool use_prefix_cache = true;
-  /// Dedup technology mapping by the final graph's structural fingerprint.
-  bool dedup_mappings = true;
-  /// Shards of the QoR/fingerprint caches (rounded up to a power of two).
-  std::size_t qor_shards = 16;
-  FlowCacheConfig prefix_cache;
 };
 
 /// Counters for benchmarking and regression tracking; all monotonic.
-/// Caches are check-then-act without holding locks across synthesis or
-/// mapping, so two threads racing on the same flow/graph may both do the
-/// work (first result wins, results are identical either way). Exact
-/// invariants like mappings + mappings_deduped == evaluations therefore
-/// hold for serial batches only; under concurrency the counters can
-/// overshoot by the number of such races.
+/// The memo is check-then-act without holding a lock across synthesis, so
+/// two threads racing on the same flow may both do the work (first result
+/// wins, results are identical either way). Exact invariants like
+/// mappings == evaluations therefore hold for serial batches only; under
+/// concurrency the counters can overshoot by the number of such races.
 struct EvaluatorStats {
-  std::size_t evaluations = 0;        ///< flow-level cache misses
+  std::size_t evaluations = 0;        ///< flow-level memo misses synthesized
   std::size_t transforms_applied = 0; ///< transform passes actually run
-  std::size_t transforms_skipped = 0; ///< passes saved by prefix snapshots
+  std::size_t transforms_skipped = 0; ///< passes saved by trail resume
   std::size_t mappings = 0;           ///< technology mappings actually run
-  std::size_t mappings_deduped = 0;   ///< served by fingerprint dedup
-  FlowCacheStats prefix;              ///< prefix-cache internals
 };
 
 class SynthesisEvaluator : public FlowEvaluator {
 public:
+  /// The steps of the flow last synthesized through this trail and the
+  /// graph after each of them, under the (design, registry) it was filled
+  /// by. evaluate(flow, trail) resumes from the longest step prefix `flow`
+  /// shares with it and leaves the trail holding `flow`; a trail filled by
+  /// another design or alphabet starts over. Hand one trail the flows of a
+  /// lexicographically sorted run. A trail belongs to one thread at a time.
+  class Trail {
+  private:
+    friend class SynthesisEvaluator;
+    StepsKey steps_;
+    std::vector<aig::Aig> graphs_;  ///< graphs_[i]: after steps_[0..i]
+    aig::Fingerprint design_{};
+    opt::RegistryFingerprint registry_{};
+  };
+
   explicit SynthesisEvaluator(
       aig::Aig design,
       const map::CellLibrary& lib = map::CellLibrary::builtin(),
       map::MapperParams mapper_params = {}, EvaluatorConfig config = {});
 
   const aig::Aig& design() const { return design_; }
-  const EvaluatorConfig& config() const { return config_; }
   /// Content identity of the evaluated design (cached at construction);
   /// keys this evaluator's records in a QorStore and on the wire.
   const aig::Fingerprint& design_fingerprint() const { return design_fp_; }
@@ -115,10 +116,14 @@ public:
   /// report QoR, memoised by packed flow key and appended to the store.
   /// Thread-safe.
   map::QoR evaluate(const Flow& flow) const override;
+  /// evaluate(), synthesizing a miss from the longest prefix `flow` shares
+  /// with `trail`'s flow (see Trail). Thread-safe for distinct trails.
+  map::QoR evaluate(const Flow& flow, Trail& trail) const;
 
   /// Evaluate a batch, optionally across a thread pool. The batch is
-  /// processed in lexicographic step order (results keep caller order) so
-  /// flows sharing a prefix run back to back against a warm cache.
+  /// processed in lexicographic step order (results keep caller order), one
+  /// trail per contiguous run of it, so flows sharing a prefix run back to
+  /// back and each resumes from its predecessor's graphs.
   std::vector<map::QoR> evaluate_many(
       std::span<const Flow> flows,
       util::ThreadPool* pool = nullptr) const override;
@@ -128,47 +133,36 @@ public:
 
   /// Results memoised by evaluate() (store hits are not among them).
   std::size_t cache_size() const;
-  /// Total number of flow evaluations that missed the QoR cache.
+  /// Total number of flows synthesized (memo and store misses).
   std::size_t evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);
   }
   EvaluatorStats stats() const;
 
 private:
-  using Fingerprint = aig::Fingerprint;
-  struct FingerprintHash {
-    std::size_t operator()(const Fingerprint& fp) const noexcept {
-      return static_cast<std::size_t>(fp[0] ^ (fp[1] * 0x9e3779b97f4a7c15ull));
-    }
-  };
+  /// Independently locked shards of the memo (a power of two).
+  static constexpr std::size_t kQorShards = 16;
   struct QorShard {
     mutable std::mutex mutex;
     std::unordered_map<StepsKey, map::QoR, StepsHash, StepsEqual> by_flow;
-    std::unordered_map<Fingerprint, map::QoR, FingerprintHash> by_fingerprint;
   };
 
   QorShard& shard_for_flow(StepsView steps) const {
-    return shards_[StepsHash{}(steps) & shard_mask_];
-  }
-  QorShard& shard_for_fp(const Fingerprint& fp) const {
-    return shards_[fp[0] & shard_mask_];
+    return shards_[StepsHash{}(steps) & (kQorShards - 1)];
   }
 
-  /// Full miss path: prefix-resume synthesis + (deduped) mapping.
-  map::QoR evaluate_uncached(StepsView steps) const;
-  map::QoR map_deduped(const aig::Aig& g) const;
+  /// Miss path: synthesis resumed from `trail`, then mapping.
+  map::QoR synthesize(StepsView steps, Trail& trail) const;
+  map::QoR map_graph(const aig::Aig& g) const;
 
   aig::Aig design_;
   aig::Fingerprint design_fp_{};
   std::shared_ptr<const opt::TransformRegistry> registry_;
   const map::CellLibrary& lib_;
   map::MapperParams mapper_params_;
-  EvaluatorConfig config_;
   std::shared_ptr<QorStore> store_;
 
-  std::size_t shard_mask_ = 0;
-  mutable std::vector<QorShard> shards_;
-  mutable std::unique_ptr<PrefixFlowCache> prefix_cache_;
+  mutable std::array<QorShard, kQorShards> shards_;
 
   /// Telemetry handles, resolved once at construction so the hot path
   /// never touches the registry map. Per-spec latency histograms are
@@ -177,7 +171,6 @@ private:
   telemetry::Counter* tm_transforms_applied_ = nullptr;
   telemetry::Counter* tm_transforms_skipped_ = nullptr;
   telemetry::Counter* tm_mappings_ = nullptr;
-  telemetry::Counter* tm_mappings_deduped_ = nullptr;
   telemetry::Histogram* tm_mapping_ms_ = nullptr;
   std::vector<telemetry::Histogram*> tm_spec_ms_;
 
@@ -185,7 +178,6 @@ private:
   mutable std::atomic<std::size_t> transforms_applied_{0};
   mutable std::atomic<std::size_t> transforms_skipped_{0};
   mutable std::atomic<std::size_t> mappings_{0};
-  mutable std::atomic<std::size_t> mappings_deduped_{0};
 };
 
 }  // namespace flowgen::core

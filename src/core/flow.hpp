@@ -98,7 +98,10 @@ struct FlowHash {
 /// `flows` sorted by step sequence (lexicographic, a prefix before its
 /// extensions), equal flows in index order — exactly the permutation
 /// std::stable_sort gives with `a.steps < b.steps`. Flows sharing a prefix
-/// end up back to back, so each resumes from its predecessor's snapshot.
+/// end up back to back: the longest prefix a flow shares with any earlier
+/// flow is the one it shares with its predecessor, so a trail holding only
+/// the predecessor's graphs (SynthesisEvaluator::Trail) resumes as far as
+/// any cache of earlier prefixes could.
 /// Sorts transient 16-byte keys (the first 12 step bytes, zero-padded, and
 /// the index) and reads whole step vectors only when two keys tie, so a
 /// 10^6-flow batch never chases a pointer per comparison. Throws

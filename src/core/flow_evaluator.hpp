@@ -4,7 +4,8 @@
 // through this interface and never cares *where* synthesis ran. Two
 // implementations exist:
 //
-//  * core::SynthesisEvaluator — in-process, the prefix-sharing engine,
+//  * core::SynthesisEvaluator — in-process, resuming each flow of a sorted
+//    batch from its predecessor's graphs,
 //  * service::RemoteEvaluator — a client that shards batches across
 //    evald worker processes over unix/tcp sockets.
 //

@@ -3,7 +3,7 @@
 // packed step byte *means*. A registry is an ordered list of TransformSpecs
 // — typed, parameterized transform descriptions {name, base kind, params} —
 // and a flow is a sequence of StepIds into that list. Everything that
-// stores, ships or caches flows (flow cache, QoR store, wire protocol,
+// stores, ships or caches flows (evaluator memo, QoR store, wire protocol,
 // one-hot encoding) keys on the same uint8 ids and carries the registry's
 // 128-bit fingerprint so two parties can never silently disagree about the
 // alphabet.

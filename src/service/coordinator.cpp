@@ -525,7 +525,8 @@ std::vector<map::QoR> EvalCoordinator::evaluate_many_impl(
   }
 
   // Prefix-affinity order: identical to the in-process engine's batch
-  // schedule, so a shard is a run of sibling flows.
+  // schedule, so a shard is a run of sibling flows that one worker trail
+  // resumes along.
   order = core::lexicographic_order(flows, std::move(order));
   const std::size_t alive = std::max<std::size_t>(1, num_workers_alive());
   const std::size_t num_shards =

@@ -5,9 +5,9 @@
 // multiplexes any number of concurrent client batches over the fleet:
 //
 //  * shards are contiguous ranges of the lexicographically sorted batch,
-//    so each worker sees neighbouring flows and its prefix cache stays hot
-//    (the same affinity trick SynthesisEvaluator::evaluate_many plays with
-//    thread-pool groups),
+//    so each worker sees neighbouring flows and resumes each from the
+//    graphs its predecessor left on the request's trail (the same affinity
+//    trick SynthesisEvaluator::evaluate_many plays with thread-pool groups),
 //  * backpressure: at most max_inflight_per_worker outstanding shards per
 //    worker — a slow worker never accumulates an unbounded queue, fast
 //    workers steal the remaining shards,

@@ -1,8 +1,9 @@
 #pragma once
 // The evald wire protocol: length-prefixed, versioned binary frames. One
 // frame = one message; payloads are little-endian and carry flows in the
-// same packed uint8 step encoding core/flow_cache keys on, so a request is
-// essentially a batch of StepsKeys and a response a batch of QoRs.
+// same packed uint8 step encoding the evaluator's memo keys on, so a
+// request is essentially a batch of StepsKeys and a response a batch of
+// QoRs.
 //
 // Version 2 made the fleet design-agnostic: LoadDesign ships a serialized
 // netlist (aig/serialize.hpp) to a worker, every EvalRequest names its

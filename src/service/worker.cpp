@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -260,24 +261,31 @@ class ResultQueue {
   std::atomic<bool> stopped_{false};
 };
 
-/// Evaluate `flows` on `pool`, one task per flow, and emit each result on
-/// this thread as soon as it completes. Tasks start in request order — a
-/// lexicographic run for coordinator shards — so the prefix cache sees
-/// nearly the order a serial pass would. Nothing waits for a group of
-/// flows to finish, so one shard keeps the whole pool busy while every
-/// result still leaves as its own frame, sent before this thread next
-/// waits for the pool; and pool threads never send, so a client that stops
-/// reading holds up only this thread.
+/// Evaluate `flows` on `pool` and emit each result on this thread as soon
+/// as it completes. The request is split into min(n, 4 x pool) contiguous
+/// runs, one task and one trail each; requests arrive as lexicographic runs
+/// (coordinator shards), so each flow resumes from the graphs its
+/// predecessor in the run left behind. Nothing waits for a run to finish,
+/// so one shard keeps the whole pool busy while every result still leaves
+/// as its own frame, sent before this thread next waits for the pool; and
+/// pool threads never send, so a client that stops reading holds up only
+/// this thread.
 void stream_on_pool(
     const core::SynthesisEvaluator& evaluator,
     const std::vector<core::Flow>& flows, util::ThreadPool& pool,
     const std::function<bool(std::uint32_t, const map::QoR&)>& emit,
     const std::function<bool()>& flush) {
-  ResultQueue queue(flows.size());
-  for (std::uint32_t i = 0; i < flows.size(); ++i) {
-    pool.submit([&queue, &evaluator, &flow = flows[i], i] {
+  const std::size_t runs = std::min(flows.size(), pool.size() * 4);
+  ResultQueue queue(runs);
+  for (std::size_t r = 0; r < runs; ++r) {
+    const auto begin = static_cast<std::uint32_t>(r * flows.size() / runs);
+    const auto end = static_cast<std::uint32_t>((r + 1) * flows.size() / runs);
+    pool.submit([&queue, &evaluator, &flows, begin, end] {
       queue.run([&] {
-        if (!queue.stopped()) queue.push(i, evaluator.evaluate(flow));
+        core::SynthesisEvaluator::Trail trail;
+        for (std::uint32_t i = begin; i < end && !queue.stopped(); ++i) {
+          queue.push(i, evaluator.evaluate(flows[i], trail));
+        }
       });
     });
   }
@@ -611,7 +619,7 @@ aig::Fingerprint EvalWorker::load_design(
     aig::Aig design, std::shared_ptr<const opt::TransformRegistry> registry) {
   const aig::Fingerprint fp = design.fingerprint();
   const opt::RegistryFingerprint reg = registry->fingerprint();
-  if (find(fp, reg)) return fp;  // already instantiated, caches intact
+  if (find(fp, reg)) return fp;  // already instantiated, memo intact
   std::lock_guard lock(mutex_);
   // Two clients can race the same netlist here; re-check under the lock so
   // the second shares the first's evaluator instead of replacing it.
@@ -720,7 +728,7 @@ EvalService EvalWorker::make_service() {
                                        f.steps.size() * sizeof(opt::StepId)));
         }
         // Evaluate outside the designs lock: evaluators are thread-safe, so
-        // concurrent connections on the same design share its warm caches.
+        // concurrent connections on the same design share its memo.
         const std::shared_ptr<core::SynthesisEvaluator> evaluator =
             evaluator_for(fp, registry);
         if (pool_) {
@@ -730,7 +738,9 @@ EvalService EvalWorker::make_service() {
         // One flow at a time, each result emitted as it completes: the
         // coordinator applies (and persists) it as it lands. The request
         // arrives pre-sorted (coordinator shards are lexicographic runs),
-        // so each flow resumes from the prefix its predecessor cached.
+        // so each flow resumes from the graphs its predecessor left on the
+        // request's trail.
+        core::SynthesisEvaluator::Trail trail;
         for (std::size_t i = 0; i < flows.size(); ++i) {
           // A label the memo or the store already holds joins the queued
           // burst; a synthesis first sends the queue, so no result waits
@@ -741,7 +751,7 @@ EvalService EvalWorker::make_service() {
           // read the rest.
           if (!qor) {
             if (!flush()) return;
-            qor = evaluator->evaluate(flows[i]);
+            qor = evaluator->evaluate(flows[i], trail);
           }
           if (!emit(static_cast<std::uint32_t>(i), *qor)) return;
         }

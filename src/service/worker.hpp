@@ -2,10 +2,11 @@
 // One evaluation worker: SynthesisEvaluators wrapped in the wire protocol.
 // A worker is a process that serves EvalRequests on a connected socket —
 // spawned by evald --mode worker on its own machine, or forked locally by
-// LoopbackCluster. Evaluators (and with them the prefix/QoR caches) live
-// as long as the worker, so consecutive requests — and consecutive
-// connections — keep hitting warm snapshots; that is the whole point of
-// sharding batches by prefix affinity on the coordinator side.
+// LoopbackCluster. Evaluators (and with them the QoR memo) live as long as
+// the worker, so consecutive requests — and consecutive connections — never
+// synthesize a flow twice. Within a request, synthesis resumes from a trail
+// of the previous flow's graphs: coordinator shards are contiguous runs of
+// the lexicographically sorted batch, so neighbouring flows share prefixes.
 //
 // Since protocol v2 a worker is design-agnostic: it keeps a small LRU of
 // instantiated designs keyed by content fingerprint, populated either from
@@ -154,7 +155,7 @@ struct WorkerOptions {
   std::size_t threads = 1;
   /// Instantiated (design, registry) evaluators kept warm (>= 1) — the
   /// same design under two alphabets counts twice. Loading entry N+1
-  /// evicts the least recently evaluated one together with its caches.
+  /// evicts the least recently evaluated one together with its memo.
   std::size_t max_designs = 4;
   /// Optional persistent QoR store directory: every instantiated design
   /// answers from the store's labels (looked up per flow, never copied into
@@ -197,7 +198,7 @@ public:
 
   /// The worker's protocol service (handlers capture this worker; all are
   /// thread-safe, so several connections can share one worker — their
-  /// evaluations then share the warm caches).
+  /// evaluations then share the evaluators' memos).
   EvalService make_service();
 
   /// serve_frames over this worker's designs. Returns true after

@@ -1,12 +1,12 @@
 // The determinism suite for the evaluation engine: engine evaluation
-// (prefix snapshots shared between flows, fingerprint-deduped mapping,
-// parallel batch scheduling) must be bit-identical to from-scratch
-// evaluation (every flow synthesized and mapped on its own) across every
-// registry design, serial and parallel, over repeated batches. Runs under
-// ThreadSanitizer in CI together with the evaluator/flow-cache suites —
-// snapshots shared across threads and passes running concurrently on one
-// input graph are exactly the kind of synchronisation TSan is good at
-// breaking.
+// (each flow resumed from its predecessor's graphs on a trail, parallel
+// batch scheduling over one trail per run) must be bit-identical to an
+// independent oracle (every step applied to the design from scratch, then
+// mapped, with no evaluator involved) across every registry design, serial
+// and parallel, over repeated batches. Runs under ThreadSanitizer in CI
+// together with the evaluator and service suites — one memo shared across
+// threads and passes running concurrently on one input graph are exactly
+// the kind of synchronisation TSan is good at breaking.
 
 #include <gtest/gtest.h>
 
@@ -44,15 +44,19 @@ void expect_bit_identical(const std::vector<map::QoR>& a,
   }
 }
 
-EvaluatorConfig cold_config() {
-  EvaluatorConfig c;
-  c.use_prefix_cache = false;
-  c.dedup_mappings = false;
-  return c;
+/// Every step applied to `design` from scratch, then mapped.
+std::vector<map::QoR> oracle(const aig::Aig& design,
+                             const std::vector<Flow>& flows) {
+  const opt::TransformRegistry& registry = *opt::TransformRegistry::paper();
+  std::vector<map::QoR> out;
+  for (const Flow& f : flows) {
+    out.push_back(map::evaluate_qor(registry.apply_steps(design, f.steps)));
+  }
+  return out;
 }
 
-// Every registry design, same m=2 batch, engine vs from-scratch
-// evaluation. Small designs run more flows than the heavyweights so the
+// Every registry design, same m=2 batch, engine (serial and parallel) vs
+// the oracle. Small designs run more flows than the heavyweights so the
 // suite stays minutes-fast while still crossing every generator.
 class EngineDeterminismDesignTest
     : public ::testing::TestWithParam<const char*> {};
@@ -71,11 +75,12 @@ TEST_P(EngineDeterminismDesignTest, EngineEqualsFromScratchBitForBit) {
                                                          : 16;
   const auto flows = sample_flows(flows_n, 0x5eed + design.num_ands());
 
-  SynthesisEvaluator engine(design);  // defaults: the full engine
-  SynthesisEvaluator cold(design, map::CellLibrary::builtin(), {},
-                          cold_config());
-  expect_bit_identical(engine.evaluate_many(flows),
-                       cold.evaluate_many(flows));
+  const std::vector<map::QoR> expected = oracle(design, flows);
+  SynthesisEvaluator serial(design);
+  expect_bit_identical(serial.evaluate_many(flows), expected);
+  SynthesisEvaluator parallel(design);
+  util::ThreadPool pool(2);
+  expect_bit_identical(parallel.evaluate_many(flows, &pool), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, EngineDeterminismDesignTest,
@@ -90,26 +95,21 @@ INSTANTIATE_TEST_SUITE_P(Registry, EngineDeterminismDesignTest,
                          })()));
 
 TEST(EngineDeterminismTest, ParallelEngineEqualsSerialFromScratch) {
-  // The shared-snapshot path: parallel evaluation shares prefix snapshots
-  // across threads at trie branch points, and passes run concurrently on
-  // the same snapshot. Must still be bit-identical to a serial
-  // from-scratch run.
+  // The parallel path: every thread resumes along its own trail while
+  // passes run concurrently on the one design graph and the memo is
+  // shared. Must still be bit-identical to the oracle.
   const aig::Aig design = designs::make_design("alu:6");
   const auto flows = sample_flows(48, 7);
 
   SynthesisEvaluator engine(design);
   util::ThreadPool pool(4);
-  const auto parallel = engine.evaluate_many(flows, &pool);
-
-  SynthesisEvaluator cold(design, map::CellLibrary::builtin(), {},
-                          cold_config());
-  expect_bit_identical(parallel, cold.evaluate_many(flows));
+  expect_bit_identical(engine.evaluate_many(flows, &pool),
+                       oracle(design, flows));
 }
 
 TEST(EngineDeterminismTest, RepeatedBatchesStayIdentical) {
-  // Second pass over the same batch: everything is served from caches that
-  // by then are maximally warm (snapshots + QoR). A fresh evaluator must
-  // agree with the warmed-up one flow for flow.
+  // Second pass over the same batch: everything is served from the memo.
+  // A fresh evaluator must agree with the warmed-up one flow for flow.
   const aig::Aig design = designs::make_design("mont:6");
   const auto flows = sample_flows(24, 11);
   SynthesisEvaluator a(design);

@@ -216,7 +216,8 @@ TEST(RegistryTest, EvaluatorValidatesAndDispatchesExtendedFlows) {
   stray.steps = {0, 8};  // id 8 undefined in an 8-spec registry
   EXPECT_THROW(evaluator.evaluate(stray), RegistryError);
 
-  // Serial == parallel == engine-off over the extended alphabet.
+  // Serial == parallel == the from-scratch oracle over the extended
+  // alphabet.
   const core::FlowSpace space(1, registry);
   util::Rng rng(5);
   const std::vector<core::Flow> flows = space.sample_unique(40, rng);
@@ -225,21 +226,18 @@ TEST(RegistryTest, EvaluatorValidatesAndDispatchesExtendedFlows) {
   core::SynthesisEvaluator parallel(designs::make_design("alu:4"),
                                     map::CellLibrary::builtin(), {}, config);
   const std::vector<map::QoR> par = parallel.evaluate_many(flows, &pool);
-  core::EvaluatorConfig naive = config;
-  naive.use_prefix_cache = false;
-  naive.dedup_mappings = false;
-  core::SynthesisEvaluator scratch(designs::make_design("alu:4"),
-                                   map::CellLibrary::builtin(), {}, naive);
-  const std::vector<map::QoR> raw = scratch.evaluate_many(flows);
+  const aig::Aig design = designs::make_design("alu:4");
   for (std::size_t i = 0; i < flows.size(); ++i) {
     EXPECT_EQ(serial[i], par[i]) << flows[i].key();
-    EXPECT_EQ(serial[i], raw[i]) << flows[i].key();
+    EXPECT_EQ(serial[i], map::evaluate_qor(registry->apply_steps(
+                             design, flows[i].steps)))
+        << flows[i].key();
   }
 }
 
 TEST(RegistryTest, PipelineRunsOverExtendedRegistry) {
   // The acceptance scenario minus the fleet (service_test covers remote):
-  // enumeration, one-hot width 8, classifier shape, flow-cache engine, all
+  // enumeration, one-hot width 8, classifier shape, trail engine, all
   // over the 8-spec alphabet.
   core::PipelineConfig cfg;
   cfg.registry = extended_registry();

@@ -34,7 +34,7 @@
 // Fork-based tests are skipped under ThreadSanitizer: TSan's runtime does
 // not support tracking child processes that keep running after fork, and
 // the forked workers would run synthesis at TSan speed anyway. The
-// determinism-relevant concurrency (evaluator, flow cache, thread pool) is
+// determinism-relevant concurrency (evaluator, trails, thread pool) is
 // covered by the non-fork suites.
 #if defined(__SANITIZE_THREAD__)
 #define FLOWGEN_TSAN 1
@@ -837,6 +837,40 @@ TEST(ServiceTest, PooledWorkerStreamsEachResultOnceAndRoutesErrors) {
   ASSERT_TRUE(pong && pong->type == MsgType::kPong);
   send_frame(client, MsgType::kShutdown, {});
   server.join();
+}
+
+TEST(ServiceTest, PooledWorkerResumesWithinARun) {
+  // A pooled worker splits each shard into contiguous runs with a trail
+  // each, so flows after the first of a run resume from their
+  // predecessor's graphs; every label still equals the from-scratch
+  // oracle.
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  options.threads = 2;
+  EvalWorker worker(options);
+  auto [coordinator_end, worker_end] = socket_pair();
+  std::thread server([&worker, sock = std::move(worker_end)]() mutable {
+    worker.serve(sock);
+  });
+  std::vector<EvalCoordinator::Worker> workers;
+  workers.push_back(
+      EvalCoordinator::Worker{std::move(coordinator_end), "thread"});
+  EvalCoordinator coordinator(std::move(workers), "alu:4");
+  const auto flows = sample_flows(48, 2, 9);
+  const std::vector<map::QoR> labels = coordinator.evaluate_many(flows);
+  coordinator.shutdown_workers();
+  server.join();
+
+  const aig::Aig design = designs::make_design("alu:4");
+  const opt::TransformRegistry& registry = *opt::TransformRegistry::paper();
+  ASSERT_EQ(labels.size(), flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(labels[i], map::evaluate_qor(
+                             registry.apply_steps(design, flows[i].steps)))
+        << flows[i].key();
+  }
+  ASSERT_NE(worker.current_evaluator(), nullptr);
+  EXPECT_GT(worker.current_evaluator()->stats().transforms_skipped, 0u);
 }
 
 TEST(ServiceTest, ServeForeverDrainsOpenConnectionsAfterShutdown) {
