@@ -242,13 +242,6 @@ void CuckooIndex::for_each(
   }
 }
 
-void CuckooIndex::reserve(std::size_t n, std::size_t bytes_per_entry) {
-  arena_.reserve(arena_.size() + n * bytes_per_entry);
-  const std::size_t want =
-      round_up_pow2((stats_.entries + n) / (kSlotsPerBucket - 1) + 1);
-  while (buckets_ < want) grow_and_rebuild();
-}
-
 CuckooIndexStats CuckooIndex::stats() const {
   CuckooIndexStats s = stats_;
   s.buckets = buckets_;

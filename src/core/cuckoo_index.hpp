@@ -1,12 +1,13 @@
 #pragma once
 // Cuckoo-hashed in-memory index over (design fingerprint, packed flow key)
-// -> QoR, the lookup structure behind core::QorStore. Compared to the
-// unordered_map it replaces, every entry lives in one contiguous byte
-// arena (exactly the on-disk record payload layout, so segment loads are
-// a bulk copy with zero per-record allocations) and the hash table itself
-// is two-choice bucketed cuckoo: each key has two candidate buckets of
-// four slots, a slot is a 16-bit tag plus an arena offset, and inserts
-// displace residents along a bounded kick path. Displacements that exceed
+// -> QoR: core::QorStore keeps the records a process appends after attach
+// in it (attach itself sorts log tails into runs and hashes nothing).
+// Compared to the unordered_map it replaces, every entry lives in one
+// contiguous byte arena (exactly the on-disk record payload layout, with
+// zero per-record allocations) and the hash table itself is two-choice
+// bucketed cuckoo: each key has two candidate buckets of four slots, a
+// slot is a 16-bit tag plus an arena offset, and inserts displace
+// residents along a bounded kick path. Displacements that exceed
 // the kick budget land in a small stash; a stash overflow (or load factor
 // past the watermark) doubles the table and rebuilds it from the arena.
 // Lookups therefore probe at most 8 slots plus the stash — no chains, no
@@ -65,10 +66,6 @@ public:
   /// Invoke `fn` for every entry, in arena (insertion) order.
   void for_each(const std::function<void(const aig::Fingerprint&, StepsView,
                                          const map::QoR&)>& fn) const;
-
-  /// Pre-size the arena and table for `n` entries of ~`bytes_per_entry`
-  /// bytes so a bulk load performs no growth rebuilds mid-way.
-  void reserve(std::size_t n, std::size_t bytes_per_entry = 64);
 
   std::size_t size() const { return stats_.entries; }
   CuckooIndexStats stats() const;

@@ -2,7 +2,6 @@
 
 #include <compare>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 namespace flowgen::core {
@@ -104,19 +103,12 @@ Flow Flow::from_key(const std::string& key,
 }
 
 std::vector<std::size_t> lexicographic_order(std::span<const Flow> flows) {
-  std::vector<std::size_t> all(flows.size());
-  std::iota(all.begin(), all.end(), 0);
-  return lexicographic_order(flows, std::move(all));
-}
-
-std::vector<std::size_t> lexicographic_order(
-    std::span<const Flow> flows, std::vector<std::size_t> indices) {
   if (flows.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("lexicographic_order: 2^32 flows or more");
   }
-  std::vector<OrderKey> keys(indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    keys[i] = order_key(flows[indices[i]].steps, indices[i]);
+  std::vector<OrderKey> keys(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    keys[i] = order_key(flows[i].steps, i);
   }
   std::sort(keys.begin(), keys.end(),
             [flows](const OrderKey& a, const OrderKey& b) {
@@ -125,8 +117,9 @@ std::vector<std::size_t> lexicographic_order(
               const auto steps = flows[a.index].steps <=> flows[b.index].steps;
               return steps != 0 ? steps < 0 : a.index < b.index;
             });
-  for (std::size_t i = 0; i < keys.size(); ++i) indices[i] = keys[i].index;
-  return indices;
+  std::vector<std::size_t> order(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].index;
+  return order;
 }
 
 }  // namespace flowgen::core

@@ -107,9 +107,5 @@ struct FlowHash {
 /// 10^6-flow batch never chases a pointer per comparison. Throws
 /// std::length_error for a batch of 2^32 flows or more.
 std::vector<std::size_t> lexicographic_order(std::span<const Flow> flows);
-/// The same order restricted to `indices` (distinct indices into `flows`,
-/// in any order): the subsequence of lexicographic_order(flows) they form.
-std::vector<std::size_t> lexicographic_order(std::span<const Flow> flows,
-                                             std::vector<std::size_t> indices);
 
 }  // namespace flowgen::core

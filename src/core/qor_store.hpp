@@ -1,14 +1,15 @@
 #pragma once
 // Persistent labeled-QoR store: a directory of per-writer append logs plus
-// compacted, CRC-footered segment files. Log records are indexed in memory
-// by a cuckoo hash over (design fingerprint, packed flow key); segment
-// records stay in their sorted on-disk layout and answer lookups by binary
-// search, so attach cost does not grow with catalogue size. Labeling runs
-// survive
-// process restarts and multiple coordinators share one label set. The
-// paper's framework spends ~95% of its wall-clock producing these labels;
-// this store guarantees no (design, flow) pair is ever paid for twice,
-// across restarts, machines and coordinators.
+// compacted, CRC-footered segment files. Segment records stay in their
+// sorted on-disk layout and answer lookups by binary search. At attach every
+// log tail is read into one buffer and sorted into a run in segment order,
+// deduplicated against the segments by a merge, so attach hashes nothing;
+// only records this process appends afterwards go into a cuckoo index over
+// (design fingerprint, packed flow key). Labeling runs survive process
+// restarts and multiple coordinators share one label set. The paper's
+// framework spends ~95% of its wall-clock producing these labels; this
+// store guarantees no (design, flow) pair is ever paid for twice, across
+// restarts, machines and coordinators.
 //
 // Layout: a store is a *directory*; every writer appends to its own
 // `<writer>.qorlog` file and a `compact()` pass folds every log (and any
@@ -108,12 +109,12 @@ public:
   };
 
   /// Open (creating if needed) the store at `config.dir`: read the
-  /// MANIFEST when present, attach its segments, then scan every
-  /// `*.qorlog` past its manifest watermark. Segment attach is CRC +
-  /// structural validation plus an offset scan only — no per-record
-  /// hashing — so it runs at I/O speed regardless of record count;
-  /// segment-resident records answer lookups by binary search (the
-  /// entries are sorted), while log records live in the cuckoo index.
+  /// MANIFEST when present, attach its segments, then read every
+  /// `*.qorlog` past its manifest watermark into one sorted run. Segment
+  /// attach is CRC + structural validation plus an offset scan only, and
+  /// the log tails are sorted once and merged against the segments, so
+  /// nothing is hashed per record; segment and run records answer lookups
+  /// by binary search, and the cuckoo index starts empty.
   /// Throws QorStoreError when the directory or the writer file cannot
   /// be set up, or when a segment/manifest is corrupt.
   explicit QorStore(QorStoreConfig config);
@@ -139,10 +140,12 @@ public:
   /// flock on `<dir>/COMPACT.lock` — a busy lock returns
   /// `performed == false` instead of blocking. Also adopts any foreign-log
   /// records appended since attach (the pre-fold rescan), so a compaction
-  /// doubles as a sibling sync.
+  /// doubles as a sibling sync. Throws QorStoreError, with nothing written,
+  /// when the segment's entries would pass the 4 GiB its u32 offsets
+  /// address; the store keeps serving every record from its runs.
   CompactionResult compact();
 
-  /// Total records held (segment-resident + indexed, deduplicated).
+  /// Total records held (segments, runs and index, deduplicated).
   std::size_t size() const;
   QorStoreStats stats() const;
   CuckooIndexStats index_stats() const;
@@ -174,15 +177,22 @@ private:
     std::vector<std::pair<std::string, std::uint64_t>> logs;  ///< watermarks
   };
 
-  /// Owning byte buffer for one attached segment: the mmap'd file on the
-  /// attach path (no copy, no zero-fill; the pages are clean, evictable
-  /// and shared across processes attaching the same store) or a heap copy
-  /// for the segment compact() itself just wrote.
+  /// Owning byte buffer for one attached segment or run: the mmap'd file
+  /// on the segment attach path (no copy, no zero-fill; the pages are
+  /// clean, evictable and shared across processes attaching the same
+  /// store) or `heap`, which holds a run's log tails or the segment
+  /// compact() itself just wrote.
   struct SegmentBuffer {
     std::uint8_t* data = nullptr;
     std::size_t size = 0;
-    std::size_t mapped = 0;  ///< bytes to munmap; 0 = delete[]
+    std::size_t mapped = 0;  ///< bytes to munmap; 0 = `heap` owns them
+    std::vector<std::uint8_t> heap;
     SegmentBuffer() = default;
+    explicit SegmentBuffer(std::vector<std::uint8_t> bytes)
+        : heap(std::move(bytes)) {
+      data = heap.data();
+      size = heap.size();
+    }
     SegmentBuffer(SegmentBuffer&& other) noexcept { swap(other); }
     SegmentBuffer& operator=(SegmentBuffer&& other) noexcept {
       swap(other);
@@ -195,32 +205,54 @@ private:
       std::swap(data, other.data);
       std::swap(size, other.size);
       std::swap(mapped, other.mapped);
+      heap.swap(other.heap);
     }
   };
 
-  /// One attached segment file, held verbatim: `buf` is the whole
-  /// CRC-verified file, `offsets` the start of each (sorted) entry, read
-  /// from the file's own offset table. Segments never build index
-  /// entries — a lookup miss in the cuckoo index binary-searches them
-  /// instead, which is what keeps attaching a 10^6-record catalogue at
-  /// CRC speed.
+  /// Sorted entries searched by binary search: an attached segment file,
+  /// held verbatim (`buf` is the whole CRC-verified file, `offsets` the
+  /// start of each entry, read from the file's own offset table), or a
+  /// run (`buf` holds log records back to back, `offsets` the payloads
+  /// that survived deduplication, in segment order). Neither builds index
+  /// entries, which is what keeps attaching a 10^6-record catalogue at
+  /// read speed. Offsets are u32, so a segment's entries and a run's
+  /// buffer stay within 4 GiB.
   struct Segment {
     SegmentBuffer buf;
     std::vector<std::uint32_t> offsets;
     const std::uint8_t* data() const { return buf.data; }
   };
 
-  /// Load one log file starting at `start` (manifest watermark or header);
-  /// returns bytes of valid data and, via `file_size`, the bytes on disk.
-  /// Invalid tails are counted, not fatal.
+  /// Log records read but not yet sorted into a run (defined in the .cpp).
+  struct PendingRun;
+  /// What reading one log found: its valid bytes (header included) and
+  /// its size on disk.
+  struct LogScan {
+    std::string name;  ///< basename
+    std::uint64_t valid = 0;
+    std::uint64_t file_size = 0;
+  };
+
+  /// Read every `*.qorlog` (in name order) past its watermark in
+  /// `manifest` and add their records as one run; one LogScan per log.
+  std::vector<LogScan> load_logs_locked(
+      const std::optional<Manifest>& manifest);
+  /// Read one log file from `start` (manifest watermark or header) into
+  /// `run`; returns bytes of valid data and sets `file_size` to the bytes
+  /// on disk. Invalid tails are counted, not fatal.
   std::uint64_t load_file(const std::string& path, std::uint64_t start,
-                          std::uint64_t* file_size);
+                          std::uint64_t& file_size, PendingRun& run);
+  /// Sort `run` into segment order, drop every record already held (an
+  /// earlier duplicate in the run, a segment or run entry, an index entry)
+  /// and push the rest onto `segments_`; leaves `run` empty.
+  void add_run_locked(PendingRun& run);
   /// Attach one segment; throws QorStoreError on any corruption.
   void load_segment(const std::string& path);
-  /// Pointer to the segment entry for (design, steps), or null.
+  /// Pointer to the segment or run entry for (design, steps), or null.
   const std::uint8_t* segment_find_locked(const aig::Fingerprint& design,
                                           StepsView steps) const;
-  /// Index first, then every segment — the store-wide point lookup.
+  /// Index first, then every segment and run — the store-wide point
+  /// lookup.
   std::optional<map::QoR> find_locked(const aig::Fingerprint& design,
                                       StepsView steps) const;
   std::size_t segment_records_locked() const;
@@ -241,8 +273,10 @@ private:
   std::shared_ptr<const opt::TransformRegistry> registry_;
   std::string writer_path_;
   int fd_ = -1;
-  CuckooIndex index_;        ///< log-resident records (disjoint from segments)
-  std::vector<Segment> segments_;  ///< compacted records, searched in order
+  /// This process's appends since attach or its last compact(); disjoint
+  /// from segments_.
+  CuckooIndex index_;
+  std::vector<Segment> segments_;  ///< segments and runs, searched in order
   std::uint64_t epoch_ = 0;
   mutable QorStoreStats stats_;  ///< lookups/hits tick under the mutex
 };

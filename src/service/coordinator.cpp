@@ -493,10 +493,15 @@ std::vector<map::QoR> EvalCoordinator::evaluate_many_impl(
   // (callback included — a store hit *is* a completed flow) and dispatch
   // only the remainder. Flows already convicted as poisoned never cross
   // the wire either — they are surfaced in the batch report, not rerun.
+  // Flows are checked in prefix-affinity order, the in-process engine's
+  // batch schedule: the store's records sit in that order, so consecutive
+  // lookups walk neighbouring entries, and the remainder comes out in the
+  // order its shards need — runs of sibling flows that one worker trail
+  // resumes along.
   std::vector<std::size_t> order;
   order.reserve(flows.size());
   std::size_t hits = 0;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
+  for (const std::size_t i : core::lexicographic_order(flows)) {
     if (quarantine && quarantine->contains(batch->design_fp, flows[i].steps)) {
       batch->flow_done[i] = true;
       batch->quarantined.push_back(i);
@@ -524,10 +529,6 @@ std::vector<map::QoR> EvalCoordinator::evaluate_many_impl(
     return out;
   }
 
-  // Prefix-affinity order: identical to the in-process engine's batch
-  // schedule, so a shard is a run of sibling flows that one worker trail
-  // resumes along.
-  order = core::lexicographic_order(flows, std::move(order));
   const std::size_t alive = std::max<std::size_t>(1, num_workers_alive());
   const std::size_t num_shards =
       std::min(order.size(), alive * config_.shards_per_worker);

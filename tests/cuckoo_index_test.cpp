@@ -154,17 +154,5 @@ TEST(CuckooIndexTest, StashOverflowTriggersGrowNotLoss) {
   EXPECT_EQ(index.stats().entries, keys.size());
 }
 
-TEST(CuckooIndexTest, ReserveBulkLoadAvoidsMidLoadRebuilds) {
-  CuckooIndex index;
-  index.reserve(100000, 60);
-  const std::size_t rehashes_before = index.stats().rehashes;
-  std::mt19937_64 rng(5);
-  for (std::size_t i = 0; i < 100000; ++i) {
-    const TestKey k = random_key(rng);
-    index.insert(k.design, core::StepsView(k.steps), random_qor(rng));
-  }
-  EXPECT_EQ(index.stats().rehashes, rehashes_before);
-}
-
 }  // namespace
 }  // namespace flowgen

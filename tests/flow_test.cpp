@@ -166,26 +166,5 @@ TEST(FlowOrderTest, LexicographicOrderEqualsStableSort) {
   }
 }
 
-TEST(FlowOrderTest, SubsetOrderIsTheFullOrderRestricted) {
-  util::Rng rng(99);
-  const std::vector<Flow> flows = tricky_batch(rng, 500);
-  std::vector<std::size_t> subset;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (rng.chance(0.4)) subset.push_back(i);
-  }
-  rng.shuffle(subset);
-  const std::vector<bool> member = [&] {
-    std::vector<bool> m(flows.size(), false);
-    for (const std::size_t i : subset) m[i] = true;
-    return m;
-  }();
-  std::vector<std::size_t> expected;
-  for (const std::size_t i : stable_order(flows)) {
-    if (member[i]) expected.push_back(i);
-  }
-  EXPECT_EQ(lexicographic_order(flows, subset), expected);
-  EXPECT_TRUE(lexicographic_order(flows, {}).empty());
-}
-
 }  // namespace
 }  // namespace flowgen::core

@@ -183,6 +183,52 @@ TEST(QorCompactionCrashTest, SigkillAtEverySyncPointNeverLosesARecord) {
   }
 }
 
+// The `manifest_committed` row of the crash table with the compactor's
+// records in its own log: the committed manifest claims only that log's
+// header, so the next attach re-reads every record the new segment also
+// holds, and each must count once.
+TEST(QorCompactionCrashTest,
+     OwnLogReReadAfterManifestCommitCountsEachRecordOnce) {
+  const std::vector<Record> records = seed_records(48);
+  const fs::path dir = fresh_dir("crash_own_log");
+  const pid_t pid = ::fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    try {
+      QorStoreConfig config;
+      config.dir = dir.string();
+      config.writer_name = "writer";
+      config.compaction_sync_hook = [](const char* name) {
+        if (std::strcmp(name, "manifest_committed") == 0) {
+          ::kill(::getpid(), SIGKILL);
+        }
+      };
+      QorStore victim(std::move(config));
+      for (const Record& r : records) {
+        if (!victim.append(r.design, StepsView(r.steps), r.qor)) ::_exit(3);
+      }
+      victim.compact();
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(1);  // the sync point never fired
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited instead of dying";
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+  ASSERT_GT(fs::file_size(dir / "writer.qorlog"), 8u) << "log already reset";
+
+  QorStore reader({dir.string(), "reader", false, nullptr, {}});
+  expect_all_present(reader, records);
+  EXPECT_EQ(reader.stats().segment_records_loaded, records.size());
+  EXPECT_EQ(reader.stats().records_loaded, records.size());
+  const QorStore::CompactionResult done = reader.compact();
+  EXPECT_TRUE(done.performed);
+  EXPECT_EQ(done.records, records.size());
+  expect_all_present(reader, records);
+}
+
 // Same battery through the failpoint framework: the compaction sync points
 // double as "store.compact" sites keyed by the point name, so the harness
 // path used by chaos runs (`store.compact=crash@key=...`, settable from the

@@ -11,6 +11,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include "core/evaluator.hpp"
 #include "core/flow_space.hpp"
 #include "designs/registry.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace flowgen::core {
@@ -226,6 +229,137 @@ TEST(QorStoreTest, SecondLabelingRunIsServedEntirelyFromStore) {
       std::make_shared<QorStore>(QorStoreConfig{dir, "run3", false, nullptr, {}}));
   other.evaluate(flows[0]);
   EXPECT_EQ(other.evaluations(), 1u);
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+/// A v1 log written byte by byte (docs/qor-store.md), so it can hold what
+/// append() refuses to write: a key twice, with two QoRs.
+class LogWriter {
+public:
+  LogWriter() {
+    put_le(bytes_, 0x46514F52, 4);  // "FQOR"
+    put_le(bytes_, 1, 4);           // version 1, reserved bytes
+  }
+
+  void add(const aig::Fingerprint& design, const StepsKey& steps,
+           const map::QoR& qor) {
+    std::vector<std::uint8_t> payload;
+    put_le(payload, design[0], 8);
+    put_le(payload, design[1], 8);
+    put_le(payload, steps.size(), 2);
+    payload.insert(payload.end(), steps.begin(), steps.end());
+    put_le(payload, std::bit_cast<std::uint64_t>(qor.area_um2), 8);
+    put_le(payload, std::bit_cast<std::uint64_t>(qor.delay_ps), 8);
+    put_le(payload, qor.num_cells, 8);
+    put_le(payload, qor.num_inverters, 8);
+    put_le(bytes_, util::crc32(payload), 4);
+    put_le(bytes_, payload.size(), 4);
+    bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  }
+
+  void write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes_.data()),
+              static_cast<std::streamsize>(bytes_.size()));
+  }
+
+private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+// First record wins at every level: a segment over every log, log `a` over
+// log `b` (name order), and within a file the earlier record over the
+// later. Keys run over four designs and 3..14 steps, left-padded with step
+// 0, so many share their first 12 step bytes; the logs are shuffled, so
+// loading sorts them and merges them with the 20k-entry segment.
+TEST(QorStoreTest, AttachKeepsTheFirstRecordOfEveryKey) {
+  const std::string dir = fresh_dir("firstwins");
+  const auto design = [](std::size_t i) {
+    return aig::Fingerprint{0x1000 * (i % 4) + 7, 0x5eed - i % 4};
+  };
+  const auto flow = [](std::size_t i) {
+    std::size_t j = i / 4;
+    StepsKey digits;
+    for (; j > 0; j /= 6) digits.insert(digits.begin(), j % 6);
+    StepsKey out(std::max<std::size_t>(digits.size(), 3 + i / 4 % 12), 0);
+    std::copy(digits.begin(), digits.end(), out.end() - digits.size());
+    return out;
+  };
+  // Version v of key i's QoR: 0 in the segment, 1 and 2 in log a, 3 in b.
+  const auto qor = [](std::size_t i, int v) {
+    return map::QoR{static_cast<double>(i) + 0.25 * v, 100.0 + v, i,
+                    static_cast<std::size_t>(v)};
+  };
+  constexpr std::size_t kSegment = 20000;
+  constexpr std::size_t kLogA = 25000;  // a's new keys: [kSegment, kLogA)
+  constexpr std::size_t kLogB = 26000;  // b's new keys: [kLogA, kLogB)
+  {
+    QorStore seed({dir, "seed", false, nullptr, {}});
+    for (std::size_t i = 0; i < kSegment; ++i) {
+      ASSERT_TRUE(seed.append(design(i), flow(i), qor(i, 0)));
+    }
+    ASSERT_TRUE(seed.compact().performed);
+  }
+  util::Rng rng(7);
+  std::vector<std::size_t> a_keys;
+  for (std::size_t i = 0; i < kLogA; ++i) {
+    if (i >= kSegment || i % 7 == 3) a_keys.push_back(i);
+  }
+  std::shuffle(a_keys.begin(), a_keys.end(), rng);
+  std::vector<std::size_t> a_repeats;
+  for (std::size_t i = kSegment; i < kLogA; i += 5) a_repeats.push_back(i);
+  std::shuffle(a_repeats.begin(), a_repeats.end(), rng);
+  LogWriter a;
+  for (const std::size_t i : a_keys) a.add(design(i), flow(i), qor(i, 1));
+  for (const std::size_t i : a_repeats) a.add(design(i), flow(i), qor(i, 2));
+  a.write(dir + "/a.qorlog");
+  std::vector<std::size_t> b_keys;
+  for (std::size_t i = 0; i < kLogB; ++i) {
+    if (i >= kLogA || i % 3 == 0) b_keys.push_back(i);
+  }
+  std::shuffle(b_keys.begin(), b_keys.end(), rng);
+  LogWriter b;
+  for (const std::size_t i : b_keys) b.add(design(i), flow(i), qor(i, 3));
+  b.write(dir + "/b.qorlog");
+
+  const auto expect_first_records = [&](QorStore& store) {
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < kLogB; ++i) {
+      const int v = i < kSegment ? 0 : i < kLogA ? 1 : 3;
+      const auto hit = store.lookup(design(i), flow(i));
+      if (!hit || *hit != qor(i, v)) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u);
+  };
+  QorStore reader({dir, "reader", false, nullptr, {}});
+  EXPECT_EQ(reader.size(), kLogB);
+  EXPECT_EQ(reader.stats().records_loaded,
+            a_keys.size() + a_repeats.size() + b_keys.size());
+  expect_first_records(reader);
+  // Keys held by the segment and by the run are not appended again. A new
+  // key goes into the index, and compact()'s rescan, which reads it back
+  // from the log, must not count it twice.
+  EXPECT_FALSE(reader.append(design(5), flow(5), qor(5, 4)));
+  EXPECT_FALSE(reader.append(design(kSegment), flow(kSegment), qor(0, 4)));
+  EXPECT_FALSE(reader.append(design(kLogA), flow(kLogA), qor(0, 4)));
+  EXPECT_TRUE(reader.append(design(kLogB), flow(kLogB), qor(kLogB, 4)));
+  EXPECT_EQ(reader.size(), kLogB + 1);
+  expect_first_records(reader);
+
+  const QorStore::CompactionResult folded = reader.compact();
+  ASSERT_TRUE(folded.performed);
+  EXPECT_EQ(folded.records, kLogB + 1);
+  EXPECT_EQ(reader.size(), kLogB + 1);
+  expect_first_records(reader);
+  QorStore compacted({dir, "reader2", false, nullptr, {}});
+  EXPECT_EQ(compacted.size(), kLogB + 1);
+  expect_first_records(compacted);
+  EXPECT_EQ(compacted.lookup(design(kLogB), flow(kLogB)), qor(kLogB, 4));
 }
 
 TEST(QorStoreTest, RejectsUnusableDirectory) {

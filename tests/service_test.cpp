@@ -1341,5 +1341,37 @@ TEST(ServiceTest, SiblingCoordinatorsShareLabelsAtCompaction) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServiceTest, CoordinatorAnswersStoredFlowsAndShipsOnlyTheRest) {
+  // The store holds every other flow of the batch, so hits and misses
+  // interleave in the caller's order and in the sorted order the store is
+  // checked in. The hits are answered locally, only the misses cross the
+  // wire, and every flow completes exactly once with its own label.
+  const std::string dir = ::testing::TempDir() + "flowgen_partial_store_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const auto flows = sample_flows(40);
+  std::vector<Flow> stored;
+  for (std::size_t i = 0; i < flows.size(); i += 2) stored.push_back(flows[i]);
+  ThreadFleet fleet(1);
+  EvalCoordinator coordinator(fleet.take_workers(), "alu:4");
+  coordinator.attach_store(std::make_shared<core::QorStore>(
+      core::QorStoreConfig{dir, "coord", false, nullptr, {}}));
+  coordinator.evaluate_many(stored);
+  const CoordinatorStats before = coordinator.stats();
+
+  std::vector<std::size_t> completions(flows.size(), 0);
+  const auto qor = coordinator.evaluate_many(
+      flows, [&](std::size_t i, const map::QoR&) { ++completions[i]; });
+  const CoordinatorStats after = coordinator.stats();
+  EXPECT_EQ(after.store_hits - before.store_hits, stored.size());
+  EXPECT_EQ(after.flows_dispatched - before.flows_dispatched,
+            flows.size() - stored.size());
+  EXPECT_EQ(completions, std::vector<std::size_t>(flows.size(), 1));
+  core::SynthesisEvaluator local(designs::make_design("alu:4"));
+  expect_bit_identical(qor, local.evaluate_many(flows));
+  coordinator.shutdown_workers();
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace flowgen::service
