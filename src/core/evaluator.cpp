@@ -46,20 +46,22 @@ SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
   }
 }
 
+std::optional<map::QoR> SynthesisEvaluator::memo_find(StepsView steps) const {
+  QorShard& shard = shard_for_flow(steps);
+  std::lock_guard lock(shard.mutex);
+  if (const auto it = shard.by_flow.find(steps); it != shard.by_flow.end()) {
+    return it->second;
+  }
+  return std::nullopt;
+}
+
 std::optional<map::QoR> SynthesisEvaluator::lookup(const Flow& flow) const {
   const StepsView steps(flow.steps);
   // Alphabet guard before any cache or dispatch sees the bytes: a stray id
   // (hand-built flow, hostile wire peer) is a typed RegistryError here, not
   // undefined dispatch three layers down.
   registry_->validate_steps(steps);
-  {
-    QorShard& shard = shard_for_flow(steps);
-    std::lock_guard lock(shard.mutex);
-    if (const auto it = shard.by_flow.find(steps);
-        it != shard.by_flow.end()) {
-      return it->second;
-    }
-  }
+  if (const auto known = memo_find(steps)) return known;
   // Labels load lazily and stay in the store: attaching a 10^6-record
   // store costs nothing up front, a rerun of a fully labeled batch
   // performs zero evaluations, and the memo never holds a second copy.
@@ -67,14 +69,41 @@ std::optional<map::QoR> SynthesisEvaluator::lookup(const Flow& flow) const {
   return std::nullopt;
 }
 
+std::size_t SynthesisEvaluator::lookup_many(
+    std::span<const Flow> flows, std::span<const std::size_t> order,
+    std::span<map::QoR> out, std::vector<bool>& answered) const {
+  // Caller order reads each flow's steps where they were allocated, one
+  // after the other; the sorted order would visit them at random.
+  for (const Flow& f : flows) registry_->validate_steps(f.steps);
+  std::size_t known =
+      store_ ? store_->lookup_sorted(design_fp_, flows, order, out, answered)
+             : 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (answered[i]) continue;
+    if (const auto memo = memo_find(flows[i].steps)) {
+      out[i] = *memo;
+      answered[i] = true;
+      ++known;
+    }
+  }
+  return known;
+}
+
 map::QoR SynthesisEvaluator::evaluate(const Flow& flow) const {
+  if (const auto known = lookup(flow)) return *known;
   Trail trail;
-  return evaluate(flow, trail);
+  return synthesize_and_keep(flow.steps, trail);
 }
 
 map::QoR SynthesisEvaluator::evaluate(const Flow& flow, Trail& trail) const {
-  if (const auto known = lookup(flow)) return *known;
   const StepsView steps(flow.steps);
+  registry_->validate_steps(steps);
+  if (const auto known = memo_find(steps)) return *known;
+  return synthesize_and_keep(steps, trail);
+}
+
+map::QoR SynthesisEvaluator::synthesize_and_keep(StepsView steps,
+                                                 Trail& trail) const {
   const map::QoR qor = synthesize(steps, trail);
   bool first = false;
   {
@@ -179,19 +208,25 @@ map::QoR SynthesisEvaluator::map_graph(const aig::Aig& g) const {
 std::vector<map::QoR> SynthesisEvaluator::evaluate_many(
     std::span<const Flow> flows, util::ThreadPool* pool) const {
   std::vector<map::QoR> out(flows.size());
-  // Lexicographic step order puts flows sharing a prefix back to back, so
-  // each one resumes from the graphs its predecessor left on the trail.
-  const std::vector<std::size_t> order = lexicographic_order(flows);
-  if (pool == nullptr || pool->size() <= 1 || flows.size() <= 1) {
+  // Lexicographic step order is the store's own order for one design, so
+  // the store answers the whole batch in one merge; and it puts flows
+  // sharing a prefix back to back, so each flow synthesized resumes from
+  // the graphs its predecessor left on the trail. The memo is asked again
+  // right before each synthesis: a flow may repeat within the batch.
+  std::vector<std::size_t> order = lexicographic_order(flows);
+  std::vector<bool> known(flows.size());
+  if (lookup_many(flows, order, out, known) > 0) {
+    std::erase_if(order, [&](std::size_t i) { return known[i]; });
+  }
+  if (pool == nullptr || pool->size() <= 1 || order.size() <= 1) {
     Trail trail;
     for (const std::size_t idx : order) out[idx] = evaluate(flows[idx], trail);
     return out;
   }
-  // Contiguous groups of the sorted order, one trail each, keep prefix
+  // Contiguous groups of the sorted misses, one trail each, keep prefix
   // locality within one thread; a few groups per thread give the dynamic
   // scheduler slack for uneven flow runtimes.
-  const std::size_t groups =
-      std::min(flows.size(), pool->size() * 4);
+  const std::size_t groups = std::min(order.size(), pool->size() * 4);
   pool->parallel_for(groups, [&](std::size_t gi) {
     const std::size_t begin = gi * order.size() / groups;
     const std::size_t end = (gi + 1) * order.size() / groups;

@@ -5,7 +5,10 @@
 // collection is ~95% of wall-clock), so evaluation reuses work twice:
 //
 //  * QoR results are memoised in a sharded map keyed by the packed step
-//    sequence (no string keys, no global lock on the hot path),
+//    sequence (no string keys, no global lock on the hot path), and an
+//    attached QorStore answers what earlier runs labeled: a batch asks the
+//    store first, in one pass over its sorted records, and only the
+//    store's misses go on to the memo and to synthesis,
 //  * synthesis resumes from a Trail: the graphs of the flow last
 //    synthesized through it. Every batch is evaluated in lexicographic
 //    order, where the longest prefix a flow shares with any earlier flow is
@@ -96,15 +99,18 @@ public:
     return registry_;
   }
 
-  /// Attach a persistent label store: stored records answer lookup() and
-  /// evaluate() straight from the store (a memo miss consults it before
-  /// synthesizing; attach is O(1) even at 10^6+ records, and a hit is not
-  /// copied into the memo, so the store stays the only copy of its labels),
-  /// and every genuinely fresh result is appended to the store as it
-  /// completes. Throws opt::RegistryError when the store's registry
-  /// fingerprint differs from this evaluator's — labels keyed by another
-  /// alphabet must never answer for this one. Call before evaluation
-  /// starts; not thread-safe against concurrent evaluate().
+  /// Attach a persistent label store: stored records answer lookup(),
+  /// evaluate(flow) and lookup_many() straight from the store (attach is
+  /// O(1) even at 10^6+ records, and a hit is not copied into the memo, so
+  /// the store stays the only copy of its labels), and every genuinely
+  /// fresh result is appended to the store as it completes. lookup() asks
+  /// the memo first and the store for the memo's misses; a batch
+  /// (evaluate_many, lookup_many) asks the store first and the memo only
+  /// for the store's misses. Both hold labels of one pure evaluation, so
+  /// the order changes no bit. Throws opt::RegistryError when the store's
+  /// registry fingerprint differs from this evaluator's — labels keyed by
+  /// another alphabet must never answer for this one. Call before
+  /// evaluation starts; not thread-safe against concurrent evaluate().
   void attach_store(std::shared_ptr<QorStore> store);
 
   /// The label `flow` already has, without synthesizing: the memo of
@@ -116,14 +122,31 @@ public:
   /// report QoR, memoised by packed flow key and appended to the store.
   /// Thread-safe.
   map::QoR evaluate(const Flow& flow) const override;
-  /// evaluate(), synthesizing a miss from the longest prefix `flow` shares
-  /// with `trail`'s flow (see Trail). Thread-safe for distinct trails.
+  /// The memo's label for `flow`, else a fresh one synthesized from the
+  /// longest prefix `flow` shares with `trail`'s flow (see Trail), memoised
+  /// and appended to the store. It does not ask the store: a batch asks it
+  /// once for all its flows (lookup_many) and hands the misses here.
+  /// Validates the flow like evaluate(). Thread-safe for distinct trails.
   map::QoR evaluate(const Flow& flow, Trail& trail) const;
 
-  /// Evaluate a batch, optionally across a thread pool. The batch is
-  /// processed in lexicographic step order (results keep caller order), one
-  /// trail per contiguous run of it, so flows sharing a prefix run back to
-  /// back and each resumes from its predecessor's graphs.
+  /// lookup() for a batch: the labels its flows already have. The attached
+  /// store answers first, in one QorStore::lookup_sorted pass under one
+  /// lock (see there for `order`, `out` and `answered`; an empty `order`
+  /// means `flows` is already in lexicographic order), and the memo then
+  /// answers the store's misses. Validates every flow like evaluate(), in
+  /// caller order, before either. Returns the number of flows answered.
+  /// Thread-safe.
+  std::size_t lookup_many(std::span<const Flow> flows,
+                          std::span<const std::size_t> order,
+                          std::span<map::QoR> out,
+                          std::vector<bool>& answered) const;
+
+  /// Evaluate a batch, optionally across a thread pool. lookup_many answers
+  /// what the store and the memo hold, in lexicographic step order, and
+  /// evaluate(flow, trail) synthesizes the rest in that order (results keep
+  /// caller order), one trail per contiguous run of it, so flows sharing a
+  /// prefix run back to back and each resumes from its predecessor's
+  /// graphs.
   std::vector<map::QoR> evaluate_many(
       std::span<const Flow> flows,
       util::ThreadPool* pool = nullptr) const override;
@@ -151,6 +174,10 @@ private:
     return shards_[StepsHash{}(steps) & (kQorShards - 1)];
   }
 
+  /// The memo's label for validated `steps`, or nullopt.
+  std::optional<map::QoR> memo_find(StepsView steps) const;
+  /// synthesize(), then memoise the result and append it to the store.
+  map::QoR synthesize_and_keep(StepsView steps, Trail& trail) const;
   /// Miss path: synthesis resumed from `trail`, then mapping.
   map::QoR synthesize(StepsView steps, Trail& trail) const;
   map::QoR map_graph(const aig::Aig& g) const;

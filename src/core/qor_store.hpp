@@ -26,7 +26,8 @@
 //
 // Thread-safety: all public methods are safe to call concurrently; one
 // mutex serialises index and file access (appends are rare and small next
-// to the synthesis work that produces them).
+// to the synthesis work that produces them). A batch of keys takes it once
+// (lookup_sorted), not once per key.
 
 #include <cstdint>
 #include <functional>
@@ -34,6 +35,7 @@
 #include <mutex>
 #include <utility>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -127,6 +129,24 @@ public:
   std::optional<map::QoR> lookup(const aig::Fingerprint& design,
                                  StepsView steps) const;
 
+  /// lookup() for a batch of `design`'s flows under one lock. The keys are
+  /// flows[order[0]], flows[order[1]], ... (flows[0], flows[1], ... when
+  /// `order` is empty); a key whose index `answered` already marks is
+  /// skipped. A stored key's QoR is written to out[i] and marks answered[i];
+  /// a miss leaves both alone. `out` and `answered` are indexed like
+  /// `flows`. Keys in segment order (for one design, that is
+  /// core::lexicographic_order) make each segment and run one galloping
+  /// merge: its cursor only moves forward, 1, 2, 4, ... entries at a time.
+  /// Keys out of that order are still answered correctly: a key below the
+  /// entry before a cursor restarts that cursor at the front. Counts one
+  /// lookup per key looked up and one hit per stored key, the totals of a
+  /// lookup() per key. Returns the number of hits.
+  std::size_t lookup_sorted(const aig::Fingerprint& design,
+                            std::span<const Flow> flows,
+                            std::span<const std::size_t> order,
+                            std::span<map::QoR> out,
+                            std::vector<bool>& answered) const;
+
   /// Record one label: appended to this writer's log (one write syscall,
   /// CRC-stamped) and indexed. Returns false without writing when the key
   /// is already present — evaluation is pure, so a duplicate carries no
@@ -136,7 +156,9 @@ public:
 
   /// Fold every log (and any previous segment) into one fresh sorted
   /// segment, commit a new MANIFEST (atomic rename), delete the stale
-  /// segments and reset this writer's log. Serialised across processes by
+  /// segments and reset this writer's log. The segment is one merge of
+  /// what is already sorted (segments, runs and the index's records), each
+  /// entry copied verbatim. Serialised across processes by
   /// flock on `<dir>/COMPACT.lock` — a busy lock returns
   /// `performed == false` instead of blocking. Also adopts any foreign-log
   /// records appended since attach (the pre-fold rescan), so a compaction

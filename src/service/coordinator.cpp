@@ -492,33 +492,40 @@ std::vector<map::QoR> EvalCoordinator::evaluate_many_impl(
   // Labels already in the store never cross the wire: answer them locally
   // (callback included — a store hit *is* a completed flow) and dispatch
   // only the remainder. Flows already convicted as poisoned never cross
-  // the wire either — they are surfaced in the batch report, not rerun.
-  // Flows are checked in prefix-affinity order, the in-process engine's
-  // batch schedule: the store's records sit in that order, so consecutive
-  // lookups walk neighbouring entries, and the remainder comes out in the
+  // the wire either — they are surfaced in the batch report, not rerun,
+  // and never answered from the store. Flows are checked in
+  // prefix-affinity order, the in-process engine's batch schedule: for one
+  // design it is the store's own order, so one merge per segment answers
+  // the batch under one store lock, and the remainder comes out in the
   // order its shards need — runs of sibling flows that one worker trail
   // resumes along.
-  std::vector<std::size_t> order;
-  order.reserve(flows.size());
-  std::size_t hits = 0;
-  for (const std::size_t i : core::lexicographic_order(flows)) {
-    if (quarantine && quarantine->contains(batch->design_fp, flows[i].steps)) {
-      batch->flow_done[i] = true;
-      batch->quarantined.push_back(i);
-      continue;
-    }
-    if (batch->store) {
-      if (const auto hit =
-              batch->store->lookup(batch->design_fp, flows[i].steps)) {
-        out[i] = *hit;
+  std::vector<std::size_t> order = core::lexicographic_order(flows);
+  if (quarantine) {
+    for (const std::size_t i : order) {
+      if (quarantine->contains(batch->design_fp, flows[i].steps)) {
         batch->flow_done[i] = true;
-        ++hits;
-        if (batch->on_result) batch->on_result(i, *hit);
-        continue;
+        batch->quarantined.push_back(i);
       }
     }
-    order.push_back(i);
   }
+  const std::size_t hits =
+      batch->store ? batch->store->lookup_sorted(batch->design_fp, flows,
+                                                 order, out, batch->flow_done)
+                   : 0;
+  // Callbacks run after the store lock is released. `quarantined` lists
+  // its flows in `order`'s sequence, so one cursor tells them from hits.
+  std::size_t kept = 0;
+  std::size_t q = 0;
+  for (const std::size_t i : order) {
+    if (!batch->flow_done[i]) {
+      order[kept++] = i;
+    } else if (q < batch->quarantined.size() && batch->quarantined[q] == i) {
+      ++q;
+    } else if (batch->on_result) {
+      batch->on_result(i, out[i]);
+    }
+  }
+  order.resize(kept);
   batch->flows_remaining = order.size();
   if (hits) {
     std::lock_guard lock(mu_);

@@ -261,29 +261,32 @@ class ResultQueue {
   std::atomic<bool> stopped_{false};
 };
 
-/// Evaluate `flows` on `pool` and emit each result on this thread as soon
-/// as it completes. The request is split into min(n, 4 x pool) contiguous
-/// runs, one task and one trail each; requests arrive as lexicographic runs
-/// (coordinator shards), so each flow resumes from the graphs its
-/// predecessor in the run left behind. Nothing waits for a run to finish,
-/// so one shard keeps the whole pool busy while every result still leaves
-/// as its own frame, sent before this thread next waits for the pool; and
-/// pool threads never send, so a client that stops reading holds up only
-/// this thread.
+/// Evaluate the flows at `misses` (indices into `flows`, which
+/// lookup_many left unanswered) on `pool` and emit each result on this
+/// thread as soon as it completes. The misses are split into
+/// min(n, 4 x pool) contiguous runs, one task and one trail each; requests
+/// arrive as lexicographic runs (coordinator shards), so each flow resumes
+/// from the graphs its predecessor in the run left behind. Nothing waits
+/// for a run to finish, so one shard keeps the whole pool busy while every
+/// result still leaves as its own frame, sent before this thread next waits
+/// for the pool; and pool threads never send, so a client that stops
+/// reading holds up only this thread.
 void stream_on_pool(
     const core::SynthesisEvaluator& evaluator,
-    const std::vector<core::Flow>& flows, util::ThreadPool& pool,
+    const std::vector<core::Flow>& flows,
+    const std::vector<std::uint32_t>& misses, util::ThreadPool& pool,
     const std::function<bool(std::uint32_t, const map::QoR&)>& emit,
     const std::function<bool()>& flush) {
-  const std::size_t runs = std::min(flows.size(), pool.size() * 4);
+  const std::size_t runs = std::min(misses.size(), pool.size() * 4);
   ResultQueue queue(runs);
   for (std::size_t r = 0; r < runs; ++r) {
-    const auto begin = static_cast<std::uint32_t>(r * flows.size() / runs);
-    const auto end = static_cast<std::uint32_t>((r + 1) * flows.size() / runs);
-    pool.submit([&queue, &evaluator, &flows, begin, end] {
+    const std::size_t begin = r * misses.size() / runs;
+    const std::size_t end = (r + 1) * misses.size() / runs;
+    pool.submit([&queue, &evaluator, &flows, &misses, begin, end] {
       queue.run([&] {
         core::SynthesisEvaluator::Trail trail;
-        for (std::uint32_t i = begin; i < end && !queue.stopped(); ++i) {
+        for (std::size_t m = begin; m < end && !queue.stopped(); ++m) {
+          const std::uint32_t i = misses[m];
           queue.push(i, evaluator.evaluate(flows[i], trail));
         }
       });
@@ -731,29 +734,37 @@ EvalService EvalWorker::make_service() {
         // concurrent connections on the same design share its memo.
         const std::shared_ptr<core::SynthesisEvaluator> evaluator =
             evaluator_for(fp, registry);
+        // Labels the store or the memo already holds first: they join the
+        // queued burst, emitted after the store lock is released. The
+        // request arrives pre-sorted (coordinator shards are lexicographic
+        // runs), so the whole request is one merge over the store. A false
+        // emit or flush: the connection is gone, nobody will read the rest.
+        std::vector<std::uint32_t> misses;
+        {
+          std::vector<map::QoR> known(flows.size());
+          std::vector<bool> answered(flows.size());
+          evaluator->lookup_many(flows, {}, known, answered);
+          for (std::size_t i = 0; i < flows.size(); ++i) {
+            const auto index = static_cast<std::uint32_t>(i);
+            if (!answered[i]) {
+              misses.push_back(index);
+            } else if (!emit(index, known[i])) {
+              return;
+            }
+          }
+        }
         if (pool_) {
-          stream_on_pool(*evaluator, flows, *pool_, emit, flush);
+          stream_on_pool(*evaluator, flows, misses, *pool_, emit, flush);
           return;
         }
-        // One flow at a time, each result emitted as it completes: the
-        // coordinator applies (and persists) it as it lands. The request
-        // arrives pre-sorted (coordinator shards are lexicographic runs),
-        // so each flow resumes from the graphs its predecessor left on the
-        // request's trail.
+        // Then one flow at a time along the request's trail, each result
+        // emitted as it completes: the coordinator applies (and persists)
+        // it as it lands. A synthesis first sends the queue, so no result
+        // waits behind it.
         core::SynthesisEvaluator::Trail trail;
-        for (std::size_t i = 0; i < flows.size(); ++i) {
-          // A label the memo or the store already holds joins the queued
-          // burst; a synthesis first sends the queue, so no result waits
-          // behind it. (evaluate() repeats the lookup: noise next to the
-          // synthesis it then runs.)
-          std::optional<map::QoR> qor = evaluator->lookup(flows[i]);
-          // A false flush or emit: the connection is gone, nobody will
-          // read the rest.
-          if (!qor) {
-            if (!flush()) return;
-            qor = evaluator->evaluate(flows[i], trail);
-          }
-          if (!emit(static_cast<std::uint32_t>(i), *qor)) return;
+        for (const std::uint32_t i : misses) {
+          if (!flush()) return;
+          if (!emit(i, evaluator->evaluate(flows[i], trail))) return;
         }
       };
   return service;

@@ -9,6 +9,7 @@
 #include "core/flow_space.hpp"
 #include "core/qor_store.hpp"
 #include "designs/registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace flowgen::core {
 namespace {
@@ -291,6 +292,62 @@ TEST(EvaluatorStoreTest, StoredFlowIsAnsweredFromTheStoreAlone) {
   EXPECT_EQ(ev.cache_size(), 1u);
   EXPECT_EQ(ev.lookup(flows[1]), fresh);
   std::filesystem::remove_all(dir);
+}
+
+TEST(EvaluatorStoreTest, BatchAnswersStoredFlowsAndSynthesizesOnlyTheRest) {
+  // Every other flow of the batch is stored under a label no synthesis
+  // gives. evaluate_many, serial and on a pool, answers those from one
+  // pass over the store and synthesizes exactly the others: each flow is
+  // looked up in the store once, never a second time on its way to
+  // synthesis. A batch asks the store before the memo, so a second batch
+  // over the same flows counts every flow as a store lookup and a hit
+  // (the first batch appended each fresh label) and synthesizes nothing.
+  const aig::Aig g = designs::make_design("alu:4");
+  const auto flows = sample_flows(24, 14);
+  const auto stored_label = [](std::size_t i) {
+    return map::QoR{1.0 + static_cast<double>(i), 0.5, i, 9};
+  };
+  const std::size_t misses = flows.size() / 2;
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* on : {static_cast<util::ThreadPool*>(nullptr),
+                               &pool}) {
+    SCOPED_TRACE(on ? "pool" : "serial");
+    const std::string dir = ::testing::TempDir() + "flowgen_eval_batch_" +
+                            (on ? "pool_" : "serial_") +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    {
+      QorStore writer(QorStoreConfig{dir, "writer", false, nullptr, {}});
+      for (std::size_t i = 0; i < flows.size(); i += 2) {
+        ASSERT_TRUE(writer.append(g.fingerprint(), flows[i].steps,
+                                  stored_label(i)));
+      }
+    }
+    auto store = std::make_shared<QorStore>(
+        QorStoreConfig{dir, "reader", false, nullptr, {}});
+    SynthesisEvaluator ev(g);
+    ev.attach_store(store);
+    const std::vector<map::QoR> qor = ev.evaluate_many(flows, on);
+    ASSERT_EQ(qor.size(), flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_EQ(qor[i], i % 2 == 0 ? stored_label(i) : oracle(g, flows[i]))
+          << "flow " << i;
+    }
+    EXPECT_EQ(ev.evaluations(), misses);
+    EXPECT_EQ(ev.cache_size(), misses);
+    const QorStoreStats stats = store->stats();
+    EXPECT_EQ(stats.lookups, flows.size());
+    EXPECT_EQ(stats.hits, flows.size() - misses);
+    EXPECT_EQ(stats.appends, misses);
+
+    EXPECT_EQ(ev.evaluate_many(flows, on), qor);
+    EXPECT_EQ(ev.evaluations(), misses);
+    const QorStoreStats again = store->stats();
+    EXPECT_EQ(again.lookups, 2 * flows.size());
+    EXPECT_EQ(again.hits, 2 * flows.size() - misses);
+    EXPECT_EQ(again.appends, misses);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(EvaluatorStoreTest, LookupWithoutAStoreReadsTheMemoAndValidates) {

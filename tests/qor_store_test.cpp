@@ -12,10 +12,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "core/evaluator.hpp"
 #include "core/flow_space.hpp"
@@ -360,6 +362,200 @@ TEST(QorStoreTest, AttachKeepsTheFirstRecordOfEveryKey) {
   EXPECT_EQ(compacted.size(), kLogB + 1);
   expect_first_records(compacted);
   EXPECT_EQ(compacted.lookup(design(kLogB), flow(kLogB)), qor(kLogB, 4));
+}
+
+// lookup_sorted answers every key as lookup() does, and counts what a
+// lookup() per key counts, on a store holding a segment, a run read from
+// two logs and appends in the index, each beside records of neighbouring
+// designs. The keys are every flow of up to 4 steps (stored ones, and
+// absent ones below, between and above them, prefixes and extensions of
+// stored ones, the empty flow), some 5-step extensions, repeats, keys the
+// caller already answered, and two keys moved out of order.
+TEST(QorStoreTest, SortedBatchLookupMatchesPointLookups) {
+  const std::string dir = fresh_dir("batch");
+  const aig::Fingerprint design = {0x5000, 7};
+  const aig::Fingerprint neighbours[] = {{0x4000, 7}, {0x5000, 6},
+                                         {0x5000, 8}, {0x6000, 0}};
+  std::vector<Flow> keys{Flow{}};
+  std::size_t count = 1;
+  for (std::size_t len = 1; len <= 4; ++len) {
+    count *= 6;
+    for (std::size_t c = 0; c < count; ++c) {
+      StepsKey digits(len);
+      std::size_t x = c;
+      for (auto it = digits.rbegin(); it != digits.rend(); ++it, x /= 6) {
+        *it = static_cast<opt::StepId>(x % 6);
+      }
+      keys.push_back(Flow{digits});
+    }
+  }
+  // Where a flow is stored: 0-1 the segment, 2 log a, 3 log b, 4 the index,
+  // 5-6 nowhere (the empty flow among them).
+  const auto where = [](const Flow& f) {
+    return f.steps.empty() ? 5 : StepsHash{}(f.steps) % 7;
+  };
+  const auto label = [](const Flow& f) {
+    return map::QoR{static_cast<double>(StepsHash{}(f.steps) % 1000), 1.0,
+                    f.steps.size(), 3};
+  };
+  const auto is_stored = [&](const Flow& f) {
+    return f.steps.size() <= 4 && where(f) < 5;
+  };
+  const std::size_t universe = keys.size();
+  const auto write = [&](const std::string& writer, std::size_t from,
+                         std::size_t to, bool compact) {
+    QorStore store({dir, writer, false, nullptr, {}});
+    for (std::size_t i = 0; i < universe; ++i) {
+      const std::size_t w = where(keys[i]);
+      if (w < from || w > to) continue;
+      ASSERT_TRUE(store.append(design, keys[i].steps, label(keys[i])));
+      store.append(neighbours[i % 4], keys[i].steps, label(keys[0]));
+    }
+    if (compact) {
+      ASSERT_TRUE(store.compact().performed);
+    }
+  };
+  write("seed", 0, 1, true);
+  write("a", 2, 2, false);
+  write("b", 3, 3, false);
+  for (std::size_t i = 0; i < universe; i += 7) {
+    StepsKey longer = keys[i].steps;
+    longer.resize(5, static_cast<opt::StepId>(i % 6));
+    keys.push_back(Flow{longer});
+  }
+  keys.push_back(Flow{steps({5, 5, 5, 5, 5, 5})});
+  for (std::size_t i = 3; i < universe; i += 97) keys.push_back(keys[i]);
+
+  std::vector<std::size_t> order = lexicographic_order(keys);
+  // Two stored keys, one in the segment and one in the run, move to the
+  // end of the batch, each below the key before it.
+  for (const std::size_t store_at : {0u, 2u}) {
+    const auto moved = std::find_if(
+        order.begin() + static_cast<std::ptrdiff_t>(order.size() / 3),
+        order.end(),
+        [&](std::size_t i) { return where(keys[i]) == store_at; });
+    ASSERT_NE(moved, order.end());
+    const std::size_t i = *moved;
+    order.erase(moved);
+    order.push_back(i);
+  }
+
+  const map::QoR sentinel{-1.0, -1.0, 0, 0};
+  const auto check = [&](QorStore& store) {
+    std::vector<map::QoR> out(keys.size());
+    std::vector<bool> answered(keys.size());
+    std::size_t skipped = 0;
+    for (std::size_t k = 0; k < order.size(); k += 50, ++skipped) {
+      answered[order[k]] = true;
+      out[order[k]] = sentinel;
+    }
+    const QorStoreStats before = store.stats();
+    const std::size_t hits =
+        store.lookup_sorted(design, keys, order, out, answered);
+    const QorStoreStats batch = store.stats();
+    std::size_t wrong = 0;
+    std::size_t stored = 0;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::size_t i = order[k];
+      if (k % 50 == 0) {
+        if (!answered[i] || out[i] != sentinel) ++wrong;
+        continue;
+      }
+      const std::optional<map::QoR> point = store.lookup(design, keys[i].steps);
+      const std::optional<map::QoR> got =
+          answered[i] ? std::optional<map::QoR>(out[i]) : std::nullopt;
+      if (got != point) ++wrong;
+      if (point) ++stored;
+      if (point.has_value() != is_stored(keys[i])) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_EQ(hits, stored);
+    const QorStoreStats after = store.stats();
+    EXPECT_EQ(batch.lookups - before.lookups, keys.size() - skipped);
+    EXPECT_EQ(batch.lookups - before.lookups, after.lookups - batch.lookups);
+    EXPECT_EQ(batch.hits - before.hits, after.hits - batch.hits);
+
+    // Already in order, the batch needs no permutation.
+    std::vector<Flow> sorted;
+    for (const std::size_t i : lexicographic_order(keys)) {
+      sorted.push_back(keys[i]);
+    }
+    std::vector<bool> in_order(sorted.size());
+    EXPECT_EQ(store.lookup_sorted(design, sorted, {}, out, in_order),
+              static_cast<std::size_t>(
+                  std::count_if(keys.begin(), keys.end(), is_stored)));
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      if (in_order[i] && out[i] != label(sorted[i])) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u);
+  };
+
+  QorStore reader({dir, "reader", false, nullptr, {}});
+  for (std::size_t i = 0; i < universe; ++i) {
+    if (where(keys[i]) != 4) continue;
+    ASSERT_TRUE(reader.append(design, keys[i].steps, label(keys[i])));
+    reader.append(neighbours[i % 4], keys[i].steps, label(keys[0]));
+  }
+  EXPECT_EQ(reader.stats().segments_loaded, 1u);
+  EXPECT_GT(reader.index_stats().entries, 0u);
+  {
+    SCOPED_TRACE("segment, run and index");
+    check(reader);
+  }
+  ASSERT_TRUE(reader.compact().performed);
+  {
+    SCOPED_TRACE("compacted");
+    check(reader);
+  }
+  QorStore reattached({dir, "reader2", false, nullptr, {}});
+  {
+    SCOPED_TRACE("re-attached");
+    check(reattached);
+  }
+}
+
+// Batch lookups on one thread while another appends and compacts: every
+// answer is a miss or the record its key was stored with, and every key
+// stored before the race is found throughout.
+TEST(QorStoreTest, BatchLookupsRaceAppendsAndCompactions) {
+  const std::string dir = fresh_dir("batchrace");
+  const aig::Fingerprint design = {0x77, 0x88};
+  util::Rng rng(11);
+  const std::vector<Flow> flows = FlowSpace(1).sample_unique(300, rng);
+  const auto label = [](const Flow& f) {
+    return map::QoR{static_cast<double>(StepsHash{}(f.steps) % 4096), 2.0,
+                    f.steps.size(), 1};
+  };
+  constexpr std::size_t kBefore = 100;
+  QorStore store({dir, "writer", false, nullptr, {}});
+  for (std::size_t i = 0; i < kBefore; ++i) {
+    ASSERT_TRUE(store.append(design, flows[i].steps, label(flows[i])));
+  }
+  ASSERT_TRUE(store.compact().performed);
+  const std::vector<std::size_t> order = lexicographic_order(flows);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::size_t i = kBefore; i < flows.size(); ++i) {
+      store.append(design, flows[i].steps, label(flows[i]));
+      if (i % 40 == 0) store.compact();
+    }
+    done.store(true);
+  });
+  std::size_t wrong = 0;
+  const auto round = [&] {
+    std::vector<map::QoR> out(flows.size());
+    std::vector<bool> answered(flows.size());
+    const std::size_t found =
+        store.lookup_sorted(design, flows, order, out, answered);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (answered[i] ? out[i] != label(flows[i]) : i < kBefore) ++wrong;
+    }
+    return found;
+  };
+  for (std::size_t rounds = 0; !done.load() || rounds < 3; ++rounds) round();
+  writer.join();
+  EXPECT_EQ(round(), flows.size());
+  EXPECT_EQ(wrong, 0u);
 }
 
 TEST(QorStoreTest, RejectsUnusableDirectory) {

@@ -22,6 +22,7 @@
 #include "aig/serialize.hpp"
 #include "core/evaluator.hpp"
 #include "core/qor_store.hpp"
+#include "core/quarantine.hpp"
 #include "core/flow_space.hpp"
 #include "core/pipeline.hpp"
 #include "designs/registry.hpp"
@@ -1369,6 +1370,107 @@ TEST(ServiceTest, CoordinatorAnswersStoredFlowsAndShipsOnlyTheRest) {
   EXPECT_EQ(completions, std::vector<std::size_t>(flows.size(), 1));
   core::SynthesisEvaluator local(designs::make_design("alu:4"));
   expect_bit_identical(qor, local.evaluate_many(flows));
+  coordinator.shutdown_workers();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceTest, WorkerAnswersStoredFlowsAndSynthesizesOnlyTheRest) {
+  // The worker's store holds every other flow of a one-request batch under
+  // a label no synthesis gives. Serial and pooled, the worker answers those
+  // from its store and synthesizes exactly the others, looking each flow
+  // up in the store once.
+  const aig::Aig design = designs::make_design("alu:4");
+  const auto flows = sample_flows(30, 2, 24);
+  std::vector<Flow> stored;
+  std::vector<map::QoR> labels;
+  for (std::size_t i = 0; i < flows.size(); i += 2) {
+    stored.push_back(flows[i]);
+    labels.push_back(stored_label(i));
+  }
+  const opt::TransformRegistry& registry = *opt::TransformRegistry::paper();
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::string dir = ::testing::TempDir() + "flowgen_worker_store_" +
+                            std::to_string(threads) + "_" +
+                            std::to_string(::getpid());
+    write_labels(dir, design, stored, labels);
+    WorkerOptions options;
+    options.design_id = "alu:4";
+    options.qor_store_dir = dir;
+    options.threads = threads;
+    EvalWorker worker(options);
+    auto [coordinator_end, worker_end] = socket_pair();
+    std::thread server([&worker, sock = std::move(worker_end)]() mutable {
+      worker.serve(sock);
+    });
+    std::vector<EvalCoordinator::Worker> workers;
+    workers.push_back(
+        EvalCoordinator::Worker{std::move(coordinator_end), "thread"});
+    CoordinatorConfig config;
+    config.shards_per_worker = 1;
+    EvalCoordinator coordinator(std::move(workers), "alu:4", config);
+    const std::vector<map::QoR> qor = coordinator.evaluate_many(flows);
+    EXPECT_EQ(coordinator.stats().requests_sent, 1u);
+    coordinator.shutdown_workers();
+    server.join();
+
+    ASSERT_EQ(qor.size(), flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_EQ(qor[i], i % 2 == 0 ? stored_label(i)
+                                   : map::evaluate_qor(registry.apply_steps(
+                                         design, flows[i].steps)))
+          << "flow " << i;
+    }
+    ASSERT_NE(worker.current_evaluator(), nullptr);
+    EXPECT_EQ(worker.current_evaluator()->evaluations(),
+              flows.size() - stored.size());
+    const auto stores = worker.open_stores();
+    ASSERT_EQ(stores.size(), 1u);
+    const core::QorStoreStats st = stores[0]->stats();
+    EXPECT_EQ(st.lookups, flows.size());
+    EXPECT_EQ(st.hits, stored.size());
+    EXPECT_EQ(st.appends, flows.size() - stored.size());
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(ServiceTest, QuarantinedFlowIsNeverAnsweredFromTheStore) {
+  // Every flow of the batch is stored and one of them is also convicted:
+  // quarantine outranks the store. That flow is reported, never answered
+  // (no label, no callback, no store lookup), and the rest come from the
+  // store without a request crossing the wire.
+  const std::string dir = ::testing::TempDir() + "flowgen_quarantine_store_" +
+                          std::to_string(::getpid());
+  const aig::Aig design = designs::make_design("alu:4");
+  const auto flows = sample_flows(12, 2, 25);
+  std::vector<map::QoR> labels;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    labels.push_back(stored_label(i));
+  }
+  write_labels(dir, design, flows, labels);
+  constexpr std::size_t kConvicted = 5;
+  core::QuarantineList(dir).add(design.fingerprint(),
+                                flows[kConvicted].steps, 3, "poisoned");
+  ThreadFleet fleet(1);
+  EvalCoordinator coordinator(fleet.take_workers(), "alu:4");
+  auto store = std::make_shared<core::QorStore>(
+      core::QorStoreConfig{dir, "coord", false, nullptr, {}});
+  coordinator.attach_store(store);
+  std::vector<std::size_t> completions(flows.size(), 0);
+  BatchReport report;
+  const auto qor = coordinator.evaluate_many(
+      flows, [&](std::size_t i, const map::QoR&) { ++completions[i]; },
+      &report);
+  EXPECT_EQ(report.quarantined, std::vector<std::size_t>{kConvicted});
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const bool convicted = i == kConvicted;
+    EXPECT_EQ(completions[i], convicted ? 0u : 1u) << "flow " << i;
+    EXPECT_EQ(qor[i], convicted ? map::QoR{} : labels[i]) << "flow " << i;
+  }
+  const CoordinatorStats stats = coordinator.stats();
+  EXPECT_EQ(stats.store_hits, flows.size() - 1);
+  EXPECT_EQ(stats.requests_sent, 0u);
+  EXPECT_EQ(store->stats().lookups, flows.size() - 1);
   coordinator.shutdown_workers();
   std::filesystem::remove_all(dir);
 }
