@@ -9,7 +9,11 @@
 //            bench/e2e's recall_store fixture: the run is also merged
 //            against the segment.
 //
-// BM_StoreAttach times each layout's attach. On the mixed layout,
+// BM_StoreAttach times each layout's attach. BM_StoreAppend prices the
+// records a process appends after attach: N fresh labels into an empty
+// store directory (a log write and a hash-map insert each), then one
+// lookup_sorted over all of them, reported apart as `ns_per_append` and
+// `ns_per_key` (at 2*10^4 and 10^5 records). On the mixed layout,
 // BM_StoreLookup looks every stored flow up: point_random one lookup() per
 // flow in the order they were sampled, point_sorted one per flow in
 // core::lexicographic_order, batch_sorted one lookup_sorted() over that
@@ -25,6 +29,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -44,6 +49,13 @@ namespace fs = std::filesystem;
 enum class Layout { kSegment, kLog, kMixed };
 
 constexpr aig::Fingerprint kDesign = {0x416C753136ull, 0x9e3779b97f4a7c15ull};
+
+/// The synthetic label of the i-th flow.
+map::QoR label(std::size_t i) {
+  return map::QoR{100.0 + 0.25 * static_cast<double>(i % 4096),
+                  500.0 + static_cast<double>(i % 997), 200 + i % 1000,
+                  i % 40};
+}
 
 /// A store directory seeded once and removed at exit.
 class SeededStore {
@@ -67,10 +79,7 @@ public:
     core::QorStore store(config);
     for (std::size_t i = 0; i < flows.size(); ++i) {
       if (i == compacted && i > 0) store.compact();
-      store.append(kDesign, flows[i].steps,
-                   map::QoR{100.0 + 0.25 * static_cast<double>(i % 4096),
-                            500.0 + static_cast<double>(i % 997),
-                            200 + i % 1000, i % 40});
+      store.append(kDesign, flows[i].steps, label(i));
     }
     if (compacted == records) store.compact();
   }
@@ -123,6 +132,56 @@ BENCHMARK_CAPTURE(BM_StoreAttach, log, Layout::kLog)
     ->Arg(20000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_StoreAttach, mixed, Layout::kMixed)
     ->Arg(20000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+void BM_StoreAppend(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const auto records = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(2);
+  const std::vector<core::Flow> flows =
+      core::FlowSpace(2).sample_unique(records, rng);
+  const std::vector<std::size_t> sorted = core::lexicographic_order(flows);
+  core::QorStoreConfig config;
+  config.dir = (fs::temp_directory_path() /
+                ("flowgen_micro_store_append_" + std::to_string(::getpid()) +
+                 "_" + std::to_string(records)))
+                   .string();
+  config.writer_name = "append";
+  std::vector<map::QoR> out(records);
+  std::vector<bool> answered;
+  std::optional<core::QorStore> store;
+  double append_s = 0.0;
+  double lookup_s = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    store.reset();
+    fs::remove_all(config.dir);
+    store.emplace(config);
+    answered.assign(records, false);
+    state.ResumeTiming();
+    const Clock::time_point t0 = Clock::now();
+    for (std::size_t i = 0; i < records; ++i) {
+      store->append(kDesign, flows[i].steps, label(i));
+    }
+    const Clock::time_point t1 = Clock::now();
+    const std::size_t hits =
+        store->lookup_sorted(kDesign, flows, sorted, out, answered);
+    const Clock::time_point t2 = Clock::now();
+    append_s += std::chrono::duration<double>(t1 - t0).count();
+    lookup_s += std::chrono::duration<double>(t2 - t1).count();
+    if (hits != records) {
+      state.SkipWithError("an appended flow was not found");
+      break;
+    }
+  }
+  store.reset();
+  fs::remove_all(config.dir);
+  const double keys =
+      static_cast<double>(state.iterations()) * static_cast<double>(records);
+  state.counters["ns_per_append"] = append_s * 1e9 / keys;
+  state.counters["ns_per_key"] = lookup_s * 1e9 / keys;
+}
+BENCHMARK(BM_StoreAppend)->Arg(20000)->Arg(100000)->Unit(
+    benchmark::kMillisecond);
 
 enum class Lookup { kPointRandom, kPointSorted, kBatchSorted };
 

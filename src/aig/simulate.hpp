@@ -1,7 +1,8 @@
 #pragma once
-// Bit-parallel random simulation. Used (a) as the project-wide equivalence
-// oracle — every synthesis transform must preserve all PO signatures — and
-// (b) to compute exact truth tables of cut cones.
+// Bit-parallel simulation. Used (a) as the project-wide equivalence oracle —
+// every synthesis transform must preserve all PO signatures, under random
+// patterns or, for small designs, under every input pattern — and (b) to
+// compute exact truth tables of cut cones.
 
 #include <cstdint>
 #include <span>
@@ -36,6 +37,11 @@ private:
 /// additionally run multiple seeds.
 bool random_equivalent(const Aig& a, const Aig& b, util::Rng& rng,
                        std::size_t words = 8);
+
+/// True iff both graphs have identical PI/PO arity and every PO agrees on
+/// all 2^n input patterns (n = PIs), simulated 64 per word: a proof, not a
+/// sample. Throws std::invalid_argument past 24 inputs.
+bool exhaustive_equivalent(const Aig& a, const Aig& b);
 
 /// Exact truth table of `root` as a function of `leaves` (in order), where
 /// every other node in the transitive fanin of `root` must be expressible

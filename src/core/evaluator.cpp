@@ -1,7 +1,6 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "core/qor_store.hpp"
 #include "opt/transform.hpp"
@@ -20,9 +19,10 @@ SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
       registry_(config.registry ? config.registry
                                 : opt::TransformRegistry::paper()),
       lib_(lib),
-      mapper_params_(mapper_params) {
+      mapper_params_(mapper_params),
+      store_(std::make_shared<QorStore>(registry_)) {
   tm_evaluations_ = &telemetry::counter(
-      "flowgen_evaluations_total", "Flow-level QoR cache misses evaluated");
+      "flowgen_evaluations_total", "Flows synthesized (QoR store misses)");
   tm_transforms_applied_ = &telemetry::counter(
       "flowgen_transforms_applied_total", "Transform passes actually run");
   tm_transforms_skipped_ = &telemetry::counter(
@@ -46,27 +46,13 @@ SynthesisEvaluator::SynthesisEvaluator(aig::Aig design,
   }
 }
 
-std::optional<map::QoR> SynthesisEvaluator::memo_find(StepsView steps) const {
-  QorShard& shard = shard_for_flow(steps);
-  std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.by_flow.find(steps); it != shard.by_flow.end()) {
-    return it->second;
-  }
-  return std::nullopt;
-}
-
 std::optional<map::QoR> SynthesisEvaluator::lookup(const Flow& flow) const {
   const StepsView steps(flow.steps);
-  // Alphabet guard before any cache or dispatch sees the bytes: a stray id
+  // Alphabet guard before any store or dispatch sees the bytes: a stray id
   // (hand-built flow, hostile wire peer) is a typed RegistryError here, not
   // undefined dispatch three layers down.
   registry_->validate_steps(steps);
-  if (const auto known = memo_find(steps)) return known;
-  // Labels load lazily and stay in the store: attaching a 10^6-record
-  // store costs nothing up front, a rerun of a fully labeled batch
-  // performs zero evaluations, and the memo never holds a second copy.
-  if (store_) return store_->lookup(design_fp_, steps);
-  return std::nullopt;
+  return store_->lookup(design_fp_, steps);
 }
 
 std::size_t SynthesisEvaluator::lookup_many(
@@ -75,18 +61,7 @@ std::size_t SynthesisEvaluator::lookup_many(
   // Caller order reads each flow's steps where they were allocated, one
   // after the other; the sorted order would visit them at random.
   for (const Flow& f : flows) registry_->validate_steps(f.steps);
-  std::size_t known =
-      store_ ? store_->lookup_sorted(design_fp_, flows, order, out, answered)
-             : 0;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (answered[i]) continue;
-    if (const auto memo = memo_find(flows[i].steps)) {
-      out[i] = *memo;
-      answered[i] = true;
-      ++known;
-    }
-  }
-  return known;
+  return store_->lookup_sorted(design_fp_, flows, order, out, answered);
 }
 
 map::QoR SynthesisEvaluator::evaluate(const Flow& flow) const {
@@ -98,37 +73,29 @@ map::QoR SynthesisEvaluator::evaluate(const Flow& flow) const {
 map::QoR SynthesisEvaluator::evaluate(const Flow& flow, Trail& trail) const {
   const StepsView steps(flow.steps);
   registry_->validate_steps(steps);
-  if (const auto known = memo_find(steps)) return *known;
   return synthesize_and_keep(steps, trail);
 }
 
 map::QoR SynthesisEvaluator::synthesize_and_keep(StepsView steps,
                                                  Trail& trail) const {
   const map::QoR qor = synthesize(steps, trail);
-  bool first = false;
-  {
-    QorShard& shard = shard_for_flow(steps);
-    std::lock_guard lock(shard.mutex);
-    if (shard.by_flow.emplace(StepsKey(steps.begin(), steps.end()), qor)
-            .second) {
-      evaluations_.fetch_add(1, std::memory_order_relaxed);
-      tm_evaluations_->inc();
-      first = true;
-    }
+  // The store refuses a label it already holds (a repeat the trail
+  // answered, or a flow another thread labeled first), so a flow counts
+  // once. A failed append (disk full, I/O error) still counts: the label
+  // is correct, so returning it beats failing the evaluation, but the
+  // store keeps nothing it did not write and the flow is synthesized again
+  // the next time it is asked for.
+  bool fresh = true;
+  try {
+    fresh = store_->append(design_fp_, steps, qor);
+  } catch (const std::exception& e) {
+    util::log_warn("evaluator: QoR store append failed (label returned, "
+                   "not kept): ",
+                   e.what());
   }
-  // Persist outside the shard lock; QorStore::append dedups, so the rare
-  // two-threads-race-one-flow case writes the record once either way.
-  // A failed append (disk full, I/O error) degrades to "not persisted":
-  // the label itself is correct and already cached, so returning it beats
-  // failing the evaluation — the record is simply re-earned next run.
-  if (first && store_) {
-    try {
-      store_->append(design_fp_, steps, qor);
-    } catch (const std::exception& e) {
-      util::log_warn("evaluator: QoR store append failed (label kept "
-                     "in-memory): ",
-                     e.what());
-    }
+  if (fresh) {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    tm_evaluations_->inc();
   }
   return qor;
 }
@@ -144,19 +111,22 @@ void SynthesisEvaluator::attach_store(std::shared_ptr<QorStore> store) {
         " does not match the evaluator's " +
         opt::registry_fingerprint_hex(registry_->fingerprint()));
   }
-  store_ = std::move(store);
+  store_ = store ? std::move(store) : std::make_shared<QorStore>(registry_);
 }
 
 map::QoR SynthesisEvaluator::synthesize(StepsView steps, Trail& trail) const {
-  if (steps.empty()) return map_graph(design_);
   if (trail.design_ != design_fp_ ||
       trail.registry_ != registry_->fingerprint()) {
     // The same step bytes mean other graphs here: never resume from them.
     trail.steps_.clear();
     trail.graphs_.clear();
+    trail.qor_.reset();
     trail.design_ = design_fp_;
     trail.registry_ = registry_->fingerprint();
   }
+  // Equal flows sort next to each other, so a repeat in a batch finds its
+  // twin on the trail: the same label, with no pass and no mapping.
+  if (trail.qor_ && StepsEqual{}(steps, trail.steps_)) return *trail.qor_;
   telemetry::Span span("eval", "evaluate_flow");
   // Resume after the longest prefix shared with the trail's flow (possibly
   // all of `steps`), drop the trail's diverging suffix, and record every
@@ -168,6 +138,7 @@ map::QoR SynthesisEvaluator::synthesize(StepsView steps, Trail& trail) const {
       steps.begin());
   trail.steps_.resize(depth);
   trail.graphs_.resize(depth);
+  trail.qor_.reset();  // a synthesis that throws leaves no stale label
   if (depth > 0) {
     transforms_skipped_.fetch_add(depth, std::memory_order_relaxed);
     tm_transforms_skipped_->inc(depth);
@@ -188,7 +159,8 @@ map::QoR SynthesisEvaluator::synthesize(StepsView steps, Trail& trail) const {
     transforms_applied_.fetch_add(1, std::memory_order_relaxed);
     tm_transforms_applied_->inc();
   }
-  return map_graph(trail.graphs_.back());
+  trail.qor_ = map_graph(steps.empty() ? design_ : trail.graphs_.back());
+  return *trail.qor_;
 }
 
 map::QoR SynthesisEvaluator::map_graph(const aig::Aig& g) const {
@@ -211,8 +183,8 @@ std::vector<map::QoR> SynthesisEvaluator::evaluate_many(
   // Lexicographic step order is the store's own order for one design, so
   // the store answers the whole batch in one merge; and it puts flows
   // sharing a prefix back to back, so each flow synthesized resumes from
-  // the graphs its predecessor left on the trail. The memo is asked again
-  // right before each synthesis: a flow may repeat within the batch.
+  // the graphs its predecessor left on the trail, or, when it repeats its
+  // predecessor, with the label that flow left there.
   std::vector<std::size_t> order = lexicographic_order(flows);
   std::vector<bool> known(flows.size());
   if (lookup_many(flows, order, out, known) > 0) {
@@ -239,15 +211,6 @@ std::vector<map::QoR> SynthesisEvaluator::evaluate_many(
 }
 
 map::QoR SynthesisEvaluator::baseline() const { return evaluate(Flow{}); }
-
-std::size_t SynthesisEvaluator::cache_size() const {
-  std::size_t total = 0;
-  for (const QorShard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    total += shard.by_flow.size();
-  }
-  return total;
-}
 
 EvaluatorStats SynthesisEvaluator::stats() const {
   EvaluatorStats s;

@@ -4,28 +4,26 @@
 // dominant runtime of the whole pipeline (as in the paper, where dataset
 // collection is ~95% of wall-clock), so evaluation reuses work twice:
 //
-//  * QoR results are memoised in a sharded map keyed by the packed step
-//    sequence (no string keys, no global lock on the hot path), and an
-//    attached QorStore answers what earlier runs labeled: a batch asks the
-//    store first, in one pass over its sorted records, and only the
-//    store's misses go on to the memo and to synthesis,
+//  * every label lives in one QorStore: a memory-only one of the
+//    evaluator's own until attach_store replaces it with a persistent one.
+//    Every path asks the store first (a batch in one pass over its sorted
+//    records), only the store's misses are synthesized, and each fresh
+//    label is appended to the store once,
 //  * synthesis resumes from a Trail: the graphs of the flow last
 //    synthesized through it. Every batch is evaluated in lexicographic
 //    order, where the longest prefix a flow shares with any earlier flow is
 //    the one it shares with the flow just before it, so one trail per
-//    sorted run skips every pass a cache of all prefixes would.
+//    sorted run skips every pass a cache of all prefixes would; a flow
+//    equal to the trail's own is answered with the trail's label.
 //
 // Both are exact: a trail graph *is* the AIG of that prefix and mapping is
 // a pure function of the graph, so resumed, serial and parallel evaluation
 // return bit-identical QoR.
 
-#include <array>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -55,13 +53,14 @@ struct EvaluatorConfig {
 };
 
 /// Counters for benchmarking and regression tracking; all monotonic.
-/// The memo is check-then-act without holding a lock across synthesis, so
-/// two threads racing on the same flow may both do the work (first result
-/// wins, results are identical either way). Exact invariants like
-/// mappings == evaluations therefore hold for serial batches only; under
-/// concurrency the counters can overshoot by the number of such races.
+/// The store is check-then-act without holding a lock across synthesis, so
+/// two threads racing on the same flow may both do the work (results are
+/// identical either way). Only the synthesis whose append the store takes
+/// counts as an evaluation, so `evaluations` counts such a flow once, but
+/// transforms and mappings count both: exact invariants like mappings ==
+/// evaluations hold for serial batches only.
 struct EvaluatorStats {
-  std::size_t evaluations = 0;        ///< flow-level memo misses synthesized
+  std::size_t evaluations = 0;        ///< store misses synthesized
   std::size_t transforms_applied = 0; ///< transform passes actually run
   std::size_t transforms_skipped = 0; ///< passes saved by trail resume
   std::size_t mappings = 0;           ///< technology mappings actually run
@@ -69,17 +68,20 @@ struct EvaluatorStats {
 
 class SynthesisEvaluator : public FlowEvaluator {
 public:
-  /// The steps of the flow last synthesized through this trail and the
-  /// graph after each of them, under the (design, registry) it was filled
-  /// by. evaluate(flow, trail) resumes from the longest step prefix `flow`
-  /// shares with it and leaves the trail holding `flow`; a trail filled by
-  /// another design or alphabet starts over. Hand one trail the flows of a
-  /// lexicographically sorted run. A trail belongs to one thread at a time.
+  /// The steps of the flow last synthesized through this trail, the graph
+  /// after each of them and the flow's label, under the (design, registry)
+  /// it was filled by. evaluate(flow, trail) answers a flow equal to the
+  /// trail's with its label (no pass, no mapping), else resumes from the
+  /// longest step prefix `flow` shares with it and leaves the trail holding
+  /// `flow`; a trail filled by another design or alphabet starts over.
+  /// Hand one trail the flows of a lexicographically sorted run. A trail
+  /// belongs to one thread at a time.
   class Trail {
   private:
     friend class SynthesisEvaluator;
     StepsKey steps_;
     std::vector<aig::Aig> graphs_;  ///< graphs_[i]: after steps_[0..i]
+    std::optional<map::QoR> qor_;   ///< label of steps_, once mapped
     aig::Fingerprint design_{};
     opt::RegistryFingerprint registry_{};
   };
@@ -99,50 +101,49 @@ public:
     return registry_;
   }
 
-  /// Attach a persistent label store: stored records answer lookup(),
-  /// evaluate(flow) and lookup_many() straight from the store (attach is
-  /// O(1) even at 10^6+ records, and a hit is not copied into the memo, so
-  /// the store stays the only copy of its labels), and every genuinely
-  /// fresh result is appended to the store as it completes. lookup() asks
-  /// the memo first and the store for the memo's misses; a batch
-  /// (evaluate_many, lookup_many) asks the store first and the memo only
-  /// for the store's misses. Both hold labels of one pure evaluation, so
-  /// the order changes no bit. Throws opt::RegistryError when the store's
-  /// registry fingerprint differs from this evaluator's — labels keyed by
-  /// another alphabet must never answer for this one. Call before
-  /// evaluation starts; not thread-safe against concurrent evaluate().
+  /// Replace the evaluator's store with a persistent one: its records
+  /// answer every lookup straight from the store (attach is O(1) even at
+  /// 10^6+ records, and nothing is copied out of it), and every fresh
+  /// label is appended to it as it completes. Labels the evaluator held
+  /// before are dropped with its previous store. A null store gives the
+  /// evaluator a fresh memory-only one. Throws opt::RegistryError when the
+  /// store's registry fingerprint differs from this evaluator's — labels
+  /// keyed by another alphabet must never answer for this one. Call
+  /// before evaluation starts; not thread-safe against concurrent
+  /// evaluate().
   void attach_store(std::shared_ptr<QorStore> store);
 
-  /// The label `flow` already has, without synthesizing: the memo of
-  /// results this evaluator computed, then the attached store; nullopt when
-  /// neither holds one. Validates the flow like evaluate(). Thread-safe.
+  /// The label `flow` already has in the store, without synthesizing;
+  /// nullopt when it has none. Validates the flow like evaluate().
+  /// Thread-safe.
   std::optional<map::QoR> lookup(const Flow& flow) const;
 
   /// lookup(), and on a miss synthesize (transform sequence) + map +
-  /// report QoR, memoised by packed flow key and appended to the store.
-  /// Thread-safe.
+  /// report QoR, appended to the store. Thread-safe.
   map::QoR evaluate(const Flow& flow) const override;
-  /// The memo's label for `flow`, else a fresh one synthesized from the
-  /// longest prefix `flow` shares with `trail`'s flow (see Trail), memoised
-  /// and appended to the store. It does not ask the store: a batch asks it
-  /// once for all its flows (lookup_many) and hands the misses here.
-  /// Validates the flow like evaluate(). Thread-safe for distinct trails.
+  /// A label synthesized from the longest prefix `flow` shares with
+  /// `trail`'s flow (see Trail), appended to the store. It does not ask
+  /// the store: a batch asks it once for all its flows (lookup_many) and
+  /// hands the misses here. Validates the flow like evaluate().
+  /// Thread-safe for distinct trails.
+  ///
+  /// A label whose append fails (disk full, I/O error) is still returned
+  /// and counted as an evaluation, but the store holds only what it wrote:
+  /// that flow is synthesized again the next time it is asked for.
   map::QoR evaluate(const Flow& flow, Trail& trail) const;
 
-  /// lookup() for a batch: the labels its flows already have. The attached
-  /// store answers first, in one QorStore::lookup_sorted pass under one
-  /// lock (see there for `order`, `out` and `answered`; an empty `order`
-  /// means `flows` is already in lexicographic order), and the memo then
-  /// answers the store's misses. Validates every flow like evaluate(), in
-  /// caller order, before either. Returns the number of flows answered.
-  /// Thread-safe.
+  /// lookup() for a batch: the labels its flows already have, in one
+  /// QorStore::lookup_sorted pass under one lock (see there for `order`,
+  /// `out` and `answered`; an empty `order` means `flows` is already in
+  /// lexicographic order). Validates every flow like evaluate(), in caller
+  /// order, first. Returns the number of flows answered. Thread-safe.
   std::size_t lookup_many(std::span<const Flow> flows,
                           std::span<const std::size_t> order,
                           std::span<map::QoR> out,
                           std::vector<bool>& answered) const;
 
   /// Evaluate a batch, optionally across a thread pool. lookup_many answers
-  /// what the store and the memo hold, in lexicographic step order, and
+  /// what the store holds, in lexicographic step order, and
   /// evaluate(flow, trail) synthesizes the rest in that order (results keep
   /// caller order), one trail per contiguous run of it, so flows sharing a
   /// prefix run back to back and each resumes from its predecessor's
@@ -154,29 +155,14 @@ public:
   /// QoR of the unsynthesized design (empty flow).
   map::QoR baseline() const override;
 
-  /// Results memoised by evaluate() (store hits are not among them).
-  std::size_t cache_size() const;
-  /// Total number of flows synthesized (memo and store misses).
+  /// Total number of flows synthesized (store misses).
   std::size_t evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);
   }
   EvaluatorStats stats() const;
 
 private:
-  /// Independently locked shards of the memo (a power of two).
-  static constexpr std::size_t kQorShards = 16;
-  struct QorShard {
-    mutable std::mutex mutex;
-    std::unordered_map<StepsKey, map::QoR, StepsHash, StepsEqual> by_flow;
-  };
-
-  QorShard& shard_for_flow(StepsView steps) const {
-    return shards_[StepsHash{}(steps) & (kQorShards - 1)];
-  }
-
-  /// The memo's label for validated `steps`, or nullopt.
-  std::optional<map::QoR> memo_find(StepsView steps) const;
-  /// synthesize(), then memoise the result and append it to the store.
+  /// synthesize(), then append the result to the store.
   map::QoR synthesize_and_keep(StepsView steps, Trail& trail) const;
   /// Miss path: synthesis resumed from `trail`, then mapping.
   map::QoR synthesize(StepsView steps, Trail& trail) const;
@@ -187,9 +173,7 @@ private:
   std::shared_ptr<const opt::TransformRegistry> registry_;
   const map::CellLibrary& lib_;
   map::MapperParams mapper_params_;
-  std::shared_ptr<QorStore> store_;
-
-  mutable std::array<QorShard, kQorShards> shards_;
+  std::shared_ptr<QorStore> store_;  ///< never null
 
   /// Telemetry handles, resolved once at construction so the hot path
   /// never touches the registry map. Per-spec latency histograms are

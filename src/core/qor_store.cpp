@@ -42,9 +42,8 @@ StoreMetrics& store_metrics() {
       telemetry::counter("flowgen_qor_store_appends_total",
                          "Label records appended to the QoR store"),
       telemetry::counter("flowgen_qor_store_lookups_total",
-                         "QoR store index lookups"),
-      telemetry::counter("flowgen_qor_store_hits_total",
-                         "QoR store index hits"),
+                         "QoR store lookups"),
+      telemetry::counter("flowgen_qor_store_hits_total", "QoR store hits"),
       telemetry::counter("flowgen_qor_store_records_loaded_total",
                          "Label records loaded from .qorlog files"),
       telemetry::histogram("flowgen_qor_store_load_ms",
@@ -485,6 +484,10 @@ QorStore::QorStore(QorStoreConfig config)
   }
 }
 
+QorStore::QorStore(std::shared_ptr<const opt::TransformRegistry> registry)
+    : registry_(registry ? std::move(registry)
+                         : opt::TransformRegistry::paper()) {}
+
 QorStore::~QorStore() {
   if (fd_ >= 0) ::close(fd_);
 }
@@ -728,15 +731,15 @@ void QorStore::add_run_locked(PendingRun& run) {
   const std::uint8_t* data = taken.bytes.data();
   std::vector<RunKey> keys = sorted_first_records(data, taken.offsets);
   // First record wins: every segment and earlier run was attached or
-  // loaded before this run, and the index holds appends (which compact()'s
-  // rescan reads back from the log).
+  // loaded before this run, and appended_ holds this process's appends
+  // (which compact()'s rescan reads back from the log).
   for (const Segment& s : segments_) {
     drop_held(s.data(), s.offsets, data, keys);
   }
-  if (index_.size() > 0) {
+  if (!appended_.empty()) {
     std::erase_if(keys, [&](const RunKey& key) {
       const std::uint8_t* e = data + key.offset;
-      return index_.find(entry_design(e), entry_steps(e)).has_value();
+      return appended_find_locked(entry_design(e), entry_steps(e)) != nullptr;
     });
   }
   if (keys.empty()) return;
@@ -938,12 +941,20 @@ const std::uint8_t* QorStore::segment_find_locked(
   return nullptr;
 }
 
+const map::QoR* QorStore::appended_find_locked(const aig::Fingerprint& design,
+                                              StepsView steps) const {
+  const auto labels = appended_.find(design);
+  if (labels == appended_.end()) return nullptr;
+  const auto it = labels->second.find(steps);
+  return it == labels->second.end() ? nullptr : &it->second;
+}
+
 std::optional<map::QoR> QorStore::find_locked(const aig::Fingerprint& design,
                                               StepsView steps) const {
-  // Appends since attach probe the cuckoo index in O(1); segment and run
-  // records binary-search. The sets are kept disjoint, so order is a
-  // fast-path choice, not a correctness one.
-  if (const auto hit = index_.find(design, steps)) return hit;
+  // Appends since attach are hashed; segment and run records
+  // binary-search. The sets are kept disjoint, so order is a fast-path
+  // choice, not a correctness one.
+  if (const map::QoR* qor = appended_find_locked(design, steps)) return *qor;
   if (const std::uint8_t* e = segment_find_locked(design, steps)) {
     return decode_entry_qor(e);
   }
@@ -953,6 +964,12 @@ std::optional<map::QoR> QorStore::find_locked(const aig::Fingerprint& design,
 std::size_t QorStore::segment_records_locked() const {
   std::size_t n = 0;
   for (const Segment& s : segments_) n += s.offsets.size();
+  return n;
+}
+
+std::size_t QorStore::appended_records_locked() const {
+  std::size_t n = 0;
+  for (const auto& [design, labels] : appended_) n += labels.size();
   return n;
 }
 
@@ -985,15 +1002,17 @@ std::size_t QorStore::lookup_sorted(const aig::Fingerprint& design,
     answered[i] = true;
     ++hits;
   };
-  // The index (appends since attach, usually few) by hashing, then one
-  // pass per segment and run. They are disjoint, so the order of the
-  // passes is a choice of speed, not of answers.
+  // This process's appends (usually few) by hashing, then one pass per
+  // segment and run. They are disjoint, so the order of the passes is a
+  // choice of speed, not of answers.
+  const auto labels = appended_.find(design);
   for (std::size_t k = 0; k < keys; ++k) {
     const std::size_t i = index_at(k);
     if (answered[i]) continue;
     ++looked_up;
-    if (index_.size() == 0) continue;
-    if (const auto qor = index_.find(design, flows[i].steps)) hit(i, *qor);
+    if (labels == appended_.end()) continue;
+    const auto it = labels->second.find(flows[i].steps);
+    if (it != labels->second.end()) hit(i, it->second);
   }
   // Sorted keys visit their Flow structs, step blocks and output slots at
   // random, and a run's entries sit at random in its buffer: each pass
@@ -1041,14 +1060,22 @@ std::size_t QorStore::lookup_sorted(const aig::Fingerprint& design,
 
 bool QorStore::append(const aig::Fingerprint& design, StepsView steps,
                       const map::QoR& qor) {
-  // Chaos runs inject disk-full / I/O errors here; callers must treat a
-  // failed append as "label not persisted", never "label wrong".
-  FLOWGEN_FAILPOINT("store.append");
   if (steps.size() > 0xFFFF) throw QorStoreError("flow too long for record");
   registry_->validate_steps(steps);  // no undefined step byte ever persists
   std::lock_guard lock(mutex_);
   if (find_locked(design, steps)) return false;
+  if (fd_ >= 0) write_record_locked(design, steps, qor);
+  appended_[design].emplace(StepsKey(steps.begin(), steps.end()), qor);
+  ++stats_.appends;
+  store_metrics().appends.inc();
+  return true;
+}
 
+void QorStore::write_record_locked(const aig::Fingerprint& design,
+                                   StepsView steps, const map::QoR& qor) {
+  // Chaos runs inject disk-full / I/O errors here; callers must treat a
+  // failed append as "label not kept", never "label wrong".
+  FLOWGEN_FAILPOINT("store.append");
   std::vector<std::uint8_t> payload;
   payload.reserve(kEntryFixedBytes + steps.size());
   put_payload(payload, design, steps, qor);
@@ -1081,10 +1108,6 @@ bool QorStore::append(const aig::Fingerprint& design, StepsView steps,
                         "' failed: " + std::strerror(err));
   }
   if (config_.fsync_each_append) ::fsync(fd_);
-  index_.insert(design, steps, qor);
-  ++stats_.appends;
-  store_metrics().appends.inc();
-  return true;
 }
 
 QorStore::CompactionResult QorStore::compact() {
@@ -1093,6 +1116,7 @@ QorStore::CompactionResult QorStore::compact() {
   const std::uint64_t t0 = timed ? telemetry::trace_now_us() : 0;
   namespace fs = std::filesystem;
   CompactionResult result;
+  if (fd_ < 0) return result;  // memory-only: no directory to fold into
 
   // One compactor per directory: flock on a dedicated lock file. A busy
   // lock means a sibling is already folding this directory — nothing to
@@ -1152,24 +1176,24 @@ QorStore::CompactionResult QorStore::compact() {
                       : log.valid);
   }
   result.logs_folded = new_logs.size();
-  if (index_.size() + segment_records_locked() == 0) {
+  if (appended_records_locked() + segment_records_locked() == 0) {
     return result;  // nothing to fold
   }
 
   // One sorted, deduped segment carrying every record we hold: the
-  // attached segments and runs plus the live index. Sorting makes the fold
-  // deterministic: the same record set compacts to the same bytes no matter
-  // which logs or segments carried it. Every segment and run is sorted
-  // already and the index's records are sorted here, so the segment is one
+  // attached segments and runs plus this process's appends. Sorting makes
+  // the fold deterministic: the same record set compacts to the same bytes
+  // no matter which logs or segments carried it. Every segment and run is
+  // sorted already and the appends are sorted here, so the segment is one
   // merge of them, every entry a payload copied verbatim. Only an adopted
   // sibling segment repeats keys (it typically holds our own earlier
   // appends, folded there from our log); the merge keeps the first copy of
-  // each key, in segments_ order, then the index. Duplicate keys carry
+  // each key, in segments_ order, then the appends. Duplicate keys carry
   // identical QoR (evaluation is pure), so which copy survives is
   // immaterial.
   std::vector<const Segment*> inputs;
   std::size_t bound = kSegmentHeaderBytes;  // the entries end before it
-  std::size_t records = index_.size();
+  std::size_t records = appended_records_locked();
   for (const Segment& s : segments_) {
     inputs.push_back(&s);
     bound += s.buf.size;
@@ -1182,25 +1206,26 @@ QorStore::CompactionResult QorStore::compact() {
         "' needs segment entries past the 4 GiB that segment offsets "
         "address — nothing written");
   };
-  Segment appended;  // the index's records, encoded and sorted like a run
-  if (index_.size() > 0) {
+  Segment own;  // this process's appends, encoded and sorted like a run
+  if (!appended_.empty()) {
     std::vector<std::uint8_t> bytes;
-    index_.for_each([&](const aig::Fingerprint& design, StepsView steps,
-                        const map::QoR& qor) {
-      appended.offsets.push_back(static_cast<std::uint32_t>(bytes.size()));
-      put_payload(bytes, design, steps, qor);
-      // Every index record lands in the segment, so past 4 GiB here the
-      // segment would be too.
-      if (bytes.size() > kMaxOffsetBytes) throw too_big();
-    });
+    for (const auto& [design, labels] : appended_) {
+      for (const auto& [steps, qor] : labels) {
+        own.offsets.push_back(static_cast<std::uint32_t>(bytes.size()));
+        put_payload(bytes, design, steps, qor);
+        // Every append lands in the segment, so past 4 GiB here the
+        // segment would be too.
+        if (bytes.size() > kMaxOffsetBytes) throw too_big();
+      }
+    }
     const std::vector<RunKey> keys =
-        sorted_first_records(bytes.data(), appended.offsets);
+        sorted_first_records(bytes.data(), own.offsets);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      appended.offsets[i] = keys[i].offset;
+      own.offsets[i] = keys[i].offset;
     }
     bound += bytes.size();
-    appended.buf = SegmentBuffer(std::move(bytes));
-    inputs.push_back(&appended);
+    own.buf = SegmentBuffer(std::move(bytes));
+    inputs.push_back(&own);
   }
   // Size the segment buffer once: the entries end within 4 GiB (checked
   // before each one is copied) and the offset table and CRC follow them.
@@ -1330,14 +1355,13 @@ QorStore::CompactionResult QorStore::compact() {
   sync_point("log_reset");
 
   // Collapse the in-memory view to match the directory: one segment (the
-  // bytes we just wrote) holding every record, and an empty index for
-  // appends to come.
+  // bytes we just wrote) holding every record, and no appends yet.
   Segment fresh;
   fresh.buf = SegmentBuffer(std::move(seg));
   fresh.offsets = std::move(new_offsets);
   segments_.clear();
   segments_.push_back(std::move(fresh));
-  index_ = CuckooIndex();
+  appended_.clear();
 
   epoch_ = new_epoch;
   ++stats_.compactions;
@@ -1354,17 +1378,12 @@ QorStore::CompactionResult QorStore::compact() {
 
 std::size_t QorStore::size() const {
   std::lock_guard lock(mutex_);
-  return index_.size() + segment_records_locked();
+  return appended_records_locked() + segment_records_locked();
 }
 
 QorStoreStats QorStore::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
-}
-
-CuckooIndexStats QorStore::index_stats() const {
-  std::lock_guard lock(mutex_);
-  return index_.stats();
 }
 
 std::uint64_t QorStore::epoch() const {

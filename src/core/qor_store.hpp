@@ -4,12 +4,16 @@
 // sorted on-disk layout and answer lookups by binary search. At attach every
 // log tail is read into one buffer and sorted into a run in segment order,
 // deduplicated against the segments by a merge, so attach hashes nothing;
-// only records this process appends afterwards go into a cuckoo index over
-// (design fingerprint, packed flow key). Labeling runs survive process
-// restarts and multiple coordinators share one label set. The paper's
-// framework spends ~95% of its wall-clock producing these labels; this
-// store guarantees no (design, flow) pair is ever paid for twice, across
-// restarts, machines and coordinators.
+// only records this process appends afterwards go into a hash map per
+// design. Labeling runs survive process restarts and multiple coordinators
+// share one label set. The paper's framework spends ~95% of its wall-clock
+// producing these labels; this store guarantees no (design, flow) pair is
+// ever paid for twice, across restarts, machines and coordinators.
+//
+// A store can also live in memory only (no directory, no log): every
+// SynthesisEvaluator starts with one, so it keeps its labels in the same
+// place, and answers them in the same order, whether or not a persistent
+// store is attached.
 //
 // Layout: a store is a *directory*; every writer appends to its own
 // `<writer>.qorlog` file and a `compact()` pass folds every log (and any
@@ -25,23 +29,24 @@
 // docs/qor-store.md is the normative format description.
 //
 // Thread-safety: all public methods are safe to call concurrently; one
-// mutex serialises index and file access (appends are rare and small next
+// mutex serialises map and file access (appends are rare and small next
 // to the synthesis work that produces them). A batch of keys takes it once
 // (lookup_sorted), not once per key.
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "core/cuckoo_index.hpp"
 #include "core/flow.hpp"
 #include "map/qor.hpp"
 #include "util/failpoint.hpp"
@@ -99,6 +104,15 @@ struct QorStoreStats {
   std::size_t compactions = 0;      ///< compact() passes that committed
 };
 
+/// Only bench/e2e reads these (its store.index_kicks and
+/// store.index_rehashes rows), and both are always 0: appends live in a
+/// plain hash map. They go when the benchmark drops those rows (ROADMAP
+/// item 6).
+struct CuckooIndexStats {
+  std::size_t kicks = 0;
+  std::size_t rehashes = 0;
+};
+
 class QorStore {
 public:
   /// One compact() outcome. `performed == false` means another process
@@ -116,10 +130,18 @@ public:
   /// attach is CRC + structural validation plus an offset scan only, and
   /// the log tails are sorted once and merged against the segments, so
   /// nothing is hashed per record; segment and run records answer lookups
-  /// by binary search, and the cuckoo index starts empty.
+  /// by binary search, and the map of appends starts empty.
   /// Throws QorStoreError when the directory or the writer file cannot
-  /// be set up, or when a segment/manifest is corrupt.
+  /// be set up (an empty `dir` included), or when a segment/manifest is
+  /// corrupt.
   explicit QorStore(QorStoreConfig config);
+  /// A memory-only store keyed by `registry` (null = the paper registry):
+  /// no directory and no log, so it holds only what it is appended while
+  /// it lives. It looks up, deduplicates and counts exactly like a
+  /// directory store; append() writes nothing (and never fires the
+  /// `store.append` failpoint), compact() returns `performed == false`
+  /// and flush() does nothing. Constructing one makes no syscall.
+  explicit QorStore(std::shared_ptr<const opt::TransformRegistry> registry);
   ~QorStore();
 
   QorStore(const QorStore&) = delete;
@@ -148,40 +170,42 @@ public:
                             std::vector<bool>& answered) const;
 
   /// Record one label: appended to this writer's log (one write syscall,
-  /// CRC-stamped) and indexed. Returns false without writing when the key
-  /// is already present — evaluation is pure, so a duplicate carries no
-  /// new information. Throws QorStoreError if the write fails.
+  /// CRC-stamped) and to the map of appends. Returns false without writing
+  /// when the key is already present — evaluation is pure, so a duplicate
+  /// carries no new information. Throws QorStoreError if the write fails,
+  /// and then holds nothing new: the store keeps only what it wrote.
   bool append(const aig::Fingerprint& design, StepsView steps,
               const map::QoR& qor);
 
   /// Fold every log (and any previous segment) into one fresh sorted
   /// segment, commit a new MANIFEST (atomic rename), delete the stale
   /// segments and reset this writer's log. The segment is one merge of
-  /// what is already sorted (segments, runs and the index's records), each
+  /// what is already sorted (segments, runs and the sorted appends), each
   /// entry copied verbatim. Serialised across processes by
   /// flock on `<dir>/COMPACT.lock` — a busy lock returns
   /// `performed == false` instead of blocking. Also adopts any foreign-log
   /// records appended since attach (the pre-fold rescan), so a compaction
   /// doubles as a sibling sync. Throws QorStoreError, with nothing written,
   /// when the segment's entries would pass the 4 GiB its u32 offsets
-  /// address; the store keeps serving every record from its runs.
+  /// address; the store keeps serving every record from its runs. A
+  /// memory-only store has nothing to fold: `performed == false`.
   CompactionResult compact();
 
-  /// Total records held (segments, runs and index, deduplicated).
+  /// Total records held (segments, runs and appends, deduplicated).
   std::size_t size() const;
   QorStoreStats stats() const;
-  CuckooIndexStats index_stats() const;
+  CuckooIndexStats index_stats() const { return {}; }
   /// Manifest epoch this store last loaded or committed (0 = no manifest).
   std::uint64_t epoch() const;
 
   /// fsync the writer's log file.
   void flush();
 
-  /// Full path of the log file this process appends to.
+  /// Full path of the log file this process appends to (empty in memory).
   const std::string& writer_path() const { return writer_path_; }
 
   /// The store directory (fleet siblings — QUARANTINE, COMPACT.lock —
-  /// live next to the logs and segments).
+  /// live next to the logs and segments); empty for a memory-only store.
   const std::string& dir() const { return config_.dir; }
 
   /// Fingerprint of the alphabet this store's records are keyed by.
@@ -235,9 +259,9 @@ private:
   /// held verbatim (`buf` is the whole CRC-verified file, `offsets` the
   /// start of each entry, read from the file's own offset table), or a
   /// run (`buf` holds log records back to back, `offsets` the payloads
-  /// that survived deduplication, in segment order). Neither builds index
-  /// entries, which is what keeps attaching a 10^6-record catalogue at
-  /// read speed. Offsets are u32, so a segment's entries and a run's
+  /// that survived deduplication, in segment order). Neither hashes a
+  /// record, which is what keeps attaching a 10^6-record catalogue at read
+  /// speed. Offsets are u32, so a segment's entries and a run's
   /// buffer stay within 4 GiB.
   struct Segment {
     SegmentBuffer buf;
@@ -265,19 +289,27 @@ private:
   std::uint64_t load_file(const std::string& path, std::uint64_t start,
                           std::uint64_t& file_size, PendingRun& run);
   /// Sort `run` into segment order, drop every record already held (an
-  /// earlier duplicate in the run, a segment or run entry, an index entry)
+  /// earlier duplicate in the run, a segment or run entry, an append)
   /// and push the rest onto `segments_`; leaves `run` empty.
   void add_run_locked(PendingRun& run);
+  /// Append one record to the writer's log; throws QorStoreError, with the
+  /// log rolled back to the record boundary, if the write fails.
+  void write_record_locked(const aig::Fingerprint& design, StepsView steps,
+                           const map::QoR& qor);
   /// Attach one segment; throws QorStoreError on any corruption.
   void load_segment(const std::string& path);
   /// Pointer to the segment or run entry for (design, steps), or null.
   const std::uint8_t* segment_find_locked(const aig::Fingerprint& design,
                                           StepsView steps) const;
-  /// Index first, then every segment and run — the store-wide point
+  /// The label this process appended for (design, steps), or null.
+  const map::QoR* appended_find_locked(const aig::Fingerprint& design,
+                                       StepsView steps) const;
+  /// Appends first, then every segment and run — the store-wide point
   /// lookup.
   std::optional<map::QoR> find_locked(const aig::Fingerprint& design,
                                       StepsView steps) const;
   std::size_t segment_records_locked() const;
+  std::size_t appended_records_locked() const;
   /// Parse `<dir>/MANIFEST`; nullopt when absent, throws when corrupt.
   std::optional<Manifest> read_manifest() const;
   void write_fresh_header_locked();
@@ -294,10 +326,12 @@ private:
   QorStoreConfig config_;
   std::shared_ptr<const opt::TransformRegistry> registry_;
   std::string writer_path_;
-  int fd_ = -1;
-  /// This process's appends since attach or its last compact(); disjoint
-  /// from segments_.
-  CuckooIndex index_;
+  int fd_ = -1;  ///< the writer's log; -1 = memory-only
+  /// This process's appends since attach or its last compact(), one map
+  /// per design fingerprint; disjoint from segments_.
+  using Appended =
+      std::unordered_map<StepsKey, map::QoR, StepsHash, StepsEqual>;
+  std::map<aig::Fingerprint, Appended> appended_;
   std::vector<Segment> segments_;  ///< segments and runs, searched in order
   std::uint64_t epoch_ = 0;
   mutable QorStoreStats stats_;  ///< lookups/hits tick under the mutex

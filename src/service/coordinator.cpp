@@ -831,7 +831,6 @@ std::string EvalCoordinator::admin_text(const std::string& command) const {
     }
     if (!store) return "no store attached";
     const core::QorStoreStats st = store->stats();
-    const core::CuckooIndexStats ix = store->index_stats();
     os << "registry "
        << opt::registry_fingerprint_hex(store->registry_fingerprint()) << '\n';
     os << "records " << store->size() << '\n';
@@ -843,10 +842,6 @@ std::string EvalCoordinator::admin_text(const std::string& command) const {
     os << "log_truncations " << st.log_truncations << '\n';
     os << "appends " << st.appends << '\n';
     os << "compactions " << st.compactions << '\n';
-    os << "index_buckets " << ix.buckets << '\n';
-    os << "index_stash_entries " << ix.stash_entries << '\n';
-    os << "index_rehashes " << ix.rehashes << '\n';
-    os << "index_arena_bytes " << ix.arena_bytes << '\n';
     return os.str();
   }
   if (command == "workers") {
@@ -1464,8 +1459,8 @@ void EvalCoordinator::apply_result(std::size_t w, Inflight& fl,
       appended = b.store->append(b.design_fp, b.flows[idx].steps, qor);
     } catch (const std::exception& e) {
       store_error = true;
-      util::log_warn("coordinator: QoR store append failed (label kept "
-                     "in-memory): ", e.what());
+      util::log_warn("coordinator: QoR store append failed (label "
+                     "returned, not kept): ", e.what());
     }
   }
   {

@@ -25,9 +25,9 @@ struct EvalServiceConfig {
   /// Persistent labeled-QoR store directory (see core/qor_store.hpp and
   /// docs/qor-store.md). Empty = labels die with the process. Set, every
   /// (design, flow) QoR survives restarts: in-process runs look each flow
-  /// up in it before synthesizing (stored labels are not copied into the
-  /// evaluator's memo), distributed runs answer stored flows without
-  /// touching the fleet, and several coordinators may share the directory.
+  /// up in it before synthesizing (it replaces the evaluator's memory-only
+  /// store), distributed runs answer stored flows without touching the
+  /// fleet, and several coordinators may share the directory.
   std::string qor_store_dir;
 
   bool distributed() const {

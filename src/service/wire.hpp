@@ -1,7 +1,7 @@
 #pragma once
 // The evald wire protocol: length-prefixed, versioned binary frames. One
 // frame = one message; payloads are little-endian and carry flows in the
-// same packed uint8 step encoding the evaluator's memo keys on, so a
+// same packed uint8 step encoding the QoR store keys on, so a
 // request is essentially a batch of StepsKeys and a response a batch of
 // QoRs.
 //

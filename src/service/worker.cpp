@@ -622,7 +622,7 @@ aig::Fingerprint EvalWorker::load_design(
     aig::Aig design, std::shared_ptr<const opt::TransformRegistry> registry) {
   const aig::Fingerprint fp = design.fingerprint();
   const opt::RegistryFingerprint reg = registry->fingerprint();
-  if (find(fp, reg)) return fp;  // already instantiated, memo intact
+  if (find(fp, reg)) return fp;  // already instantiated, labels intact
   std::lock_guard lock(mutex_);
   // Two clients can race the same netlist here; re-check under the lock so
   // the second shares the first's evaluator instead of replacing it.
@@ -731,10 +731,10 @@ EvalService EvalWorker::make_service() {
                                        f.steps.size() * sizeof(opt::StepId)));
         }
         // Evaluate outside the designs lock: evaluators are thread-safe, so
-        // concurrent connections on the same design share its memo.
+        // concurrent connections on the same design share its store.
         const std::shared_ptr<core::SynthesisEvaluator> evaluator =
             evaluator_for(fp, registry);
-        // Labels the store or the memo already holds first: they join the
+        // Labels the evaluator's store already holds first: they join the
         // queued burst, emitted after the store lock is released. The
         // request arrives pre-sorted (coordinator shards are lexicographic
         // runs), so the whole request is one merge over the store. A false

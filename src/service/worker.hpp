@@ -2,11 +2,12 @@
 // One evaluation worker: SynthesisEvaluators wrapped in the wire protocol.
 // A worker is a process that serves EvalRequests on a connected socket —
 // spawned by evald --mode worker on its own machine, or forked locally by
-// LoopbackCluster. Evaluators (and with them the QoR memo) live as long as
-// the worker, so consecutive requests — and consecutive connections — never
-// synthesize a flow twice. Within a request, synthesis resumes from a trail
-// of the previous flow's graphs: coordinator shards are contiguous runs of
-// the lexicographically sorted batch, so neighbouring flows share prefixes.
+// LoopbackCluster. Evaluators (and with them the labels in their QoR
+// stores) live as long as the worker, so consecutive requests — and
+// consecutive connections — never synthesize a flow twice. Within a
+// request, synthesis resumes from a trail of the previous flow's graphs:
+// coordinator shards are contiguous runs of the lexicographically sorted
+// batch, so neighbouring flows share prefixes.
 //
 // Since protocol v2 a worker is design-agnostic: it keeps a small LRU of
 // instantiated designs keyed by content fingerprint, populated either from
@@ -155,13 +156,14 @@ struct WorkerOptions {
   std::size_t threads = 1;
   /// Instantiated (design, registry) evaluators kept warm (>= 1) — the
   /// same design under two alphabets counts twice. Loading entry N+1
-  /// evicts the least recently evaluated one together with its memo.
+  /// evicts the least recently evaluated one together with the labels its
+  /// memory-only store holds.
   std::size_t max_designs = 4;
-  /// Optional persistent QoR store directory: every instantiated design
-  /// answers from the store's labels (looked up per flow, never copied into
-  /// the evaluator's memo) and appends new labels to it, so worker restarts
-  /// (and sibling workers sharing the directory) never re-evaluate a
-  /// (design, flow) pair.
+  /// Optional persistent QoR store directory: it replaces every
+  /// instantiated evaluator's memory-only store, so each design answers
+  /// from the store's labels (one sorted pass per request) and appends new
+  /// labels to it, and worker restarts (and sibling workers sharing the
+  /// directory) never re-evaluate a (design, flow) pair.
   std::string qor_store_dir;
   /// Per-evaluation wall-clock budget (see EvalService::eval_budget_ms);
   /// 0 disables the watchdog.
@@ -198,7 +200,7 @@ public:
 
   /// The worker's protocol service (handlers capture this worker; all are
   /// thread-safe, so several connections can share one worker — their
-  /// evaluations then share the evaluators' memos).
+  /// evaluations then share the evaluators' stores).
   EvalService make_service();
 
   /// serve_frames over this worker's designs. Returns true after

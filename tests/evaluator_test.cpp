@@ -9,6 +9,8 @@
 #include "core/flow_space.hpp"
 #include "core/qor_store.hpp"
 #include "designs/registry.hpp"
+#include "telemetry/metrics.hpp"
+#include "util/failpoint.hpp"
 #include "util/thread_pool.hpp"
 
 namespace flowgen::core {
@@ -23,26 +25,37 @@ TEST(EvaluatorTest, BaselineMatchesDirectMapping) {
   EXPECT_DOUBLE_EQ(base.delay_ps, direct.delay_ps);
 }
 
+/// A memory-only store attached to `ev`, so a test can read what the
+/// evaluator keeps.
+std::shared_ptr<QorStore> attach_memory_store(SynthesisEvaluator& ev) {
+  auto store = std::make_shared<QorStore>(ev.registry_ptr());
+  ev.attach_store(store);
+  return store;
+}
+
 TEST(EvaluatorTest, CacheAvoidsRecomputation) {
   SynthesisEvaluator ev(designs::make_design("alu:6"));
+  const auto store = attach_memory_store(ev);
   const FlowSpace space(1);
   util::Rng rng(1);
   const Flow f = space.random_flow(rng);
   const map::QoR q1 = ev.evaluate(f);
   EXPECT_EQ(ev.evaluations(), 1u);
   const map::QoR q2 = ev.evaluate(f);
-  EXPECT_EQ(ev.evaluations(), 1u);  // cache hit
+  EXPECT_EQ(ev.evaluations(), 1u);  // store hit
   EXPECT_DOUBLE_EQ(q1.area_um2, q2.area_um2);
-  EXPECT_EQ(ev.cache_size(), 1u);
+  EXPECT_EQ(store->size(), 1u);
+  EXPECT_EQ(store->stats().hits, 1u);
 }
 
 TEST(EvaluatorTest, DifferentFlowsAreDistinctEntries) {
   SynthesisEvaluator ev(designs::make_design("alu:6"));
+  const auto store = attach_memory_store(ev);
   const FlowSpace space(1);
   util::Rng rng(2);
   const auto flows = space.sample_unique(5, rng);
   for (const Flow& f : flows) ev.evaluate(f);
-  EXPECT_EQ(ev.cache_size(), 5u);
+  EXPECT_EQ(store->size(), 5u);
   EXPECT_EQ(ev.evaluations(), 5u);
 }
 
@@ -245,8 +258,30 @@ TEST(EvaluatorEngineTest, TrailFromAnotherDesignStartsOver) {
   EXPECT_EQ(a.stats().transforms_applied, 4u + 4u + 1u);
 }
 
+TEST(EvaluatorEngineTest, PrefixOfTheTrailsFlowGetsItsOwnLabel) {
+  // Only a flow equal to the trail's is answered with the trail's label:
+  // its prefixes, the empty flow among them, are each mapped on their own,
+  // and the trail then answers a repeat of the last one.
+  const aig::Aig g = designs::make_design("alu:4");
+  SynthesisEvaluator ev(g);
+  const Flow f{{0, 1, 2, 3}};
+  const Flow prefix{{0, 1}};
+  ASSERT_NE(oracle(g, f), oracle(g, prefix));
+  SynthesisEvaluator::Trail trail;
+  EXPECT_EQ(ev.evaluate(f, trail), oracle(g, f));
+  EXPECT_EQ(ev.evaluate(prefix, trail), oracle(g, prefix));
+  EXPECT_EQ(ev.evaluate(Flow{}, trail), oracle(g, Flow{}));
+  EXPECT_EQ(ev.evaluate(Flow{}, trail), oracle(g, Flow{}));
+  EXPECT_EQ(ev.evaluate(prefix, trail), oracle(g, prefix));
+  const EvaluatorStats st = ev.stats();
+  EXPECT_EQ(st.mappings, 4u);  // f, prefix, empty, prefix again
+  EXPECT_EQ(st.transforms_applied, 4u + 2u);
+  EXPECT_EQ(st.transforms_skipped, 2u);
+  EXPECT_EQ(st.evaluations, 3u);
+}
+
 TEST(EvaluatorEngineTest, ConcurrentSharedCacheIsDeterministic) {
-  // Two pools hammer one evaluator; its QoR shards are shared.
+  // Two pools hammer one evaluator; its QoR store is shared.
   const aig::Aig g = designs::make_design("alu:4");
   SynthesisEvaluator engine(g);
   const auto flows = sample_flows(16, 11);
@@ -274,22 +309,25 @@ TEST(EvaluatorStoreTest, StoredFlowIsAnsweredFromTheStoreAlone) {
     ASSERT_TRUE(writer.append(g.fingerprint(), flows[0].steps, stored));
   }
   SynthesisEvaluator ev(g);
-  ev.attach_store(std::make_shared<QorStore>(
-      QorStoreConfig{dir, "reader", false, nullptr, {}}));
+  auto store = std::make_shared<QorStore>(
+      QorStoreConfig{dir, "reader", false, nullptr, {}});
+  ev.attach_store(store);
 
   EXPECT_EQ(ev.lookup(flows[0]), stored);
   EXPECT_EQ(ev.evaluate(flows[0]), stored);
   EXPECT_EQ(ev.evaluations(), 0u);
-  EXPECT_EQ(ev.cache_size(), 0u);  // the store stays the only copy
+  EXPECT_EQ(store->size(), 1u);
+  EXPECT_EQ(store->stats().appends, 0u);
 
   // An unlabeled flow: lookup answers nullopt without evaluating it, and
-  // once evaluate() labels it, lookup finds the memo.
+  // once evaluate() labels it, the store holds it and lookup finds it.
   EXPECT_EQ(ev.lookup(flows[1]), std::nullopt);
   EXPECT_EQ(ev.evaluations(), 0u);
-  EXPECT_EQ(ev.cache_size(), 0u);
+  EXPECT_EQ(store->size(), 1u);
   const map::QoR fresh = ev.evaluate(flows[1]);
   EXPECT_EQ(ev.evaluations(), 1u);
-  EXPECT_EQ(ev.cache_size(), 1u);
+  EXPECT_EQ(store->size(), 2u);
+  EXPECT_EQ(store->stats().appends, 1u);
   EXPECT_EQ(ev.lookup(flows[1]), fresh);
   std::filesystem::remove_all(dir);
 }
@@ -299,9 +337,9 @@ TEST(EvaluatorStoreTest, BatchAnswersStoredFlowsAndSynthesizesOnlyTheRest) {
   // gives. evaluate_many, serial and on a pool, answers those from one
   // pass over the store and synthesizes exactly the others: each flow is
   // looked up in the store once, never a second time on its way to
-  // synthesis. A batch asks the store before the memo, so a second batch
-  // over the same flows counts every flow as a store lookup and a hit
-  // (the first batch appended each fresh label) and synthesizes nothing.
+  // synthesis. A second batch over the same flows counts every flow as a
+  // store lookup and a hit (the first batch appended each fresh label) and
+  // synthesizes nothing.
   const aig::Aig g = designs::make_design("alu:4");
   const auto flows = sample_flows(24, 14);
   const auto stored_label = [](std::size_t i) {
@@ -334,7 +372,7 @@ TEST(EvaluatorStoreTest, BatchAnswersStoredFlowsAndSynthesizesOnlyTheRest) {
           << "flow " << i;
     }
     EXPECT_EQ(ev.evaluations(), misses);
-    EXPECT_EQ(ev.cache_size(), misses);
+    EXPECT_EQ(store->size(), flows.size());
     const QorStoreStats stats = store->stats();
     EXPECT_EQ(stats.lookups, flows.size());
     EXPECT_EQ(stats.hits, flows.size() - misses);
@@ -350,7 +388,7 @@ TEST(EvaluatorStoreTest, BatchAnswersStoredFlowsAndSynthesizesOnlyTheRest) {
   }
 }
 
-TEST(EvaluatorStoreTest, LookupWithoutAStoreReadsTheMemoAndValidates) {
+TEST(EvaluatorStoreTest, LookupWithoutAttachedStoreReadsItsOwnAndValidates) {
   SynthesisEvaluator ev(designs::make_design("alu:4"));
   const auto flows = sample_flows(1, 13);
   EXPECT_EQ(ev.lookup(flows[0]), std::nullopt);
@@ -360,6 +398,83 @@ TEST(EvaluatorStoreTest, LookupWithoutAStoreReadsTheMemoAndValidates) {
   Flow stray;
   stray.steps = {250};  // no such step in the paper alphabet
   EXPECT_THROW(ev.lookup(stray), opt::RegistryError);
+}
+
+TEST(EvaluatorStoreTest, PointLookupCountsLikeABatch) {
+  // The evaluator's own memory-only store counts into the process-wide
+  // store series like any store. A flow the evaluator computed is one
+  // store lookup and one hit whether lookup() or a batch asks for it.
+  telemetry::Counter& lookups = telemetry::counter(
+      "flowgen_qor_store_lookups_total", "QoR store lookups");
+  telemetry::Counter& hits =
+      telemetry::counter("flowgen_qor_store_hits_total", "QoR store hits");
+  telemetry::Counter& appends = telemetry::counter(
+      "flowgen_qor_store_appends_total",
+      "Label records appended to the QoR store");
+  SynthesisEvaluator ev(designs::make_design("alu:4"));
+  const auto flows = sample_flows(1, 15);
+  const std::uint64_t lookups0 = lookups.value();
+  const std::uint64_t hits0 = hits.value();
+  const std::uint64_t appends0 = appends.value();
+  const map::QoR qor = ev.evaluate(flows[0]);
+  EXPECT_EQ(lookups.value() - lookups0, 1u);
+  EXPECT_EQ(hits.value() - hits0, 0u);
+  EXPECT_EQ(appends.value() - appends0, 1u);
+
+  EXPECT_EQ(ev.lookup(flows[0]), qor);
+  EXPECT_EQ(lookups.value() - lookups0, 2u);
+  EXPECT_EQ(hits.value() - hits0, 1u);
+  EXPECT_EQ(ev.evaluate_many(flows), std::vector<map::QoR>{qor});
+  EXPECT_EQ(lookups.value() - lookups0, 3u);
+  EXPECT_EQ(hits.value() - hits0, 2u);
+  EXPECT_EQ(appends.value() - appends0, 1u);
+  EXPECT_EQ(ev.evaluations(), 1u);
+}
+
+TEST(EvaluatorStoreTest, FailedAppendIsReturnedButNotKept) {
+#ifdef FLOWGEN_NO_FAILPOINTS
+  GTEST_SKIP() << "failpoint sites compiled out (-DFLOWGEN_FAILPOINTS=OFF)";
+#endif
+  // A store holds only what it wrote. The label of a flow whose append
+  // fails is returned and counted, and the flow is synthesized again the
+  // next time; once the disk heals, the label is appended.
+  namespace fp = util::failpoint;
+  struct FailpointGuard {
+    ~FailpointGuard() { fp::clear_all(); }
+  } guard;
+  const std::string dir = ::testing::TempDir() + "flowgen_eval_append_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const aig::Aig g = designs::make_design("alu:4");
+  const auto flows = sample_flows(1, 16);
+  const map::QoR expected = oracle(g, flows[0]);
+  SynthesisEvaluator ev(g);
+  auto store = std::make_shared<QorStore>(
+      QorStoreConfig{dir, "writer", false, nullptr, {}});
+  ev.attach_store(store);
+  // The failpoint stands for a failed log write: a memory-only store has
+  // no log, so an evaluator without an attached store keeps its label.
+  SynthesisEvaluator memory_only(g);
+
+  fp::configure("store.append", "error(injected full disk)");
+  EXPECT_EQ(ev.evaluate(flows[0]), expected);
+  EXPECT_EQ(ev.evaluations(), 1u);
+  EXPECT_EQ(store->size(), 0u);
+  EXPECT_EQ(ev.lookup(flows[0]), std::nullopt);
+  EXPECT_EQ(ev.evaluate(flows[0]), expected);
+  EXPECT_EQ(ev.evaluations(), 2u);
+  EXPECT_EQ(ev.stats().mappings, 2u);
+  EXPECT_EQ(memory_only.evaluate(flows[0]), expected);
+  EXPECT_EQ(memory_only.evaluate(flows[0]), expected);
+  EXPECT_EQ(memory_only.evaluations(), 1u);
+
+  fp::clear_all();
+  EXPECT_EQ(ev.evaluate(flows[0]), expected);
+  EXPECT_EQ(ev.evaluations(), 3u);
+  EXPECT_EQ(store->size(), 1u);
+  EXPECT_EQ(ev.lookup(flows[0]), expected);
+  EXPECT_EQ(ev.evaluations(), 3u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EvaluatorTest, QorStringFormat) {

@@ -497,9 +497,9 @@ TEST(QorStoreTest, SortedBatchLookupMatchesPointLookups) {
     reader.append(neighbours[i % 4], keys[i].steps, label(keys[0]));
   }
   EXPECT_EQ(reader.stats().segments_loaded, 1u);
-  EXPECT_GT(reader.index_stats().entries, 0u);
+  EXPECT_GT(reader.stats().appends, 0u);
   {
-    SCOPED_TRACE("segment, run and index");
+    SCOPED_TRACE("segment, run and appends");
     check(reader);
   }
   ASSERT_TRUE(reader.compact().performed);
@@ -556,6 +556,54 @@ TEST(QorStoreTest, BatchLookupsRaceAppendsAndCompactions) {
   writer.join();
   EXPECT_EQ(round(), flows.size());
   EXPECT_EQ(wrong, 0u);
+}
+
+TEST(QorStoreTest, MemoryOnlyStoreKeepsLabelsWithoutAFile) {
+  // Run in an empty working directory: a memory-only store that wrote a
+  // log or a lock file anywhere relative would leave it here.
+  const std::string cwd = fresh_dir("memory_cwd");
+  fs::create_directories(cwd);
+  const fs::path previous = fs::current_path();
+  fs::current_path(cwd);
+  struct Restore {
+    fs::path to;
+    ~Restore() { fs::current_path(to); }
+  } restore{previous};
+
+  const aig::Fingerprint design = {0x31, 0x32};
+  const aig::Fingerprint other = {0x33, 0x34};
+  const map::QoR qor_a{10.25, 200.5, 7, 2};
+  const map::QoR qor_b{11.0, 190.0, 8, 1};
+  QorStore store(opt::TransformRegistry::paper());
+  EXPECT_TRUE(store.dir().empty());
+  EXPECT_TRUE(store.writer_path().empty());
+  EXPECT_TRUE(store.append(design, steps({0, 3, 5}), qor_a));
+  EXPECT_TRUE(store.append(design, steps({}), qor_b));
+  EXPECT_TRUE(store.append(other, steps({0, 3, 5}), qor_b));
+  EXPECT_FALSE(store.append(design, steps({0, 3, 5}), qor_b));  // duplicate
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.lookup(design, steps({0, 3, 5})), qor_a);
+  EXPECT_EQ(store.lookup(other, steps({0, 3, 5})), qor_b);
+  EXPECT_EQ(store.lookup(design, steps({0, 3})), std::nullopt);
+
+  const std::vector<Flow> flows = {Flow{steps({})}, Flow{steps({0, 3})},
+                                   Flow{steps({0, 3, 5})}};
+  std::vector<map::QoR> out(flows.size());
+  std::vector<bool> answered(flows.size());
+  EXPECT_EQ(store.lookup_sorted(design, flows, {}, out, answered), 2u);
+  EXPECT_EQ(answered, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(out[0], qor_b);
+  EXPECT_EQ(out[2], qor_a);
+  const QorStoreStats stats = store.stats();
+  EXPECT_EQ(stats.appends, 3u);
+  EXPECT_EQ(stats.lookups, 3u + 3u);
+  EXPECT_EQ(stats.hits, 2u + 2u);
+
+  EXPECT_FALSE(store.compact().performed);
+  store.flush();
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.lookup(design, steps({})), qor_b);
+  EXPECT_TRUE(fs::is_empty(cwd));
 }
 
 TEST(QorStoreTest, RejectsUnusableDirectory) {

@@ -1357,7 +1357,20 @@ TEST(ServiceTest, CoordinatorAnswersStoredFlowsAndShipsOnlyTheRest) {
   EvalCoordinator coordinator(fleet.take_workers(), "alu:4");
   coordinator.attach_store(std::make_shared<core::QorStore>(
       core::QorStoreConfig{dir, "coord", false, nullptr, {}}));
+  // The `store` admin reply says what the store holds and what it wrote:
+  // after each batch, every flow that batch shipped.
+  const auto store_reply = [&](const std::string& field) -> std::size_t {
+    const std::string reply = coordinator.admin_text("store");
+    const std::size_t at = reply.find("\n" + field + " ");
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no " << field << " in:\n" << reply;
+      return 0;
+    }
+    return std::stoul(reply.substr(at + field.size() + 2));
+  };
   coordinator.evaluate_many(stored);
+  EXPECT_EQ(store_reply("records"), stored.size());
+  EXPECT_EQ(store_reply("appends"), stored.size());
   const CoordinatorStats before = coordinator.stats();
 
   std::vector<std::size_t> completions(flows.size(), 0);
@@ -1368,6 +1381,8 @@ TEST(ServiceTest, CoordinatorAnswersStoredFlowsAndShipsOnlyTheRest) {
   EXPECT_EQ(after.flows_dispatched - before.flows_dispatched,
             flows.size() - stored.size());
   EXPECT_EQ(completions, std::vector<std::size_t>(flows.size(), 1));
+  EXPECT_EQ(store_reply("records"), flows.size());
+  EXPECT_EQ(store_reply("appends"), flows.size());
   core::SynthesisEvaluator local(designs::make_design("alu:4"));
   expect_bit_identical(qor, local.evaluate_many(flows));
   coordinator.shutdown_workers();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "aig/reconv_cut.hpp"
@@ -81,6 +82,76 @@ TEST(SimulateTest, ArityMismatchIsInequivalent) {
   g2.add_po(g2.add_pi());
   util::Rng rng(5);
   EXPECT_FALSE(random_equivalent(g1, g2, rng));
+}
+
+/// Parity of `n` inputs; with `flip`, also XORed with the minterm whose
+/// input k is bit k of *flip, so the two graphs differ on that one pattern.
+Aig parity(unsigned n, std::optional<std::uint32_t> flip = std::nullopt) {
+  Aig g;
+  std::vector<Lit> in;
+  for (unsigned k = 0; k < n; ++k) in.push_back(g.add_pi());
+  Lit out = in[0];
+  for (unsigned k = 1; k < n; ++k) out = g.lxor(out, in[k]);
+  if (flip) {
+    Lit minterm = kLitTrue;
+    for (unsigned k = 0; k < n; ++k) {
+      minterm = g.land(minterm, (*flip >> k) & 1 ? in[k] : lit_not(in[k]));
+    }
+    out = g.lxor(out, minterm);
+  }
+  g.add_po(out);
+  return g;
+}
+
+TEST(SimulateTest, ExhaustiveFindsTheMintermRandomPatternsMiss) {
+  // 19 inputs, one pattern of 2^19 flipped: 512 random patterns miss it
+  // (at this seed), every pattern does not.
+  const Aig g = parity(19);
+  const Aig flipped = parity(19, 0x5A3C1u);
+  util::Rng rng(7);
+  EXPECT_TRUE(random_equivalent(g, flipped, rng, 8));
+  EXPECT_FALSE(exhaustive_equivalent(g, flipped));
+  EXPECT_TRUE(exhaustive_equivalent(g, g));
+  // Pattern 0 and the last pattern, at the two ends of the blocks.
+  EXPECT_FALSE(exhaustive_equivalent(g, parity(19, 0u)));
+  EXPECT_FALSE(exhaustive_equivalent(g, parity(19, (1u << 19) - 1)));
+}
+
+TEST(SimulateTest, ExhaustiveCatchesAFlippedOutput) {
+  // XOR built two ways agrees everywhere; complementing one output, or
+  // a graph of another function, is caught at any input count.
+  for (const unsigned n : {2u, 7u, 12u}) {
+    SCOPED_TRACE(n);
+    const Aig g = parity(n);
+    Aig rebuilt;
+    {
+      std::vector<Lit> in;
+      for (unsigned k = 0; k < n; ++k) in.push_back(rebuilt.add_pi());
+      Lit out = in[n - 1];
+      for (unsigned k = n - 1; k-- > 0;) {
+        // (a | b) & ~(a & b)
+        out = rebuilt.land(rebuilt.lor(out, in[k]), rebuilt.lnand(out, in[k]));
+      }
+      rebuilt.add_po(out);
+    }
+    EXPECT_TRUE(exhaustive_equivalent(g, rebuilt));
+    Aig inverted;
+    {
+      std::vector<Lit> in;
+      for (unsigned k = 0; k < n; ++k) in.push_back(inverted.add_pi());
+      Lit out = in[0];
+      for (unsigned k = 1; k < n; ++k) out = inverted.lxor(out, in[k]);
+      inverted.add_po(lit_not(out));
+    }
+    EXPECT_FALSE(exhaustive_equivalent(g, inverted));
+    EXPECT_FALSE(exhaustive_equivalent(g, parity(n, 1u)));
+  }
+}
+
+TEST(SimulateTest, ExhaustiveRefusesMoreThan24Inputs) {
+  const Aig wide = parity(25);
+  EXPECT_THROW(exhaustive_equivalent(wide, wide), std::invalid_argument);
+  EXPECT_FALSE(exhaustive_equivalent(parity(3), parity(4)));  // arity
 }
 
 TEST(SimulateTest, ConeTruthOfMux) {
