@@ -11,15 +11,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 
 #include "core/evaluator.hpp"
 #include "core/flow.hpp"
+#include "core/flow_space.hpp"
 #include "core/qor_store.hpp"
 #include "designs/registry.hpp"
+#include "map/mapper.hpp"
 #include "opt/registry.hpp"
 #include "service/wire.hpp"
+#include "util/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace flowgen {
 namespace {
@@ -127,6 +132,48 @@ TEST(GoldenRegistryTest, DesignAndPassFingerprintsArePinned) {
   for (const QorPin& pin : qor_pinned) {
     EXPECT_EQ(evaluator.evaluate(core::Flow::from_key(pin.key)), pin.qor)
         << pin.key;
+  }
+}
+
+TEST(GoldenRegistryTest, SmallDesignFlowDigestsArePinned) {
+  // One CRC-32 per design over 32 random m = 2 and 32 random m = 4 flows:
+  // for each flow, the fingerprint of the graph its steps produce from
+  // scratch and its QoR record. Every accept/reject decision of every pass
+  // along those flows feeds the digest, so a kernel change that moves one
+  // fails here on three more generators than alu16, not only in the
+  // end-to-end benchmark's alu16 digest.
+  struct DigestPin {
+    const char* design;
+    std::uint32_t crc;
+  };
+  const DigestPin pins[] = {
+      {"alu:8", 0x34475669u},
+      {"spn16", 0xb69aa762u},
+      {"mont:6", 0xbff96638u},
+  };
+  const opt::TransformRegistry& registry = *opt::TransformRegistry::paper();
+  for (const DigestPin& pin : pins) {
+    const aig::Aig design = designs::make_design(pin.design);
+    std::vector<std::uint8_t> bytes;
+    auto put = [&](std::uint64_t v) {  // little-endian
+      for (int b = 0; b < 8; ++b) {
+        bytes.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+      }
+    };
+    for (unsigned m : {2u, 4u}) {
+      util::Rng rng(m);
+      for (const core::Flow& flow :
+           core::FlowSpace(m).sample_unique(32, rng)) {
+        const aig::Aig g = registry.apply_steps(design, flow.steps);
+        const map::QoR qor = map::evaluate_qor(g);
+        for (std::uint64_t w : g.fingerprint()) put(w);
+        put(std::bit_cast<std::uint64_t>(qor.area_um2));
+        put(std::bit_cast<std::uint64_t>(qor.delay_ps));
+        put(qor.num_cells);
+        put(qor.num_inverters);
+      }
+    }
+    EXPECT_EQ(util::crc32(bytes), pin.crc) << pin.design;
   }
 }
 
