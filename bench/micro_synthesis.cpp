@@ -15,6 +15,7 @@
 #include <new>
 
 #include "aig/cuts.hpp"
+#include "aig/reconv_cut.hpp"
 #include "core/evaluator.hpp"
 #include "core/flow_space.hpp"
 #include "designs/registry.hpp"
@@ -112,8 +113,35 @@ BENCHMARK_CAPTURE(BM_Transform, alu16_refactor, std::string("alu16"),
                   std::string("refactor"));
 BENCHMARK_CAPTURE(BM_Transform, alu16_restructure, std::string("alu16"),
                   std::string("restructure"));
+BENCHMARK_CAPTURE(BM_Transform, alu16_rewrite_z, std::string("alu16"),
+                  std::string("rewrite -z"));
+BENCHMARK_CAPTURE(BM_Transform, alu16_refactor_z, std::string("alu16"),
+                  std::string("refactor -z"));
 BENCHMARK_CAPTURE(BM_Transform, mont8_rewrite, std::string("mont:8"),
                   std::string("rewrite"));
+
+void BM_ReconvCut(benchmark::State& state, const std::string& design) {
+  // The window every restructure and refactor root starts from: one
+  // reconvergence-driven cut of every AND node at the passes' default
+  // leaf limit of 8.
+  const aig::Aig& g = cached_design(design);
+  std::size_t leaves = 0;
+  for (auto _ : state) {
+    leaves = 0;
+    for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
+      if (g.is_and(id)) leaves += aig::reconv_cut(g, id, 8).size();
+    }
+    benchmark::DoNotOptimize(leaves);
+  }
+  state.counters["roots"] = static_cast<double>(g.num_ands());
+  // Seconds per root (printed with an SI prefix, e.g. 950n).
+  state.counters["per_root"] = benchmark::Counter(
+      static_cast<double>(g.num_ands()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ReconvCut, alu16, std::string("alu16"))
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CutEnumeration(benchmark::State& state) {
   const aig::Aig& g = cached_design("alu16");

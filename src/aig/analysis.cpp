@@ -1,11 +1,9 @@
 #include "aig/analysis.hpp"
 
 #include <mutex>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "aig/isop.hpp"
-#include "aig/simulate.hpp"
 #include "aig/stamped_slots.hpp"
 #include "aig/truth.hpp"
 
@@ -90,8 +88,10 @@ std::shared_ptr<const FactoredForm> factored_form(const TruthTable& tt) {
 }
 
 Lit build_factored_form(Aig& aig, const FactoredForm& form,
-                        std::span<const Lit> inputs) {
-  const Lit l = build_factored(aig, form.expr, inputs);
+                        std::span<const Lit> inputs,
+                        std::size_t max_new_nodes) {
+  const Lit l = build_factored(aig, form.expr, inputs, max_new_nodes);
+  if (l == kLitInvalid) return l;
   return form.output_compl ? lit_not(l) : l;
 }
 
@@ -213,7 +213,8 @@ struct ResubScratch {
 void compute_resub_plan(const Aig& g, std::uint32_t root,
                         std::span<const std::uint32_t> leaves,
                         unsigned max_divisors, RefCounts& refs,
-                        const Fanouts& fanouts, ResubPlan& plan) {
+                        const Fanouts& fanouts, ResubPlan& plan,
+                        bool scan_ones) {
   plan.zeros.clear();
   plan.ones.clear();
   if (degenerate_window(leaves)) return;
@@ -250,12 +251,16 @@ void compute_resub_plan(const Aig& g, std::uint32_t root,
     for (std::uint32_t fi = fanouts.begin(seed); fi < fanouts.end(seed);
          ++fi) {
       const std::uint32_t candidate = fanouts.target(fi);
-      if (candidate == root) continue;
-      if (table_of(candidate) != kNoTable || refs.dead(candidate)) continue;
+      if (candidate == root || table_of(candidate) != kNoTable) continue;
+      // The seed has a table, so the candidate needs one on its other
+      // fanin only.
       const auto& n = g.node(candidate);
+      const std::uint32_t other = lit_node(n.fanin0) == seed
+                                      ? lit_node(n.fanin1)
+                                      : lit_node(n.fanin0);
+      if (table_of(other) == kNoTable || refs.dead(candidate)) continue;
       const std::uint32_t t0 = table_of(lit_node(n.fanin0));
       const std::uint32_t t1 = table_of(lit_node(n.fanin1));
-      if (t0 == kNoTable || t1 == kNoTable) continue;
       const std::uint32_t t = store(
           candidate, TruthTable::and_phase(s.tts[t0], lit_is_compl(n.fanin0),
                                            s.tts[t1], lit_is_compl(n.fanin1)));
@@ -268,8 +273,11 @@ void compute_resub_plan(const Aig& g, std::uint32_t root,
   }
 
   // Target function: root over the window leaves. When the window BFS was
-  // capped before reaching the root's fanins, fall back to exact cone
-  // evaluation; when even that fails the plan stays empty.
+  // capped before reaching the root's fanins, finish the root's cone from
+  // the window tables already built: each is its node's function over the
+  // leaves in leaf order, exactly what cone_truth computes, so only the
+  // rest of the cone is evaluated. A cone that reaches a PI outside the
+  // leaves is not a function of them, and the plan stays empty.
   const auto& rn = g.node(root);
   const std::uint32_t rt0 = table_of(lit_node(rn.fanin0));
   const std::uint32_t rt1 = table_of(lit_node(rn.fanin1));
@@ -278,11 +286,32 @@ void compute_resub_plan(const Aig& g, std::uint32_t root,
     target = TruthTable::and_phase(s.tts[rt0], lit_is_compl(rn.fanin0),
                                    s.tts[rt1], lit_is_compl(rn.fanin1));
   } else {
-    try {
-      target = cone_truth(g, make_lit(root, false), leaves);
-    } catch (const std::invalid_argument&) {
-      return;
+    std::vector<std::uint32_t>& stack = s.frontier;  // spent by the walk
+    stack.assign(1, root);
+    while (!stack.empty()) {
+      const std::uint32_t id = stack.back();
+      if (table_of(id) != kNoTable) {
+        stack.pop_back();
+        continue;
+      }
+      if (!g.is_and(id)) {
+        if (id != 0) return;
+        store(0, TruthTable::constant(nv, false));
+        continue;
+      }
+      const auto& n = g.node(id);
+      const std::uint32_t t0 = table_of(lit_node(n.fanin0));
+      const std::uint32_t t1 = table_of(lit_node(n.fanin1));
+      if (t0 != kNoTable && t1 != kNoTable) {
+        store(id, TruthTable::and_phase(s.tts[t0], lit_is_compl(n.fanin0),
+                                        s.tts[t1], lit_is_compl(n.fanin1)));
+        stack.pop_back();
+      } else {
+        if (t0 == kNoTable) stack.push_back(lit_node(n.fanin0));
+        if (t1 == kNoTable) stack.push_back(lit_node(n.fanin1));
+      }
     }
+    target = s.tts[table_of(root)];
   }
 
   s.divisor_tts.clear();
@@ -300,6 +329,7 @@ void compute_resub_plan(const Aig& g, std::uint32_t root,
     }
   }
 
+  if (!scan_ones) return;
   detail::scan_one_resub(target, s.divisor_tts, kMaxOneMatches, plan.ones);
   for (ResubMatch& m : plan.ones) {
     m.div0 = s.divisors[m.div0].node;

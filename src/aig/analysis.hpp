@@ -12,7 +12,12 @@
 //
 // The window kernels keep per-call node state in per-thread stamped slots
 // (aig/stamped_slots.hpp), so that work costs a few milliseconds per pass
-// on alu16 (docs/architecture.md has the per-pass numbers).
+// on alu16 (docs/architecture.md has the per-pass numbers). They also skip
+// work whose result is already known, without changing any result: a
+// resub plan finishes its target from the window tables it built and
+// skips the 1-resub scan for a caller that cannot use one, and a
+// tentative build stops as soon as it has appended more nodes than the
+// caller's gain bound allows.
 
 #include <cstdint>
 #include <memory>
@@ -78,10 +83,15 @@ struct ResubPlan {
 /// dead divisors and the MFFC split (mffc_nodes mutates and restores it).
 /// The plan is left empty when the window is degenerate or the target
 /// function cannot be computed over it. `plan`'s vectors are reused.
+///
+/// With `scan_ones` false the caller will not read 1-resub candidates:
+/// the pair scan is skipped and `plan.ones` stays empty, while
+/// `plan.zeros` is exactly what the full plan would hold.
 void compute_resub_plan(const Aig& g, std::uint32_t root,
                         std::span<const std::uint32_t> leaves,
                         unsigned max_divisors, RefCounts& refs,
-                        const Fanouts& fanouts, ResubPlan& plan);
+                        const Fanouts& fanouts, ResubPlan& plan,
+                        bool scan_ones = true);
 
 /// The winning factored form of one window function: ISOP + quick-factor of
 /// both polarities, fewer literals wins (ties prefer positive). Shared by
@@ -97,9 +107,13 @@ struct FactoredForm {
 /// high-water mark, which never affects values — only recomputation).
 std::shared_ptr<const FactoredForm> factored_form(const TruthTable& tt);
 
-/// Build a FactoredForm over `inputs` (inputs[i] drives variable i).
+/// Build a FactoredForm over `inputs` (inputs[i] drives variable i). A
+/// build that would append more than `max_new_nodes` nodes is rolled back
+/// and returns kLitInvalid (see build_factored): the passes bound it by the
+/// most a candidate may add and still win, so a certain reject stops early.
 Lit build_factored_form(Aig& aig, const FactoredForm& form,
-                        std::span<const Lit> inputs);
+                        std::span<const Lit> inputs,
+                        std::size_t max_new_nodes = SIZE_MAX);
 
 namespace detail {
 

@@ -152,8 +152,9 @@ FactorExpr factor_sop(const Sop& sop) {
 }
 
 Lit build_factored(Aig& aig, const FactorExpr& expr,
-                   std::span<const Lit> inputs) {
+                   std::span<const Lit> inputs, std::size_t max_new_nodes) {
   if (expr.nodes.empty()) return kLitFalse;
+  const std::size_t start = aig.checkpoint();
   // Postfix evaluation: operands are built left to right before the
   // operator folds them, the land() order of a recursive build.
   thread_local std::vector<Lit> stack;  // reused across calls
@@ -176,6 +177,10 @@ Lit build_factored(Aig& aig, const FactorExpr& expr,
         const std::span<const Lit> ops(stack.data() + first, n.arity);
         const Lit l =
             n.kind == Kind::kAnd ? aig.land_n(ops) : aig.lor_n(ops);
+        if (aig.num_nodes() - start > max_new_nodes) {
+          aig.rollback(start);
+          return kLitInvalid;
+        }
         stack.resize(first);
         stack.push_back(l);
         break;

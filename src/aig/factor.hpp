@@ -42,8 +42,15 @@ FactorExpr factor_sop(const Sop& sop);
 /// (inputs[i] drives variable i). Returns the root literal. Children are
 /// built left to right and folded by land_n/lor_n, so the land() sequence
 /// (and with it every node id) is fixed by the expression alone.
+///
+/// A build that would append more than `max_new_nodes` nodes stops after
+/// the first AND/OR that crosses the bound, rolls `aig` back to its size on
+/// entry and returns kLitInvalid. The node count only grows during a build,
+/// so it stops exactly when the full build would exceed the bound, and
+/// every node the full build appends first is appended in the same order.
 Lit build_factored(Aig& aig, const FactorExpr& expr,
-                   std::span<const Lit> inputs);
+                   std::span<const Lit> inputs,
+                   std::size_t max_new_nodes = SIZE_MAX);
 
 /// Full resynthesis helper: ISOP + factoring of both polarities of `tt`,
 /// picking the polarity with fewer literals, built over `inputs`.

@@ -11,13 +11,6 @@ unsigned Cube::num_literals() const {
 
 namespace {
 
-// Bit masks of the elementary functions x_0..x_5 within one 64-bit word
-// (same layout as truth.cpp).
-constexpr std::uint64_t kWordVarMask[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
-};
-
 /// Word-parallel Minato-Morreale over functions of at most 6 live
 /// variables, packed into a single uint64 — no TruthTable temporaries, no
 /// allocation except the output cubes. `full` is the valid-bit mask
@@ -40,7 +33,7 @@ std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
   bool found = false;
   for (unsigned v = num_top_vars; v-- > 0;) {
     const unsigned shift = 1u << v;
-    const std::uint64_t off = ~kWordVarMask[v];
+    const std::uint64_t off = ~kVarMask[v];
     if ((((lower >> shift) ^ lower) & off) ||
         (((upper >> shift) ^ upper) & off)) {
       var = v;
@@ -52,7 +45,7 @@ std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
   (void)found;
 
   const unsigned shift = 1u << var;
-  const std::uint64_t mask = kWordVarMask[var];
+  const std::uint64_t mask = kVarMask[var];
   const auto cof0 = [&](std::uint64_t t) {
     const std::uint64_t low = t & ~mask;
     return low | (low << shift);

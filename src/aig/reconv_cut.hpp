@@ -2,6 +2,11 @@
 // Reconvergence-driven cut computation (the cut used by ABC's refactor and
 // resubstitution): grow a cut around a root node by repeatedly expanding the
 // leaf whose fanins add the fewest new leaves, up to a leaf limit.
+//
+// Every restructure and refactor root starts here, so the kernel reads no
+// more than it must: each leaf record carries its fanins and level, and
+// leaf membership is a per-thread stamped mark (aig/stamped_slots.hpp),
+// not a scan of the leaf list.
 
 #include <cstdint>
 
@@ -18,8 +23,11 @@ constexpr unsigned kMaxWindowLeaves = 16;
 using WindowLeaves = InlineVec<std::uint32_t, kMaxWindowLeaves>;
 
 /// Returns the sorted leaf node ids of a reconvergence-driven cut of `root`
-/// with at most `max_leaves` leaves. Throws std::invalid_argument when
-/// max_leaves > kMaxWindowLeaves.
+/// with at most `max_leaves` leaves. Each step expands the leaf with the
+/// lowest cost (fanins not yet leaves, minus one), ties going to the
+/// higher level, then to the earlier leaf; it stops when no leaf is an AND
+/// or the cheapest expansion would grow the cut past `max_leaves`. Throws
+/// std::invalid_argument when max_leaves > kMaxWindowLeaves.
 WindowLeaves reconv_cut(const Aig& aig, std::uint32_t root,
                         unsigned max_leaves);
 

@@ -76,12 +76,9 @@ bool exhaustive_equivalent(const Aig& a, const Aig& b) {
     throw std::invalid_argument("exhaustive_equivalent: more than 24 inputs");
   }
   // Pattern p sits at bit p % 64 of word p / 64, and input k reads bit k
-  // of p: inputs 0-5 alternate inside every word, input k >= 6 is constant
-  // across a word and flips every 2^(k-6) words. Fewer than 6 inputs
-  // repeat their patterns within the one word.
-  static constexpr std::uint64_t kInWord[6] = {
-      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  // of p: inputs 0-5 alternate inside every word (kVarMask), input k >= 6
+  // is constant across a word and flips every 2^(k-6) words. Fewer than 6
+  // inputs repeat their patterns within the one word.
   const std::uint64_t total = n <= 6 ? 1 : std::uint64_t{1} << (n - 6);
   // Blocks of words bound the signature memory at any input count.
   constexpr std::uint64_t kBlockWords = 256;
@@ -92,7 +89,7 @@ bool exhaustive_equivalent(const Aig& a, const Aig& b) {
         static_cast<std::size_t>(std::min(kBlockWords, total - first));
     const auto pi_word = [first](std::size_t k,
                                  std::size_t w) -> std::uint64_t {
-      if (k < 6) return kInWord[k];
+      if (k < 6) return kVarMask[k];
       return ((first + w) >> (k - 6)) & 1 ? ~0ull : 0ull;
     };
     simulate(a, words, data_a, pi_word);
@@ -116,22 +113,27 @@ TruthTable cone_truth(const Aig& aig, Lit root,
                       std::span<const std::uint32_t> leaves) {
   const auto nv = static_cast<unsigned>(leaves.size());
   if (nv > 16) throw std::invalid_argument("cone_truth: cut too large");
+  const std::uint32_t nw = nv <= 6 ? 1u : 1u << (nv - 6);
 
-  // Node id -> index into `tts`; the first table stored for an id wins.
+  // Node id -> offset of its table in `words`, nw words per table; the
+  // first table stored for an id wins. Below 6 variables the bits past
+  // 2^nv are don't-cares, masked once on the result.
   thread_local StampedSlots<std::uint32_t> slot;
-  thread_local std::vector<TruthTable> tts;
+  thread_local std::vector<std::uint64_t> words;
   thread_local std::vector<std::uint32_t> stack;
   slot.reset(aig.num_nodes());
-  tts.clear();
-  auto store = [&](std::uint32_t id, TruthTable tt) {
-    if (slot.has(id)) return;
-    slot.at(id) = static_cast<std::uint32_t>(tts.size());
-    tts.push_back(std::move(tt));
-  };
+  words.clear();
   for (unsigned i = 0; i < nv; ++i) {
-    store(leaves[i], TruthTable::variable(nv, i));
+    if (slot.has(leaves[i])) continue;
+    slot.at(leaves[i]) = static_cast<std::uint32_t>(words.size());
+    for (std::uint32_t w = 0; w < nw; ++w) {
+      words.push_back(i < 6 ? kVarMask[i] : ((w >> (i - 6)) & 1) ? ~0ull : 0);
+    }
   }
-  store(0u, TruthTable::constant(nv, false));
+  if (!slot.has(0)) {  // the constant node: all zeros
+    slot.at(0) = static_cast<std::uint32_t>(words.size());
+    words.insert(words.end(), nw, 0);
+  }
 
   // Recursive evaluation with an explicit stack (cones can be deep).
   stack.assign(1, lit_node(root));
@@ -150,16 +152,22 @@ TruthTable cone_truth(const Aig& aig, Lit root,
     const bool have_a = slot.has(a);
     const bool have_b = slot.has(b);
     if (have_a && have_b) {
-      store(id, TruthTable::and_phase(tts[slot.get(a)], lit_is_compl(n.fanin0),
-                                      tts[slot.get(b)],
-                                      lit_is_compl(n.fanin1)));
+      const std::uint32_t ta = slot.get(a);
+      const std::uint32_t tb = slot.get(b);
+      const std::uint64_t ma = lit_is_compl(n.fanin0) ? ~0ull : 0ull;
+      const std::uint64_t mb = lit_is_compl(n.fanin1) ? ~0ull : 0ull;
+      slot.at(id) = static_cast<std::uint32_t>(words.size());
+      for (std::uint32_t w = 0; w < nw; ++w) {
+        words.push_back((words[ta + w] ^ ma) & (words[tb + w] ^ mb));
+      }
       stack.pop_back();
     } else {
       if (!have_a) stack.push_back(a);
       if (!have_b) stack.push_back(b);
     }
   }
-  TruthTable result = tts[slot.get(lit_node(root))];
+  const std::uint32_t t = slot.get(lit_node(root));
+  TruthTable result = TruthTable::from_words(nv, {words.data() + t, nw});
   if (lit_is_compl(root)) result = ~result;
   return result;
 }

@@ -5,13 +5,13 @@
 // costs more than the logic work of restructure and refactor. A StampedSlots
 // instance instead keeps one slot per node and a generation counter: `reset` starts
 // a new call in O(1) by bumping the generation, and a slot whose stamp is
-// not the current generation reads as empty.
+// not the current generation reads as empty. A slot's stamp and value sit
+// side by side, so reading a slot touches one cache line.
 //
 // Instances are meant to be `thread_local` inside one kernel each: kernels
 // nest (a resub plan may fall back to cone_truth), so two kernels never
 // share an instance, and concurrent evaluations never share one either.
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,35 +24,42 @@ public:
   /// empty afterwards. Grows to the largest graph seen; clears all stamps
   /// when the generation counter wraps.
   void reset(std::size_t num_nodes) {
-    if (stamps_.size() < num_nodes) {
-      stamps_.resize(num_nodes, 0);
-      values_.resize(num_nodes);
-    }
+    if (slots_.size() < num_nodes) slots_.resize(num_nodes);
     if (++gen_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0);
+      for (Slot& slot : slots_) slot.stamp = 0;
       gen_ = 1;
     }
   }
 
   /// True when slot `id` was written since the last reset.
-  bool has(std::uint32_t id) const { return stamps_[id] == gen_; }
+  bool has(std::uint32_t id) const { return slots_[id].stamp == gen_; }
 
   /// Slot `id`, value-initialised on first touch since the last reset.
   T& at(std::uint32_t id) {
-    if (stamps_[id] != gen_) {
-      stamps_[id] = gen_;
-      values_[id] = T{};
+    Slot& slot = slots_[id];
+    if (slot.stamp != gen_) {
+      slot.stamp = gen_;
+      slot.value = T{};
     }
-    return values_[id];
+    return slot.value;
   }
 
   /// Slot `id`, or T{} when it is empty.
-  T get(std::uint32_t id) const { return has(id) ? values_[id] : T{}; }
+  T get(std::uint32_t id) const {
+    const Slot& slot = slots_[id];
+    return slot.stamp == gen_ ? slot.value : T{};
+  }
+
+  /// Empty slot `id` again (a set that loses members, read with has()).
+  void erase(std::uint32_t id) { slots_[id].stamp = 0; }
 
 private:
+  struct Slot {
+    std::uint32_t stamp = 0;
+    T value{};
+  };
   std::uint32_t gen_ = 0;
-  std::vector<std::uint32_t> stamps_;
-  std::vector<T> values_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace flowgen::aig

@@ -5,16 +5,11 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace flowgen::aig {
 
 namespace {
-
-// Bit masks of the elementary functions x_0..x_5 within one 64-bit word.
-constexpr std::uint64_t kVarMask[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
-};
 
 std::uint32_t words_for(unsigned num_vars) {
   return num_vars <= 6 ? 1u : (1u << (num_vars - 6));
@@ -117,6 +112,15 @@ TruthTable TruthTable::from_bits(unsigned num_vars, std::uint64_t bits) {
   assert(num_vars <= 6);
   TruthTable t(num_vars);
   t.data()[0] = bits;
+  t.mask_tail();
+  return t;
+}
+
+TruthTable TruthTable::from_words(unsigned num_vars,
+                                  std::span<const std::uint64_t> words) {
+  TruthTable t(num_vars);
+  assert(words.size() >= t.num_words_);
+  std::memcpy(t.data(), words.data(), t.num_words_ * sizeof(std::uint64_t));
   t.mask_tail();
   return t;
 }
@@ -364,6 +368,44 @@ TruthTable TruthTable::cofactor1(unsigned v) const {
     }
   }
   return t;
+}
+
+void swap_vars(std::span<std::uint64_t> words, unsigned i, unsigned j) {
+  assert(i < j);
+  if (j < 6) {
+    // Minterms with x_i = 1, x_j = 0 take the value `shift` minterms up
+    // (x_i = 0, x_j = 1), and those minterms take it back.
+    const unsigned shift = (1u << j) - (1u << i);
+    const std::uint64_t down = kVarMask[i] & ~kVarMask[j];
+    const std::uint64_t up = ~kVarMask[i] & kVarMask[j];
+    for (std::uint64_t& w : words) {
+      w = (w & ~(down | up)) | ((w >> shift) & down) | ((w << shift) & up);
+    }
+  } else if (i < 6) {
+    // Word pairs (x_j = 0, x_j = 1) trade their x_i = 1 and x_i = 0 halves.
+    const std::size_t step = std::size_t{1} << (j - 6);
+    const unsigned shift = 1u << i;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      if (w & step) continue;
+      const std::uint64_t lo = words[w];
+      const std::uint64_t hi = words[w + step];
+      words[w] = (lo & ~kVarMask[i]) | ((hi << shift) & kVarMask[i]);
+      words[w + step] = (hi & kVarMask[i]) | ((lo >> shift) & ~kVarMask[i]);
+    }
+  } else {
+    // Both select words: words with x_i = 1, x_j = 0 trade places with
+    // their x_i = 0, x_j = 1 partners.
+    const std::size_t si = std::size_t{1} << (i - 6);
+    const std::size_t sj = std::size_t{1} << (j - 6);
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      if ((w & si) && !(w & sj)) std::swap(words[w], words[w - si + sj]);
+    }
+  }
+}
+
+void TruthTable::swap_vars(unsigned i, unsigned j) {
+  assert(i < j && j < num_vars_);
+  aig::swap_vars({data(), num_words_}, i, j);
 }
 
 TruthTable TruthTable::permute_flip(const std::vector<unsigned>& perm,

@@ -18,6 +18,13 @@
 
 namespace flowgen::aig {
 
+/// Bit patterns of x_0..x_5 inside any 64-bit word of a table: minterm m
+/// sits at bit m % 64 of word m / 64, and x_i is bit i of m.
+inline constexpr std::uint64_t kVarMask[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
+};
+
 class TruthTable {
 public:
   TruthTable() = default;
@@ -40,6 +47,11 @@ public:
   /// to x_0..x_5 is `word`. Lets word-parallel kernels (ISOP) hand a
   /// single-uint64 result back to the multi-word world.
   static TruthTable broadcast(unsigned num_vars, std::uint64_t word);
+  /// The first 2^num_vars bits of `words` (at least one word, and
+  /// 2^(num_vars - 6) from 7 variables up), tail-masked: lets word-level
+  /// kernels (cone and cut functions) hand their result back as a table.
+  static TruthTable from_words(unsigned num_vars,
+                               std::span<const std::uint64_t> words);
 
   unsigned num_vars() const { return num_vars_; }
   std::size_t num_bits() const { return std::size_t{1} << num_vars_; }
@@ -94,6 +106,9 @@ public:
   TruthTable cofactor0(unsigned v) const;
   TruthTable cofactor1(unsigned v) const;
 
+  /// Swap variables i < j < num_vars() in place.
+  void swap_vars(unsigned i, unsigned j);
+
   /// Apply input negation mask, input permutation, and output negation:
   /// result(x_0..x_{n-1}) = f(y_{perm[0]}, ...) with y_i = x_i ^ flip bit.
   /// Specifically: new_tt(m) = f(transform(m)) where input i of f is taken
@@ -122,5 +137,13 @@ private:
   std::array<std::uint64_t, kInlineWords> inline_{};
   std::unique_ptr<std::uint64_t[]> heap_;
 };
+
+/// Swap variables i < j of a table stored as `words` in TruthTable's
+/// layout: bit m % 64 of word m / 64 is minterm m, so variables 0-5 live
+/// inside every word and variable v >= 6 selects words in blocks of
+/// 2^(v-6). `words` holds at least one word, and at least 2^(j-5) when
+/// j >= 6; a word's bits past the table's minterms swap along, so a
+/// table kept independent of its unused variables stays so.
+void swap_vars(std::span<std::uint64_t> words, unsigned i, unsigned j);
 
 }  // namespace flowgen::aig

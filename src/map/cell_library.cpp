@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 namespace flowgen::map {
@@ -59,28 +60,17 @@ std::vector<Cell> builtin_cells() {
   };
 }
 
-/// Truth table restricted to its essential variables, plus the positions of
-/// those variables in the original function (truth tables have at most 16).
-struct SupportInfo {
-  TruthTable tt;
-  aig::InlineVec<unsigned, 16> vars;
-};
-
-SupportInfo compress_support(const TruthTable& tt) {
-  SupportInfo info;
-  for (unsigned v = 0; v < tt.num_vars(); ++v) {
-    if (tt.depends_on(v)) info.vars.push_back(v);
+/// The function of `tt` over its essential variables `vars` (ascending,
+/// at most 4) as the low 2^vars.size() bits of a word. Each vars[j] is
+/// swapped down to position j; every variable it trades places with is
+/// inessential, so the low minterms read the compressed function.
+std::uint64_t compress_support(const TruthTable& tt,
+                               std::span<const unsigned> vars) {
+  TruthTable t = tt;  // inline up to 8 variables
+  for (unsigned j = 0; j < vars.size(); ++j) {
+    if (vars[j] != j) t.swap_vars(j, vars[j]);
   }
-  const auto nv = static_cast<unsigned>(info.vars.size());
-  info.tt = TruthTable(nv);
-  for (std::size_t m = 0; m < info.tt.num_bits(); ++m) {
-    std::size_t src = 0;
-    for (unsigned j = 0; j < nv; ++j) {
-      if ((m >> j) & 1) src |= (std::size_t{1} << info.vars[j]);
-    }
-    info.tt.set_bit(m, tt.bit(src));
-  }
-  return info;
+  return t.low_word() & ((std::uint64_t{1} << (1u << vars.size())) - 1);
 }
 
 }  // namespace
@@ -148,39 +138,30 @@ void CellLibrary::build_index() {
 }
 
 std::optional<Match> CellLibrary::best_match(const TruthTable& tt) const {
-  if (tt.num_vars() > 4) {
-    // Compressing might still bring it within range.
-    SupportInfo info = compress_support(tt);
-    if (info.vars.size() > 4 || info.vars.empty()) return std::nullopt;
-    std::optional<Match> inner = best_match(info.tt);
-    if (!inner) return std::nullopt;
-    std::uint32_t mask = 0;
-    for (unsigned j = 0; j < info.vars.size(); ++j) {
-      if ((inner->leaf_flip_mask >> j) & 1) mask |= (1u << info.vars[j]);
-    }
-    inner->leaf_flip_mask = mask;
-    for (auto& pin : inner->pin_to_leaf) {
-      pin = static_cast<std::uint8_t>(info.vars[pin]);
-    }
-    return inner;
+  // Cells have at most 4 inputs: a function with more essential variables
+  // has no match, and a constant has none either (handled upstream).
+  aig::InlineVec<unsigned, 4> vars;
+  for (unsigned v = 0; v < tt.num_vars(); ++v) {
+    if (!tt.depends_on(v)) continue;
+    if (vars.size() == 4) return std::nullopt;
+    vars.push_back(v);
   }
-
-  SupportInfo info = compress_support(tt);
-  const auto nv = static_cast<unsigned>(info.vars.size());
-  if (nv == 0) return std::nullopt;  // constant function; handled upstream
+  const auto nv = static_cast<unsigned>(vars.size());
+  if (nv == 0) return std::nullopt;
 
   const auto& slot = index_[nv];
-  const auto it = slot.find(info.tt.low_word());
+  const auto it = slot.find(compress_support(tt, vars));
   if (it == slot.end()) return std::nullopt;
 
+  // Map the match's leaf positions back to the cut's.
   Match m = it->second;
   std::uint32_t mask = 0;
   for (unsigned j = 0; j < nv; ++j) {
-    if ((m.leaf_flip_mask >> j) & 1) mask |= (1u << info.vars[j]);
+    if ((m.leaf_flip_mask >> j) & 1) mask |= (1u << vars[j]);
   }
   m.leaf_flip_mask = mask;
   for (auto& pin : m.pin_to_leaf) {
-    pin = static_cast<std::uint8_t>(info.vars[pin]);
+    pin = static_cast<std::uint8_t>(vars[pin]);
   }
   return m;
 }

@@ -1,7 +1,8 @@
 #pragma once
 // Synthetic 14 nm-class standard-cell library. The paper maps with a
 // proprietary 14 nm library; we provide a self-contained one with areas in
-// um^2 and delays in ps chosen to be mutually consistent (see DESIGN.md).
+// um^2 and delays in ps chosen to be mutually consistent
+// (docs/architecture.md, "The cell library").
 //
 // For matching, every cell function is expanded over all input permutations,
 // input polarities and output polarity; polarity changes are priced as
@@ -59,8 +60,10 @@ public:
   double inverter_area() const { return inverter().area_um2; }
   double inverter_delay() const { return inverter().delay_ps; }
 
-  /// Cheapest realisation of `tt` (a cut function of tt.num_vars() <= 4
-  /// leaves), or nullopt if no cell variant implements it.
+  /// Cheapest realisation of `tt` (a cut function; only its essential
+  /// variables count, at most 4), or nullopt if no cell variant implements
+  /// it. The essential variables are swapped down to the low positions
+  /// with word operations, and the index is read with the low 2^k bits.
   std::optional<Match> best_match(const aig::TruthTable& tt) const;
 
   /// Number of distinct (num_vars, function) entries in the match index.

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "aig/refs.hpp"
-#include "aig/simulate.hpp"
 
 namespace flowgen::map {
 
@@ -17,8 +16,6 @@ using aig::Cut;
 using aig::Lit;
 using aig::lit_is_compl;
 using aig::lit_node;
-using aig::make_lit;
-using aig::TruthTable;
 
 namespace {
 
@@ -97,11 +94,11 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
     }
     NodeState& ns = state[id];
     ns.first = static_cast<std::uint32_t>(all_candidates.size());
-    for (const Cut& cut : cuts.cuts(id)) {
+    const std::span<const Cut> node_cuts = cuts.cuts(id);
+    for (std::size_t i = 0; i < node_cuts.size(); ++i) {
+      const Cut& cut = node_cuts[i];
       if (cut.leaves.size() == 1 && cut.leaves[0] == id) continue;  // trivial
-      const TruthTable tt =
-          aig::cone_truth(aig, make_lit(id, false), cut.leaves);
-      const std::optional<Match> match = lib.best_match(tt);
+      const std::optional<Match> match = lib.best_match(cuts.function(id, i));
       if (!match) continue;
       all_candidates.push_back(Candidate{&cut, *match});
     }

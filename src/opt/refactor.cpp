@@ -66,15 +66,21 @@ Aig refactor(const Aig& in, const RefactorParams& params) {
       inputs.push_back(resolve(repl, make_lit(leaf, false)));
     }
 
+    // gain = mffc - added - reused with reused >= 0, so a build that
+    // appends more than mffc - threshold nodes is a certain reject: the
+    // budgeted build stops there and rolls itself back.
+    const long threshold =
+        params.zero_cost ? -zero_cost_slack(mffc) : 1;
+    const auto budget = static_cast<std::size_t>(
+        std::max(0L, static_cast<long>(mffc) - threshold));
     const std::size_t cp = g.checkpoint();
-    Lit cand = aig::build_factored_form(g, *form, inputs);
+    Lit cand = aig::build_factored_form(g, *form, inputs, budget);
+    if (cand == aig::kLitInvalid) continue;
     const long added = static_cast<long>(g.num_nodes() - cp);
     const long reused = reuse_cost(g, repl, cand, leaves, mffc_nodes);
     const long gain = static_cast<long>(mffc) - added - reused;
     cand = resolve(repl, cand);
 
-    const long threshold =
-        params.zero_cost ? -zero_cost_slack(mffc) : 1;
     const bool accept = lit_node(cand) != id && gain >= threshold &&
                         !cone_contains(g, repl, cand, id);
     if (!accept) {

@@ -16,7 +16,11 @@ struct RefactorParams {
 
 /// Large-cut resynthesis. Each root's window and factored form are
 /// computed on the input graph; `refactor` and `refactor -z` differ only in
-/// the acceptance rule.
+/// the acceptance rule, gain >= 1 or gain >= -(1 + mffc/4), where gain =
+/// mffc - added - reused. Since reused >= 0, the tentative build of the
+/// factored form stops (and rolls back) once it has appended more than
+/// mffc minus the threshold nodes: such a root is a certain reject, and
+/// it skips the reuse and cycle checks.
 aig::Aig refactor(const aig::Aig& in, const RefactorParams& params = {});
 
 }  // namespace flowgen::opt

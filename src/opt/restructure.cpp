@@ -44,8 +44,11 @@ Aig restructure(const Aig& in, const RestructureParams& params) {
     const std::uint32_t mffc = refs.mffc_size(g, id);
     if (mffc < 1) continue;
 
+    // 1-resub needs an MFFC of at least 2 (below), so a smaller one skips
+    // the pair scan.
     aig::compute_resub_plan(in, id, aig::reconv_cut(in, id, params.max_leaves),
-                            params.max_divisors, scratch, fanouts, plan);
+                            params.max_divisors, scratch, fanouts, plan,
+                            /*scan_ones=*/mffc >= 2);
     if (plan.zeros.empty() && plan.ones.empty()) continue;
 
     Lit replacement = aig::kLitInvalid;

@@ -7,7 +7,6 @@
 #include "aig/analysis.hpp"
 #include "aig/cuts.hpp"
 #include "aig/refs.hpp"
-#include "aig/simulate.hpp"
 #include "opt/rebuild.hpp"
 
 namespace flowgen::opt {
@@ -17,7 +16,6 @@ using aig::Cut;
 using aig::Lit;
 using aig::lit_node;
 using aig::make_lit;
-using aig::TruthTable;
 
 Aig rewrite(const Aig& in, const RewriteParams& params) {
   Aig g = in;  // mutable working copy; old node ids stay untouched
@@ -52,15 +50,21 @@ Aig rewrite(const Aig& in, const RewriteParams& params) {
     const Cut* best_cut = nullptr;
     std::shared_ptr<const aig::FactoredForm> best_form;
 
-    for (const Cut& cut : cuts.cuts(id)) {
+    const std::span<const Cut> node_cuts = cuts.cuts(id);
+    for (std::size_t i = 0; i < node_cuts.size(); ++i) {
+      const Cut& cut = node_cuts[i];
       if (cut.leaves.size() < 2) continue;
-      const TruthTable tt =
-          aig::cone_truth(g, make_lit(id, false), cut.leaves);
+      // gain = mffc - added - reused with reused >= 0, so a cut beats
+      // best_gain only if its build appends at most mffc - best_gain - 1
+      // nodes: past that bound the build stops early, and below zero no
+      // cut can win at all.
+      const long budget = static_cast<long>(mffc) - best_gain - 1;
+      if (budget < 0) break;
       // The ISOP + factoring of a cut function is pure: serve it from the
       // process-wide memo (4-input functions repeat constantly across
       // nodes, passes and designs).
       const std::shared_ptr<const aig::FactoredForm> form =
-          aig::factored_form(tt);
+          aig::factored_form(cuts.function(id, i));
       // Tentatively construct the resynthesized cone to measure its true
       // incremental cost (strash hits are free), then roll back.
       inputs.clear();
@@ -68,7 +72,9 @@ Aig rewrite(const Aig& in, const RewriteParams& params) {
         inputs.push_back(resolve(repl, make_lit(leaf, false)));
       }
       const std::size_t cp = g.checkpoint();
-      const Lit cand = aig::build_factored_form(g, *form, inputs);
+      const Lit cand = aig::build_factored_form(
+          g, *form, inputs, static_cast<std::size_t>(budget));
+      if (cand == aig::kLitInvalid) continue;
       const long added = static_cast<long>(g.num_nodes() - cp);
       const long reused =
           reuse_cost(g, repl, cand, cut.leaves, mffc_nodes);

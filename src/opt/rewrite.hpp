@@ -18,8 +18,8 @@ struct RewriteParams {
   /// `rewrite -z`: also accept non-improving replacements to perturb the
   /// structure out of local optima. With exact-gain resynthesis a strict
   /// zero-gain rule would almost always reproduce the existing structure,
-  /// so the perturbation accepts bounded growth instead (see DESIGN.md):
-  /// gain >= -(1 + mffc/4).
+  /// so the perturbation accepts bounded growth instead: gain >=
+  /// -(1 + mffc/4) (docs/architecture.md, "The -z slack rule").
   bool zero_cost = false;
 };
 
@@ -28,9 +28,11 @@ inline long zero_cost_slack(unsigned mffc) {
   return 1 + static_cast<long>(mffc) / 4;
 }
 
-/// Cut-based rewriting. Cut sets are enumerated once on the input graph;
-/// cut-function factoring comes from the process-wide memo, which
-/// `rewrite` and `rewrite -z` share with refactor.
+/// Cut-based rewriting. Cut sets and their functions are enumerated once
+/// on the input graph; cut-function factoring comes from the process-wide
+/// memo, which `rewrite` and `rewrite -z` share with refactor. A cut beats
+/// the best one so far only if its build appends at most mffc - best_gain
+/// - 1 nodes, so each tentative build stops past that bound.
 aig::Aig rewrite(const aig::Aig& in, const RewriteParams& params = {});
 
 }  // namespace flowgen::opt

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "aig/reconv_cut.hpp"
 #include "aig/refs.hpp"
 #include "designs/registry.hpp"
+#include "flow_graphs.hpp"
 #include "opt/transform.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -168,6 +170,36 @@ TEST(AnalysisTest, FilteredResubScanMatchesBruteForce) {
   }
   EXPECT_GT(capped, 0u);  // the cap was reached at least once
   EXPECT_GT(matched, 50u);
+}
+
+TEST(AnalysisTest, PlanWithoutOnesHasTheFullPlansZeros) {
+  // Restructure skips the 1-resub scan where it cannot use one; the
+  // 0-resub candidates it reads must be the full plan's.
+  std::size_t roots = 0, with_zeros = 0, with_ones = 0;
+  ResubPlan full, zeros_only;
+  for (const Aig& g : fixtures::oracle_graphs()) {
+    RefCounts refs = RefCounts::pristine(g);
+    const Fanouts fanouts = build_fanouts(g);
+    for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
+      if (!g.is_and(id)) continue;
+      const WindowLeaves leaves = reconv_cut(g, id, 8);
+      compute_resub_plan(g, id, leaves, 24, refs, fanouts, full);
+      compute_resub_plan(g, id, leaves, 24, refs, fanouts, zeros_only,
+                         /*scan_ones=*/false);
+      ASSERT_EQ(zeros_only.zeros.size(), full.zeros.size()) << "node " << id;
+      for (std::size_t k = 0; k < full.zeros.size(); ++k) {
+        ASSERT_EQ(zeros_only.zeros[k].div, full.zeros[k].div);
+        ASSERT_EQ(zeros_only.zeros[k].compl_, full.zeros[k].compl_);
+      }
+      ASSERT_TRUE(zeros_only.ones.empty());
+      ++roots;
+      with_zeros += !full.zeros.empty();
+      with_ones += !full.ones.empty();
+    }
+  }
+  EXPECT_GT(roots, 50000u);
+  EXPECT_GT(with_zeros, 100u);
+  EXPECT_GT(with_ones, 100u);
 }
 
 TEST(AnalysisTest, ConcurrentPassesOnOneInputAreConsistent) {

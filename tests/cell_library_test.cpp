@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace flowgen::map {
@@ -132,6 +135,55 @@ TEST(CellLibraryTest, SupportCompressionHandlesDeadCutLeaves) {
   ASSERT_TRUE(m.has_value());
   expect_match_implements(*m, tt);
   for (std::uint8_t pin : m->pin_to_leaf) EXPECT_NE(pin, 1);
+}
+
+TEST(CellLibraryTest, SupportCompressionMatchesTheCompactFunction) {
+  // A function of at most 4 variables spread over up to 8 (dead leaves
+  // around it, above the 6-variable word boundary too) must match as its
+  // compact form does, with pins and inverters moved to its leaves.
+  util::Rng rng(2026);
+  int matched = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const unsigned k = 1 + static_cast<unsigned>(rng.below(4));
+    const unsigned nv = k + static_cast<unsigned>(rng.below(9 - k));
+    std::vector<unsigned> vars(nv);
+    for (unsigned v = 0; v < nv; ++v) vars[v] = v;
+    for (unsigned v = nv; v-- > 1;) {
+      std::swap(vars[v], vars[rng.below(v + 1)]);
+    }
+    vars.resize(k);
+    std::sort(vars.begin(), vars.end());
+    TruthTable compact(k);
+    for (std::size_t m = 0; m < compact.num_bits(); ++m) {
+      compact.set_bit(m, rng.chance(0.5));
+    }
+    TruthTable spread(nv);
+    for (std::size_t m = 0; m < spread.num_bits(); ++m) {
+      std::size_t c = 0;
+      for (unsigned j = 0; j < k; ++j) c |= ((m >> vars[j]) & 1) << j;
+      spread.set_bit(m, compact.bit(c));
+    }
+    bool full_support = true;
+    for (unsigned j = 0; j < k; ++j) full_support &= compact.depends_on(j);
+    if (!full_support) continue;
+    const auto want = lib().best_match(compact);
+    const auto got = lib().best_match(spread);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+    if (!got) continue;
+    expect_match_implements(*got, spread);
+    EXPECT_EQ(got->cell_id, want->cell_id);
+    EXPECT_EQ(got->out_flip, want->out_flip);
+    std::uint32_t mask = 0;
+    for (unsigned j = 0; j < k; ++j) {
+      if ((want->leaf_flip_mask >> j) & 1) mask |= 1u << vars[j];
+    }
+    EXPECT_EQ(got->leaf_flip_mask, mask);
+    for (std::size_t p = 0; p < want->pin_to_leaf.size(); ++p) {
+      EXPECT_EQ(got->pin_to_leaf[p], vars[want->pin_to_leaf[p]]);
+    }
+    ++matched;
+  }
+  EXPECT_GT(matched, 100);
 }
 
 TEST(CellLibraryTest, ConstantFunctionsHaveNoMatch) {

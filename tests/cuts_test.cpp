@@ -7,6 +7,8 @@
 
 #include "aig/simulate.hpp"
 #include "designs/alu.hpp"
+#include "flow_graphs.hpp"
+#include "util/rng.hpp"
 
 namespace flowgen::aig {
 namespace {
@@ -152,6 +154,77 @@ TEST(CutsTest, NoDominatedCutsKept) {
       }
     }
   }
+}
+
+/// Every cut function of `cm` equals cone_truth over the cut, bit for bit
+/// and tail mask included; returns the number of cuts checked.
+std::size_t expect_functions_match(const Aig& g, const CutManager& cm) {
+  std::size_t checked = 0;
+  for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
+    const std::span<const Cut> cuts = cm.cuts(id);
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
+      const TruthTable want =
+          cone_truth(g, make_lit(id, false), cuts[i].leaves);
+      const TruthTable got = cm.function(id, i);
+      EXPECT_EQ(got.num_vars(), want.num_vars()) << "node " << id;
+      EXPECT_TRUE(got == want) << "node " << id << " cut " << i << ": "
+                               << got.to_hex() << " != " << want.to_hex();
+      if (got != want) return checked;
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+TEST(CutsTest, CutFunctionsMatchConeTruthOnFlowGraphs) {
+  // Every cut of every graph that random m = 2 and m = 4 flows pass
+  // through on alu:8, spn16 and mont:6: the mapper's shape (trivial cuts
+  // kept) and rewrite's (dropped), at 4 and at 8 leaves.
+  std::size_t checked = 0;
+  for (const Aig& g : fixtures::oracle_graphs()) {
+    for (unsigned k : {4u, 8u}) {
+      for (bool keep_trivial : {true, false}) {
+        CutParams p;
+        p.cut_size = k;
+        p.keep_trivial = keep_trivial;
+        checked += expect_functions_match(g, CutManager(g, p));
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000000u);
+}
+
+TEST(CutsTest, CutFunctionsMatchConeTruthWhereALeafSitsInsideAFaninCone) {
+  // Deep random graphs with few priority cuts per node: there a merged
+  // cut can take a leaf of one fanin cut from inside the other fanin
+  // cut's cone, where cone_truth stops while the stretched function of
+  // that fanin cut does not. The cut's function must still be
+  // cone_truth's.
+  util::Rng rng(7);
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    Aig g;
+    const std::vector<Lit> pis = g.add_pis(8);
+    std::vector<Lit> lits(pis.begin(), pis.end());
+    for (int i = 0; i < 150; ++i) {
+      // Fanins from the six newest signals: long reconvergent chains.
+      const std::size_t lo = lits.size() - 6;
+      const Lit a = lits[lo + rng.below(6)] ^ static_cast<Lit>(rng.below(2));
+      const Lit b = lits[lo + rng.below(6)] ^ static_cast<Lit>(rng.below(2));
+      const Lit l = g.land(a, b);
+      if (lit_node(l) > pis.size()) lits.push_back(l);
+    }
+    g.add_po(lits.back());
+    for (unsigned k : {4u, 8u}) {
+      CutParams p;
+      p.cut_size = k;
+      p.max_cuts = 5;
+      checked += expect_functions_match(g, CutManager(g, p));
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(checked, 200000u);
 }
 
 }  // namespace

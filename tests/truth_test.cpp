@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace flowgen::aig {
@@ -110,6 +113,27 @@ TEST(TruthTest, OutFlipComplementsOutput) {
   util::Rng rng(13);
   const TruthTable f = random_tt(3, rng);
   EXPECT_EQ(f.permute_flip({0, 1, 2}, 0, true), ~f);
+}
+
+TEST(TruthTest, SwapVarsMatchesPermute) {
+  // Every pair of variables, inside a word, across the word boundary and
+  // between word-selecting variables, against the minterm-by-minterm
+  // permutation.
+  util::Rng rng(19);
+  for (unsigned nv = 2; nv <= 10; ++nv) {
+    const TruthTable f = random_tt(nv, rng);
+    for (unsigned i = 0; i < nv; ++i) {
+      for (unsigned j = i + 1; j < nv; ++j) {
+        std::vector<unsigned> perm(nv);
+        for (unsigned v = 0; v < nv; ++v) perm[v] = v;
+        std::swap(perm[i], perm[j]);
+        TruthTable swapped = f;
+        swapped.swap_vars(i, j);
+        ASSERT_EQ(swapped, f.permute_flip(perm, 0, false))
+            << "nv " << nv << " swap " << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(TruthTest, PermuteFlipIsInvolutionForSelfInverseTransforms) {
