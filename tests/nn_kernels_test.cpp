@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include "nn/model.hpp"
 #include "nn/optimizers.hpp"
 #include "nn/pooling.hpp"
+#include "util/crc32.hpp"
 
 namespace flowgen::nn {
 namespace {
@@ -522,6 +524,52 @@ TEST(NnKernelsTest, TrainingTrajectoryMatchesReferenceBitForBit) {
   const Tensor x = sparse_batch(16, data);
   EXPECT_TRUE(same_bits("predict_proba", model.predict_proba(x),
                         ref.predict_proba(x)));
+}
+
+/// A batch of one-hot 12x12 inputs laid out as core::one_hot_batch lays
+/// out a flow of length 24 over 6 transforms: every run of 6 values holds
+/// one 1 and five +0.
+Tensor one_hot_batch(std::size_t n, util::Rng& rng) {
+  Tensor x({n, 12, 12, 1});
+  for (std::size_t s = 0; s < x.size(); s += 6) x[s + rng.below(6)] = 1.0;
+  return x;
+}
+
+std::uint32_t crc_of(const Tensor& t, std::uint32_t crc) {
+  return util::crc32({reinterpret_cast<const std::uint8_t*>(t.data()),
+                      t.size() * sizeof(double)},
+                     crc);
+}
+
+TEST(NnKernelsTest, ClassifierStackTrainingIsPinned) {
+  // The trajectory test above cannot see a change in RmsProp, Activation,
+  // MaxPool2D, Dropout or Sequential, which its two models share. These
+  // CRCs were recorded from the two-lane SSE2 kernels and cover every bit
+  // of the parameters after 30 RMSProp steps and of 64 predictions, so any
+  // change in rounding anywhere in the stack (a reordered sum, a fused
+  // multiply-add, a vector clone that rounds differently) fails here.
+  // SELU also calls libm's exp and expm1, whose last bit is the C
+  // library's.
+  util::Rng rng(31);
+  Sequential model = classifier_shaped<Conv2D, LocallyConnected2D, Dense>(
+      16, rng);
+  RmsProp opt(1e-3);
+  util::Rng data(32);
+  for (std::size_t step = 0; step < 30; ++step) {
+    const Tensor x = one_hot_batch(5, data);
+    std::vector<std::uint32_t> labels(5);
+    for (std::uint32_t& l : labels) {
+      l = static_cast<std::uint32_t>(data.below(7));
+    }
+    model.train_batch(x, labels, opt);
+  }
+  std::uint32_t params = 0;
+  for (const Tensor* p : model.params()) params = crc_of(*p, params);
+  EXPECT_EQ(params, 0xc1d31ad0u) << std::hex << params;
+  const std::uint32_t proba = crc_of(model.predict_proba(
+                                         one_hot_batch(64, data)),
+                                     0);
+  EXPECT_EQ(proba, 0xd390a30eu) << std::hex << proba;
 }
 
 }  // namespace
