@@ -15,7 +15,9 @@ public:
          std::size_t stride = 1);
 
   Tensor forward(const Tensor& input, bool training) override;
+  /// backward_params() plus the input gradient.
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Tensor*> params() override { return {&weights_, &bias_}; }
   std::vector<Tensor*> grads() override {
     return {&grad_weights_, &grad_bias_};

@@ -98,7 +98,11 @@ Tensor Activation::backward(const Tensor& grad_output) {
   assert(grad_output.size() == cached_input_.size());
   Tensor grad(cached_input_.shape());
   for (std::size_t i = 0; i < grad.size(); ++i) {
-    grad[i] = grad_output[i] * activate_grad(kind_, cached_input_[i]);
+    // Every kind's derivative is finite and >= 0 (+0, never -0) at any
+    // input but NaN, so a +-0 upstream gradient times it is that same
+    // zero: return it without the derivative (SELU's calls exp).
+    const double g = grad_output[i];
+    grad[i] = g == 0.0 ? g : g * activate_grad(kind_, cached_input_[i]);
   }
   return grad;
 }

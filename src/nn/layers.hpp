@@ -23,6 +23,12 @@ public:
   /// Backward pass: gradient w.r.t. this layer's input, given gradient
   /// w.r.t. its output. Must be called after forward (layers cache state).
   virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// The parameter gradients of backward() without the input gradient,
+  /// for a first layer, whose input gradient nothing reads. The default
+  /// runs backward() and drops its result.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
 
   /// Trainable parameters and their gradients (parallel vectors).
   virtual std::vector<Tensor*> params() { return {}; }

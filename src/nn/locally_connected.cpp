@@ -1,46 +1,140 @@
 #include "nn/locally_connected.hpp"
 
 #include <cassert>
+#include <cstddef>
 #include <stdexcept>
+#include <vector>
+
+#include "nn/tiles.hpp"
 
 namespace flowgen::nn {
 
 namespace {
 
-// Independent accumulators per tile, held in registers.
-constexpr std::size_t kChannels = 4;
+using tiles::for_each_tile;
+using tiles::Pair;
+using tiles::Quad;
 
-// y[co0 .. co0+T) = bias + sum over the patch (ky, then kx and ci) of
-// x * w, one +0 accumulator per channel, terms in patch order.
-template <std::size_t T>
-void forward_tile(const double* __restrict x, std::size_t row,
-                  std::size_t kh, std::size_t run,
-                  const double* __restrict w, std::size_t co_n,
-                  const double* __restrict bias, std::size_t co0,
-                  double* __restrict y) {
-  double acc[T] = {};
-  const double* wr = w + co0;
-  for (std::size_t ky = 0; ky < kh; ++ky) {
-    const double* xr = x + ky * row;
-    for (std::size_t q = 0; q < run; ++q, wr += co_n) {
-      const double v = xr[q];
-      for (std::size_t t = 0; t < T; ++t) acc[t] += v * wr[t];
+// A batch through a locally connected layer: image b's output position
+// (oy, ox) reads the patch x[b][oy + ky][ox + kx][ci] with weights
+// w[oy*ow + ox][(ky*kw + kx)*ci_n + ci][co].
+struct Local {
+  const double* x;  // (n, in_h, in_w, ci_n)
+  const double* w;  // (oh*ow, patch, co_n)
+  std::size_t n, in_h, in_w, ci_n, co_n, kh, kw, oh, ow;
+
+  std::size_t run() const { return kw * ci_n; }  // one kernel row (kx, ci)
+  std::size_t row() const { return in_w * ci_n; }
+  std::size_t patch() const { return kh * run(); }
+  std::size_t image() const { return in_h * row(); }
+  std::size_t out_image() const { return oh * ow * co_n; }
+};
+
+// y[b][pos][co] = bias[pos][co] + the sum over the patch (ky, then kx and
+// ci) of x * w, one +0 running sum per output. Positions outermost: one
+// position's weights stay in L1 while every image reuses them, and the
+// images are the rows of a gather.
+template <typename Wide>
+[[gnu::always_inline]] inline void local_forward_tiles(const Local& c,
+                                                       const double* bias,
+                                                       double* y) {
+  const tiles::Terms terms{c.kh, c.row(), c.run() * c.co_n,
+                           c.run(), 1, c.co_n};
+  for (std::size_t oy = 0; oy < c.oh; ++oy) {
+    for (std::size_t ox = 0; ox < c.ow; ++ox) {
+      const std::size_t pos = oy * c.ow + ox;
+      const double* x = c.x + (oy * c.in_w + ox) * c.ci_n;
+      const double* w = c.w + pos * c.patch() * c.co_n;
+      double* out = y + pos * c.co_n;
+      for_each_tile<Wide>(c.co_n, [&]<typename V, std::size_t L>(
+                                      std::size_t j0)
+                                      __attribute__((always_inline)) {
+        constexpr std::size_t W = tiles::kLanes<V>;
+        tiles::gather<V, L>(c.n, x, c.image(), w + j0, terms, out + j0,
+                            c.out_image());
+        for (std::size_t b = 0; b < c.n; ++b) {
+          for (std::size_t l = 0; l < L; ++l) {
+            V acc, bv;
+            double* o = out + b * c.out_image() + j0 + l * W;
+            tiles::load(acc, o);
+            tiles::load(bv, bias + pos * c.co_n + j0 + l * W);
+            acc += bv;
+            tiles::store(o, acc);
+          }
+        }
+      });
     }
   }
-  for (std::size_t t = 0; t < T; ++t) y[co0 + t] = acc[t] + bias[co0 + t];
 }
 
-// gi[t] += w[t][co] * g[co] for co ascending: T running sums, each
-// continued from its stored value.
-template <std::size_t T>
-void input_grad_tile(const double* __restrict w, std::size_t co_n,
-                     const double* __restrict g, double* __restrict gi) {
-  double acc[T];
-  for (std::size_t t = 0; t < T; ++t) acc[t] = gi[t];
-  for (std::size_t co = 0; co < co_n; ++co) {
-    for (std::size_t t = 0; t < T; ++t) acc[t] += w[t * co_n + co] * g[co];
+[[gnu::target("default")]] void local_forward(const Local& c,
+                                              const double* bias, double* y) {
+  local_forward_tiles<Pair>(c, bias, y);
+}
+
+[[gnu::target("avx2")]] void local_forward(const Local& c, const double* bias,
+                                           double* y) {
+  local_forward_tiles<Quad>(c, bias, y);
+}
+
+// grad_weights[pos][p][co] sums over the images b ascending, and
+// grad_input[b][iy][ix][ci] continues one running sum over the positions
+// ascending, co ascending within each. Positions outermost, as in
+// local_forward(); `wt` holds one position's weights transposed to
+// (co_n, patch), so that the input gradient's tile runs along the patch.
+template <typename Wide>
+[[gnu::always_inline]] inline void local_backward_tiles(const Local& c,
+                                                        const double* g,
+                                                        double* gw,
+                                                        double* gi,
+                                                        double* wt) {
+  const std::size_t run = c.run();
+  const std::size_t patch = c.patch();
+  const tiles::Terms images{1, 0, 0, c.n, c.image(), c.out_image()};
+  const tiles::Terms channels{1, 0, 0, c.co_n, 1, patch};
+  for (std::size_t oy = 0; oy < c.oh; ++oy) {
+    for (std::size_t ox = 0; ox < c.ow; ++ox) {
+      const std::size_t pos = oy * c.ow + ox;
+      const std::size_t corner = (oy * c.in_w + ox) * c.ci_n;
+      const double* gp = g + pos * c.co_n;
+      const double* w = c.w + pos * patch * c.co_n;
+      for (std::size_t p = 0; p < patch; ++p) {
+        for (std::size_t co = 0; co < c.co_n; ++co) {
+          wt[co * patch + p] = w[p * c.co_n + co];
+        }
+      }
+      for (std::size_t ky = 0; ky < c.kh; ++ky) {
+        const std::size_t p0 = ky * run;
+        // Rows: the run's patch elements; terms: the images.
+        for_each_tile<Wide>(c.co_n, [&]<typename V, std::size_t L>(
+                                        std::size_t j0)
+                                        __attribute__((always_inline)) {
+          tiles::gather<V, L>(run, c.x + corner + ky * c.row(), 1, gp + j0,
+                              images, gw + (pos * patch + p0) * c.co_n + j0,
+                              c.co_n);
+        });
+        // Rows: the images; terms: the output channels.
+        for_each_tile<Wide>(run, [&]<typename V, std::size_t L>(
+                                     std::size_t q0)
+                                     __attribute__((always_inline)) {
+          tiles::gather<V, L>(c.n, gp, c.out_image(), wt + p0 + q0, channels,
+                              gi + corner + ky * c.row() + q0, c.image());
+        });
+      }
+    }
   }
-  for (std::size_t t = 0; t < T; ++t) gi[t] = acc[t];
+}
+
+[[gnu::target("default")]] void local_backward(const Local& c, const double* g,
+                                               double* gw, double* gi,
+                                               double* wt) {
+  local_backward_tiles<Pair>(c, g, gw, gi, wt);
+}
+
+[[gnu::target("avx2")]] void local_backward(const Local& c, const double* g,
+                                            double* gw, double* gi,
+                                            double* wt) {
+  local_backward_tiles<Quad>(c, g, gw, gi, wt);
 }
 
 }  // namespace
@@ -74,86 +168,32 @@ Tensor LocallyConnected2D::forward(const Tensor& input, bool /*training*/) {
          input.dim(2) == in_w_ && input.dim(3) == in_ch_);
   cached_input_ = input;
   const std::size_t n = input.dim(0);
-  const std::size_t patch = kh_ * kw_ * in_ch_;
-  // One kernel row (kx, ci) of a patch is contiguous in the input.
-  const std::size_t run = kw_ * in_ch_;
-
   Tensor out({n, oh_, ow_, out_ch_});
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        const std::size_t pos = oy * ow_ + ox;
-        const double* x =
-            input.data() + ((b * in_h_ + oy) * in_w_ + ox) * in_ch_;
-        const double* w = weights_.data() + pos * patch * out_ch_;
-        double* y = out.data() + ((b * oh_ + oy) * ow_ + ox) * out_ch_;
-        std::size_t co = 0;
-        for (; co + kChannels <= out_ch_; co += kChannels) {
-          forward_tile<kChannels>(x, in_w_ * in_ch_, kh_, run, w, out_ch_,
-                                  bias_.data() + pos * out_ch_, co, y);
-        }
-        for (; co < out_ch_; ++co) {
-          forward_tile<1>(x, in_w_ * in_ch_, kh_, run, w, out_ch_,
-                          bias_.data() + pos * out_ch_, co, y);
-        }
-      }
-    }
-  }
+  local_forward({input.data(), weights_.data(), n, in_h_, in_w_, in_ch_,
+                 out_ch_, kh_, kw_, oh_, ow_},
+                bias_.data(), out.data());
   return out;
 }
 
 Tensor LocallyConnected2D::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
   const std::size_t n = input.dim(0);
-  const std::size_t patch = kh_ * kw_ * in_ch_;
-  const std::size_t run = kw_ * in_ch_;
-  const std::size_t row = in_w_ * in_ch_;
+  const double* g = grad_output.data();
 
-  grad_weights_.zero();
+  // grad_bias[pos][co]: the images ascending.
   grad_bias_.zero();
-  Tensor grad_input(input.shape());
-  double* __restrict gw = grad_weights_.data();
-  double* __restrict gb = grad_bias_.data();
-  double* __restrict gi = grad_input.data();
-  const double* __restrict x = input.data();
-  const double* __restrict wt = weights_.data();
-
-  // Every gradient element collects its terms in the order the loops
-  // below reach them: batch b ascending for grad_weights and grad_bias,
-  // output position then co ascending for grad_input.
   for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        const std::size_t pos = oy * ow_ + ox;
-        const double* __restrict g =
-            grad_output.data() + ((b * oh_ + oy) * ow_ + ox) * out_ch_;
-        for (std::size_t co = 0; co < out_ch_; ++co) {
-          gb[pos * out_ch_ + co] += g[co];
-        }
-        const std::size_t corner = ((b * in_h_ + oy) * in_w_ + ox) * in_ch_;
-        for (std::size_t ky = 0; ky < kh_; ++ky) {
-          const std::size_t p0 = pos * patch + ky * run;
-          for (std::size_t q = 0; q < run; ++q) {
-            const double v = x[corner + ky * row + q];
-            double* __restrict gw_row = gw + (p0 + q) * out_ch_;
-            for (std::size_t co = 0; co < out_ch_; ++co) {
-              gw_row[co] += v * g[co];
-            }
-          }
-          double* __restrict gi_run = gi + corner + ky * row;
-          const double* __restrict w_run = wt + p0 * out_ch_;
-          std::size_t q = 0;
-          for (; q + kChannels <= run; q += kChannels) {
-            input_grad_tile<kChannels>(w_run + q * out_ch_, out_ch_, g,
-                                       gi_run + q);
-          }
-          for (; q < run; ++q) {
-            input_grad_tile<1>(w_run + q * out_ch_, out_ch_, g, gi_run + q);
-          }
-        }
-      }
+    for (std::size_t i = 0; i < grad_bias_.size(); ++i) {
+      grad_bias_[i] += g[b * grad_bias_.size() + i];
     }
   }
+  grad_weights_.zero();
+  Tensor grad_input(input.shape());
+  std::vector<double> transposed(kh_ * kw_ * in_ch_ * out_ch_);
+  local_backward({input.data(), weights_.data(), n, in_h_, in_w_, in_ch_,
+                  out_ch_, kh_, kw_, oh_, ow_},
+                 g, grad_weights_.data(), grad_input.data(),
+                 transposed.data());
   return grad_input;
 }
 

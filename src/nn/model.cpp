@@ -21,9 +21,10 @@ double Sequential::train_batch(const Tensor& input,
   const Tensor logits = forward(input, /*training=*/true);
   LossResult loss = sparse_softmax_cross_entropy(logits, labels);
   Tensor grad = std::move(loss.grad_logits);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    grad = layers_[i]->backward(grad);
   }
+  if (!layers_.empty()) layers_.front()->backward_params(grad);
   optimizer.step(params(), grads());
   return loss.loss;
 }

@@ -27,7 +27,8 @@ public:
   Tensor forward(const Tensor& input, bool training);
 
   /// One mini-batch SGD step: forward, loss, backward, optimizer update.
-  /// Returns the batch loss.
+  /// The first layer computes only its parameter gradients
+  /// (Layer::backward_params). Returns the batch loss.
   double train_batch(const Tensor& input,
                      const std::vector<std::uint32_t>& labels,
                      Optimizer& optimizer);

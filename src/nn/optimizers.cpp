@@ -1,6 +1,7 @@
 #include "nn/optimizers.hpp"
 
 #include <cmath>
+#include <emmintrin.h>
 #include <stdexcept>
 
 namespace flowgen::nn {
@@ -57,11 +58,30 @@ void AdaGrad::step(const std::vector<Tensor*>& params,
 void RmsProp::step(const std::vector<Tensor*>& params,
                    const std::vector<Tensor*>& grads) {
   ensure_state(accum_, params);
+  // Two parameters per SSE2 operation, in the scalar tail's order of
+  // operations: each lane of mulpd, addpd, sqrtpd and divpd rounds as the
+  // scalar instruction does, so both give the same bits.
+  const __m128d decay = _mm_set1_pd(decay_);
+  const __m128d keep = _mm_set1_pd(1.0 - decay_);
+  const __m128d lr = _mm_set1_pd(lr_);
+  const __m128d eps = _mm_set1_pd(eps_);
   for (std::size_t t = 0; t < params.size(); ++t) {
-    Tensor& w = *params[t];
-    const Tensor& g = *grads[t];
-    Tensor& acc = accum_[t];
-    for (std::size_t i = 0; i < w.size(); ++i) {
+    double* w = params[t]->data();
+    const double* g = grads[t]->data();
+    double* acc = accum_[t].data();
+    const std::size_t n = params[t]->size();
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const __m128d gi = _mm_loadu_pd(g + i);
+      const __m128d a = _mm_add_pd(
+          _mm_mul_pd(decay, _mm_loadu_pd(acc + i)),
+          _mm_mul_pd(_mm_mul_pd(keep, gi), gi));
+      _mm_storeu_pd(acc + i, a);
+      const __m128d step = _mm_div_pd(_mm_mul_pd(lr, gi),
+                                      _mm_sqrt_pd(_mm_add_pd(a, eps)));
+      _mm_storeu_pd(w + i, _mm_sub_pd(_mm_loadu_pd(w + i), step));
+    }
+    for (; i < n; ++i) {
       acc[i] = decay_ * acc[i] + (1.0 - decay_) * g[i] * g[i];
       w[i] -= lr_ * g[i] / std::sqrt(acc[i] + eps_);
     }

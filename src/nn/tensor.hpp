@@ -7,7 +7,9 @@
 // kernel may tile, reorder and vectorise across independent elements but
 // never reassociate within one, so its results are bit-identical to plain
 // per-element loops (tests/nn_kernels_test.cpp checks them against such
-// loops with memcmp).
+// loops with memcmp). A running sum may wait in memory between its terms,
+// say in the output between two taps or in a gradient between two
+// images: a double stored and loaded back is the same double.
 //   - Conv2D forward: out[b,oy,ox,co] adds x*w over the valid taps
 //     (ky, kx, ci) ascending, then bias[co].
 //   - Conv2D grad_weights[ky,kx,ci,co] and grad_bias[co]: sums over the
@@ -21,9 +23,12 @@
 // A term of exact +-0 times a finite value may be skipped or added: under
 // round-to-nearest a sum that starts at +0 never becomes -0, so adding +-0
 // leaves its bits alone. Out-of-range padding taps count as such zeros.
-// The build targets baseline x86-64 (SSE2, no FMA) without -ffast-math or
-// -ffp-contract, so no two loop shapes can fuse a multiply-add
-// differently.
+// No kernel fuses a multiply-add: the library builds for baseline x86-64
+// without -march, -ffast-math or -ffp-contract, and the convolution and
+// locally connected kernels (nn/tiles.hpp) add an avx2 version
+// ([[gnu::target("avx2")]], picked at load time) that adds and multiplies
+// four lanes at a time but never names fma or avx512f, whose patterns
+// fuse. So both versions, and any two loop shapes, round every term alike.
 
 #include <cassert>
 #include <cstddef>

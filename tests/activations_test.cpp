@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "nn/layers.hpp"
 
 namespace flowgen::nn {
 namespace {
@@ -19,6 +24,37 @@ TEST_P(ActivationParamTest, GradientMatchesFiniteDifference) {
     const double analytic = activate_grad(kind, x);
     EXPECT_NEAR(analytic, numeric, 1e-5)
         << activation_name(kind) << " at x=" << x;
+  }
+}
+
+TEST_P(ActivationParamTest, BackwardMatchesProductBitForBit) {
+  // Activation::backward returns an exactly-zero upstream gradient as it is
+  // instead of multiplying it by the derivative. That gives the product's
+  // bits only because every derivative is finite and >= +0, even where it
+  // underflows or its input is infinite.
+  const ActivationKind kind = GetParam();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> xs = {-inf, -800.0, -40.0, -3.0, -0.0, 0.0,
+                                  1e-300, 0.5,  3.0,   6.0,  7.0,  40.0,
+                                  800.0,  1e300, inf};
+  const std::vector<double> gs = {0.0, -0.0, 1.5, -0.25};
+  Tensor x({xs.size() * gs.size()});
+  Tensor g(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = xs[i % xs.size()];
+    g[i] = gs[i / xs.size()];
+  }
+  Activation layer(kind);
+  layer.forward(x, true);
+  const Tensor grad = layer.backward(g);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = activate_grad(kind, x[i]);
+    EXPECT_TRUE(std::isfinite(d) && !std::signbit(d))
+        << activation_name(kind) << "'(" << x[i] << ") = " << d;
+    const double want = g[i] * d;
+    EXPECT_EQ(std::memcmp(grad.data() + i, &want, sizeof want), 0)
+        << activation_name(kind) << " at x=" << x[i] << ", g=" << g[i]
+        << ": " << grad[i] << " vs " << want;
   }
 }
 

@@ -95,6 +95,75 @@ TEST(ModelTest, ParamAndGradCountsMatch) {
   EXPECT_GT(loss, 0.0);
 }
 
+/// Passes its input through and records which backward entry point
+/// train_batch called.
+class SpyLayer : public Layer {
+public:
+  Tensor forward(const Tensor& input, bool /*training*/) override {
+    return input;
+  }
+  Tensor backward(const Tensor& grad_output) override {
+    ++input_grads;
+    return grad_output;
+  }
+  void backward_params(const Tensor& /*grad_output*/) override {
+    ++param_grads_only;
+  }
+  std::string name() const override { return "Spy"; }
+
+  int input_grads = 0;
+  int param_grads_only = 0;
+};
+
+TEST(ModelTest, TrainBatchAsksNoInputGradientOfTheFirstLayer) {
+  // Nothing reads the first layer's input gradient, so train_batch asks it
+  // for its parameter gradients only, and every later layer for an input
+  // gradient (gradcheck_test checks those gradients themselves).
+  util::Rng rng(7);
+  Sequential model;
+  model.emplace<SpyLayer>();
+  model.emplace<Dense>(2, 3, rng);
+  model.emplace<SpyLayer>();
+  model.emplace<SpyLayer>();
+  Tensor x({2, 2});
+  x.at(0, 0) = 1.0;
+  Sgd opt(0.1);
+  model.train_batch(x, {0, 2}, opt);
+  model.train_batch(x, {1, 0}, opt);
+  const auto& layers = model.layers();
+  const auto& first = dynamic_cast<const SpyLayer&>(*layers[0]);
+  EXPECT_EQ(first.input_grads, 0);
+  EXPECT_EQ(first.param_grads_only, 2);
+  for (const std::size_t i : {2, 3}) {
+    const auto& later = dynamic_cast<const SpyLayer&>(*layers[i]);
+    EXPECT_EQ(later.input_grads, 2) << i;
+    EXPECT_EQ(later.param_grads_only, 0) << i;
+  }
+}
+
+TEST(ModelTest, BackwardParamsDefaultsToBackward) {
+  // A layer without its own backward_params (Dense) fills the same
+  // gradients through it as through backward().
+  util::Rng rng(8), same(8);
+  Dense a(3, 2, rng), b(3, 2, same);
+  Tensor x({2, 3});
+  x.at(0, 1) = 0.5;
+  x.at(1, 2) = -2.0;
+  Tensor g({2, 2});
+  g.at(0, 0) = 1.0;
+  g.at(1, 1) = -0.75;
+  a.forward(x, true);
+  b.forward(x, true);
+  a.backward_params(g);
+  b.backward(g);
+  for (std::size_t p = 0; p < 2; ++p) {
+    const Tensor& ga = *a.grads()[p];
+    const Tensor& gb = *b.grads()[p];
+    ASSERT_EQ(ga.size(), gb.size());
+    for (std::size_t i = 0; i < ga.size(); ++i) EXPECT_EQ(ga[i], gb[i]);
+  }
+}
+
 TEST(ModelTest, ArgmaxRows) {
   Tensor t({2, 3});
   t.at(0, 1) = 5;

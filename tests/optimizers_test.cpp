@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace flowgen::nn {
 namespace {
@@ -115,6 +117,46 @@ TEST(OptimizersTest, StateTracksMultipleParams) {
   opt.step({&w1, &w2}, {&g1, &g2});
   EXPECT_LT(w1[0], 0.0);
   EXPECT_GT(w2[0], 0.0);
+}
+
+TEST(OptimizersTest, RmsPropStepMatchesScalarFormulaBitForBit) {
+  // RmsProp::step works two parameters at a time; it must give the bits of
+  // the plain per-parameter formula below, on the odd tail element too, on
+  // exact-zero gradients of both signs and on gradients so small that
+  // their squares underflow.
+  const double lr = 1e-3, decay = 0.9, eps = 1e-10;
+  RmsProp opt(lr, decay, eps);
+  util::Rng rng(7);
+  Tensor w1({7}), w2({1}), g1({7}), g2({1});
+  for (Tensor* w : {&w1, &w2}) {
+    for (std::size_t i = 0; i < w->size(); ++i) (*w)[i] = rng.normal();
+  }
+  std::vector<double> ref_w(w1.data(), w1.data() + w1.size());
+  ref_w.push_back(w2[0]);
+  std::vector<double> ref_acc(ref_w.size(), 0.0);
+  for (int step = 0; step < 5; ++step) {
+    for (Tensor* g : {&g1, &g2}) {
+      for (std::size_t i = 0; i < g->size(); ++i) {
+        const std::size_t kind = (i + step) % 4;
+        (*g)[i] = kind == 0   ? 0.0
+                  : kind == 1 ? -0.0
+                  : kind == 2 ? 1e-170 * rng.normal()
+                              : rng.normal();
+      }
+    }
+    opt.step({&w1, &w2}, {&g1, &g2});
+    for (std::size_t i = 0; i < ref_w.size(); ++i) {
+      const double g = i < 7 ? g1[i] : g2[0];
+      ref_acc[i] = decay * ref_acc[i] + (1.0 - decay) * g * g;
+      ref_w[i] -= lr * g / std::sqrt(ref_acc[i] + eps);
+    }
+    for (std::size_t i = 0; i < ref_w.size(); ++i) {
+      const double got = i < 7 ? w1[i] : w2[0];
+      EXPECT_EQ(std::memcmp(&got, &ref_w[i], sizeof got), 0)
+          << "step " << step << " param " << i << ": " << got << " vs "
+          << ref_w[i];
+    }
+  }
 }
 
 }  // namespace
