@@ -177,13 +177,7 @@ template <typename Wide>
     }
     if (c.bias) {
       for (std::size_t p = 0; p < g.dh * g.dw; ++p) {
-        for (std::size_t l = 0; l < L; ++l) {
-          V acc, b;
-          tiles::load(acc, c.dst + p * c.nj + j0 + l * W);
-          tiles::load(b, c.bias + j0 + l * W);
-          acc += b;
-          tiles::store(c.dst + p * c.nj + j0 + l * W, acc);
-        }
+        tiles::add<V, L>(c.bias + j0, c.dst + p * c.nj + j0);
       }
     }
   });

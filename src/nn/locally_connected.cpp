@@ -49,18 +49,11 @@ template <typename Wide>
       for_each_tile<Wide>(c.co_n, [&]<typename V, std::size_t L>(
                                       std::size_t j0)
                                       __attribute__((always_inline)) {
-        constexpr std::size_t W = tiles::kLanes<V>;
         tiles::gather<V, L>(c.n, x, c.image(), w + j0, terms, out + j0,
                             c.out_image());
         for (std::size_t b = 0; b < c.n; ++b) {
-          for (std::size_t l = 0; l < L; ++l) {
-            V acc, bv;
-            double* o = out + b * c.out_image() + j0 + l * W;
-            tiles::load(acc, o);
-            tiles::load(bv, bias + pos * c.co_n + j0 + l * W);
-            acc += bv;
-            tiles::store(o, acc);
-          }
+          tiles::add<V, L>(bias + pos * c.co_n + j0,
+                           out + b * c.out_image() + j0);
         }
       });
     }

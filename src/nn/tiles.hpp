@@ -47,9 +47,9 @@ template <typename V>
 constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
 
 /// Calls f.template operator()<T, L>(j0) for each tile of n channels, a
-/// register tile of L values of type T starting at channel j0: tiles of
-/// 16, then 8 and 4 channels as L values of type V (Quad or Pair), while
-/// they last, then 2 channels as one Pair and 1 as a double.
+/// register tile of L values of type T starting at channel j0: 16
+/// channels while they last, then 8 and 4, each as L values of type V
+/// (Quad or Pair), then 2 channels as one Pair and 1 as a double.
 template <typename V, typename F>
 [[gnu::always_inline]] inline void for_each_tile(std::size_t n, const F& f) {
   constexpr std::size_t W = kLanes<V>;
@@ -68,6 +68,20 @@ template <typename V, typename F>
     j += 2;
   }
   if (j < n) f.template operator()<double, 1>(j);
+}
+
+/// a[t] += b[t] over the L*kLanes<V> channels of one tile.
+template <typename V, std::size_t L>
+[[gnu::always_inline]] inline void add(const double* __restrict b,
+                                       double* __restrict a) {
+  constexpr std::size_t W = kLanes<V>;
+  for (std::size_t l = 0; l < L; ++l) {
+    V x, y;
+    load(x, a + l * W);
+    load(y, b + l * W);
+    x += y;
+    store(a + l * W, x);
+  }
 }
 
 /// a[t] += v * b[t] over the L*kLanes<V> channels of one tile.

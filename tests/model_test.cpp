@@ -141,29 +141,6 @@ TEST(ModelTest, TrainBatchAsksNoInputGradientOfTheFirstLayer) {
   }
 }
 
-TEST(ModelTest, BackwardParamsDefaultsToBackward) {
-  // A layer without its own backward_params (Dense) fills the same
-  // gradients through it as through backward().
-  util::Rng rng(8), same(8);
-  Dense a(3, 2, rng), b(3, 2, same);
-  Tensor x({2, 3});
-  x.at(0, 1) = 0.5;
-  x.at(1, 2) = -2.0;
-  Tensor g({2, 2});
-  g.at(0, 0) = 1.0;
-  g.at(1, 1) = -0.75;
-  a.forward(x, true);
-  b.forward(x, true);
-  a.backward_params(g);
-  b.backward(g);
-  for (std::size_t p = 0; p < 2; ++p) {
-    const Tensor& ga = *a.grads()[p];
-    const Tensor& gb = *b.grads()[p];
-    ASSERT_EQ(ga.size(), gb.size());
-    for (std::size_t i = 0; i < ga.size(); ++i) EXPECT_EQ(ga[i], gb[i]);
-  }
-}
-
 TEST(ModelTest, ArgmaxRows) {
   Tensor t({2, 3});
   t.at(0, 1) = 5;
