@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "aig/reconv_cut.hpp"
 #include "aig/simulate.hpp"
+#include "flow_graphs.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace flowgen::aig {
@@ -132,6 +135,58 @@ TEST(FactorTest, BuildShannonSharesCofactors) {
   const auto in = g.add_pis(4);
   build_shannon(g, tt, in);
   EXPECT_LE(g.num_ands(), 3u * 7u);  // <= 7 muxes worth of nodes
+}
+
+TEST(FactorTest, IsopAndQuickFactorOutputsArePinned) {
+  // One CRC-32 over the exact outputs of isop() and factor_sop() for both
+  // polarities of window functions that real flows meet (reconvergence
+  // windows of 6, 8 and 12 leaves on the oracle graphs) and of random
+  // small tables. Refactor and rewrite build the postfix nodes node by
+  // node, so a kernel that reorders one cube or one operand moves node ids
+  // even where the function is the same. The value was recorded before
+  // the kernels were rewritten for speed and must never be re-recorded.
+  std::vector<std::uint8_t> bytes;
+  auto put = [&](std::uint32_t v) {  // little-endian
+    for (int b = 0; b < 4; ++b) {
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+  };
+  std::size_t tables = 0;
+  auto digest = [&](const TruthTable& tt) {
+    for (const TruthTable& t : {tt, ~tt}) {
+      const Sop sop = isop(t);
+      put(static_cast<std::uint32_t>(sop.size()));
+      for (const Cube& c : sop) {
+        put(c.pos);
+        put(c.neg);
+      }
+      const FactorExpr e = factor_sop(sop);
+      put(static_cast<std::uint32_t>(e.nodes.size()));
+      for (const FactorExpr::Node& n : e.nodes) {
+        put(static_cast<std::uint32_t>(n.kind) | n.negated << 8 |
+            std::uint32_t{n.var} << 16);
+        put(n.arity);
+      }
+    }
+    ++tables;
+  };
+
+  std::size_t and_index = 0;
+  for (const Aig& g : fixtures::oracle_graphs()) {
+    for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
+      if (!g.is_and(id) || and_index++ % 64 != 0) continue;
+      for (unsigned max_leaves : {6u, 8u, 12u}) {
+        const WindowLeaves leaves = reconv_cut(g, id, max_leaves);
+        digest(cone_truth(g, make_lit(id, false), leaves));
+      }
+    }
+  }
+  util::Rng rng(31);
+  for (unsigned nv = 2; nv <= 6; ++nv) {
+    for (int trial = 0; trial < 200; ++trial) digest(random_tt(nv, rng));
+  }
+  EXPECT_EQ(tables, 8263u);
+  EXPECT_EQ(util::crc32(bytes), 0x31b5b706u);
 }
 
 }  // namespace
