@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks for the synthesis substrate: graph
-// copies, per-pass transform cost, cut enumeration, technology mapping,
-// full-flow evaluation and the batch order evaluation schedules by. These
-// are the per-iteration costs behind the "collecting the training dataset
-// takes most of the runtime" observation in the paper.
+// copies, per-pass transform cost, window cuts and window factoring, cut
+// enumeration, technology mapping, full-flow evaluation and the batch
+// order evaluation schedules by. These are the per-iteration costs behind
+// the "collecting the training dataset takes most of the runtime"
+// observation in the paper.
 //
 // This binary replaces the global operator new with a counting one, so
 // the transform and mapping benchmarks also report `allocs`, the heap
@@ -15,7 +16,10 @@
 #include <new>
 
 #include "aig/cuts.hpp"
+#include "aig/factor.hpp"
+#include "aig/isop.hpp"
 #include "aig/reconv_cut.hpp"
+#include "aig/simulate.hpp"
 #include "core/evaluator.hpp"
 #include "core/flow_space.hpp"
 #include "designs/registry.hpp"
@@ -141,6 +145,37 @@ void BM_ReconvCut(benchmark::State& state, const std::string& design) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK_CAPTURE(BM_ReconvCut, alu16, std::string("alu16"))
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_FactorWindows(benchmark::State& state, const std::string& design) {
+  // What a factored-form memo miss costs: ISOP and quick-factor of both
+  // polarities of the 8-leaf window function of every AND root, called
+  // directly so that no memo serves a repeat. The window functions are
+  // computed before the timed loop.
+  const aig::Aig& g = cached_design(design);
+  std::vector<aig::TruthTable> functions;
+  for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
+    if (!g.is_and(id)) continue;
+    functions.push_back(aig::cone_truth(g, aig::make_lit(id, false),
+                                        aig::reconv_cut(g, id, 8)));
+  }
+  std::size_t literals = 0;
+  for (auto _ : state) {
+    literals = 0;
+    for (const aig::TruthTable& tt : functions) {
+      literals += aig::factor_sop(aig::isop(tt)).num_literals();
+      literals += aig::factor_sop(aig::isop(~tt)).num_literals();
+    }
+    benchmark::DoNotOptimize(literals);
+  }
+  state.counters["windows"] = static_cast<double>(functions.size());
+  // Seconds per window, both polarities (printed with an SI prefix).
+  state.counters["per_window"] = benchmark::Counter(
+      static_cast<double>(functions.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_FactorWindows, alu16, std::string("alu16"))
     ->Unit(benchmark::kMicrosecond);
 
 void BM_CutEnumeration(benchmark::State& state) {

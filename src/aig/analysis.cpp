@@ -1,11 +1,14 @@
 #include "aig/analysis.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <unordered_map>
 
 #include "aig/isop.hpp"
+#include "aig/simulate.hpp"
 #include "aig/stamped_slots.hpp"
 #include "aig/truth.hpp"
+#include "util/rng.hpp"
 
 namespace flowgen::aig {
 
@@ -36,7 +39,9 @@ struct FactorMemoShard {
       memo;
 };
 
-constexpr std::size_t kFactorMemoShards = 8;
+constexpr unsigned kFactorMemoShardBits = 3;
+constexpr std::size_t kFactorMemoShards = std::size_t{1}
+                                          << kFactorMemoShardBits;
 // Per-shard high-water mark; beyond it lookups still hit but fresh tables
 // are recomputed instead of inserted (values never change, so the bound
 // affects cost only, never determinism).
@@ -47,29 +52,60 @@ FactorMemoShard* factor_memo() {
   return shards;
 }
 
+// The shard of a table: the top bits of a multiplicative mix of its hash.
+// The low bits of the FNV-1a product depend only on the low minterms of
+// each word, so taking them would crowd the tables that differ above
+// those into one shard and stop its insertions early.
+FactorMemoShard& factor_memo_shard(const TruthTable& tt) {
+  const std::uint64_t mixed = static_cast<std::uint64_t>(TruthTableHash{}(tt)) *
+                              0x9E3779B97F4A7C15ull;
+  return factor_memo()[mixed >> (64 - kFactorMemoShardBits)];
+}
+
+// Quick-factor of one polarity of `tt` into `nodes`, over the per-thread
+// cube stack `cubes`.
+void factor_polarity(const TruthTable& tt, bool complement, Sop& cubes,
+                     std::vector<FactorExpr::Node>& nodes) {
+  cubes.clear();
+  append_isop(tt, complement, cubes);
+  nodes.clear();
+  append_factored(cubes, nodes);
+}
+
+std::size_t literal_count(std::span<const FactorExpr::Node> nodes) {
+  std::size_t n = 0;
+  for (const FactorExpr::Node& node : nodes) {
+    n += node.kind == FactorExpr::Kind::kLiteral;
+  }
+  return n;
+}
+
 std::shared_ptr<const FactoredForm> compute_factored(const TruthTable& tt) {
-  auto form = std::make_shared<FactoredForm>();
   // Mirrors build_from_truth: factor both polarities, fewer literals wins,
   // ties prefer the positive polarity. A constant factors to a constant
   // node in both polarities (zero literals), so it keeps the positive one.
-  FactorExpr pos = factor_sop(isop(tt));
-  FactorExpr neg = factor_sop(isop(~tt));
-  if (pos.num_literals() <= neg.num_literals()) {
-    form->expr = std::move(pos);
-    form->output_compl = false;
-  } else {
-    form->expr = std::move(neg);
-    form->output_compl = true;
-  }
-  form->literals = form->expr.num_literals();
+  // Both forms are built in per-thread buffers; only the winner is copied
+  // out, at its exact size, since the memo keeps it for the process.
+  thread_local Sop cubes;
+  thread_local std::vector<FactorExpr::Node> pos;
+  thread_local std::vector<FactorExpr::Node> neg;
+  factor_polarity(tt, false, cubes, pos);
+  factor_polarity(tt, true, cubes, neg);
+  const std::size_t pos_literals = literal_count(pos);
+  const std::size_t neg_literals = literal_count(neg);
+  auto form = std::make_shared<FactoredForm>();
+  form->output_compl = pos_literals > neg_literals;
+  const std::vector<FactorExpr::Node>& winner =
+      form->output_compl ? neg : pos;
+  form->expr.nodes.assign(winner.begin(), winner.end());
+  form->literals = form->output_compl ? neg_literals : pos_literals;
   return form;
 }
 
 }  // namespace
 
 std::shared_ptr<const FactoredForm> factored_form(const TruthTable& tt) {
-  FactorMemoShard& shard =
-      factor_memo()[TruthTableHash{}(tt) % kFactorMemoShards];
+  FactorMemoShard& shard = factor_memo_shard(tt);
   {
     std::lock_guard lock(shard.mutex);
     if (const auto it = shard.memo.find(tt); it != shard.memo.end()) {
@@ -93,6 +129,68 @@ Lit build_factored_form(Aig& aig, const FactoredForm& form,
   const Lit l = build_factored(aig, form.expr, inputs, max_new_nodes);
   if (l == kLitInvalid) return l;
   return form.output_compl ? lit_not(l) : l;
+}
+
+namespace {
+
+// Patterns of shared_signatures: 256 per PI from a fixed seed. They decide
+// only how many nodes read as unshared, never whether a 0 is sound.
+constexpr std::size_t kSignatureWords = 4;
+constexpr std::uint64_t kSignatureSeed = 0x51A7'5EED'0F00'D5EDull;
+
+// Per-thread scratch of shared_signatures, reused across calls.
+struct SignatureScratch {
+  std::vector<std::uint64_t> words;  ///< node-major, phase-normalized
+  std::vector<std::uint32_t> table;  ///< open addressing: node id + 1
+  std::vector<std::uint8_t> shared;
+};
+
+}  // namespace
+
+std::span<const std::uint8_t> shared_signatures(const Aig& g) {
+  thread_local SignatureScratch s;
+  const std::size_t n = g.num_nodes();
+  util::Rng rng(kSignatureSeed);
+  simulate_random(g, rng, kSignatureWords, s.words);
+
+  // Phase-normalize: a signature whose first bit is 1 is complemented, so
+  // complementary functions land in one class.
+  for (std::size_t id = 0; id < n; ++id) {
+    std::uint64_t* w = s.words.data() + id * kSignatureWords;
+    const std::uint64_t flip = 0 - (w[0] & 1);
+    for (std::size_t k = 0; k < kSignatureWords; ++k) w[k] ^= flip;
+  }
+
+  // One insertion per node into a table of at least twice as many slots:
+  // the first node of a class keeps the slot, and a later one that finds
+  // an equal signature marks both.
+  unsigned bits = 1;
+  while ((std::size_t{1} << bits) < 2 * n) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  s.table.assign(mask + 1, 0);
+  s.shared.assign(n, 0);
+  for (std::size_t id = 0; id < n; ++id) {
+    const std::uint64_t* w = s.words.data() + id * kSignatureWords;
+    std::uint64_t h = 0;
+    for (std::size_t k = 0; k < kSignatureWords; ++k) {
+      h = (h ^ w[k]) * 0x9E3779B97F4A7C15ull;
+    }
+    for (std::size_t slot = h >> (64 - bits);; slot = (slot + 1) & mask) {
+      const std::uint32_t entry = s.table[slot];
+      if (entry == 0) {
+        s.table[slot] = static_cast<std::uint32_t>(id + 1);
+        break;
+      }
+      const std::uint64_t* other =
+          s.words.data() + (entry - 1) * std::size_t{kSignatureWords};
+      if (std::equal(w, w + kSignatureWords, other)) {
+        s.shared[entry - 1] = 1;
+        s.shared[id] = 1;
+        break;
+      }
+    }
+  }
+  return s.shared;
 }
 
 Fanouts build_fanouts(const Aig& g) {

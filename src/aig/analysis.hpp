@@ -45,6 +45,17 @@ struct Fanouts {
 /// candidate nodes, so it describes the input graph only.
 Fanouts build_fanouts(const Aig& g);
 
+/// Random-simulation signature classes of `g`'s nodes up to complement:
+/// entry `id` is 1 when another node of `g` (the constant node and the PIs
+/// included) has the same signature as node `id` or its complement, and 0
+/// when none does. Nodes that compute the same function of the PIs, or
+/// complementary ones, always share a signature, so a 0 rules out every
+/// node of `g` that computes node `id`'s function or its complement; a 1
+/// proves nothing. The patterns are fixed, so the result depends on `g`
+/// alone. The span is per-thread scratch, valid until the thread's next
+/// call.
+std::span<const std::uint8_t> shared_signatures(const Aig& g);
+
 /// True when a reconvergence window cannot be analysed: fewer than 2 or
 /// more than 16 leaves (window truth tables have at most 16 inputs).
 inline bool degenerate_window(std::span<const std::uint32_t> leaves) {

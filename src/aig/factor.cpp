@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <map>
@@ -27,53 +28,35 @@ Node op_node(Kind kind, std::size_t arity) {
   return Node{kind, false, 0, static_cast<std::uint32_t>(arity)};
 }
 
-/// AND-expression for a single cube.
+/// AND-expression for a single cube: its literals by ascending variable.
 void cube_expr(const Cube& cube, std::vector<Node>& out) {
-  std::size_t lits = 0;
-  for (unsigned v = 0; v < 32; ++v) {
-    if (cube.pos & (1u << v)) {
-      out.push_back(literal_node(v, false));
-      ++lits;
-    }
-    if (cube.neg & (1u << v)) {
-      out.push_back(literal_node(v, true));
-      ++lits;
-    }
+  for (std::uint32_t vars = cube.pos | cube.neg; vars != 0;
+       vars &= vars - 1) {
+    const auto v = static_cast<unsigned>(std::countr_zero(vars));
+    if (cube.pos & (1u << v)) out.push_back(literal_node(v, false));
+    if (cube.neg & (1u << v)) out.push_back(literal_node(v, true));
   }
+  const unsigned lits = cube.num_literals();
   if (lits == 0) out.push_back(Node{Kind::kConst1, false, 0, 0});
   if (lits >= 2) out.push_back(op_node(Kind::kAnd, lits));
 }
 
-/// Most frequent literal among cubes with >= 2 literals; returns false when
-/// no literal occurs in two or more cubes (nothing left to factor).
-bool best_literal(std::span<const Cube> sop, unsigned& var, bool& negated) {
-  std::array<unsigned, 32> pos_count{};
-  std::array<unsigned, 32> neg_count{};
-  for (const Cube& c : sop) {
-    if (c.num_literals() < 2) continue;  // factoring it out gains nothing
-    for (unsigned v = 0; v < 32; ++v) {
-      if (c.pos & (1u << v)) ++pos_count[v];
-      if (c.neg & (1u << v)) ++neg_count[v];
+/// Per-literal occurrence counts of a cube list, bit-sliced: lane v of
+/// each slice is positive literal v, lane 32 + v negative literal v, and
+/// slice s holds bit s of every lane's count.
+struct LiteralCounts {
+  std::array<std::uint64_t, 32> slices{};
+  unsigned num_slices = 0;
+
+  void add(std::uint64_t lanes) {
+    for (unsigned s = 0; lanes != 0; ++s) {
+      if (s == num_slices) ++num_slices;
+      const std::uint64_t carry = slices[s] & lanes;
+      slices[s] ^= lanes;
+      lanes = carry;
     }
   }
-  unsigned best = 1;
-  bool found = false;
-  for (unsigned v = 0; v < 32; ++v) {
-    if (pos_count[v] > best) {
-      best = pos_count[v];
-      var = v;
-      negated = false;
-      found = true;
-    }
-    if (neg_count[v] > best) {
-      best = neg_count[v];
-      var = v;
-      negated = true;
-      found = true;
-    }
-  }
-  return found;
-}
+};
 
 /// Quick-factor cubes[begin, end) into `out`. The cube lists of the
 /// recursion (quotients and remainders) are pushed onto `cubes` above its
@@ -89,43 +72,71 @@ void factor_rec(Sop& cubes, std::size_t begin, std::size_t end,
     cube_expr(cubes[begin], out);
     return;
   }
-  // Tautology cube swallows everything.
+
+  // Count each literal over the cubes of two or more literals (dividing a
+  // single-literal cube by its literal gains nothing). A tautology cube
+  // swallows everything.
+  LiteralCounts counts;
   for (std::size_t i = begin; i < end; ++i) {
-    if (cubes[i].pos == 0 && cubes[i].neg == 0) {
+    const Cube c = cubes[i];
+    if ((c.pos | c.neg) == 0) {
       out.push_back(Node{Kind::kConst1, false, 0, 0});
       return;
     }
+    if (c.num_literals() >= 2) {
+      counts.add(c.pos | std::uint64_t{c.neg} << 32);
+    }
   }
-
-  unsigned var = 0;
-  bool negated = false;
-  if (!best_literal({cubes.data() + begin, end - begin}, var, negated)) {
+  // The most frequent literal, first by ascending variable, the positive
+  // one first, among those in two or more cubes: narrow the lanes to the
+  // largest count slice by slice from the top.
+  std::uint64_t best = 0;
+  for (unsigned s = 0; s < counts.num_slices; ++s) best |= counts.slices[s];
+  bool shared = false;
+  for (unsigned s = counts.num_slices; s-- > 0;) {
+    const std::uint64_t lanes = best & counts.slices[s];
+    if (lanes == 0) continue;
+    best = lanes;
+    shared |= s > 0;
+  }
+  if (!shared) {
     // No shared literal: plain OR of cube ANDs.
     for (std::size_t i = begin; i < end; ++i) cube_expr(cubes[i], out);
     out.push_back(op_node(Kind::kOr, end - begin));
     return;
   }
+  const auto pos_var =
+      static_cast<unsigned>(std::countr_zero(static_cast<std::uint32_t>(best)));
+  const auto neg_var = static_cast<unsigned>(
+      std::countr_zero(static_cast<std::uint32_t>(best >> 32)));
+  const bool negated = neg_var < pos_var;
+  const unsigned var = negated ? neg_var : pos_var;
+  std::size_t quotient_size = 0;
+  for (unsigned s = 0; s < counts.num_slices; ++s) {
+    quotient_size |= ((counts.slices[s] >> (var + (negated ? 32 : 0))) & 1)
+                     << s;
+  }
 
   // Quotient cubes (the literal divided out), then the remainder, each in
   // input order.
   const std::uint32_t bit = 1u << var;
-  auto divisible = [&](const Cube& c) {
-    return (negated ? (c.neg & bit) : (c.pos & bit)) && c.num_literals() >= 2;
-  };
   const std::size_t top = cubes.size();
+  cubes.resize(top + (end - begin));
+  std::size_t quotient = top;
+  std::size_t remainder = top + quotient_size;
   for (std::size_t i = begin; i < end; ++i) {
-    Cube q = cubes[i];
-    if (!divisible(q)) continue;
-    (negated ? q.neg : q.pos) &= ~bit;
-    cubes.push_back(q);
+    Cube c = cubes[i];
+    std::uint32_t& lits = negated ? c.neg : c.pos;
+    if ((lits & bit) && c.num_literals() >= 2) {
+      lits &= ~bit;
+      cubes[quotient++] = c;
+    } else {
+      cubes[remainder++] = c;
+    }
   }
-  const std::size_t quotient_end = cubes.size();
-  for (std::size_t i = begin; i < end; ++i) {
-    const Cube c = cubes[i];
-    if (!divisible(c)) cubes.push_back(c);
-  }
-  const std::size_t remainder_end = cubes.size();
-  assert(quotient_end - top >= 2);
+  assert(quotient == top + quotient_size && quotient_size >= 2);
+  const std::size_t quotient_end = quotient;
+  const std::size_t remainder_end = remainder;
 
   // F = literal * factor(quotient) + factor(remainder)
   out.push_back(literal_node(var, negated));
@@ -140,6 +151,10 @@ void factor_rec(Sop& cubes, std::size_t begin, std::size_t end,
 
 }  // namespace
 
+void append_factored(Sop& cubes, std::vector<FactorExpr::Node>& out) {
+  factor_rec(cubes, 0, cubes.size(), out);
+}
+
 FactorExpr factor_sop(const Sop& sop) {
   FactorExpr e;
   // Factoring never adds literals, and every operator has at least two
@@ -147,7 +162,7 @@ FactorExpr factor_sop(const Sop& sop) {
   e.nodes.reserve(2 * sop_literals(sop) + 1);
   thread_local Sop cubes;  // the recursion's cube stack, reused
   cubes.assign(sop.begin(), sop.end());
-  factor_rec(cubes, 0, cubes.size(), e.nodes);
+  append_factored(cubes, e.nodes);
   return e;
 }
 

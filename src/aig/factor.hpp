@@ -38,6 +38,11 @@ struct FactorExpr {
 /// Algebraic "quick factor": repeatedly divides by the most frequent literal.
 FactorExpr factor_sop(const Sop& sop);
 
+/// Append to `out` the postfix nodes factor_sop(cubes) holds, without
+/// copying the cube list: `cubes` is the recursion's stack, which grows
+/// above its size during the call and is restored on return.
+void append_factored(Sop& cubes, std::vector<FactorExpr::Node>& out);
+
 /// Construct the expression in `aig` with cut leaves mapped to `inputs`
 /// (inputs[i] drives variable i). Returns the root literal. Children are
 /// built left to right and folded by land_n/lor_n, so the land() sequence

@@ -1,13 +1,10 @@
 #include "aig/isop.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
 namespace flowgen::aig {
-
-unsigned Cube::num_literals() const {
-  return static_cast<unsigned>(std::popcount(pos) + std::popcount(neg));
-}
 
 namespace {
 
@@ -82,83 +79,145 @@ std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
   return (mask & pos_cover) | (~mask & neg_cover) | both_cover;
 }
 
-/// Minato-Morreale: append an irredundant SOP S with L <= S <= U to `out`
-/// and return the function S actually covers. `num_top_vars` limits the
-/// variables that may still appear in cubes at this recursion depth. Like
-/// the word kernel, each side's cubes are appended contiguously and the
-/// split literal is OR-ed into its range afterwards, the order in which a
-/// concatenation of the sides' results would list them.
-TruthTable isop_rec(const TruthTable& lower, const TruthTable& upper,
-                    unsigned num_top_vars, Sop& out) {
-  const unsigned n = lower.num_vars();
-  if (num_top_vars <= 6) {
-    // All live variables fit one word: the bounds are independent of x_6..
-    // (every word equals word 0), so switch to the allocation-free
-    // single-uint64 kernel — even 16-var refactor cones spend the bulk of
-    // their recursion tree in there.
-    const std::uint64_t full =
-        n >= 6 ? ~0ull : (std::uint64_t{1} << (std::size_t{1} << n)) - 1;
-    const std::uint64_t cover = isop_word_rec(
-        lower.low_word(), upper.low_word(), full, num_top_vars, out);
-    return TruthTable::broadcast(n, cover);
+/// Minato-Morreale over bounds of num_top_vars > 6 variables that are
+/// independent of x_{num_top_vars}.. (true of every bound the recursion
+/// passes down), so each is stored as its first 2^(num_top_vars - 6) words:
+/// the cofactors on x_v (v >= 6) of such a table are its two halves of
+/// 2^(v - 6) words, and need no copy. Appends the cubes of an irredundant
+/// SOP S with L <= S <= U to `out`, in the order of the word kernel (each
+/// side's cubes contiguously, the split literal OR-ed into its range), and
+/// writes the cover's words to `cover`. The sides' bounds and covers live
+/// in `scratch`, which must hold 5 * 2^(num_top_vars - 6) words (each level
+/// takes at most half of that and hands the rest down).
+void isop_words_rec(const std::uint64_t* lower, const std::uint64_t* upper,
+                    unsigned num_top_vars, std::uint64_t* cover,
+                    std::uint64_t* scratch, Sop& out) {
+  const std::size_t nw = std::size_t{1} << (num_top_vars - 6);
+  bool lower_zero = true;
+  bool upper_one = true;
+  for (std::size_t i = 0; i < nw; ++i) {
+    lower_zero &= lower[i] == 0;
+    upper_one &= upper[i] == ~0ull;
   }
-  if (lower.is_const0()) return TruthTable::constant(n, false);
-  if (upper.is_const1()) {
+  if (lower_zero) {
+    std::fill(cover, cover + nw, 0);
+    return;
+  }
+  if (upper_one) {
     out.push_back(Cube{});
-    return TruthTable::constant(n, true);
+    std::fill(cover, cover + nw, ~0ull);
+    return;
   }
 
-  // Pick the highest variable either bound still depends on.
+  // The highest variable either bound depends on; when it is below x_6
+  // every word is the same and the word kernel takes over, choosing the
+  // same variable.
   unsigned var = 0;
-  bool found = false;
-  for (unsigned v = num_top_vars; v-- > 0;) {
-    if (lower.depends_on(v) || upper.depends_on(v)) {
-      var = v;
-      found = true;
-      break;
+  for (unsigned v = num_top_vars; v-- > 6 && var == 0;) {
+    const std::size_t half = std::size_t{1} << (v - 6);
+    for (std::size_t i = 0; i < nw; ++i) {
+      if ((i & half) == 0 &&
+          (lower[i] != lower[i + half] || upper[i] != upper[i + half])) {
+        var = v;
+        break;
+      }
     }
   }
-  assert(found && "non-constant bounds must depend on some variable");
-  (void)found;
+  if (var == 0) {
+    const std::uint64_t word =
+        isop_word_rec(lower[0], upper[0], ~0ull, 6, out);
+    std::fill(cover, cover + nw, word);
+    return;
+  }
 
-  const TruthTable l0 = lower.cofactor0(var);
-  const TruthTable l1 = lower.cofactor1(var);
-  const TruthTable u0 = upper.cofactor0(var);
-  const TruthTable u1 = upper.cofactor1(var);
-
-  // Minterms of each cofactor that can only be covered on that side.
+  // Cofactors: l0 = lower[0, half), l1 = lower[half, 2 half), and so on;
+  // both bounds are independent of the variables above `var`.
+  const std::size_t half = std::size_t{1} << (var - 6);
+  const std::uint64_t* l0 = lower;
+  const std::uint64_t* l1 = lower + half;
+  const std::uint64_t* u0 = upper;
+  const std::uint64_t* u1 = upper + half;
   const std::size_t neg_begin = out.size();
-  const TruthTable neg_cover =
-      isop_rec(TruthTable::and_compl(l0, u1), u0, var, out);
-  const std::size_t pos_begin = out.size();
-  const TruthTable pos_cover =
-      isop_rec(TruthTable::and_compl(l1, u0), u1, var, out);
-  const std::size_t both_begin = out.size();
+  std::size_t pos_begin = 0;
+  std::size_t both_begin = 0;
+  if (var == 6) {
+    // One word per side: straight into the word kernel.
+    const std::uint64_t neg_cover =
+        isop_word_rec(l0[0] & ~u1[0], u0[0], ~0ull, 6, out);
+    pos_begin = out.size();
+    const std::uint64_t pos_cover =
+        isop_word_rec(l1[0] & ~u0[0], u1[0], ~0ull, 6, out);
+    both_begin = out.size();
+    const std::uint64_t both_cover =
+        isop_word_rec((l0[0] & ~neg_cover) | (l1[0] & ~pos_cover),
+                      u0[0] & u1[0], ~0ull, 6, out);
+    cover[0] = neg_cover | both_cover;
+    cover[1] = pos_cover | both_cover;
+  } else {
+    std::uint64_t* side_lower = scratch;  // then the both-side lower
+    std::uint64_t* side_upper = scratch + half;  // the both-side upper
+    std::uint64_t* neg_cover = scratch + 2 * half;
+    std::uint64_t* pos_cover = scratch + 3 * half;
+    std::uint64_t* both_cover = scratch + 4 * half;
+    std::uint64_t* below = scratch + 5 * half;
+    for (std::size_t i = 0; i < half; ++i) side_lower[i] = l0[i] & ~u1[i];
+    isop_words_rec(side_lower, u0, var, neg_cover, below, out);
+    pos_begin = out.size();
+    for (std::size_t i = 0; i < half; ++i) side_lower[i] = l1[i] & ~u0[i];
+    isop_words_rec(side_lower, u1, var, pos_cover, below, out);
+    both_begin = out.size();
+    for (std::size_t i = 0; i < half; ++i) {
+      side_lower[i] = (l0[i] & ~neg_cover[i]) | (l1[i] & ~pos_cover[i]);
+      side_upper[i] = u0[i] & u1[i];
+    }
+    isop_words_rec(side_lower, side_upper, var, both_cover, below, out);
+    for (std::size_t i = 0; i < half; ++i) {
+      cover[i] = neg_cover[i] | both_cover[i];
+      cover[half + i] = pos_cover[i] | both_cover[i];
+    }
+  }
   for (std::size_t i = neg_begin; i < pos_begin; ++i) {
     out[i].neg |= (1u << var);
   }
   for (std::size_t i = pos_begin; i < both_begin; ++i) {
     out[i].pos |= (1u << var);
   }
-
-  // What remains must be covered by cubes independent of `var`.
-  TruthTable rest = TruthTable::and_compl(l0, neg_cover);
-  rest |= TruthTable::and_compl(l1, pos_cover);
-  const TruthTable both_cover = isop_rec(rest, u0 & u1, var, out);
-
-  TruthTable cover = TruthTable::mux_var(var, pos_cover, neg_cover);
-  cover |= both_cover;
-  return cover;
+  // The cover is independent of the variables above `var`: repeat it.
+  for (std::size_t i = 2 * half; i < nw; ++i) cover[i] = cover[i - 2 * half];
 }
 
 }  // namespace
 
+void append_isop(const TruthTable& tt, bool complement, Sop& out) {
+  const unsigned n = tt.num_vars();
+  const std::uint64_t flip = complement ? ~0ull : 0;
+  if (n <= 6) {
+    const std::uint64_t full =
+        n == 6 ? ~0ull : (std::uint64_t{1} << (std::size_t{1} << n)) - 1;
+    const std::uint64_t f = (tt.low_word() ^ flip) & full;
+    [[maybe_unused]] const std::uint64_t cover =
+        isop_word_rec(f, f, full, n, out);
+    assert(cover == f && "ISOP must cover the function exactly");
+    return;
+  }
+  // The function, its cover and the recursion's scratch on one per-thread
+  // word stack, grown to the widest table seen.
+  const std::span<const std::uint64_t> words = tt.words();
+  const std::size_t nw = words.size();
+  thread_local std::vector<std::uint64_t> stack;
+  if (stack.size() < 7 * nw) stack.resize(7 * nw);
+  std::uint64_t* f = stack.data();
+  std::uint64_t* cover = f + nw;
+  for (std::size_t i = 0; i < nw; ++i) f[i] = words[i] ^ flip;
+  isop_words_rec(f, f, n, cover, cover + nw, out);
+  assert(std::equal(f, f + nw, cover) &&
+         "ISOP must cover the function exactly");
+}
+
 Sop isop(const TruthTable& tt) {
   thread_local Sop cubes;  // grown once per thread, copied out exactly
   cubes.clear();
-  [[maybe_unused]] const TruthTable cover =
-      isop_rec(tt, tt, tt.num_vars(), cubes);
-  assert(cover == tt && "ISOP must cover the function exactly");
+  append_isop(tt, false, cubes);
   return Sop(cubes.begin(), cubes.end());
 }
 

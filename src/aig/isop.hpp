@@ -3,6 +3,7 @@
 // This is the resynthesis front half of both `refactor` and `rewrite`:
 // cut truth table -> ISOP cube list -> algebraic factoring -> new AIG cone.
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,7 +18,9 @@ struct Cube {
   std::uint32_t pos = 0;
   std::uint32_t neg = 0;
 
-  unsigned num_literals() const;
+  unsigned num_literals() const {
+    return static_cast<unsigned>(std::popcount(pos) + std::popcount(neg));
+  }
   bool operator==(const Cube&) const = default;
 };
 
@@ -27,6 +30,10 @@ using Sop = std::vector<Cube>;
 /// Returns an empty SOP for the constant-0 function; the constant-1 function
 /// yields a single empty cube.
 Sop isop(const TruthTable& tt);
+
+/// Append to `out` the cubes isop() returns for `tt`, or for ~tt when
+/// `complement` is set, without building ~tt or copying the cube list.
+void append_isop(const TruthTable& tt, bool complement, Sop& out);
 
 /// Evaluate an SOP back into a truth table (for verification).
 TruthTable sop_to_truth(const Sop& sop, unsigned num_vars);

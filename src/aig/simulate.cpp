@@ -38,18 +38,21 @@ void simulate(const Aig& aig, std::size_t words,
 
 }  // namespace
 
+void simulate_random(const Aig& aig, util::Rng& rng, std::size_t words,
+                     std::vector<std::uint64_t>& data) {
+  simulate(aig, words, data, [&](std::size_t, std::size_t) { return rng(); });
+}
+
 Simulator::Simulator(const Aig& aig, util::Rng& rng, std::size_t words)
     : words_(words) {
-  simulate(aig, words_, data_, [&](std::size_t, std::size_t) { return rng(); });
+  simulate_random(aig, rng, words_, data_);
 }
 
 std::vector<std::uint64_t> Simulator::signature(Lit l) const {
-  std::vector<std::uint64_t> sig(words_);
-  const std::uint32_t id = lit_node(l);
+  const std::span<const std::uint64_t> node = node_words(lit_node(l));
   const std::uint64_t mask = lit_is_compl(l) ? ~0ull : 0ull;
-  for (std::size_t w = 0; w < words_; ++w) {
-    sig[w] = data_[id * words_ + w] ^ mask;
-  }
+  std::vector<std::uint64_t> sig(node.begin(), node.end());
+  for (std::uint64_t& w : sig) w ^= mask;
   return sig;
 }
 
@@ -63,7 +66,15 @@ bool random_equivalent(const Aig& a, const Aig& b, util::Rng& rng,
   Simulator sim_a(a, rng_a, words);
   Simulator sim_b(b, rng_b, words);
   for (std::size_t i = 0; i < a.num_pos(); ++i) {
-    if (sim_a.signature(a.po(i)) != sim_b.signature(b.po(i))) return false;
+    const Lit la = a.po(i);
+    const Lit lb = b.po(i);
+    const std::uint64_t flip =
+        (lit_is_compl(la) ? ~0ull : 0ull) ^ (lit_is_compl(lb) ? ~0ull : 0ull);
+    const std::span<const std::uint64_t> wa = sim_a.node_words(lit_node(la));
+    const std::span<const std::uint64_t> wb = sim_b.node_words(lit_node(lb));
+    for (std::size_t w = 0; w < words; ++w) {
+      if ((wa[w] ^ wb[w]) != flip) return false;
+    }
   }
   rng = rng_a;  // advance the caller's stream
   return true;

@@ -23,12 +23,23 @@ public:
   /// Signature of a literal (complement applied).
   std::vector<std::uint64_t> signature(Lit l) const;
 
+  /// The `words()` pattern words of node `id`, uncomplemented, in place.
+  std::span<const std::uint64_t> node_words(std::uint32_t id) const {
+    return {data_.data() + id * words_, words_};
+  }
+
   std::size_t words() const { return words_; }
 
 private:
   std::size_t words_;
   std::vector<std::uint64_t> data_;  // node-major: data_[id * words_ + w]
 };
+
+/// Simulate `aig` under `words` random patterns per PI drawn from `rng`,
+/// PI by PI, into `data`: node id's words at data[id * words ..], reusing
+/// the vector's capacity. Simulator holds exactly these words.
+void simulate_random(const Aig& aig, util::Rng& rng, std::size_t words,
+                     std::vector<std::uint64_t>& data);
 
 /// True iff both graphs have identical PI/PO arity and identical PO
 /// signatures under `words` shared random patterns. Random simulation can in

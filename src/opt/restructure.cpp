@@ -1,5 +1,6 @@
 #include "opt/restructure.hpp"
 
+#include <span>
 #include <vector>
 
 #include "aig/analysis.hpp"
@@ -29,6 +30,7 @@ Aig restructure(const Aig& in, const RestructureParams& params) {
   aig::RefCounts refs = aig::RefCounts::pristine(in);  // evolving copy
   aig::RefCounts scratch = refs;  // pristine scratch for plan computation
   aig::ResubPlan plan;  // vectors reused across roots
+  const std::span<const std::uint8_t> shared = aig::shared_signatures(in);
 
   std::vector<Lit> repl = identity_replacements(g.num_nodes());
   auto grow_repl = [&] {
@@ -43,6 +45,12 @@ Aig restructure(const Aig& in, const RestructureParams& params) {
 
     const std::uint32_t mffc = refs.mffc_size(g, id);
     if (mffc < 1) continue;
+    // A one-node MFFC reads 0-resub candidates only (1-resub needs two,
+    // below). Such a divisor computes the root's function over the window
+    // leaves, hence the same function of the PIs, so it shares the root's
+    // signature: a root that shares it with no input node has none, and
+    // its window is never built.
+    if (mffc == 1 && !shared[id]) continue;
 
     // 1-resub needs an MFFC of at least 2 (below), so a smaller one skips
     // the pair scan.

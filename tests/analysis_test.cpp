@@ -1,8 +1,9 @@
 // Tests for the per-pass analysis kernels: the pristine reference counts and
 // CSR fanouts passes build for their input graph match their from-scratch
-// counterparts, the factored-form memo is pure and shared, the filtered
-// 1-resub scan matches brute force, and passes sharing one input graph
-// across threads (per-thread scratch, process-wide memo) agree.
+// counterparts, the factored-form memo is pure and shared and keeps what
+// it is given, the filtered 1-resub scan matches brute force, a root with
+// an unshared signature has no 0-resub candidate, and passes sharing one
+// input graph across threads (per-thread scratch, process-wide memo) agree.
 
 #include "aig/analysis.hpp"
 
@@ -69,6 +70,25 @@ TEST(AnalysisTest, FactoredFormMemoIsPureAndShared) {
   EXPECT_GT(a->literals, 0u);
   // Both polarities of XOR cost the same; ties prefer positive.
   EXPECT_FALSE(a->output_compl);
+}
+
+TEST(AnalysisTest, FactoredFormMemoKeepsTablesThatDifferAboveLowMinterms) {
+  // 9,000 distinct 8-input tables that agree on minterms 0-2 of every word
+  // (they differ in bits 3-16 of word 0): the memo must spread them over
+  // its shards and keep each, so a second lookup returns the first value.
+  constexpr std::size_t kTables = 9000;
+  auto table = [](std::size_t k) {
+    const std::uint64_t words[4] = {0x5A5A5A5A5A500005ull | k << 3,
+                                    0x0123456789ABCDEFull,
+                                    0xFEDCBA9876543210ull,
+                                    0x0F0F00FF0FF00F0Full};
+    return TruthTable::from_words(8, words);
+  };
+  std::vector<std::shared_ptr<const FactoredForm>> first;
+  for (std::size_t k = 0; k < kTables; ++k) first.push_back(factored_form(table(k)));
+  for (std::size_t k = 0; k < kTables; ++k) {
+    ASSERT_EQ(factored_form(table(k)).get(), first[k].get()) << "table " << k;
+  }
 }
 
 // Reference for detail::scan_one_resub: the unfiltered pair scan, which
@@ -200,6 +220,37 @@ TEST(AnalysisTest, PlanWithoutOnesHasTheFullPlansZeros) {
   EXPECT_GT(roots, 50000u);
   EXPECT_GT(with_zeros, 100u);
   EXPECT_GT(with_ones, 100u);
+}
+
+TEST(AnalysisTest, UnsharedSignatureRootsHaveNoZeroResub) {
+  // Restructure builds no window for a root with a one-node MFFC whose
+  // signature class is a singleton: it reads only the plan's 0-resub
+  // candidates there, and this checks that the plan has none, at two
+  // window sizes. The skip must also cover a good share of such roots.
+  std::size_t one_node = 0, skipped = 0;
+  ResubPlan plan;
+  auto check = [&](const Aig& g) {
+    const std::span<const std::uint8_t> shared = shared_signatures(g);
+    ASSERT_EQ(shared.size(), g.num_nodes());
+    RefCounts refs = RefCounts::pristine(g);
+    const Fanouts fanouts = build_fanouts(g);
+    for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
+      if (!g.is_and(id) || refs.mffc_size(g, id) != 1) continue;
+      ++one_node;
+      if (shared[id]) continue;
+      ++skipped;
+      for (unsigned max_leaves : {8u, 12u}) {
+        compute_resub_plan(g, id, reconv_cut(g, id, max_leaves), 24, refs,
+                           fanouts, plan, /*scan_ones=*/false);
+        ASSERT_TRUE(plan.zeros.empty())
+            << "node " << id << " at " << max_leaves << " leaves";
+      }
+    }
+  };
+  for (const Aig& g : fixtures::oracle_graphs()) check(g);
+  check(designs::make_design("alu16"));
+  EXPECT_GT(one_node, 10000u);
+  EXPECT_GT(3 * skipped, one_node) << skipped << " of " << one_node;
 }
 
 TEST(AnalysisTest, ConcurrentPassesOnOneInputAreConsistent) {
