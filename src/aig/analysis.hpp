@@ -15,9 +15,10 @@
 // on alu16 (docs/architecture.md has the per-pass numbers). They also skip
 // work whose result is already known, without changing any result: a
 // resub plan finishes its target from the window tables it built and
-// skips the 1-resub scan for a caller that cannot use one, and a
-// tentative build stops as soon as it has appended more nodes than the
-// caller's gain bound allows.
+// skips the 1-resub scan for a caller that cannot use one, a root whose
+// simulation signature no other node shares needs no 0-resub window
+// (shared_signatures), and a tentative build stops as soon as it has
+// appended more nodes than the caller's gain bound allows.
 
 #include <cstdint>
 #include <memory>

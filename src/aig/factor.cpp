@@ -1,7 +1,6 @@
 #include "aig/factor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -45,16 +44,17 @@ void cube_expr(const Cube& cube, std::vector<Node>& out) {
 /// each slice is positive literal v, lane 32 + v negative literal v, and
 /// slice s holds bit s of every lane's count.
 struct LiteralCounts {
-  std::array<std::uint64_t, 32> slices{};
+  std::uint64_t slices[32];  ///< [0, num_slices) in use
   unsigned num_slices = 0;
 
   void add(std::uint64_t lanes) {
-    for (unsigned s = 0; lanes != 0; ++s) {
-      if (s == num_slices) ++num_slices;
+    unsigned s = 0;
+    for (; s < num_slices && lanes != 0; ++s) {
       const std::uint64_t carry = slices[s] & lanes;
       slices[s] ^= lanes;
       lanes = carry;
     }
+    if (lanes != 0) slices[num_slices++] = lanes;
   }
 };
 

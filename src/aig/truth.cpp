@@ -125,14 +125,6 @@ TruthTable TruthTable::from_words(unsigned num_vars,
   return t;
 }
 
-TruthTable TruthTable::broadcast(unsigned num_vars, std::uint64_t word) {
-  TruthTable t(num_vars);
-  std::uint64_t* w = t.data();
-  for (std::uint32_t i = 0; i < t.num_words_; ++i) w[i] = word;
-  t.mask_tail();
-  return t;
-}
-
 bool TruthTable::bit(std::size_t minterm) const {
   return (data()[minterm >> 6] >> (minterm & 63)) & 1ull;
 }

@@ -42,11 +42,6 @@ public:
   static TruthTable variable(unsigned num_vars, unsigned index);
   /// From the low 2^num_vars bits of `bits` (num_vars <= 6).
   static TruthTable from_bits(unsigned num_vars, std::uint64_t bits);
-  /// Every 64-bit word set to `word` (tail-masked) — i.e. the function of
-  /// `num_vars` variables that is independent of x_6.. and whose restriction
-  /// to x_0..x_5 is `word`. Lets word-parallel kernels (ISOP) hand a
-  /// single-uint64 result back to the multi-word world.
-  static TruthTable broadcast(unsigned num_vars, std::uint64_t word);
   /// The first 2^num_vars bits of `words` (at least one word, and
   /// 2^(num_vars - 6) from 7 variables up), tail-masked: lets word-level
   /// kernels (cone and cut functions) hand their result back as a table.

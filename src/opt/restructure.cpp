@@ -20,6 +20,8 @@ using aig::make_lit;
 // candidate) is computed by aig::compute_resub_plan on the untouched input
 // graph; this function replays the recorded candidates against its own
 // evolving state (reference counts, alias table, incremental node cost).
+// One simulation of the input graph (aig::shared_signatures) spares the
+// window of each root with a one-node MFFC that provably has no candidate.
 Aig restructure(const Aig& in, const RestructureParams& params) {
   Aig g = in;  // mutable working copy; old node ids stay untouched
   const std::uint32_t num_old = static_cast<std::uint32_t>(g.num_nodes());

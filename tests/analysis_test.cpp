@@ -235,7 +235,9 @@ TEST(AnalysisTest, UnsharedSignatureRootsHaveNoZeroResub) {
     RefCounts refs = RefCounts::pristine(g);
     const Fanouts fanouts = build_fanouts(g);
     for (std::uint32_t id = 0; id < g.num_nodes(); ++id) {
-      if (!g.is_and(id) || refs.mffc_size(g, id) != 1) continue;
+      if (!g.is_and(id) || refs.dead(id) || refs.mffc_size(g, id) != 1) {
+        continue;
+      }
       ++one_node;
       if (shared[id]) continue;
       ++skipped;
