@@ -1,6 +1,7 @@
 #include "aig/analysis.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <unordered_map>
 
@@ -62,22 +63,14 @@ FactorMemoShard& factor_memo_shard(const TruthTable& tt) {
   return factor_memo()[mixed >> (64 - kFactorMemoShardBits)];
 }
 
-// Quick-factor of one polarity of `tt` into `nodes`, over the per-thread
+// Quick-factor of one polarity of `tt` into `expr`, over the per-thread
 // cube stack `cubes`.
 void factor_polarity(const TruthTable& tt, bool complement, Sop& cubes,
-                     std::vector<FactorExpr::Node>& nodes) {
+                     FactorExpr& expr) {
   cubes.clear();
   append_isop(tt, complement, cubes);
-  nodes.clear();
-  append_factored(cubes, nodes);
-}
-
-std::size_t literal_count(std::span<const FactorExpr::Node> nodes) {
-  std::size_t n = 0;
-  for (const FactorExpr::Node& node : nodes) {
-    n += node.kind == FactorExpr::Kind::kLiteral;
-  }
-  return n;
+  expr.nodes.clear();
+  append_factored(cubes, expr.nodes);
 }
 
 std::shared_ptr<const FactoredForm> compute_factored(const TruthTable& tt) {
@@ -87,17 +80,16 @@ std::shared_ptr<const FactoredForm> compute_factored(const TruthTable& tt) {
   // Both forms are built in per-thread buffers; only the winner is copied
   // out, at its exact size, since the memo keeps it for the process.
   thread_local Sop cubes;
-  thread_local std::vector<FactorExpr::Node> pos;
-  thread_local std::vector<FactorExpr::Node> neg;
+  thread_local FactorExpr pos;
+  thread_local FactorExpr neg;
   factor_polarity(tt, false, cubes, pos);
   factor_polarity(tt, true, cubes, neg);
-  const std::size_t pos_literals = literal_count(pos);
-  const std::size_t neg_literals = literal_count(neg);
+  const std::size_t pos_literals = pos.num_literals();
+  const std::size_t neg_literals = neg.num_literals();
   auto form = std::make_shared<FactoredForm>();
   form->output_compl = pos_literals > neg_literals;
-  const std::vector<FactorExpr::Node>& winner =
-      form->output_compl ? neg : pos;
-  form->expr.nodes.assign(winner.begin(), winner.end());
+  const FactorExpr& winner = form->output_compl ? neg : pos;
+  form->expr.nodes.assign(winner.nodes.begin(), winner.nodes.end());
   form->literals = form->output_compl ? neg_literals : pos_literals;
   return form;
 }
@@ -164,8 +156,7 @@ std::span<const std::uint8_t> shared_signatures(const Aig& g) {
   // One insertion per node into a table of at least twice as many slots:
   // the first node of a class keeps the slot, and a later one that finds
   // an equal signature marks both.
-  unsigned bits = 1;
-  while ((std::size_t{1} << bits) < 2 * n) ++bits;
+  const auto bits = static_cast<unsigned>(std::bit_width(2 * n - 1));
   const std::size_t mask = (std::size_t{1} << bits) - 1;
   s.table.assign(mask + 1, 0);
   s.shared.assign(n, 0);
@@ -182,7 +173,7 @@ std::span<const std::uint8_t> shared_signatures(const Aig& g) {
         break;
       }
       const std::uint64_t* other =
-          s.words.data() + (entry - 1) * std::size_t{kSignatureWords};
+          s.words.data() + (entry - 1) * kSignatureWords;
       if (std::equal(w, w + kSignatureWords, other)) {
         s.shared[entry - 1] = 1;
         s.shared[id] = 1;

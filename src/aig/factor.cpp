@@ -44,17 +44,16 @@ void cube_expr(const Cube& cube, std::vector<Node>& out) {
 /// each slice is positive literal v, lane 32 + v negative literal v, and
 /// slice s holds bit s of every lane's count.
 struct LiteralCounts {
-  std::uint64_t slices[32];  ///< [0, num_slices) in use
-  unsigned num_slices = 0;
+  std::uint64_t slices[32] = {};
+  unsigned num_slices = 0;  ///< slices past it are all zero
 
   void add(std::uint64_t lanes) {
-    unsigned s = 0;
-    for (; s < num_slices && lanes != 0; ++s) {
+    for (unsigned s = 0; lanes != 0; ++s) {
       const std::uint64_t carry = slices[s] & lanes;
       slices[s] ^= lanes;
       lanes = carry;
+      if (s == num_slices) ++num_slices;
     }
-    if (lanes != 0) slices[num_slices++] = lanes;
   }
 };
 
