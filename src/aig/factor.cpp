@@ -27,15 +27,33 @@ Node op_node(Kind kind, std::size_t arity) {
   return Node{kind, false, 0, static_cast<std::uint32_t>(arity)};
 }
 
+/// The literals of a cube as one word: bit v is positive literal v, bit
+/// 32 + v negative literal v.
+std::uint64_t literal_lanes(const Cube& c) {
+  return c.pos | std::uint64_t{c.neg} << 32;
+}
+
+/// True when a cube has two or more literals. The build has no popcount
+/// instruction, and std::popcount would be a library call.
+bool has_two_literals(std::uint64_t lanes) {
+  return (lanes & (lanes - 1)) != 0;
+}
+
 /// AND-expression for a single cube: its literals by ascending variable.
 void cube_expr(const Cube& cube, std::vector<Node>& out) {
+  std::size_t lits = 0;
   for (std::uint32_t vars = cube.pos | cube.neg; vars != 0;
        vars &= vars - 1) {
     const auto v = static_cast<unsigned>(std::countr_zero(vars));
-    if (cube.pos & (1u << v)) out.push_back(literal_node(v, false));
-    if (cube.neg & (1u << v)) out.push_back(literal_node(v, true));
+    if (cube.pos & (1u << v)) {
+      out.push_back(literal_node(v, false));
+      ++lits;
+    }
+    if (cube.neg & (1u << v)) {
+      out.push_back(literal_node(v, true));
+      ++lits;
+    }
   }
-  const unsigned lits = cube.num_literals();
   if (lits == 0) out.push_back(Node{Kind::kConst1, false, 0, 0});
   if (lits >= 2) out.push_back(op_node(Kind::kAnd, lits));
 }
@@ -77,14 +95,12 @@ void factor_rec(Sop& cubes, std::size_t begin, std::size_t end,
   // swallows everything.
   LiteralCounts counts;
   for (std::size_t i = begin; i < end; ++i) {
-    const Cube c = cubes[i];
-    if ((c.pos | c.neg) == 0) {
+    const std::uint64_t lanes = literal_lanes(cubes[i]);
+    if (lanes == 0) {
       out.push_back(Node{Kind::kConst1, false, 0, 0});
       return;
     }
-    if (c.num_literals() >= 2) {
-      counts.add(c.pos | std::uint64_t{c.neg} << 32);
-    }
+    if (has_two_literals(lanes)) counts.add(lanes);
   }
   // The most frequent literal, first by ascending variable, the positive
   // one first, among those in two or more cubes: narrow the lanes to the
@@ -126,7 +142,7 @@ void factor_rec(Sop& cubes, std::size_t begin, std::size_t end,
   for (std::size_t i = begin; i < end; ++i) {
     Cube c = cubes[i];
     std::uint32_t& lits = negated ? c.neg : c.pos;
-    if ((lits & bit) && c.num_literals() >= 2) {
+    if ((lits & bit) && has_two_literals(literal_lanes(c))) {
       lits &= ~bit;
       cubes[quotient++] = c;
     } else {

@@ -6,22 +6,32 @@
 
 namespace flowgen::aig {
 
+unsigned Cube::num_literals() const {
+  return static_cast<unsigned>(std::popcount(pos) + std::popcount(neg));
+}
+
 namespace {
+
+Cube with_literal(Cube cube, unsigned var, bool negated) {
+  (negated ? cube.neg : cube.pos) |= 1u << var;
+  return cube;
+}
 
 /// Word-parallel Minato-Morreale over functions of at most 6 live
 /// variables, packed into a single uint64 — no TruthTable temporaries, no
 /// allocation except the output cubes. `full` is the valid-bit mask
-/// (tail_mask of the function width, all-ones for >= 6 vars). Cubes are
-/// appended to `out` in exactly the order the generic recursion emits them;
-/// the caller patches the split literal into its range (see below), which
-/// keeps cube order — and therefore downstream factoring and QoR —
-/// bit-identical to the multi-word path. Returns the cover word.
+/// (tail_mask of the function width, all-ones for >= 6 vars). `prefix`
+/// holds the split literals of the enclosing calls: every cube this call
+/// emits extends it. Cubes are appended to `out` negative side first, then
+/// positive side, then the side independent of the split variable — the
+/// order that cube lists, factoring and QoR are pinned to. Returns the
+/// cover word.
 std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
                             std::uint64_t full, unsigned num_top_vars,
-                            Sop& out) {
+                            Cube prefix, Sop& out) {
   if (lower == 0) return 0;
   if (upper == full) {
-    out.push_back(Cube{});
+    out.push_back(prefix);
     return full;
   }
 
@@ -56,25 +66,16 @@ std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
   const std::uint64_t u0 = cof0(upper);
   const std::uint64_t u1 = cof1(upper);
 
-  // Minterms of each cofactor that can only be covered on that side. The
-  // recursion appends each side's cubes contiguously; the split literal is
-  // OR-ed into exactly that range afterwards.
-  const std::size_t neg_begin = out.size();
-  const std::uint64_t neg_cover = isop_word_rec(l0 & ~u1, u0, full, var, out);
-  const std::size_t pos_begin = out.size();
-  const std::uint64_t pos_cover = isop_word_rec(l1 & ~u0, u1, full, var, out);
-  const std::size_t both_begin = out.size();
-  for (std::size_t i = neg_begin; i < pos_begin; ++i) {
-    out[i].neg |= (1u << var);
-  }
-  for (std::size_t i = pos_begin; i < both_begin; ++i) {
-    out[i].pos |= (1u << var);
-  }
+  // Minterms of each cofactor that can only be covered on that side.
+  const std::uint64_t neg_cover = isop_word_rec(
+      l0 & ~u1, u0, full, var, with_literal(prefix, var, true), out);
+  const std::uint64_t pos_cover = isop_word_rec(
+      l1 & ~u0, u1, full, var, with_literal(prefix, var, false), out);
 
   // What remains must be covered by cubes independent of `var`.
   const std::uint64_t rest = (l0 & ~neg_cover) | (l1 & ~pos_cover);
   const std::uint64_t both_cover =
-      isop_word_rec(rest, u0 & u1, full, var, out);
+      isop_word_rec(rest, u0 & u1, full, var, prefix, out);
 
   return (mask & pos_cover) | (~mask & neg_cover) | both_cover;
 }
@@ -84,14 +85,13 @@ std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
 /// passes down), so each is stored as its first 2^(num_top_vars - 6) words:
 /// the cofactors on x_v (v >= 6) of such a table are its two halves of
 /// 2^(v - 6) words, and need no copy. Appends the cubes of an irredundant
-/// SOP S with L <= S <= U to `out`, in the order of the word kernel (each
-/// side's cubes contiguously, the split literal OR-ed into its range), and
-/// writes the cover's words to `cover`. The sides' bounds and covers live
+/// SOP S with L <= S <= U, each extending `prefix`, to `out` in the order
+/// of the word kernel, and writes the cover's words to `cover`. The sides' bounds and covers live
 /// in `scratch`, which must hold 5 * 2^(num_top_vars - 6) words (each level
 /// takes at most half of that and hands the rest down).
 void isop_words_rec(const std::uint64_t* lower, const std::uint64_t* upper,
                     unsigned num_top_vars, std::uint64_t* cover,
-                    std::uint64_t* scratch, Sop& out) {
+                    std::uint64_t* scratch, Cube prefix, Sop& out) {
   const std::size_t nw = std::size_t{1} << (num_top_vars - 6);
   bool lower_zero = true;
   bool upper_one = true;
@@ -104,7 +104,7 @@ void isop_words_rec(const std::uint64_t* lower, const std::uint64_t* upper,
     return;
   }
   if (upper_one) {
-    out.push_back(Cube{});
+    out.push_back(prefix);
     std::fill(cover, cover + nw, ~0ull);
     return;
   }
@@ -125,7 +125,7 @@ void isop_words_rec(const std::uint64_t* lower, const std::uint64_t* upper,
   }
   if (var == 0) {
     const std::uint64_t word =
-        isop_word_rec(lower[0], upper[0], ~0ull, 6, out);
+        isop_word_rec(lower[0], upper[0], ~0ull, 6, prefix, out);
     std::fill(cover, cover + nw, word);
     return;
   }
@@ -137,20 +137,17 @@ void isop_words_rec(const std::uint64_t* lower, const std::uint64_t* upper,
   const std::uint64_t* l1 = lower + half;
   const std::uint64_t* u0 = upper;
   const std::uint64_t* u1 = upper + half;
-  const std::size_t neg_begin = out.size();
-  std::size_t pos_begin = 0;
-  std::size_t both_begin = 0;
+  const Cube neg_prefix = with_literal(prefix, var, true);
+  const Cube pos_prefix = with_literal(prefix, var, false);
   if (var == 6) {
     // One word per side: straight into the word kernel.
     const std::uint64_t neg_cover =
-        isop_word_rec(l0[0] & ~u1[0], u0[0], ~0ull, 6, out);
-    pos_begin = out.size();
+        isop_word_rec(l0[0] & ~u1[0], u0[0], ~0ull, 6, neg_prefix, out);
     const std::uint64_t pos_cover =
-        isop_word_rec(l1[0] & ~u0[0], u1[0], ~0ull, 6, out);
-    both_begin = out.size();
+        isop_word_rec(l1[0] & ~u0[0], u1[0], ~0ull, 6, pos_prefix, out);
     const std::uint64_t both_cover =
         isop_word_rec((l0[0] & ~neg_cover) | (l1[0] & ~pos_cover),
-                      u0[0] & u1[0], ~0ull, 6, out);
+                      u0[0] & u1[0], ~0ull, 6, prefix, out);
     cover[0] = neg_cover | both_cover;
     cover[1] = pos_cover | both_cover;
   } else {
@@ -161,26 +158,19 @@ void isop_words_rec(const std::uint64_t* lower, const std::uint64_t* upper,
     std::uint64_t* both_cover = scratch + 4 * half;
     std::uint64_t* below = scratch + 5 * half;
     for (std::size_t i = 0; i < half; ++i) side_lower[i] = l0[i] & ~u1[i];
-    isop_words_rec(side_lower, u0, var, neg_cover, below, out);
-    pos_begin = out.size();
+    isop_words_rec(side_lower, u0, var, neg_cover, below, neg_prefix, out);
     for (std::size_t i = 0; i < half; ++i) side_lower[i] = l1[i] & ~u0[i];
-    isop_words_rec(side_lower, u1, var, pos_cover, below, out);
-    both_begin = out.size();
+    isop_words_rec(side_lower, u1, var, pos_cover, below, pos_prefix, out);
     for (std::size_t i = 0; i < half; ++i) {
       side_lower[i] = (l0[i] & ~neg_cover[i]) | (l1[i] & ~pos_cover[i]);
       side_upper[i] = u0[i] & u1[i];
     }
-    isop_words_rec(side_lower, side_upper, var, both_cover, below, out);
+    isop_words_rec(side_lower, side_upper, var, both_cover, below, prefix,
+                   out);
     for (std::size_t i = 0; i < half; ++i) {
       cover[i] = neg_cover[i] | both_cover[i];
       cover[half + i] = pos_cover[i] | both_cover[i];
     }
-  }
-  for (std::size_t i = neg_begin; i < pos_begin; ++i) {
-    out[i].neg |= (1u << var);
-  }
-  for (std::size_t i = pos_begin; i < both_begin; ++i) {
-    out[i].pos |= (1u << var);
   }
   // The cover is independent of the variables above `var`: repeat it.
   for (std::size_t i = 2 * half; i < nw; ++i) cover[i] = cover[i - 2 * half];
@@ -196,7 +186,7 @@ void append_isop(const TruthTable& tt, bool complement, Sop& out) {
         n == 6 ? ~0ull : (std::uint64_t{1} << (std::size_t{1} << n)) - 1;
     const std::uint64_t f = (tt.low_word() ^ flip) & full;
     [[maybe_unused]] const std::uint64_t cover =
-        isop_word_rec(f, f, full, n, out);
+        isop_word_rec(f, f, full, n, Cube{}, out);
     assert(cover == f && "ISOP must cover the function exactly");
     return;
   }
@@ -209,7 +199,7 @@ void append_isop(const TruthTable& tt, bool complement, Sop& out) {
   std::uint64_t* f = stack.data();
   std::uint64_t* cover = f + nw;
   for (std::size_t i = 0; i < nw; ++i) f[i] = words[i] ^ flip;
-  isop_words_rec(f, f, n, cover, cover + nw, out);
+  isop_words_rec(f, f, n, cover, cover + nw, Cube{}, out);
   assert(std::equal(f, f + nw, cover) &&
          "ISOP must cover the function exactly");
 }

@@ -3,7 +3,6 @@
 // This is the resynthesis front half of both `refactor` and `rewrite`:
 // cut truth table -> ISOP cube list -> algebraic factoring -> new AIG cone.
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,9 +17,7 @@ struct Cube {
   std::uint32_t pos = 0;
   std::uint32_t neg = 0;
 
-  unsigned num_literals() const {
-    return static_cast<unsigned>(std::popcount(pos) + std::popcount(neg));
-  }
+  unsigned num_literals() const;
   bool operator==(const Cube&) const = default;
 };
 
