@@ -86,9 +86,10 @@ std::uint64_t isop_word_rec(std::uint64_t lower, std::uint64_t upper,
 /// the cofactors on x_v (v >= 6) of such a table are its two halves of
 /// 2^(v - 6) words, and need no copy. Appends the cubes of an irredundant
 /// SOP S with L <= S <= U, each extending `prefix`, to `out` in the order
-/// of the word kernel, and writes the cover's words to `cover`. The sides' bounds and covers live
-/// in `scratch`, which must hold 5 * 2^(num_top_vars - 6) words (each level
-/// takes at most half of that and hands the rest down).
+/// of the word kernel, and writes the cover's words to `cover`. The sides'
+/// bounds and covers live in `scratch`, which must hold
+/// 5 * 2^(num_top_vars - 6) words (each level takes at most half of that
+/// and hands the rest down).
 void isop_words_rec(const std::uint64_t* lower, const std::uint64_t* upper,
                     unsigned num_top_vars, std::uint64_t* cover,
                     std::uint64_t* scratch, Cube prefix, Sop& out) {

@@ -85,7 +85,9 @@ TEST(AnalysisTest, FactoredFormMemoKeepsTablesThatDifferAboveLowMinterms) {
     return TruthTable::from_words(8, words);
   };
   std::vector<std::shared_ptr<const FactoredForm>> first;
-  for (std::size_t k = 0; k < kTables; ++k) first.push_back(factored_form(table(k)));
+  for (std::size_t k = 0; k < kTables; ++k) {
+    first.push_back(factored_form(table(k)));
+  }
   for (std::size_t k = 0; k < kTables; ++k) {
     ASSERT_EQ(factored_form(table(k)).get(), first[k].get()) << "table " << k;
   }
