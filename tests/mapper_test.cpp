@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 
 #include "aig/simulate.hpp"
+#include "core/flow_space.hpp"
 #include "designs/alu.hpp"
+#include "designs/registry.hpp"
 #include "designs/montgomery.hpp"
 #include "designs/spn.hpp"
+#include "opt/registry.hpp"
+#include "util/crc32.hpp"
 
 namespace flowgen::map {
 namespace {
@@ -175,6 +180,65 @@ TEST(MapperTest, SharedInverterCountedOnce) {
   g.add_po(g.land(aig::lit_not(x), aig::lit_not(c)));
   const MappingResult res = map_aig(g, CellLibrary::builtin());
   expect_cover_matches_simulation(g, res);
+}
+
+TEST(MapperTest, CoversAlongRandomFlowsArePinned) {
+  // One CRC-32 per design over map_aig's whole result for every graph
+  // along 8 random m = 2 flows (the design, then the graph after each
+  // step): per cover entry its node, cut leaves, cell, pin binding, leaf
+  // flips, output flip and arrival, then the QoR record. A matcher or
+  // mapper change that moves any gate of any cover fails here, not only
+  // the QoR digests downstream.
+  struct CoverPin {
+    const char* design;
+    std::uint32_t crc;
+  };
+  const CoverPin pins[] = {
+      {"alu:8", 0xa18b8b2bu},
+      {"alu16", 0x1fedf2c7u},
+      {"spn16", 0xe07158e2u},
+      {"mont:6", 0x26b6d052u},
+  };
+  const opt::TransformRegistry& registry = *opt::TransformRegistry::paper();
+  const CellLibrary& lib = CellLibrary::builtin();
+  for (const CoverPin& pin : pins) {
+    std::vector<std::uint8_t> bytes;
+    auto put = [&](std::uint64_t v) {  // little-endian
+      for (int b = 0; b < 8; ++b) {
+        bytes.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+      }
+    };
+    auto put_mapping = [&](const Aig& g) {
+      const MappingResult res = map_aig(g, lib);
+      put(res.cover.size());
+      for (const CoverEntry& e : res.cover) {
+        put(e.node);
+        put(e.cut.leaves.size());
+        for (std::uint32_t leaf : e.cut.leaves) put(leaf);
+        put(e.match.cell_id);
+        put(e.match.pin_to_leaf.size());
+        for (std::uint8_t leaf : e.match.pin_to_leaf) put(leaf);
+        put(e.match.leaf_flip_mask);
+        put(e.match.out_flip);
+        put(std::bit_cast<std::uint64_t>(e.arrival_ps));
+      }
+      put(std::bit_cast<std::uint64_t>(res.qor.area_um2));
+      put(std::bit_cast<std::uint64_t>(res.qor.delay_ps));
+      put(res.qor.num_cells);
+      put(res.qor.num_inverters);
+    };
+    const Aig design = designs::make_design(pin.design);
+    util::Rng rng(7);
+    for (const core::Flow& flow : core::FlowSpace(2).sample_unique(8, rng)) {
+      Aig g = design;
+      put_mapping(g);
+      for (const opt::StepId step : flow.steps) {
+        g = registry.apply(g, step);
+        put_mapping(g);
+      }
+    }
+    EXPECT_EQ(util::crc32(bytes), pin.crc) << pin.design;
+  }
 }
 
 }  // namespace
