@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the synthesis substrate: graph
 // copies, per-pass transform cost, window cuts and window factoring, cut
-// enumeration, technology mapping, full-flow evaluation and the batch
-// order evaluation schedules by. These are the per-iteration costs behind
+// enumeration, technology mapping and the cell library's match table,
+// full-flow evaluation and the batch order evaluation schedules by. These are the per-iteration costs behind
 // the "collecting the training dataset takes most of the runtime"
 // observation in the paper.
 //
@@ -200,6 +200,21 @@ void BM_TechnologyMapping(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_TechnologyMapping, alu16, std::string("alu16"));
 BENCHMARK_CAPTURE(BM_TechnologyMapping, mont8, std::string("mont:8"));
+
+void BM_CellLibraryBuild(benchmark::State& state) {
+  // The match table every process builds before its first mapping, from
+  // the builtin cell list. In this loop the table's memory is reused, so
+  // the first touch of its pages, paid once per fresh process, is not
+  // priced here.
+  const std::vector<map::Cell>& cells = map::CellLibrary::builtin().cells();
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const map::CellLibrary lib(cells);
+    benchmark::DoNotOptimize(lib.index_size());
+  }
+  state.counters["allocs"] = allocs_per_iteration(allocs);
+}
+BENCHMARK(BM_CellLibraryBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_FullFlowEvaluation(benchmark::State& state) {
   // One length-24 flow end to end: the unit of work the pipeline pays per

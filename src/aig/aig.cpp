@@ -1,6 +1,7 @@
 #include "aig/aig.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <sstream>
@@ -62,10 +63,23 @@ std::size_t Aig::strash_slot(Lit a, Lit b) const {
   }
 }
 
+void Aig::reserve_ands(std::size_t n) {
+  if (n == 0) return;
+  nodes_.reserve(nodes_.size() + n);
+  // land() keeps the load at most 1/2.
+  const std::size_t slots =
+      std::max<std::size_t>(16, std::bit_ceil(2 * (num_ands() + n)));
+  if (slots > strash_.size()) strash_rehash(slots);
+}
+
 void Aig::strash_grow() {
+  strash_rehash(std::max<std::size_t>(16, 2 * strash_.size()));
+}
+
+void Aig::strash_rehash(std::size_t slots) {
   std::vector<std::uint32_t> old;
   old.swap(strash_);
-  strash_.assign(std::max<std::size_t>(16, 2 * old.size()), 0);
+  strash_.assign(slots, 0);
   const std::size_t mask = strash_.size() - 1;
   for (std::uint32_t id : old) {
     if (id == 0) continue;

@@ -95,6 +95,11 @@ public:
   /// Register a primary output driven by `l`; returns its index.
   std::size_t add_po(Lit l);
 
+  /// Make room for `n` more AND nodes: adding up to that many grows
+  /// neither the node array nor the structural-hash table. The table's
+  /// size decides no node id, so the graph built is the same.
+  void reserve_ands(std::size_t n);
+
   // -- inspection -----------------------------------------------------------
 
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -165,6 +170,8 @@ private:
   std::size_t strash_slot(Lit a, Lit b) const;
   /// Double the table (at least 16 slots) and reinsert every AND node.
   void strash_grow();
+  /// Reinsert every AND node into a table of `slots` (a power of two).
+  void strash_rehash(std::size_t slots);
   /// Remove AND node `id` from the table (backward-shift deletion).
   void strash_erase(std::uint32_t id);
 

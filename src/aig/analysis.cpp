@@ -306,7 +306,9 @@ void compute_resub_plan(const Aig& g, std::uint32_t root,
                         bool scan_ones) {
   plan.zeros.clear();
   plan.ones.clear();
-  if (degenerate_window(leaves)) return;
+  // A dead root has no MFFC to walk (its fanins' counts hold no reference
+  // from it), and nothing reads it to be resubstituted.
+  if (degenerate_window(leaves) || refs.dead(root)) return;
   const auto nv = static_cast<unsigned>(leaves.size());
   constexpr std::uint32_t kNoTable = ResubScratch::kNoTable;
 

@@ -93,8 +93,9 @@ struct ResubPlan {
 /// Divisors are collected by walking `fanouts` out of the leaves; `refs`
 /// must hold the input graph's pristine reference counts, which decide
 /// dead divisors and the MFFC split (mffc_nodes mutates and restores it).
-/// The plan is left empty when the window is degenerate or the target
-/// function cannot be computed over it. `plan`'s vectors are reused.
+/// The plan is left empty when the window is degenerate, the root is dead
+/// or the target function cannot be computed over it. `plan`'s vectors
+/// are reused.
 ///
 /// With `scan_ones` false the caller will not read 1-resub candidates:
 /// the pair scan is skipped and `plan.ones` stays empty, while

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -24,13 +23,15 @@ bool Cut::subset_of(const Cut& other) const {
 
 bool merge_cuts(const Cut& a, const Cut& b, unsigned k, Cut& out) {
   // Quick reject: every set bit of sig_a | sig_b is contributed by at least
-  // one distinct leaf id, so popcount(sig_a | sig_b) is a *lower bound* on
-  // the union's leaf count whatever the ids are — aliasing modulo 64 can
-  // only drop bits, never add them. The exact merge below still handles the
-  // aliased cases the signature cannot see.
-  if (static_cast<unsigned>(std::popcount(a.signature | b.signature)) > k) {
-    return false;
-  }
+  // one distinct leaf id, so its bit count is a *lower bound* on the
+  // union's leaf count whatever the ids are — aliasing modulo 64 can only
+  // drop bits, never add them. The exact merge below still handles the
+  // aliased cases the signature cannot see. Clearing the k lowest set bits
+  // tests "more than k" without a popcount, a library call on baseline
+  // x86-64.
+  std::uint64_t sig = a.signature | b.signature;
+  for (unsigned n = 0; n < k; ++n) sig &= sig - 1;  // 0 stays 0
+  if (sig != 0) return false;
   // Sorted union, refused as soon as it would exceed k leaves.
   out.leaves.clear();
   const auto& la = a.leaves;
@@ -50,7 +51,8 @@ bool merge_cuts(const Cut& a, const Cut& b, unsigned k, Cut& out) {
     if (out.leaves.size() == k) return false;
     out.leaves.push_back(next);
   }
-  out.compute_signature();
+  // The union's leaves set exactly the bits either signature sets.
+  out.signature = a.signature | b.signature;
   return true;
 }
 
@@ -90,8 +92,13 @@ void stretch(const Cut& side, const Cut& cut, std::span<std::uint64_t> f) {
   for (std::size_t j = side.leaves.size(); j-- > 0;) {
     while (cut.leaves[--pos] != side.leaves[j]) {
     }
-    if (pos != j) {
-      swap_vars(f, static_cast<unsigned>(j), static_cast<unsigned>(pos));
+    if (pos == j) continue;
+    const auto from = static_cast<unsigned>(j);
+    const auto to = static_cast<unsigned>(pos);
+    if (f.size() == 1) {
+      f[0] = swap_vars_in_word(f[0], from, to);  // at most 6 leaves
+    } else {
+      swap_vars(f, from, to);
     }
   }
 }
@@ -225,6 +232,14 @@ CutManager::CutManager(const Aig& aig, const CutParams& params)
   std::vector<Merged> merged;
   merged.reserve(params_.max_cuts * 4);
   Cut candidate;
+  // Sized once for the most cuts the graph can keep: one per PI and the
+  // constant, max_cuts plus the trivial one per AND node.
+  const std::size_t num_ands = aig.num_ands();
+  const std::size_t max_cuts =
+      aig.num_nodes() - num_ands + num_ands * (params_.max_cuts + 1);
+  cuts_.reserve(max_cuts);
+  functions_.reserve(max_cuts * function_words_);
+  cones_.reserve(max_cuts);
   offsets_.reserve(aig.num_nodes() + 1);
   offsets_.push_back(0);
   for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {

@@ -58,6 +58,8 @@ public:
   std::span<const Cut> cuts(std::uint32_t node) const {
     return {cuts_.data() + offsets_[node], cuts_.data() + offsets_[node + 1]};
   }
+  /// Number of cuts over all nodes.
+  std::size_t num_cuts() const { return cuts_.size(); }
 
   /// Function of cuts(node)[i] over its leaves (leaf j drives variable j):
   /// cone_truth(aig, make_lit(node, false), leaves), tail mask included.

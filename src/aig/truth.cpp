@@ -242,27 +242,6 @@ TruthTable TruthTable::and_phase(const TruthTable& a, bool ca,
   return t;
 }
 
-TruthTable TruthTable::mux_var(unsigned var, const TruthTable& t1,
-                               const TruthTable& t0) {
-  assert(t1.num_vars_ == t0.num_vars_ && var < t1.num_vars_);
-  TruthTable t(t1.num_vars_);
-  const std::uint64_t* w1 = t1.data();
-  const std::uint64_t* w0 = t0.data();
-  std::uint64_t* w = t.data();
-  if (var < 6) {
-    for (std::uint32_t i = 0; i < t.num_words_; ++i) {
-      w[i] = (w1[i] & kVarMask[var]) | (w0[i] & ~kVarMask[var]);
-    }
-    t.mask_tail();
-    return t;
-  }
-  const std::uint32_t block = 1u << (var - 6);
-  for (std::uint32_t i = 0; i < t.num_words_; ++i) {
-    w[i] = ((i / block) & 1) ? w1[i] : w0[i];
-  }
-  return t;
-}
-
 TruthTable& TruthTable::operator|=(const TruthTable& o) {
   assert(num_vars_ == o.num_vars_);
   std::uint64_t* w = data();
@@ -365,14 +344,7 @@ TruthTable TruthTable::cofactor1(unsigned v) const {
 void swap_vars(std::span<std::uint64_t> words, unsigned i, unsigned j) {
   assert(i < j);
   if (j < 6) {
-    // Minterms with x_i = 1, x_j = 0 take the value `shift` minterms up
-    // (x_i = 0, x_j = 1), and those minterms take it back.
-    const unsigned shift = (1u << j) - (1u << i);
-    const std::uint64_t down = kVarMask[i] & ~kVarMask[j];
-    const std::uint64_t up = ~kVarMask[i] & kVarMask[j];
-    for (std::uint64_t& w : words) {
-      w = (w & ~(down | up)) | ((w >> shift) & down) | ((w << shift) & up);
-    }
+    for (std::uint64_t& w : words) w = swap_vars_in_word(w, i, j);
   } else if (i < 6) {
     // Word pairs (x_j = 0, x_j = 1) trade their x_i = 1 and x_i = 0 halves.
     const std::size_t step = std::size_t{1} << (j - 6);

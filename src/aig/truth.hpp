@@ -67,9 +67,9 @@ public:
   /// Lexicographic comparison of the word arrays (for canonical forms).
   bool operator<(const TruthTable& o) const;
 
-  // Allocation-free kernels for the resubstitution/ISOP inner loops, which
+  // Allocation-free kernels for the resubstitution inner loops, which
   // used to materialise millions of temporary tables per pass (the dominant
-  // cost of `restructure`/`refactor` on paper-scale designs).
+  // cost of `restructure` on paper-scale designs).
 
   /// *this == ~o without building ~o.
   bool equals_compl(const TruthTable& o) const;
@@ -80,13 +80,6 @@ public:
   /// (a ^ ca) & (b ^ cb) in a single construction.
   static TruthTable and_phase(const TruthTable& a, bool ca,
                               const TruthTable& b, bool cb);
-  /// a & ~b in a single construction (the ISOP recursion's workhorse).
-  static TruthTable and_compl(const TruthTable& a, const TruthTable& b) {
-    return and_phase(a, false, b, true);
-  }
-  /// var ? t1 : t0 in a single construction (merging ISOP cofactor covers).
-  static TruthTable mux_var(unsigned var, const TruthTable& t1,
-                            const TruthTable& t0);
 
   TruthTable& operator|=(const TruthTable& o);
   TruthTable& operator&=(const TruthTable& o);
@@ -132,6 +125,17 @@ private:
   std::array<std::uint64_t, kInlineWords> inline_{};
   std::unique_ptr<std::uint64_t[]> heap_;
 };
+
+/// Swap variables i < j < 6 inside one word of a table in TruthTable's
+/// layout: minterms with x_i = 1, x_j = 0 take the value `shift` minterms
+/// up (x_i = 0, x_j = 1), and those minterms take it back.
+inline std::uint64_t swap_vars_in_word(std::uint64_t w, unsigned i,
+                                       unsigned j) {
+  const unsigned shift = (1u << j) - (1u << i);
+  const std::uint64_t down = kVarMask[i] & ~kVarMask[j];
+  const std::uint64_t up = ~kVarMask[i] & kVarMask[j];
+  return (w & ~(down | up)) | ((w >> shift) & down) | ((w << shift) & up);
+}
 
 /// Swap variables i < j of a table stored as `words` in TruthTable's
 /// layout: bit m % 64 of word m / 64 is minterm m, so variables 0-5 live

@@ -1,9 +1,9 @@
 #include "map/cell_library.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -60,20 +60,36 @@ std::vector<Cell> builtin_cells() {
   };
 }
 
-/// The function of `tt` over its essential variables `vars` (ascending,
-/// at most 4) as the low 2^vars.size() bits of a word. Each vars[j] is
-/// swapped down to position j; every variable it trades places with is
-/// inessential, so the low minterms read the compressed function.
-std::uint64_t compress_support(const TruthTable& tt,
-                               std::span<const unsigned> vars) {
-  TruthTable t = tt;  // inline up to 8 variables
-  for (unsigned j = 0; j < vars.size(); ++j) {
-    if (vars[j] != j) t.swap_vars(j, vars[j]);
+/// A table of at most 4 variables repeated from its 2^num_vars bits to
+/// fill a word, so the low 16 bits read it over variables 0..3.
+std::uint64_t repeat(std::uint64_t bits, unsigned num_vars) {
+  bits &= (std::uint64_t{1} << (1u << num_vars)) - 1;
+  for (unsigned width = 1u << num_vars; width < 64; width *= 2) {
+    bits |= bits << width;
   }
-  return t.low_word() & ((std::uint64_t{1} << (1u << vars.size())) - 1);
+  return bits;
+}
+
+/// `w` with variable v complemented: its x_v = 0 and x_v = 1 halves trade
+/// places.
+std::uint64_t flip_var(std::uint64_t w, unsigned v) {
+  const unsigned shift = 1u << v;
+  return ((w & aig::kVarMask[v]) >> shift) | ((w << shift) & aig::kVarMask[v]);
 }
 
 }  // namespace
+
+Match MatchRef::at_leaves() const {
+  std::array<std::uint8_t, 4> var{};
+  unsigned k = 0;
+  for (std::uint32_t vars = support; vars != 0; vars &= vars - 1) {
+    var[k++] = static_cast<std::uint8_t>(std::countr_zero(vars));
+  }
+  Match m = *match;
+  m.leaf_flip_mask = leaf_flip_mask();
+  for (auto& pin : m.pin_to_leaf) pin = var[pin];
+  return m;
+}
 
 CellLibrary::CellLibrary(std::vector<Cell> cells) : cells_(std::move(cells)) {
   const TruthTable inv_tt = TruthTable::from_bits(1, 0x1);
@@ -88,88 +104,130 @@ CellLibrary::CellLibrary(std::vector<Cell> cells) : cells_(std::move(cells)) {
   if (!have_inverter) {
     throw std::invalid_argument("CellLibrary requires an inverter cell");
   }
-  build_index();
+  build_table();
 }
 
-void CellLibrary::build_index() {
-  index_.assign(5, {});
+void CellLibrary::build_table() {
+  table_.assign(std::size_t{1} << 16, 0);
   for (std::uint32_t cid = 0; cid < cells_.size(); ++cid) {
     const Cell& cell = cells_[cid];
     const unsigned nv = cell.num_inputs;
     assert(nv >= 1 && nv <= 4);
+    // Every variant of a cell with a dead pin reads fewer than nv
+    // variables, and best_match never looks such a function up as one of
+    // nv: no query can reach it.
+    bool live = true;
+    for (unsigned v = 0; v < nv; ++v) live = live && cell.function.depends_on(v);
+    if (!live) continue;
+    const std::uint64_t function = repeat(cell.function.low_word(), nv);
 
-    std::vector<unsigned> perm(nv);
-    std::iota(perm.begin(), perm.end(), 0u);
+    std::array<unsigned, 4> perm{0, 1, 2, 3};
+    std::array<std::uint64_t, 16> flipped{};
     do {
+      // Cell pin i reads variable perm[i]: move each pin's variable there.
+      // at[p] is the pin whose variable sits at position p.
+      std::uint64_t permuted = function;
+      std::array<unsigned, 4> at{0, 1, 2, 3};
+      std::array<unsigned, 4> pos{0, 1, 2, 3};
+      for (unsigned i = 0; i < nv; ++i) {
+        const unsigned from = pos[i];
+        const unsigned to = perm[i];
+        if (from == to) continue;
+        permuted = aig::swap_vars_in_word(permuted, std::min(from, to),
+                                          std::max(from, to));
+        const unsigned other = at[to];
+        at[from] = other;
+        pos[other] = from;
+        at[to] = i;
+        pos[i] = to;
+      }
+      // flipped[flip]: pin i reads perm[i] complemented for each set bit i,
+      // built from the variant without the flip's lowest bit.
+      flipped[0] = permuted;
+      for (unsigned flip = 1; flip < (1u << nv); ++flip) {
+        const unsigned low = static_cast<unsigned>(std::countr_zero(flip));
+        flipped[flip] = flip_var(flipped[flip & (flip - 1)], perm[low]);
+      }
       for (unsigned flip = 0; flip < (1u << nv); ++flip) {
+        int pin_invs = 0;
+        for (unsigned f = flip; f != 0; f &= f - 1) ++pin_invs;
         for (int out = 0; out < 2; ++out) {
-          const TruthTable variant =
-              cell.function.permute_flip(perm, flip, out != 0);
-          Match m;
+          const int num_invs = pin_invs + out;
+          const double area = cell.area_um2 + num_invs * inverter_area();
+          const double delay =
+              cell.delay_ps + (out != 0 ? inverter_delay() : 0.0);
+          const std::uint64_t key =
+              (flipped[flip] ^ (out != 0 ? ~0ull : 0ull)) & 0xFFFF;
+          std::uint16_t& slot = table_[key];
+          if (slot != 0) {
+            // Variants arrive in the order the tie-break prefers: only a
+            // strictly cheaper one replaces the match held.
+            const Match& held = matches_[slot - 1];
+            if (!(area < held.area_um2 ||
+                  (area == held.area_um2 && delay < held.delay_ps))) {
+              continue;
+            }
+          } else {
+            matches_.emplace_back();
+            slot = static_cast<std::uint16_t>(matches_.size());
+          }
+          Match& m = matches_[slot - 1];
           m.cell_id = cid;
           m.out_flip = (out != 0);
-          // Cell pin i reads cut leaf perm[i], through an inverter if the
-          // flip bit for pin i is set.
           m.leaf_flip_mask = 0;
-          for (unsigned leaf : perm) {
-            m.pin_to_leaf.push_back(static_cast<std::uint8_t>(leaf));
-          }
+          m.pin_to_leaf.clear();
           for (unsigned i = 0; i < nv; ++i) {
-            if ((flip >> i) & 1) m.leaf_flip_mask |= (1u << perm[i]);
+            m.pin_to_leaf.push_back(static_cast<std::uint8_t>(perm[i]));
+            if ((flip >> i) & 1) m.leaf_flip_mask |= 1u << perm[i];
           }
-          const int num_invs =
-              std::popcount(flip) + (m.out_flip ? 1 : 0);
-          m.area_um2 = cell.area_um2 + num_invs * inverter_area();
-          m.delay_ps =
-              cell.delay_ps + (m.out_flip ? inverter_delay() : 0.0);
-
-          const std::uint64_t key = variant.low_word();
-          auto& slot = index_[nv];
-          const auto it = slot.find(key);
-          if (it == slot.end() || m.area_um2 < it->second.area_um2 ||
-              (m.area_um2 == it->second.area_um2 &&
-               m.delay_ps < it->second.delay_ps)) {
-            slot[key] = m;
-          }
+          m.area_um2 = area;
+          m.delay_ps = delay;
         }
       }
-    } while (std::next_permutation(perm.begin(), perm.end()));
+    } while (std::next_permutation(perm.begin(), perm.begin() + nv));
   }
 }
 
-std::optional<Match> CellLibrary::best_match(const TruthTable& tt) const {
+MatchRef CellLibrary::best_match(const TruthTable& tt) const {
   // Cells have at most 4 inputs: a function with more essential variables
-  // has no match, and a constant has none either (handled upstream).
-  aig::InlineVec<unsigned, 4> vars;
-  for (unsigned v = 0; v < tt.num_vars(); ++v) {
-    if (!tt.depends_on(v)) continue;
-    if (vars.size() == 4) return std::nullopt;
-    vars.push_back(v);
+  // has no match, and a constant has none either (handled upstream). Each
+  // essential variable is swapped down to the next low position; every
+  // variable it trades places with is inessential, so the low 2^k bits
+  // then read the function over its k essential variables.
+  const std::span<const std::uint64_t> words = tt.words();
+  std::uint32_t support = 0;
+  unsigned k = 0;
+  std::uint64_t low = 0;  // the low word, once compressed
+  if (words.size() == 1) {
+    // Up to 6 variables (the mapper's cuts): one word, in registers.
+    const std::uint64_t f = words[0];
+    low = f;
+    for (unsigned v = 0; v < tt.num_vars(); ++v) {
+      if ((((f >> (1u << v)) ^ f) & ~aig::kVarMask[v]) == 0) continue;
+      if (k == 4) return {};
+      if (v != k) low = aig::swap_vars_in_word(low, k, v);
+      support |= 1u << v;
+      ++k;
+    }
+  } else {
+    constexpr std::size_t kMaxWords = 4;  // 8 variables
+    assert(words.size() <= kMaxWords);
+    std::array<std::uint64_t, kMaxWords> w{};
+    std::copy(words.begin(), words.end(), w.begin());
+    const std::span<std::uint64_t> f(w.data(), words.size());
+    for (unsigned v = 0; v < tt.num_vars(); ++v) {
+      if (!tt.depends_on(v)) continue;
+      if (k == 4) return {};
+      if (v != k) aig::swap_vars(f, k, v);
+      support |= 1u << v;
+      ++k;
+    }
+    low = w[0];
   }
-  const auto nv = static_cast<unsigned>(vars.size());
-  if (nv == 0) return std::nullopt;
-
-  const auto& slot = index_[nv];
-  const auto it = slot.find(compress_support(tt, vars));
-  if (it == slot.end()) return std::nullopt;
-
-  // Map the match's leaf positions back to the cut's.
-  Match m = it->second;
-  std::uint32_t mask = 0;
-  for (unsigned j = 0; j < nv; ++j) {
-    if ((m.leaf_flip_mask >> j) & 1) mask |= (1u << vars[j]);
-  }
-  m.leaf_flip_mask = mask;
-  for (auto& pin : m.pin_to_leaf) {
-    pin = static_cast<std::uint8_t>(vars[pin]);
-  }
-  return m;
-}
-
-std::size_t CellLibrary::index_size() const {
-  std::size_t n = 0;
-  for (const auto& slot : index_) n += slot.size();
-  return n;
+  if (k == 0) return {};
+  const std::uint16_t entry = table_[repeat(low, k) & 0xFFFF];
+  if (entry == 0) return {};
+  return {&matches_[entry - 1], support};
 }
 
 const CellLibrary& CellLibrary::builtin() {

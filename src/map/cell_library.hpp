@@ -6,13 +6,12 @@
 //
 // For matching, every cell function is expanded over all input permutations,
 // input polarities and output polarity; polarity changes are priced as
-// explicit inverters. The expansion is indexed by truth table, giving O(1)
-// exact matching of cut functions during mapping.
+// explicit inverters. The cheapest variant of each function lands in one
+// flat table keyed by the function's 16-bit truth table, so matching a cut
+// function is a table read.
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "aig/inline_vec.hpp"
@@ -28,9 +27,11 @@ struct Cell {
   double delay_ps = 0.0;  ///< worst pin-to-output delay
 };
 
-/// One way to realise a cut function with a cell: which cut leaves must be
-/// complemented (inverters), whether the output needs an inverter, and the
-/// resulting total cost.
+/// One way to realise a function with a cell: which of its variables must
+/// be complemented (inverters), whether the output needs an inverter, and
+/// the resulting total cost. The library's own matches are over a
+/// function's essential variables; MatchRef::at_leaves() moves one to a
+/// cut's leaves.
 struct Match {
   std::uint32_t cell_id = 0;
   std::uint32_t leaf_flip_mask = 0;  ///< bit i: cut leaf i feeds through INV
@@ -45,13 +46,40 @@ struct Match {
   aig::InlineVec<std::uint8_t, 4> pin_to_leaf;
 };
 
+/// What CellLibrary::best_match finds for a cut function: the library's
+/// own match for the function over its essential variables (null when no
+/// cell implements it), and which of the cut's variables those are.
+struct MatchRef {
+  const Match* match = nullptr;
+  /// Bit v set when the cut function reads variable v: the match's
+  /// variable j is the cut's j-th essential variable, lowest first.
+  std::uint32_t support = 0;
+
+  explicit operator bool() const { return match != nullptr; }
+  /// The match's input inverters over the cut's variables: bit j of the
+  /// match's mask moves to the j-th set bit of the support.
+  std::uint32_t leaf_flip_mask() const {
+    std::uint32_t bits = match->leaf_flip_mask;
+    if ((support & (support + 1)) == 0) return bits;  // variables 0..k-1
+    std::uint32_t mask = 0;
+    for (std::uint32_t vars = support; bits != 0; bits >>= 1, vars &= vars - 1) {
+      if (bits & 1) mask |= vars & (0u - vars);
+    }
+    return mask;
+  }
+  /// A copy of the match with its pins and inverters on the cut's
+  /// variables.
+  Match at_leaves() const;
+};
+
 class CellLibrary {
 public:
   /// The builtin ~30-cell library used throughout the repo.
   static const CellLibrary& builtin();
 
-  /// Build a matching index for a custom cell list. The list must contain
-  /// an inverter (1-input, f = ~a) to price polarity fixes.
+  /// Build a matching table for a custom cell list. The list must contain
+  /// an inverter (1-input, f = ~a) to price polarity fixes. A cell whose
+  /// function ignores one of its pins never matches.
   explicit CellLibrary(std::vector<Cell> cells);
 
   const std::vector<Cell>& cells() const { return cells_; }
@@ -60,22 +88,29 @@ public:
   double inverter_area() const { return inverter().area_um2; }
   double inverter_delay() const { return inverter().delay_ps; }
 
-  /// Cheapest realisation of `tt` (a cut function; only its essential
-  /// variables count, at most 4), or nullopt if no cell variant implements
-  /// it. The essential variables are swapped down to the low positions
-  /// with word operations, and the index is read with the low 2^k bits.
-  std::optional<Match> best_match(const aig::TruthTable& tt) const;
+  /// Cheapest realisation of `tt` (a cut function of at most
+  /// Cut::kMaxLeaves variables; only its essential variables count, at
+  /// most 4): the lowest area, then the lowest delay, then the first
+  /// variant in cell, pin permutation, input flip, output flip order. The
+  /// essential variables are swapped down to the low positions with word
+  /// operations, and the table is read with their 2^k bits.
+  MatchRef best_match(const aig::TruthTable& tt) const;
 
-  /// Number of distinct (num_vars, function) entries in the match index.
-  std::size_t index_size() const;
+  /// Number of distinct functions the library matches.
+  std::size_t index_size() const { return matches_.size(); }
 
 private:
-  void build_index();
+  void build_table();
 
   std::vector<Cell> cells_;
   std::uint32_t inverter_id_ = 0;
-  // One index per input count; key = truth table bits over that many vars.
-  std::vector<std::unordered_map<std::uint64_t, Match>> index_;
+  /// The cheapest match of each function, in order of first variant.
+  std::vector<Match> matches_;
+  /// 2^16 entries: a function of k <= 4 essential variables 0..k-1, its
+  /// 2^k bits repeated to 16, maps to 1 + its index in matches_, or 0
+  /// when no cell implements it. The repetition keeps every input count's
+  /// keys apart, since the 16-bit word reads exactly variables 0..k-1.
+  std::vector<std::uint16_t> table_;
 };
 
 }  // namespace flowgen::map

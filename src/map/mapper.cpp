@@ -21,10 +21,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A matched cut with precomputed function.
+/// A matched cut: the library's match for its function, and the match's
+/// input inverters over the cut's leaves.
 struct Candidate {
   const Cut* cut = nullptr;
-  Match match;
+  MatchRef match;
+  std::uint32_t leaf_flip_mask = 0;
 };
 
 /// Per-node mapping state. A node's candidates are the slice
@@ -47,36 +49,38 @@ double candidate_arrival(const std::vector<NodeState>& state,
                          const Candidate& cand, const CellLibrary& lib) {
   double arr = 0.0;
   for (std::size_t i = 0; i < cand.cut->leaves.size(); ++i) {
-    const bool flip = (cand.match.leaf_flip_mask >> i) & 1;
+    const bool flip = (cand.leaf_flip_mask >> i) & 1;
     arr = std::max(arr,
                    leaf_arrival(state, cand.cut->leaves[i], flip, lib));
   }
-  return arr + cand.match.delay_ps;
+  return arr + cand.match.match->delay_ps;
 }
 
+/// `fanouts`: the node's reference count, at least 1.
 double candidate_area_flow(const std::vector<NodeState>& state,
-                           const Candidate& cand, const aig::RefCounts& refs,
-                           std::uint32_t node, const CellLibrary& lib) {
-  double flow = cand.match.area_um2;
+                           const Candidate& cand, double fanouts) {
+  double flow = cand.match.match->area_um2;
   for (std::uint32_t leaf : cand.cut->leaves) flow += state[leaf].area_flow;
-  const double fanouts = std::max(1u, refs.refs(node));
-  (void)lib;
   return flow / fanouts;
 }
 
-}  // namespace
-
-MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
-                      const MapperParams& params) {
+/// Maps `aig` and returns its QoR; fills `cover` when it is not null.
+QoR map_cover(const Aig& aig, const CellLibrary& lib,
+              const MapperParams& params, std::vector<CoverEntry>* cover) {
   aig::CutParams cut_params;
   cut_params.cut_size = params.cut_size;
   cut_params.max_cuts = params.max_cuts_per_node;
   cut_params.keep_trivial = true;
   const aig::CutManager cuts(aig, cut_params);
-  const aig::RefCounts refs(aig);
+  const aig::RefCounts refs = aig::RefCounts::pristine(aig);
+  auto fanouts = [&](std::uint32_t id) -> double {
+    return std::max(1u, refs.refs(id));
+  };
 
   std::vector<NodeState> state(aig.num_nodes());
+  // Every candidate is a cut: sized once, never grown.
   std::vector<Candidate> all_candidates;
+  all_candidates.reserve(cuts.num_cuts());
   auto candidates = [&](const NodeState& ns) {
     return std::span<const Candidate>(all_candidates.data() + ns.first,
                                       ns.count);
@@ -98,9 +102,9 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
     for (std::size_t i = 0; i < node_cuts.size(); ++i) {
       const Cut& cut = node_cuts[i];
       if (cut.leaves.size() == 1 && cut.leaves[0] == id) continue;  // trivial
-      const std::optional<Match> match = lib.best_match(cuts.function(id, i));
+      const MatchRef match = lib.best_match(cuts.function(id, i));
       if (!match) continue;
-      all_candidates.push_back(Candidate{&cut, *match});
+      all_candidates.push_back(Candidate{&cut, match, match.leaf_flip_mask()});
     }
     ns.count = static_cast<std::uint32_t>(all_candidates.size()) - ns.first;
     if (ns.count == 0) {
@@ -110,9 +114,10 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
     double best_arr = kInf;
     double best_flow = kInf;
     const std::span<const Candidate> cands = candidates(ns);
+    const double node_fanouts = fanouts(id);
     for (std::size_t c = 0; c < cands.size(); ++c) {
       const double arr = candidate_arrival(state, cands[c], lib);
-      const double flow = candidate_area_flow(state, cands[c], refs, id, lib);
+      const double flow = candidate_area_flow(state, cands[c], node_fanouts);
       if (arr < best_arr - 1e-9 ||
           (std::abs(arr - best_arr) <= 1e-9 && flow < best_flow)) {
         best_arr = arr;
@@ -173,10 +178,11 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
       double best_arr = kInf;
       int best = ns.choice;
       const std::span<const Candidate> cands = candidates(ns);
+      const double node_fanouts = fanouts(id);
       for (std::size_t c = 0; c < cands.size(); ++c) {
         const double arr = candidate_arrival(state, cands[c], lib);
         if (arr > ns.required + 1e-9) continue;
-        const double flow = candidate_area_flow(state, cands[c], refs, id, lib);
+        const double flow = candidate_area_flow(state, cands[c], node_fanouts);
         if (flow < best_flow - 1e-12 ||
             (std::abs(flow - best_flow) <= 1e-12 && arr < best_arr)) {
           best_flow = flow;
@@ -190,8 +196,8 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
       for (std::size_t i = 0; i < cand.cut->leaves.size(); ++i) {
         const std::uint32_t leaf = cand.cut->leaves[i];
         if (!aig.is_and(leaf)) continue;
-        const bool flip = (cand.match.leaf_flip_mask >> i) & 1;
-        const double leaf_req = ns.required - cand.match.delay_ps -
+        const bool flip = (cand.leaf_flip_mask >> i) & 1;
+        const double leaf_req = ns.required - cand.match.match->delay_ps -
                                 (flip ? lib.inverter_delay() : 0.0);
         state[leaf].required = std::min(state[leaf].required, leaf_req);
       }
@@ -208,9 +214,12 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
   }
 
   // ---- final accounting ----------------------------------------------------
-  MappingResult result;
-  result.cover.reserve(static_cast<std::size_t>(
-      std::count(visible.begin(), visible.end(), 1)));
+  QoR qor;
+  if (cover != nullptr) {
+    cover->clear();
+    cover->reserve(static_cast<std::size_t>(
+        std::count(visible.begin(), visible.end(), 1)));
+  }
   // Signals needing an inverter, each counted once.
   std::vector<char> inverted(aig.num_nodes(), 0);
   std::size_t num_inverted = 0;
@@ -223,23 +232,22 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
   for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
     if (!visible[id]) continue;
     const Candidate& cand = chosen(state[id]);
-    CoverEntry entry;
-    entry.node = id;
-    entry.cut = *cand.cut;
-    entry.match = cand.match;
-    entry.arrival_ps = state[id].arrival;
-    result.cover.push_back(entry);
+    const Match& match = *cand.match.match;
+    if (cover != nullptr) {
+      cover->push_back(CoverEntry{id, *cand.cut, cand.match.at_leaves(),
+                                  state[id].arrival});
+    }
 
-    result.qor.area_um2 += lib.cell(cand.match.cell_id).area_um2;
-    ++result.qor.num_cells;
-    if (cand.match.out_flip) {
+    qor.area_um2 += lib.cell(match.cell_id).area_um2;
+    ++qor.num_cells;
+    if (match.out_flip) {
       // The output inverter is private to this gate (its positive output is
       // what the rest of the cover consumes).
-      result.qor.area_um2 += lib.inverter_area();
-      ++result.qor.num_inverters;
+      qor.area_um2 += lib.inverter_area();
+      ++qor.num_inverters;
     }
     for (std::size_t i = 0; i < cand.cut->leaves.size(); ++i) {
-      if ((cand.match.leaf_flip_mask >> i) & 1) invert(cand.cut->leaves[i]);
+      if ((cand.leaf_flip_mask >> i) & 1) invert(cand.cut->leaves[i]);
     }
   }
   double delay = 0.0;
@@ -253,16 +261,24 @@ MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
   }
   // Polarity inverters are shared per signal: one inverter serves all
   // complemented fanouts of a node.
-  result.qor.area_um2 +=
-      static_cast<double>(num_inverted) * lib.inverter_area();
-  result.qor.num_inverters += num_inverted;
-  result.qor.delay_ps = delay;
+  qor.area_um2 += static_cast<double>(num_inverted) * lib.inverter_area();
+  qor.num_inverters += num_inverted;
+  qor.delay_ps = delay;
+  return qor;
+}
+
+}  // namespace
+
+MappingResult map_aig(const Aig& aig, const CellLibrary& lib,
+                      const MapperParams& params) {
+  MappingResult result;
+  result.qor = map_cover(aig, lib, params, &result.cover);
   return result;
 }
 
 QoR evaluate_qor(const Aig& aig, const CellLibrary& lib,
                  const MapperParams& params) {
-  return map_aig(aig, lib, params).qor;
+  return map_cover(aig, lib, params, nullptr);
 }
 
 }  // namespace flowgen::map

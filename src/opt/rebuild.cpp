@@ -112,6 +112,7 @@ Aig apply_replacements(const Aig& g, const std::vector<Lit>& repl) {
   // Reachability over the effective (alias-resolved) graph, so the sweep
   // below emits no dead logic.
   std::vector<char> needed(g.num_nodes(), 0);
+  std::size_t needed_ands = 0;
   std::vector<std::uint32_t> stack;
   for (Lit po : g.pos()) stack.push_back(lit_node(resolve(repl, po)));
   while (!stack.empty()) {
@@ -120,9 +121,12 @@ Aig apply_replacements(const Aig& g, const std::vector<Lit>& repl) {
     if (needed[id]) continue;
     needed[id] = 1;
     if (!g.is_and(id)) continue;
+    ++needed_ands;
     stack.push_back(lit_node(resolve(repl, g.node(id).fanin0)));
     stack.push_back(lit_node(resolve(repl, g.node(id).fanin1)));
   }
+  // Each needed AND becomes at most one output node: size the graph once.
+  out.reserve_ands(needed_ands);
 
   // Identity sweep: reachable untouched cones keep their relative order.
   // Their fanins are identity nodes with smaller ids, so the ascending scan

@@ -1,5 +1,6 @@
 #include "opt/rewrite.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -42,6 +43,14 @@ Aig rewrite(const Aig& in, const RewriteParams& params) {
   for (std::uint32_t id = 1 + static_cast<std::uint32_t>(g.num_pis());
        id < num_old; ++id) {
     if (!g.is_and(id) || refs.dead(id) || refs.terminal(id)) continue;
+    // Only a cut of two or more leaves is tried: without one the root
+    // keeps its logic, and its MFFC (a walk that leaves `refs` as it found
+    // it) is never read.
+    const std::span<const Cut> node_cuts = cuts.cuts(id);
+    if (std::none_of(node_cuts.begin(), node_cuts.end(),
+                     [](const Cut& c) { return c.leaves.size() >= 2; })) {
+      continue;
+    }
 
     refs.mffc_nodes(g, id, mffc_nodes);
     const std::uint32_t mffc = static_cast<std::uint32_t>(mffc_nodes.size());
@@ -50,7 +59,6 @@ Aig rewrite(const Aig& in, const RewriteParams& params) {
     const Cut* best_cut = nullptr;
     std::shared_ptr<const aig::FactoredForm> best_form;
 
-    const std::span<const Cut> node_cuts = cuts.cuts(id);
     for (std::size_t i = 0; i < node_cuts.size(); ++i) {
       const Cut& cut = node_cuts[i];
       if (cut.leaves.size() < 2) continue;

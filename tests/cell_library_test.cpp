@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
+#include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -31,6 +36,116 @@ void expect_match_implements(const Match& m, const TruthTable& tt) {
         << "cell " << cell.name << " minterm " << minterm;
   }
 }
+
+/// The matcher as it was before the flat table, kept as the oracle: every
+/// variant of every cell built with TruthTable::permute_flip and hashed by
+/// its truth table per input count, a strictly cheaper variant (area, then
+/// delay) replacing the one held; a query's essential variables swapped
+/// down on a copy of the table, and the match moved back to them.
+class HashIndexOracle {
+public:
+  explicit HashIndexOracle(const CellLibrary& lib) : lib_(lib), index_(5) {
+    for (std::uint32_t cid = 0; cid < lib.cells().size(); ++cid) {
+      const Cell& cell = lib.cell(cid);
+      const unsigned nv = cell.num_inputs;
+      std::vector<unsigned> perm(nv);
+      std::iota(perm.begin(), perm.end(), 0u);
+      do {
+        for (unsigned flip = 0; flip < (1u << nv); ++flip) {
+          for (int out = 0; out < 2; ++out) {
+            const TruthTable variant =
+                cell.function.permute_flip(perm, flip, out != 0);
+            Match m;
+            m.cell_id = cid;
+            m.out_flip = (out != 0);
+            for (unsigned leaf : perm) {
+              m.pin_to_leaf.push_back(static_cast<std::uint8_t>(leaf));
+            }
+            for (unsigned i = 0; i < nv; ++i) {
+              if ((flip >> i) & 1) m.leaf_flip_mask |= (1u << perm[i]);
+            }
+            const int num_invs = std::popcount(flip) + (m.out_flip ? 1 : 0);
+            m.area_um2 = cell.area_um2 + num_invs * lib.inverter_area();
+            m.delay_ps =
+                cell.delay_ps + (m.out_flip ? lib.inverter_delay() : 0.0);
+            auto& slot = index_[nv];
+            const auto it = slot.find(variant.low_word());
+            if (it == slot.end() || m.area_um2 < it->second.area_um2 ||
+                (m.area_um2 == it->second.area_um2 &&
+                 m.delay_ps < it->second.delay_ps)) {
+              slot[variant.low_word()] = m;
+            }
+          }
+        }
+      } while (std::next_permutation(perm.begin(), perm.end()));
+    }
+  }
+
+  std::optional<Match> best_match(const TruthTable& tt) const {
+    std::vector<unsigned> vars;
+    for (unsigned v = 0; v < tt.num_vars(); ++v) {
+      if (!tt.depends_on(v)) continue;
+      if (vars.size() == 4) return std::nullopt;
+      vars.push_back(v);
+    }
+    const auto nv = static_cast<unsigned>(vars.size());
+    if (nv == 0) return std::nullopt;
+    TruthTable t = tt;
+    for (unsigned j = 0; j < nv; ++j) {
+      if (vars[j] != j) t.swap_vars(j, vars[j]);
+    }
+    const auto it = index_[nv].find(
+        t.low_word() & ((std::uint64_t{1} << (1u << nv)) - 1));
+    if (it == index_[nv].end()) return std::nullopt;
+    Match m = it->second;
+    std::uint32_t mask = 0;
+    for (unsigned j = 0; j < nv; ++j) {
+      if ((m.leaf_flip_mask >> j) & 1) mask |= (1u << vars[j]);
+    }
+    m.leaf_flip_mask = mask;
+    for (auto& pin : m.pin_to_leaf) pin = static_cast<std::uint8_t>(vars[pin]);
+    return m;
+  }
+
+  /// Every table of 1-4 variables gets the oracle's match from `lib`.
+  void expect_all_small_functions_agree() const {
+    for (unsigned nv = 1; nv <= 4; ++nv) {
+      for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << (1u << nv));
+           ++bits) {
+        expect_agrees(TruthTable::from_bits(nv, bits));
+      }
+    }
+  }
+
+  void expect_agrees(const TruthTable& tt) const {
+    const std::optional<Match> want = best_match(tt);
+    const MatchRef got = lib_.best_match(tt);
+    ASSERT_EQ(static_cast<bool>(got), want.has_value()) << tt.to_hex();
+    if (!want) return;
+    const Match m = got.at_leaves();
+    EXPECT_EQ(m.cell_id, want->cell_id) << tt.to_hex();
+    EXPECT_EQ(m.leaf_flip_mask, want->leaf_flip_mask) << tt.to_hex();
+    EXPECT_EQ(got.leaf_flip_mask(), want->leaf_flip_mask) << tt.to_hex();
+    EXPECT_EQ(m.out_flip, want->out_flip) << tt.to_hex();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.area_um2),
+              std::bit_cast<std::uint64_t>(want->area_um2))
+        << tt.to_hex();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.delay_ps),
+              std::bit_cast<std::uint64_t>(want->delay_ps))
+        << tt.to_hex();
+    EXPECT_TRUE(m.pin_to_leaf == want->pin_to_leaf) << tt.to_hex();
+  }
+
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& slot : index_) n += slot.size();
+    return n;
+  }
+
+private:
+  const CellLibrary& lib_;
+  std::vector<std::unordered_map<std::uint64_t, Match>> index_;
+};
 
 TEST(CellLibraryTest, BuiltinCellFunctionsAreConsistent) {
   for (const Cell& c : lib().cells()) {
@@ -73,26 +188,26 @@ TEST(CellLibraryTest, SpotCheckCellTruthTables) {
 
 TEST(CellLibraryTest, DirectFunctionsMatchWithoutInverters) {
   // AND2's own function must match with zero inverter overhead.
-  const auto m = lib().best_match(TruthTable::from_bits(2, 0x8));
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->leaf_flip_mask, 0u);
-  EXPECT_FALSE(m->out_flip);
-  EXPECT_DOUBLE_EQ(m->area_um2, 0.220);
+  const MatchRef m = lib().best_match(TruthTable::from_bits(2, 0x8));
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m.match->leaf_flip_mask, 0u);
+  EXPECT_FALSE(m.match->out_flip);
+  EXPECT_DOUBLE_EQ(m.match->area_um2, 0.220);
 }
 
 TEST(CellLibraryTest, NandCheaperThanAndPlusInverter) {
-  const auto m = lib().best_match(TruthTable::from_bits(2, 0x7));
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(lib().cell(m->cell_id).name, "NAND2_X1");
+  const MatchRef m = lib().best_match(TruthTable::from_bits(2, 0x7));
+  ASSERT_TRUE(m);
+  EXPECT_EQ(lib().cell(m.match->cell_id).name, "NAND2_X1");
 }
 
 TEST(CellLibraryTest, InverterAndBuffer) {
-  const auto inv = lib().best_match(TruthTable::from_bits(1, 0x1));
-  ASSERT_TRUE(inv.has_value());
-  EXPECT_EQ(lib().cell(inv->cell_id).name, "INV_X1");
-  const auto buf = lib().best_match(TruthTable::from_bits(1, 0x2));
-  ASSERT_TRUE(buf.has_value());
-  EXPECT_EQ(lib().cell(buf->cell_id).name, "BUF_X1");
+  const MatchRef inv = lib().best_match(TruthTable::from_bits(1, 0x1));
+  ASSERT_TRUE(inv);
+  EXPECT_EQ(lib().cell(inv.match->cell_id).name, "INV_X1");
+  const MatchRef buf = lib().best_match(TruthTable::from_bits(1, 0x2));
+  ASSERT_TRUE(buf);
+  EXPECT_EQ(lib().cell(buf.match->cell_id).name, "BUF_X1");
 }
 
 TEST(CellLibraryTest, EveryTwoInputFunctionMatches) {
@@ -101,9 +216,9 @@ TEST(CellLibraryTest, EveryTwoInputFunctionMatches) {
     const TruthTable tt = TruthTable::from_bits(2, bits);
     if (tt.is_const0() || tt.is_const1()) continue;
     if (!tt.depends_on(0) && !tt.depends_on(1)) continue;
-    const auto m = lib().best_match(tt);
-    ASSERT_TRUE(m.has_value()) << "bits=" << bits;
-    expect_match_implements(*m, tt);
+    const MatchRef m = lib().best_match(tt);
+    ASSERT_TRUE(m) << "bits=" << bits;
+    expect_match_implements(m.at_leaves(), tt);
   }
 }
 
@@ -116,9 +231,9 @@ TEST(CellLibraryTest, MatchesReplayExactlyOnRandomFunctions) {
     for (std::size_t m = 0; m < tt.num_bits(); ++m) {
       tt.set_bit(m, rng.chance(0.5));
     }
-    const auto m = lib().best_match(tt);
+    const MatchRef m = lib().best_match(tt);
     if (!m) continue;
-    expect_match_implements(*m, tt);
+    expect_match_implements(m.at_leaves(), tt);
     ++matched;
   }
   EXPECT_GT(matched, 100);  // the library covers a lot of function space
@@ -131,10 +246,11 @@ TEST(CellLibraryTest, SupportCompressionHandlesDeadCutLeaves) {
   for (std::size_t m = 0; m < 8; ++m) {
     tt.set_bit(m, (m & 1) && ((m >> 2) & 1));
   }
-  const auto m = lib().best_match(tt);
-  ASSERT_TRUE(m.has_value());
-  expect_match_implements(*m, tt);
-  for (std::uint8_t pin : m->pin_to_leaf) EXPECT_NE(pin, 1);
+  const MatchRef ref = lib().best_match(tt);
+  ASSERT_TRUE(ref);
+  const Match m = ref.at_leaves();
+  expect_match_implements(m, tt);
+  for (std::uint8_t pin : m.pin_to_leaf) EXPECT_NE(pin, 1);
 }
 
 TEST(CellLibraryTest, SupportCompressionMatchesTheCompactFunction) {
@@ -166,20 +282,23 @@ TEST(CellLibraryTest, SupportCompressionMatchesTheCompactFunction) {
     bool full_support = true;
     for (unsigned j = 0; j < k; ++j) full_support &= compact.depends_on(j);
     if (!full_support) continue;
-    const auto want = lib().best_match(compact);
-    const auto got = lib().best_match(spread);
-    ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
-    if (!got) continue;
-    expect_match_implements(*got, spread);
-    EXPECT_EQ(got->cell_id, want->cell_id);
-    EXPECT_EQ(got->out_flip, want->out_flip);
+    const MatchRef want_ref = lib().best_match(compact);
+    const MatchRef got_ref = lib().best_match(spread);
+    ASSERT_EQ(static_cast<bool>(got_ref), static_cast<bool>(want_ref))
+        << "trial " << trial;
+    if (!got_ref) continue;
+    const Match want = want_ref.at_leaves();
+    const Match got = got_ref.at_leaves();
+    expect_match_implements(got, spread);
+    EXPECT_EQ(got.cell_id, want.cell_id);
+    EXPECT_EQ(got.out_flip, want.out_flip);
     std::uint32_t mask = 0;
     for (unsigned j = 0; j < k; ++j) {
-      if ((want->leaf_flip_mask >> j) & 1) mask |= 1u << vars[j];
+      if ((want.leaf_flip_mask >> j) & 1) mask |= 1u << vars[j];
     }
-    EXPECT_EQ(got->leaf_flip_mask, mask);
-    for (std::size_t p = 0; p < want->pin_to_leaf.size(); ++p) {
-      EXPECT_EQ(got->pin_to_leaf[p], vars[want->pin_to_leaf[p]]);
+    EXPECT_EQ(got.leaf_flip_mask, mask);
+    for (std::size_t p = 0; p < want.pin_to_leaf.size(); ++p) {
+      EXPECT_EQ(got.pin_to_leaf[p], vars[want.pin_to_leaf[p]]);
     }
     ++matched;
   }
@@ -187,8 +306,8 @@ TEST(CellLibraryTest, SupportCompressionMatchesTheCompactFunction) {
 }
 
 TEST(CellLibraryTest, ConstantFunctionsHaveNoMatch) {
-  EXPECT_FALSE(lib().best_match(TruthTable::constant(3, false)).has_value());
-  EXPECT_FALSE(lib().best_match(TruthTable::constant(2, true)).has_value());
+  EXPECT_FALSE(lib().best_match(TruthTable::constant(3, false)));
+  EXPECT_FALSE(lib().best_match(TruthTable::constant(2, true)));
 }
 
 TEST(CellLibraryTest, RequiresInverter) {
@@ -205,6 +324,73 @@ TEST(CellLibraryTest, RequiresInverter) {
 
 TEST(CellLibraryTest, IndexIsPopulated) {
   EXPECT_GT(lib().index_size(), 200u);
+}
+
+TEST(CellLibraryTest, EverySmallFunctionMatchesAsTheHashIndexDid) {
+  // All 65,812 tables of 1-4 variables, with and without full support.
+  const HashIndexOracle oracle(lib());
+  EXPECT_EQ(lib().index_size(), oracle.size());
+  oracle.expect_all_small_functions_agree();
+}
+
+TEST(CellLibraryTest, SpreadFunctionsMatchAsTheHashIndexDid) {
+  // Functions of 1-5 essential variables spread over up to 8 (past the
+  // 6-variable word boundary too), and dense tables of 5-8 variables.
+  const HashIndexOracle oracle(lib());
+  util::Rng rng(31);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const unsigned k = 1 + static_cast<unsigned>(rng.below(5));
+    const unsigned nv = k + static_cast<unsigned>(rng.below(9 - k));
+    std::vector<unsigned> vars(nv);
+    std::iota(vars.begin(), vars.end(), 0u);
+    for (unsigned v = nv; v-- > 1;) {
+      std::swap(vars[v], vars[rng.below(v + 1)]);
+    }
+    vars.resize(k);
+    std::sort(vars.begin(), vars.end());
+    TruthTable spread(nv);
+    const std::uint64_t compact = rng.next();
+    for (std::size_t m = 0; m < spread.num_bits(); ++m) {
+      std::size_t c = 0;
+      for (unsigned j = 0; j < k; ++j) c |= ((m >> vars[j]) & 1) << j;
+      spread.set_bit(m, (compact >> c) & 1);
+    }
+    oracle.expect_agrees(spread);
+    TruthTable dense(5 + static_cast<unsigned>(rng.below(4)));
+    for (std::size_t m = 0; m < dense.num_bits(); ++m) {
+      dense.set_bit(m, rng.chance(0.5));
+    }
+    oracle.expect_agrees(dense);
+  }
+}
+
+TEST(CellLibraryTest, CustomLibraryMatchesAsTheHashIndexDid) {
+  // A custom list whose ties fall differently from the builtin one: a
+  // cheap inverter, a cell with a dead pin (never matched), NOR2 cheaper
+  // than NAND2, one 3-input and one 4-input cell priced alike.
+  auto cell = [](const char* name, unsigned n, std::uint64_t bits,
+                 double area, double delay) {
+    Cell c;
+    c.name = name;
+    c.num_inputs = n;
+    c.function = TruthTable::from_bits(n, bits);
+    c.area_um2 = area;
+    c.delay_ps = delay;
+    return c;
+  };
+  const CellLibrary custom({
+      cell("NAND2", 2, 0x7, 0.30, 11),
+      cell("INV", 1, 0x1, 0.05, 7),
+      cell("NOR2", 2, 0x1, 0.25, 13),
+      cell("AND3_DEAD", 3, 0x88, 0.20, 9),  // a & b; pin 2 unused
+      cell("MUX2", 3, 0xCA, 0.40, 20),
+      cell("AOI22", 4, 0x0777, 0.40, 18),
+  });
+  const HashIndexOracle oracle(custom);
+  oracle.expect_all_small_functions_agree();
+  const MatchRef and2 = custom.best_match(TruthTable::from_bits(2, 0x8));
+  ASSERT_TRUE(and2);
+  EXPECT_NE(custom.cell(and2.match->cell_id).name, "AND3_DEAD");
 }
 
 }  // namespace

@@ -102,6 +102,17 @@ struct RefIsop {
   TruthTable cover;
 };
 
+/// a & ~b.
+TruthTable and_compl(const TruthTable& a, const TruthTable& b) {
+  return TruthTable::and_phase(a, false, b, true);
+}
+
+/// var ? t1 : t0.
+TruthTable mux_var(unsigned var, const TruthTable& t1, const TruthTable& t0) {
+  const TruthTable x = TruthTable::variable(t1.num_vars(), var);
+  return (x & t1) | (~x & t0);
+}
+
 RefIsop ref_isop_rec(const TruthTable& lower, const TruthTable& upper,
                      unsigned num_top_vars) {
   if (lower.is_const0()) {
@@ -121,10 +132,10 @@ RefIsop ref_isop_rec(const TruthTable& lower, const TruthTable& upper,
   const TruthTable l1 = lower.cofactor1(var);
   const TruthTable u0 = upper.cofactor0(var);
   const TruthTable u1 = upper.cofactor1(var);
-  RefIsop neg_side = ref_isop_rec(TruthTable::and_compl(l0, u1), u0, var);
-  RefIsop pos_side = ref_isop_rec(TruthTable::and_compl(l1, u0), u1, var);
-  TruthTable rest = TruthTable::and_compl(l0, neg_side.cover);
-  rest |= TruthTable::and_compl(l1, pos_side.cover);
+  RefIsop neg_side = ref_isop_rec(and_compl(l0, u1), u0, var);
+  RefIsop pos_side = ref_isop_rec(and_compl(l1, u0), u1, var);
+  TruthTable rest = and_compl(l0, neg_side.cover);
+  rest |= and_compl(l1, pos_side.cover);
   RefIsop both = ref_isop_rec(rest, u0 & u1, var);
   RefIsop out;
   for (Cube c : neg_side.cubes) {
@@ -136,7 +147,7 @@ RefIsop ref_isop_rec(const TruthTable& lower, const TruthTable& upper,
     out.cubes.push_back(c);
   }
   for (const Cube& c : both.cubes) out.cubes.push_back(c);
-  out.cover = TruthTable::mux_var(var, pos_side.cover, neg_side.cover);
+  out.cover = mux_var(var, pos_side.cover, neg_side.cover);
   out.cover |= both.cover;
   return out;
 }
