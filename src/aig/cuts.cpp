@@ -72,6 +72,8 @@ using FunctionWords = std::array<std::uint64_t, kMaxFunctionWords>;
 bool may_stop_inside(const Cut& cut, const Cut& side, std::uint32_t side_root,
                      std::uint64_t cone) {
   if (cone == 0) return false;  // a trivial cut: its root is a leaf of `cut`
+  // No leaf's bit in the cone: only the constant node could stop it.
+  if ((cone & cut.signature) == 0 && cut.leaves[0] != 0) return false;
   std::size_t k = 0;
   for (std::uint32_t leaf : cut.leaves) {
     while (k < side.leaves.size() && side.leaves[k] < leaf) ++k;
@@ -106,10 +108,9 @@ void stretch(const Cut& side, const Cut& cut, std::span<std::uint64_t> f) {
 }  // namespace
 
 TruthTable CutManager::function(std::uint32_t node, std::size_t i) const {
-  const std::size_t c = offsets_[node] + i;
   return TruthTable::from_words(
-      static_cast<unsigned>(cuts_[c].leaves.size()),
-      {functions_.data() + c * function_words_, function_words_});
+      static_cast<unsigned>(cuts_[offsets_[node] + i].leaves.size()),
+      function_words(node, i));
 }
 
 void CutManager::append_function(const Aig& aig, std::uint32_t id,

@@ -64,6 +64,14 @@ public:
   /// Function of cuts(node)[i] over its leaves (leaf j drives variable j):
   /// cone_truth(aig, make_lit(node, false), leaves), tail mask included.
   TruthTable function(std::uint32_t node, std::size_t i) const;
+  /// The same function as stored: one word up to 6 leaves and
+  /// 2^(cut_size - 6) above, in TruthTable's layout, repeated past the
+  /// cut's leaves instead of masked.
+  std::span<const std::uint64_t> function_words(std::uint32_t node,
+                                                std::size_t i) const {
+    return {functions_.data() + (offsets_[node] + i) * function_words_,
+            function_words_};
+  }
 
   const CutParams& params() const { return params_; }
 

@@ -188,21 +188,24 @@ void CellLibrary::build_table() {
   }
 }
 
-MatchRef CellLibrary::best_match(const TruthTable& tt) const {
+MatchRef CellLibrary::best_match(std::span<const std::uint64_t> words,
+                                 unsigned num_vars) const {
   // Cells have at most 4 inputs: a function with more essential variables
   // has no match, and a constant has none either (handled upstream). Each
   // essential variable is swapped down to the next low position; every
   // variable it trades places with is inessential, so the low 2^k bits
   // then read the function over its k essential variables.
-  const std::span<const std::uint64_t> words = tt.words();
   std::uint32_t support = 0;
   unsigned k = 0;
   std::uint64_t low = 0;  // the low word, once compressed
-  if (words.size() == 1) {
-    // Up to 6 variables (the mapper's cuts): one word, in registers.
-    const std::uint64_t f = words[0];
+  if (num_vars <= 6) {
+    // One word (the mapper's cuts), in registers. Swaps below variable
+    // num_vars keep its first 2^num_vars bits among themselves.
+    const std::uint64_t f =
+        num_vars < 6 ? words[0] & ((std::uint64_t{1} << (1u << num_vars)) - 1)
+                     : words[0];
     low = f;
-    for (unsigned v = 0; v < tt.num_vars(); ++v) {
+    for (unsigned v = 0; v < num_vars; ++v) {
       if ((((f >> (1u << v)) ^ f) & ~aig::kVarMask[v]) == 0) continue;
       if (k == 4) return {};
       if (v != k) low = aig::swap_vars_in_word(low, k, v);
@@ -210,19 +213,16 @@ MatchRef CellLibrary::best_match(const TruthTable& tt) const {
       ++k;
     }
   } else {
-    constexpr std::size_t kMaxWords = 4;  // 8 variables
-    assert(words.size() <= kMaxWords);
-    std::array<std::uint64_t, kMaxWords> w{};
-    std::copy(words.begin(), words.end(), w.begin());
-    const std::span<std::uint64_t> f(w.data(), words.size());
-    for (unsigned v = 0; v < tt.num_vars(); ++v) {
+    TruthTable t = TruthTable::from_words(num_vars, words);
+    const TruthTable tt = t;
+    for (unsigned v = 0; v < num_vars; ++v) {
       if (!tt.depends_on(v)) continue;
       if (k == 4) return {};
-      if (v != k) aig::swap_vars(f, k, v);
+      if (v != k) t.swap_vars(k, v);
       support |= 1u << v;
       ++k;
     }
-    low = w[0];
+    low = t.low_word();
   }
   if (k == 0) return {};
   const std::uint16_t entry = table_[repeat(low, k) & 0xFFFF];

@@ -11,6 +11,7 @@
 // function is a table read.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,7 +95,14 @@ public:
   /// variant in cell, pin permutation, input flip, output flip order. The
   /// essential variables are swapped down to the low positions with word
   /// operations, and the table is read with their 2^k bits.
-  MatchRef best_match(const aig::TruthTable& tt) const;
+  MatchRef best_match(const aig::TruthTable& tt) const {
+    return best_match(tt.words(), tt.num_vars());
+  }
+  /// The same for the table of `num_vars` variables whose first
+  /// 2^num_vars bits `words` holds in TruthTable's layout (as
+  /// aig::CutManager::function_words hands them out).
+  MatchRef best_match(std::span<const std::uint64_t> words,
+                      unsigned num_vars) const;
 
   /// Number of distinct functions the library matches.
   std::size_t index_size() const { return matches_.size(); }

@@ -102,7 +102,8 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
     for (std::size_t i = 0; i < node_cuts.size(); ++i) {
       const Cut& cut = node_cuts[i];
       if (cut.leaves.size() == 1 && cut.leaves[0] == id) continue;  // trivial
-      const MatchRef match = lib.best_match(cuts.function(id, i));
+      const MatchRef match = lib.best_match(
+          cuts.function_words(id, i), static_cast<unsigned>(cut.leaves.size()));
       if (!match) continue;
       all_candidates.push_back(Candidate{&cut, match, match.leaf_flip_mask()});
     }

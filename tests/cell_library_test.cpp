@@ -364,6 +364,29 @@ TEST(CellLibraryTest, SpreadFunctionsMatchAsTheHashIndexDid) {
   }
 }
 
+TEST(CellLibraryTest, OnlyTheTablesOwnBitsCount) {
+  // best_match over words reads the first 2^num_vars bits only: a table
+  // repeated past them (as CutManager stores cut functions) or followed by
+  // noise gets the match of the masked table.
+  util::Rng rng(5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const unsigned nv = static_cast<unsigned>(rng.below(6));
+    const std::uint64_t noise = rng.next();
+    const TruthTable tt = TruthTable::from_bits(nv, noise >> 7);
+    const MatchRef want = lib().best_match(tt);
+    std::uint64_t repeated = tt.words()[0];
+    for (std::size_t bits = tt.num_bits(); bits < 64; bits *= 2) {
+      repeated |= repeated << bits;
+    }
+    const std::uint64_t tail = (~0ull << tt.num_bits()) & noise;
+    for (const std::uint64_t w : {repeated, tt.words()[0] | tail}) {
+      const MatchRef got = lib().best_match(std::span(&w, 1), nv);
+      EXPECT_EQ(got.match, want.match) << tt.to_hex();
+      EXPECT_EQ(got.support, want.support) << tt.to_hex();
+    }
+  }
+}
+
 TEST(CellLibraryTest, CustomLibraryMatchesAsTheHashIndexDid) {
   // A custom list whose ties fall differently from the builtin one: a
   // cheap inverter, a cell with a dead pin (never matched), NOR2 cheaper
