@@ -21,11 +21,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A matched cut: the library's match for its function, and the match's
-/// input inverters over the cut's leaves.
+/// A matched cut: the library's match for its function (over the
+/// function's `support`, see MatchRef), and the match's input inverters
+/// over the cut's leaves.
 struct Candidate {
   const Cut* cut = nullptr;
-  MatchRef match;
+  const Match* match = nullptr;
+  std::uint32_t support = 0;
   std::uint32_t leaf_flip_mask = 0;
 };
 
@@ -53,13 +55,13 @@ double candidate_arrival(const std::vector<NodeState>& state,
     arr = std::max(arr,
                    leaf_arrival(state, cand.cut->leaves[i], flip, lib));
   }
-  return arr + cand.match.match->delay_ps;
+  return arr + cand.match->delay_ps;
 }
 
 /// `fanouts`: the node's reference count, at least 1.
 double candidate_area_flow(const std::vector<NodeState>& state,
                            const Candidate& cand, double fanouts) {
-  double flow = cand.match.match->area_um2;
+  double flow = cand.match->area_um2;
   for (std::uint32_t leaf : cand.cut->leaves) flow += state[leaf].area_flow;
   return flow / fanouts;
 }
@@ -105,7 +107,8 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
       const MatchRef match = lib.best_match(
           cuts.function_words(id, i), static_cast<unsigned>(cut.leaves.size()));
       if (!match) continue;
-      all_candidates.push_back(Candidate{&cut, match, match.leaf_flip_mask()});
+      all_candidates.push_back(
+          Candidate{&cut, match.match, match.support, match.leaf_flip_mask()});
     }
     ns.count = static_cast<std::uint32_t>(all_candidates.size()) - ns.first;
     if (ns.count == 0) {
@@ -198,7 +201,7 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
         const std::uint32_t leaf = cand.cut->leaves[i];
         if (!aig.is_and(leaf)) continue;
         const bool flip = (cand.leaf_flip_mask >> i) & 1;
-        const double leaf_req = ns.required - cand.match.match->delay_ps -
+        const double leaf_req = ns.required - cand.match->delay_ps -
                                 (flip ? lib.inverter_delay() : 0.0);
         state[leaf].required = std::min(state[leaf].required, leaf_req);
       }
@@ -233,9 +236,10 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
   for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
     if (!visible[id]) continue;
     const Candidate& cand = chosen(state[id]);
-    const Match& match = *cand.match.match;
+    const Match& match = *cand.match;
     if (cover != nullptr) {
-      cover->push_back(CoverEntry{id, *cand.cut, cand.match.at_leaves(),
+      cover->push_back(CoverEntry{id, *cand.cut,
+                                  MatchRef{cand.match, cand.support}.at_leaves(),
                                   state[id].arrival});
     }
 
