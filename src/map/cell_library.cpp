@@ -195,18 +195,19 @@ MatchRef CellLibrary::best_match(std::span<const std::uint64_t> words,
   // essential variable is swapped down to the next low position; every
   // variable it trades places with is inessential, so the low 2^k bits
   // then read the function over its k essential variables.
+  // Variable v still sits at position v when it is tested: every swap so
+  // far traded positions below it.
   std::uint32_t support = 0;
   unsigned k = 0;
   std::uint64_t low = 0;  // the low word, once compressed
   if (num_vars <= 6) {
     // One word (the mapper's cuts), in registers. Swaps below variable
     // num_vars keep its first 2^num_vars bits among themselves.
-    const std::uint64_t f =
-        num_vars < 6 ? words[0] & ((std::uint64_t{1} << (1u << num_vars)) - 1)
-                     : words[0];
-    low = f;
+    low = num_vars < 6
+              ? words[0] & ((std::uint64_t{1} << (1u << num_vars)) - 1)
+              : words[0];
     for (unsigned v = 0; v < num_vars; ++v) {
-      if ((((f >> (1u << v)) ^ f) & ~aig::kVarMask[v]) == 0) continue;
+      if ((((low >> (1u << v)) ^ low) & ~aig::kVarMask[v]) == 0) continue;
       if (k == 4) return {};
       if (v != k) low = aig::swap_vars_in_word(low, k, v);
       support |= 1u << v;
@@ -214,9 +215,8 @@ MatchRef CellLibrary::best_match(std::span<const std::uint64_t> words,
     }
   } else {
     TruthTable t = TruthTable::from_words(num_vars, words);
-    const TruthTable tt = t;
     for (unsigned v = 0; v < num_vars; ++v) {
-      if (!tt.depends_on(v)) continue;
+      if (!t.depends_on(v)) continue;
       if (k == 4) return {};
       if (v != k) t.swap_vars(k, v);
       support |= 1u << v;

@@ -58,11 +58,12 @@ double candidate_arrival(const std::vector<NodeState>& state,
   return arr + cand.match->delay_ps;
 }
 
-/// `fanouts`: the node's reference count, at least 1.
 double candidate_area_flow(const std::vector<NodeState>& state,
-                           const Candidate& cand, double fanouts) {
+                           const Candidate& cand, const aig::RefCounts& refs,
+                           std::uint32_t node) {
   double flow = cand.match->area_um2;
   for (std::uint32_t leaf : cand.cut->leaves) flow += state[leaf].area_flow;
+  const double fanouts = std::max(1u, refs.refs(node));
   return flow / fanouts;
 }
 
@@ -75,9 +76,6 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
   cut_params.keep_trivial = true;
   const aig::CutManager cuts(aig, cut_params);
   const aig::RefCounts refs = aig::RefCounts::pristine(aig);
-  auto fanouts = [&](std::uint32_t id) -> double {
-    return std::max(1u, refs.refs(id));
-  };
 
   std::vector<NodeState> state(aig.num_nodes());
   // Every candidate is a cut: sized once, never grown.
@@ -118,10 +116,9 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
     double best_arr = kInf;
     double best_flow = kInf;
     const std::span<const Candidate> cands = candidates(ns);
-    const double node_fanouts = fanouts(id);
     for (std::size_t c = 0; c < cands.size(); ++c) {
       const double arr = candidate_arrival(state, cands[c], lib);
-      const double flow = candidate_area_flow(state, cands[c], node_fanouts);
+      const double flow = candidate_area_flow(state, cands[c], refs, id);
       if (arr < best_arr - 1e-9 ||
           (std::abs(arr - best_arr) <= 1e-9 && flow < best_flow)) {
         best_arr = arr;
@@ -182,11 +179,10 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
       double best_arr = kInf;
       int best = ns.choice;
       const std::span<const Candidate> cands = candidates(ns);
-      const double node_fanouts = fanouts(id);
       for (std::size_t c = 0; c < cands.size(); ++c) {
         const double arr = candidate_arrival(state, cands[c], lib);
         if (arr > ns.required + 1e-9) continue;
-        const double flow = candidate_area_flow(state, cands[c], node_fanouts);
+        const double flow = candidate_area_flow(state, cands[c], refs, id);
         if (flow < best_flow - 1e-12 ||
             (std::abs(flow - best_flow) <= 1e-12 && arr < best_arr)) {
           best_flow = flow;
@@ -220,7 +216,6 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
   // ---- final accounting ----------------------------------------------------
   QoR qor;
   if (cover != nullptr) {
-    cover->clear();
     cover->reserve(static_cast<std::size_t>(
         std::count(visible.begin(), visible.end(), 1)));
   }
