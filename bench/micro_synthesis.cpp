@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks for the synthesis substrate: graph
 // copies, per-pass transform cost, window cuts and window factoring, cut
 // enumeration, technology mapping and the cell library's match table,
-// full-flow evaluation and the batch order evaluation schedules by. These are the per-iteration costs behind
-// the "collecting the training dataset takes most of the runtime"
-// observation in the paper.
+// full-flow evaluation and the batch order evaluation schedules by. These
+// are the per-iteration costs behind the "collecting the training dataset
+// takes most of the runtime" observation in the paper.
 //
 // This binary replaces the global operator new with a counting one, so
 // the transform and mapping benchmarks also report `allocs`, the heap

@@ -117,7 +117,9 @@ void CellLibrary::build_table() {
     // variables, and best_match never looks such a function up as one of
     // nv: no query can reach it.
     bool live = true;
-    for (unsigned v = 0; v < nv; ++v) live = live && cell.function.depends_on(v);
+    for (unsigned v = 0; v < nv; ++v) {
+      live = live && cell.function.depends_on(v);
+    }
     if (!live) continue;
     const std::uint64_t function = repeat(cell.function.low_word(), nv);
 

@@ -63,7 +63,8 @@ struct MatchRef {
     std::uint32_t bits = match->leaf_flip_mask;
     if ((support & (support + 1)) == 0) return bits;  // variables 0..k-1
     std::uint32_t mask = 0;
-    for (std::uint32_t vars = support; bits != 0; bits >>= 1, vars &= vars - 1) {
+    for (std::uint32_t vars = support; bits != 0;
+         bits >>= 1, vars &= vars - 1) {
       if (bits & 1) mask |= vars & (0u - vars);
     }
     return mask;

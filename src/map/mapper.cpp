@@ -233,9 +233,9 @@ QoR map_cover(const Aig& aig, const CellLibrary& lib,
     const Candidate& cand = chosen(state[id]);
     const Match& match = *cand.match;
     if (cover != nullptr) {
-      cover->push_back(CoverEntry{id, *cand.cut,
-                                  MatchRef{cand.match, cand.support}.at_leaves(),
-                                  state[id].arrival});
+      const MatchRef ref{cand.match, cand.support};
+      cover->push_back(
+          CoverEntry{id, *cand.cut, ref.at_leaves(), state[id].arrival});
     }
 
     qor.area_um2 += lib.cell(match.cell_id).area_um2;
