@@ -170,7 +170,10 @@ void CellLibrary::build_table() {
               continue;
             }
           } else {
+            // Keys are functions with full support over at most 4
+            // variables: 64,824 of them, so 1 + an index fits 16 bits.
             matches_.emplace_back();
+            assert(matches_.size() <= 0xFFFF);
             slot = static_cast<std::uint16_t>(matches_.size());
           }
           Match& m = matches_[slot - 1];
