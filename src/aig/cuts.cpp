@@ -72,8 +72,6 @@ using FunctionWords = std::array<std::uint64_t, kMaxFunctionWords>;
 bool may_stop_inside(const Cut& cut, const Cut& side, std::uint32_t side_root,
                      std::uint64_t cone) {
   if (cone == 0) return false;  // a trivial cut: its root is a leaf of `cut`
-  // No leaf's bit in the cone: only the constant node could stop it.
-  if ((cone & cut.signature) == 0 && cut.leaves[0] != 0) return false;
   std::size_t k = 0;
   for (std::uint32_t leaf : cut.leaves) {
     while (k < side.leaves.size() && side.leaves[k] < leaf) ++k;
@@ -94,13 +92,8 @@ void stretch(const Cut& side, const Cut& cut, std::span<std::uint64_t> f) {
   for (std::size_t j = side.leaves.size(); j-- > 0;) {
     while (cut.leaves[--pos] != side.leaves[j]) {
     }
-    if (pos == j) continue;
-    const auto from = static_cast<unsigned>(j);
-    const auto to = static_cast<unsigned>(pos);
-    if (f.size() == 1) {
-      f[0] = swap_vars_in_word(f[0], from, to);  // at most 6 leaves
-    } else {
-      swap_vars(f, from, to);
+    if (pos != j) {
+      swap_vars(f, static_cast<unsigned>(j), static_cast<unsigned>(pos));
     }
   }
 }
@@ -134,10 +127,7 @@ void CutManager::append_function(const Aig& aig, std::uint32_t id,
     // variables past the cut's leaves.
     const TruthTable tt = cone_truth(aig, make_lit(id, false), cut.leaves);
     const std::span<const std::uint64_t> t = tt.words();
-    std::uint64_t w0 = t[0];
-    for (std::size_t bits = tt.num_bits(); bits < 64; bits *= 2) {
-      w0 |= w0 << bits;
-    }
+    const std::uint64_t w0 = repeat_in_word(t[0], tt.num_vars());
     for (std::uint32_t w = 0; w < nw; ++w) {
       f[w] = t.size() == 1 ? w0 : t[w % t.size()];
     }

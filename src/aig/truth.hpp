@@ -137,6 +137,19 @@ inline std::uint64_t swap_vars_in_word(std::uint64_t w, unsigned i,
   return (w & ~(down | up)) | ((w >> shift) & down) | ((w << shift) & up);
 }
 
+/// The table of num_vars variables in the low 2^num_vars bits of `w`
+/// (the rest ignored) repeated across the word, so that over variables
+/// 0-5 it reads the same function, independent of x_num_vars..x_5. A
+/// table of 6 or more variables is returned as it is.
+inline std::uint64_t repeat_in_word(std::uint64_t w, unsigned num_vars) {
+  if (num_vars >= 6) return w;
+  w &= (std::uint64_t{1} << (1u << num_vars)) - 1;
+  for (unsigned width = 1u << num_vars; width < 64; width *= 2) {
+    w |= w << width;
+  }
+  return w;
+}
+
 /// Swap variables i < j of a table stored as `words` in TruthTable's
 /// layout: bit m % 64 of word m / 64 is minterm m, so variables 0-5 live
 /// inside every word and variable v >= 6 selects words in blocks of

@@ -60,16 +60,6 @@ std::vector<Cell> builtin_cells() {
   };
 }
 
-/// A table of at most 4 variables repeated from its 2^num_vars bits to
-/// fill a word, so the low 16 bits read it over variables 0..3.
-std::uint64_t repeat(std::uint64_t bits, unsigned num_vars) {
-  bits &= (std::uint64_t{1} << (1u << num_vars)) - 1;
-  for (unsigned width = 1u << num_vars; width < 64; width *= 2) {
-    bits |= bits << width;
-  }
-  return bits;
-}
-
 /// `w` with variable v complemented: its x_v = 0 and x_v = 1 halves trade
 /// places.
 std::uint64_t flip_var(std::uint64_t w, unsigned v) {
@@ -121,7 +111,8 @@ void CellLibrary::build_table() {
       live = live && cell.function.depends_on(v);
     }
     if (!live) continue;
-    const std::uint64_t function = repeat(cell.function.low_word(), nv);
+    const std::uint64_t function =
+        aig::repeat_in_word(cell.function.low_word(), nv);
 
     std::array<unsigned, 4> perm{0, 1, 2, 3};
     std::array<std::uint64_t, 16> flipped{};
@@ -230,7 +221,7 @@ MatchRef CellLibrary::best_match(std::span<const std::uint64_t> words,
     low = t.low_word();
   }
   if (k == 0) return {};
-  const std::uint16_t entry = table_[repeat(low, k) & 0xFFFF];
+  const std::uint16_t entry = table_[aig::repeat_in_word(low, k) & 0xFFFF];
   if (entry == 0) return {};
   return {&matches_[entry - 1], support};
 }

@@ -61,7 +61,6 @@ struct MatchRef {
   /// match's mask moves to the j-th set bit of the support.
   std::uint32_t leaf_flip_mask() const {
     std::uint32_t bits = match->leaf_flip_mask;
-    if ((support & (support + 1)) == 0) return bits;  // variables 0..k-1
     std::uint32_t mask = 0;
     for (std::uint32_t vars = support; bits != 0;
          bits >>= 1, vars &= vars - 1) {

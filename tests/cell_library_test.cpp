@@ -374,10 +374,7 @@ TEST(CellLibraryTest, OnlyTheTablesOwnBitsCount) {
     const std::uint64_t noise = rng.next();
     const TruthTable tt = TruthTable::from_bits(nv, noise >> 7);
     const MatchRef want = lib().best_match(tt);
-    std::uint64_t repeated = tt.words()[0];
-    for (std::size_t bits = tt.num_bits(); bits < 64; bits *= 2) {
-      repeated |= repeated << bits;
-    }
+    const std::uint64_t repeated = aig::repeat_in_word(tt.words()[0], nv);
     const std::uint64_t tail = (~0ull << tt.num_bits()) & noise;
     for (const std::uint64_t w : {repeated, tt.words()[0] | tail}) {
       const MatchRef got = lib().best_match(std::span(&w, 1), nv);
