@@ -95,7 +95,7 @@ Tensor conv2_input(std::size_t filters, Rng& rng) {
 /// wherever no pooling window picked the element.
 Tensor pooled_gradient(const Tensor& y, Rng& rng) {
   MaxPool2D pool(2, 2, 1);
-  Tensor g(pool.forward(y, false).shape());
+  Tensor g(pool.forward(y, true).shape());
   for (std::size_t i = 0; i < g.size(); ++i) g[i] = rng.normal();
   return pool.backward(g);
 }

@@ -7,12 +7,13 @@
 //   ./build/examples/angel_flows --design mont:8 --objective area --flows 300
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/pipeline.hpp"
 #include "designs/registry.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flowgen;
   util::Cli cli(argc, argv);
 
@@ -70,4 +71,8 @@ int main(int argc, char** argv) {
                 res.devil_qor[i].to_string().c_str());
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // An unknown design, or a schedule the pipeline refuses (--flows 5).
+  std::fprintf(stderr, "angel_flows: %s\n", e.what());
+  return 1;
 }

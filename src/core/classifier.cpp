@@ -1,9 +1,24 @@
 #include "core/classifier.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace flowgen::core {
+
+namespace {
+
+/// Calls f(begin, chunk) for consecutive chunks of at most kPredictChunk
+/// flows, chunk starting at flows[begin].
+template <typename F>
+void for_each_chunk(std::span<const Flow> flows, const F& f) {
+  constexpr std::size_t kChunk = CnnFlowClassifier::kPredictChunk;
+  for (std::size_t begin = 0; begin < flows.size(); begin += kChunk) {
+    f(begin, flows.subspan(begin, std::min(kChunk, flows.size() - begin)));
+  }
+}
+
+}  // namespace
 
 CnnFlowClassifier::CnnFlowClassifier(const ClassifierConfig& config)
     : config_(config), rng_(config.seed) {
@@ -56,7 +71,13 @@ double CnnFlowClassifier::train_batch(std::span<const Flow> flows,
 }
 
 nn::Tensor CnnFlowClassifier::predict_proba(std::span<const Flow> flows) {
-  return model_.predict_proba(encode(flows));
+  nn::Tensor probs({flows.size(), config_.num_classes});
+  for_each_chunk(flows, [&](std::size_t begin, std::span<const Flow> chunk) {
+    const nn::Tensor part = model_.predict_proba(encode(chunk));
+    std::copy_n(part.data(), part.size(),
+                probs.data() + begin * config_.num_classes);
+  });
+  return probs;
 }
 
 std::vector<std::uint32_t> CnnFlowClassifier::predict(
@@ -66,8 +87,18 @@ std::vector<std::uint32_t> CnnFlowClassifier::predict(
 
 double CnnFlowClassifier::accuracy(std::span<const Flow> flows,
                                    std::span<const std::uint32_t> labels) {
-  const std::vector<std::uint32_t> label_vec(labels.begin(), labels.end());
-  return model_.evaluate_accuracy(encode(flows), label_vec);
+  assert(flows.size() == labels.size());
+  std::size_t hits = 0;
+  for_each_chunk(flows, [&](std::size_t begin, std::span<const Flow> chunk) {
+    const std::vector<std::uint32_t> pred = nn::argmax_rows(
+        model_.forward(encode(chunk), /*training=*/false));
+    for (std::size_t i = 0; i < pred.size(); ++i) {
+      if (pred[i] == labels[begin + i]) ++hits;
+    }
+  });
+  return flows.empty() ? 0.0
+                       : static_cast<double>(hits) /
+                             static_cast<double>(flows.size());
 }
 
 }  // namespace flowgen::core

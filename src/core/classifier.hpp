@@ -42,6 +42,12 @@ struct ClassifierConfig {
 
 class CnnFlowClassifier {
 public:
+  /// Flows per inference forward in predict_proba() and accuracy(): one
+  /// layer's input plus output stays near 1 MiB at 16 filters, and a large
+  /// pool is never one-hot encoded at once. Every layer computes each row
+  /// on its own, so the chunk changes no bit of any result.
+  static constexpr std::size_t kPredictChunk = 32;
+
   explicit CnnFlowClassifier(const ClassifierConfig& config);
 
   const ClassifierConfig& config() const { return config_; }

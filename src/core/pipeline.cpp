@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #include "aig/reader.hpp"
 #include "core/qor_store.hpp"
@@ -82,6 +84,33 @@ std::unique_ptr<FlowEvaluator> make_evaluator(
   return remote;
 }
 
+/// The constructor's refusals, documented on it. Every round after the
+/// first labels retrain_every more flows, and a round of `labeled` flows
+/// holds out max(1, floor(labeled * holdout_fraction)) of them, which
+/// leaves at least one to train on when labeled >= 2 and the fraction is
+/// in [0, 1).
+PipelineConfig checked(PipelineConfig config) {
+  const std::size_t first =
+      std::min(config.training_flows, config.initial_labeled);
+  if (config.retrain_every == 0 && first < config.training_flows) {
+    throw std::invalid_argument(
+        "PipelineConfig: retrain_every is 0 while initial_labeled < "
+        "training_flows, so later rounds would label no flow");
+  }
+  if (first < 2) {
+    throw std::invalid_argument(
+        "PipelineConfig: the first round labels min(training_flows, "
+        "initial_labeled) = " +
+        std::to_string(first) +
+        " flows; it needs 2, one to train on and one to hold out");
+  }
+  if (!(config.holdout_fraction >= 0.0 && config.holdout_fraction < 1.0)) {
+    throw std::invalid_argument(
+        "PipelineConfig: holdout_fraction must be in [0, 1)");
+  }
+  return config;
+}
+
 /// Ingest for the file-only constructor; validates before any I/O.
 aig::Aig load_design_file(const PipelineConfig& config) {
   if (config.design_file.empty()) {
@@ -97,7 +126,7 @@ FlowGenPipeline::FlowGenPipeline(PipelineConfig config)
     : FlowGenPipeline(load_design_file(config), config) {}
 
 FlowGenPipeline::FlowGenPipeline(aig::Aig design, PipelineConfig config)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       evaluator_(make_evaluator(std::move(design), config_.service,
                                 config_.registry)),
       space_(config_.repetitions,
@@ -213,8 +242,7 @@ PipelineResult FlowGenPipeline::run() {
     if (config_.probe_accuracy_each_round) {
       stats.paper_accuracy =
           probe_selection_accuracy(classifier, labeler, pool, *evaluator_,
-                                   config_.num_angel, &threads,
-                                   config_.prediction_chunk)
+                                   config_.num_angel, &threads)
               .accuracy;
     }
     stats.elapsed_seconds = seconds_since(t0);
@@ -228,8 +256,7 @@ PipelineResult FlowGenPipeline::run() {
 
   // (3) Final prediction over the pool + angel/devil selection.
   const SelectionProbe final_probe = probe_selection_accuracy(
-      classifier, labeler, pool, *evaluator_, config_.num_angel, &threads,
-      config_.prediction_chunk);
+      classifier, labeler, pool, *evaluator_, config_.num_angel, &threads);
   result.paper_accuracy = final_probe.accuracy;
   for (std::size_t i = 0; i < final_probe.angel.size(); ++i) {
     result.angel_flows.push_back(pool[final_probe.angel[i].index]);

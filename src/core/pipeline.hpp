@@ -60,9 +60,9 @@ struct PipelineConfig {
 
   /// When true, the paper-accuracy probe (select + synthesize the selected
   /// flows) runs after every retraining round, producing the accuracy-vs-
-  /// progress curves of Figures 4-7. The evaluator cache keeps this cheap.
+  /// progress curves of Figures 4-7. A flow selected again in a later round
+  /// is answered by the evaluator's label store, not synthesized again.
   bool probe_accuracy_each_round = false;
-  std::size_t prediction_chunk = 256;
 
   /// Where labeling synthesis runs: in-process by default; loopback worker
   /// processes or a remote evald fleet when configured (set `design_id`).
@@ -116,7 +116,11 @@ public:
   /// only fingerprint-checked against that id — mismatch throws — and
   /// dropped), or, when design_id is empty, receive `design` itself as a
   /// serialized netlist (protocol v2 LoadDesign) — the path for circuits
-  /// no registry knows.
+  /// no registry knows. Throws std::invalid_argument, before any worker
+  /// starts, for a schedule run() cannot carry out: retrain_every 0 while
+  /// initial_labeled < training_flows (later rounds would label nothing),
+  /// a first round of fewer than two flows (one to train on, one to hold
+  /// out), or a holdout_fraction outside [0, 1).
   FlowGenPipeline(aig::Aig design, PipelineConfig config);
 
   /// File-ingest form: loads `config.design_file` via aig::read_blif_file

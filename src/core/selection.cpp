@@ -39,21 +39,11 @@ SelectionProbe probe_selection_accuracy(CnnFlowClassifier& classifier,
                                         const std::vector<Flow>& pool,
                                         const FlowEvaluator& evaluator,
                                         std::size_t per_side,
-                                        util::ThreadPool* threads,
-                                        std::size_t chunk) {
+                                        util::ThreadPool* threads) {
   SelectionProbe probe;
   const std::size_t classes = labeler.num_classes();
-  nn::Tensor probs({pool.size(), classes});
-  for (std::size_t start = 0; start < pool.size(); start += chunk) {
-    const std::size_t end = std::min(pool.size(), start + chunk);
-    const nn::Tensor part = classifier.predict_proba(
-        std::span<const Flow>(pool.data() + start, end - start));
-    for (std::size_t i = 0; i < end - start; ++i) {
-      for (std::size_t c = 0; c < classes; ++c) {
-        probs.at(start + i, c) = part.at(i, c);
-      }
-    }
-  }
+  const nn::Tensor probs = classifier.predict_proba(pool);
+  assert(probs.dim(1) == classes);
   const auto devil_class = static_cast<std::uint32_t>(classes - 1);
   probe.angel = select_top_flows(probs, 0, per_side);
   probe.devil = select_top_flows(probs, devil_class, per_side);

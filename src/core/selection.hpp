@@ -43,14 +43,12 @@ struct SelectionProbe {
   double accuracy = 0.0;
 };
 
-/// Runs the paper's evaluation protocol. `chunk` bounds prediction batch
-/// sizes; the evaluator's cache makes repeated probes cheap.
+/// Runs the paper's evaluation protocol.
 SelectionProbe probe_selection_accuracy(CnnFlowClassifier& classifier,
                                         const Labeler& labeler,
                                         const std::vector<Flow>& pool,
                                         const FlowEvaluator& evaluator,
                                         std::size_t per_side,
-                                        util::ThreadPool* threads = nullptr,
-                                        std::size_t chunk = 256);
+                                        util::ThreadPool* threads = nullptr);
 
 }  // namespace flowgen::core

@@ -276,9 +276,9 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
                        kernel_h * kernel_w * out_channels);
 }
 
-Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
+Tensor Conv2D::forward(const Tensor& input, bool training) {
   assert(input.rank() == 4 && input.dim(3) == in_ch_);
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
@@ -301,6 +301,7 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
 
 void Conv2D::backward_params(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
+  assert(input.rank() == 4);  // a training forward came first
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);

@@ -15,9 +15,9 @@ Dense::Dense(std::size_t in_features, std::size_t out_features,
   weights_.glorot_init(rng, in_features, out_features);
 }
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
+Tensor Dense::forward(const Tensor& input, bool training) {
   assert(input.rank() == 2 && input.dim(1) == in_);
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   const std::size_t n = input.dim(0);
   Tensor out({n, out_});
   for (std::size_t i = 0; i < n; ++i) {
@@ -34,6 +34,7 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  assert(cached_input_.rank() == 2);  // a training forward came first
   const std::size_t n = cached_input_.dim(0);
   assert(grad_output.rank() == 2 && grad_output.dim(0) == n &&
          grad_output.dim(1) == out_);
@@ -75,18 +76,19 @@ Tensor Dense::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor Flatten::forward(const Tensor& input, bool /*training*/) {
-  cached_shape_ = input.shape();
+Tensor Flatten::forward(const Tensor& input, bool training) {
+  if (training) cached_shape_ = input.shape();
   const std::size_t n = input.dim(0);
   return input.reshaped({n, input.size() / n});
 }
 
 Tensor Flatten::backward(const Tensor& grad_output) {
+  assert(!cached_shape_.empty());  // a training forward came first
   return grad_output.reshaped(cached_shape_);
 }
 
-Tensor Activation::forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
+Tensor Activation::forward(const Tensor& input, bool training) {
+  if (training) cached_input_ = input;
   Tensor out(input.shape());
   for (std::size_t i = 0; i < input.size(); ++i) {
     out[i] = activate(kind_, input[i]);
@@ -95,7 +97,8 @@ Tensor Activation::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Activation::backward(const Tensor& grad_output) {
-  assert(grad_output.size() == cached_input_.size());
+  assert(cached_input_.rank() > 0 &&  // a training forward came first
+         grad_output.size() == cached_input_.size());
   Tensor grad(cached_input_.shape());
   for (std::size_t i = 0; i < grad.size(); ++i) {
     // Every kind's derivative is finite and >= 0 (+0, never -0) at any
@@ -108,7 +111,6 @@ Tensor Activation::backward(const Tensor& grad_output) {
 }
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
-  last_training_ = training;
   if (!training || rate_ <= 0.0) return input;
   mask_ = Tensor(input.shape());
   Tensor out(input.shape());
@@ -122,7 +124,8 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!last_training_ || rate_ <= 0.0) return grad_output;
+  if (rate_ <= 0.0) return grad_output;
+  assert(mask_.size() == grad_output.size());  // a training forward came first
   Tensor grad(grad_output.shape());
   for (std::size_t i = 0; i < grad.size(); ++i) {
     grad[i] = grad_output[i] * mask_[i];

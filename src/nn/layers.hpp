@@ -14,14 +14,22 @@
 
 namespace flowgen::nn {
 
+/// The forward/backward contract: a training forward, forward(x, true),
+/// keeps what backward() needs (a copy of x, pooling's argmax, dropout's
+/// mask) until the next training forward. An inference forward,
+/// forward(x, false), keeps nothing and leaves that state alone, so its
+/// memory is the input and output alone, and an inference forward between
+/// a training forward and its backward() changes no gradient. backward()
+/// needs a training forward before it (asserted).
 class Layer {
 public:
   virtual ~Layer() = default;
 
-  /// Forward pass; `training` toggles dropout noise.
+  /// Forward pass; `training` keeps backward's state and draws dropout
+  /// noise.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
   /// Backward pass: gradient w.r.t. this layer's input, given gradient
-  /// w.r.t. its output. Must be called after forward (layers cache state).
+  /// w.r.t. the output of the last training forward.
   virtual Tensor backward(const Tensor& grad_output) = 0;
   /// The parameter gradients of backward() without the input gradient,
   /// for a first layer, whose input gradient nothing reads. The default
@@ -96,7 +104,6 @@ private:
   double rate_;
   util::Rng* rng_;
   Tensor mask_;
-  bool last_training_ = false;
 };
 
 }  // namespace flowgen::nn

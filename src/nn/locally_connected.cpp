@@ -156,10 +156,10 @@ LocallyConnected2D::LocallyConnected2D(std::size_t in_h, std::size_t in_w,
   weights_.glorot_init(rng, patch, out_ch_);
 }
 
-Tensor LocallyConnected2D::forward(const Tensor& input, bool /*training*/) {
+Tensor LocallyConnected2D::forward(const Tensor& input, bool training) {
   assert(input.rank() == 4 && input.dim(1) == in_h_ &&
          input.dim(2) == in_w_ && input.dim(3) == in_ch_);
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   const std::size_t n = input.dim(0);
   Tensor out({n, oh_, ow_, out_ch_});
   local_forward({input.data(), weights_.data(), n, in_h_, in_w_, in_ch_,
@@ -170,6 +170,7 @@ Tensor LocallyConnected2D::forward(const Tensor& input, bool /*training*/) {
 
 Tensor LocallyConnected2D::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
+  assert(input.rank() == 4);  // a training forward came first
   const std::size_t n = input.dim(0);
   const double* g = grad_output.data();
 

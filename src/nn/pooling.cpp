@@ -10,7 +10,7 @@ MaxPool2D::MaxPool2D(std::size_t pool_h, std::size_t pool_w,
                      std::size_t stride)
     : ph_(pool_h), pw_(pool_w), stride_(stride) {}
 
-Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool2D::forward(const Tensor& input, bool training) {
   assert(input.rank() == 4);
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(1);
@@ -22,9 +22,11 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
   const std::size_t oh = (h - ph_) / stride_ + 1;
   const std::size_t ow = (w - pw_) / stride_ + 1;
 
-  input_shape_ = input.shape();
   Tensor out({n, oh, ow, c});
-  argmax_.assign(out.size(), 0);
+  if (training) {
+    input_shape_ = input.shape();
+    argmax_.assign(out.size(), 0);
+  }
 
   std::size_t out_idx = 0;
   for (std::size_t b = 0; b < n; ++b) {
@@ -45,7 +47,7 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
             }
           }
           out[out_idx] = best;
-          argmax_[out_idx] = best_idx;
+          if (training) argmax_[out_idx] = best_idx;
         }
       }
     }
@@ -54,7 +56,8 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_output) {
-  assert(grad_output.size() == argmax_.size());
+  assert(!input_shape_.empty() &&  // a training forward came first
+         grad_output.size() == argmax_.size());
   Tensor grad_input(input_shape_);
   for (std::size_t i = 0; i < grad_output.size(); ++i) {
     grad_input[argmax_[i]] += grad_output[i];

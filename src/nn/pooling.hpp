@@ -17,7 +17,8 @@ public:
 
 private:
   std::size_t ph_, pw_, stride_;
-  std::vector<std::size_t> argmax_;  ///< flat input index per output element
+  // Of the last training forward: the flat input index per output element.
+  std::vector<std::size_t> argmax_;
   std::vector<std::size_t> input_shape_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/flow_space.hpp"
 
 namespace flowgen::core {
@@ -82,6 +84,44 @@ TEST(ClassifierTest, DeterministicForSameSeed) {
   const nn::Tensor p1 = c1.predict_proba(flows);
   const nn::Tensor p2 = c2.predict_proba(flows);
   for (std::size_t i = 0; i < p1.size(); ++i) EXPECT_EQ(p1[i], p2[i]);
+}
+
+TEST(ClassifierTest, ChunkedPredictionMatchesOneFlowAtATime) {
+  // predict_proba and accuracy run their flows in chunks of kPredictChunk;
+  // every layer computes each row on its own, so the counts around a chunk
+  // boundary give the bits of one flow per forward.
+  CnnFlowClassifier classifier(small_config());
+  const FlowSpace space(4);
+  util::Rng rng(6);
+  const auto flows = space.sample_unique(200, rng);
+  std::vector<std::uint32_t> labels;
+  std::vector<double> single_probs;
+  std::vector<std::size_t> single_hits;  // hits among the first i flows
+  single_hits.push_back(0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    labels.push_back(static_cast<std::uint32_t>(i % 3));
+    const std::span<const Flow> one(&flows[i], 1);
+    const nn::Tensor p = classifier.predict_proba(one);
+    single_probs.insert(single_probs.end(), p.data(), p.data() + p.size());
+    const double hit = classifier.accuracy(one, std::span(&labels[i], 1));
+    single_hits.push_back(single_hits.back() + (hit == 1.0 ? 1 : 0));
+  }
+  ASSERT_GT(single_hits.back(), 0u);
+  ASSERT_LT(single_hits.back(), flows.size());
+
+  constexpr std::size_t kChunk = CnnFlowClassifier::kPredictChunk;
+  for (const std::size_t n : {std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                              flows.size()}) {
+    SCOPED_TRACE(n);
+    const std::span<const Flow> some(flows.data(), n);
+    const nn::Tensor probs = classifier.predict_proba(some);
+    ASSERT_EQ(probs.shape(), (std::vector<std::size_t>{n, 3}));
+    EXPECT_EQ(std::memcmp(probs.data(), single_probs.data(),
+                          probs.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(classifier.accuracy(some, std::span(labels.data(), n)),
+              static_cast<double>(single_hits[n]) / static_cast<double>(n));
+  }
 }
 
 TEST(ClassifierTest, KernelGeometryConfigurable) {

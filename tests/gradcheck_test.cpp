@@ -30,7 +30,7 @@ double loss_of(Layer& layer, const Tensor& input, const Tensor& coeffs) {
 /// Checks dL/dinput and dL/dparams against central differences.
 void gradcheck(Layer& layer, Tensor input, util::Rng& rng,
                double tol = 1e-6) {
-  const Tensor out = layer.forward(input, false);
+  const Tensor out = layer.forward(input, true);
   const Tensor coeffs = random_tensor(out.shape(), rng);
   const Tensor grad_in = layer.backward(coeffs);
   ASSERT_EQ(grad_in.size(), input.size());
@@ -51,7 +51,7 @@ void gradcheck(Layer& layer, Tensor input, util::Rng& rng,
 
   // Parameter gradients. Re-run forward+backward so cached activations and
   // parameter grads correspond to the unperturbed input.
-  layer.forward(input, false);
+  layer.forward(input, true);
   layer.backward(coeffs);
   const auto params = layer.params();
   const auto grads = layer.grads();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "designs/registry.hpp"
 
 namespace flowgen::core {
@@ -24,6 +27,50 @@ PipelineConfig tiny_config() {
   cfg.seed = 11;
   cfg.threads = 4;
   return cfg;
+}
+
+void construct(const PipelineConfig& cfg) {
+  FlowGenPipeline pipe(designs::make_design("alu:8"), cfg);
+}
+
+TEST(PipelineTest, RefusesRetrainEveryZeroWhileFlowsAreLeftToLabel) {
+  // Every round after the first would label no flow: run() would never end.
+  PipelineConfig cfg = tiny_config();
+  cfg.retrain_every = 0;
+  EXPECT_THROW(construct(cfg), std::invalid_argument);
+  cfg.initial_labeled = cfg.training_flows;  // one round labels them all
+  EXPECT_NO_THROW(construct(cfg));
+}
+
+TEST(PipelineTest, RefusesAFirstRoundOfFewerThanTwoFlows) {
+  // A lone labeled flow is also the held-out one, and training would draw
+  // every batch from it.
+  PipelineConfig cfg = tiny_config();
+  for (const std::size_t initial : {0, 1}) {
+    cfg.initial_labeled = initial;
+    EXPECT_THROW(construct(cfg), std::invalid_argument) << initial;
+  }
+  cfg = tiny_config();
+  cfg.training_flows = 1;
+  EXPECT_THROW(construct(cfg), std::invalid_argument);
+  cfg = tiny_config();
+  cfg.initial_labeled = 2;
+  EXPECT_NO_THROW(construct(cfg));
+}
+
+TEST(PipelineTest, RefusesHoldoutFractionOutsideZeroToOne) {
+  // 1 or more holds out every flow, a negative fraction casts to a huge
+  // holdout, and NaN compares false with everything.
+  PipelineConfig cfg = tiny_config();
+  for (const double fraction :
+       {-0.1, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.holdout_fraction = fraction;
+    EXPECT_THROW(construct(cfg), std::invalid_argument) << fraction;
+  }
+  for (const double fraction : {0.0, 0.9}) {
+    cfg.holdout_fraction = fraction;
+    EXPECT_NO_THROW(construct(cfg)) << fraction;
+  }
 }
 
 TEST(PipelineTest, EndToEndProducesAngelAndDevilFlows) {
