@@ -88,8 +88,8 @@ TEST(ClassifierTest, DeterministicForSameSeed) {
 
 TEST(ClassifierTest, ChunkedPredictionMatchesOneFlowAtATime) {
   // predict_proba and accuracy run their flows in chunks of kPredictChunk;
-  // every layer computes each row on its own, so the counts around a chunk
-  // boundary give the bits of one flow per forward.
+  // every layer computes each row on its own, so at counts around a chunk
+  // boundary they give the bits of one flow per forward.
   CnnFlowClassifier classifier(small_config());
   const FlowSpace space(4);
   util::Rng rng(6);

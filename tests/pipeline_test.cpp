@@ -59,8 +59,9 @@ TEST(PipelineTest, RefusesAFirstRoundOfFewerThanTwoFlows) {
 }
 
 TEST(PipelineTest, RefusesHoldoutFractionOutsideZeroToOne) {
-  // 1 or more holds out every flow, a negative fraction casts to a huge
-  // holdout, and NaN compares false with everything.
+  // 1 holds out every flow, more underflows the training count, a
+  // negative holdout is cast to an unsigned size (undefined), and NaN
+  // compares false with every bound.
   PipelineConfig cfg = tiny_config();
   for (const double fraction :
        {-0.1, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
